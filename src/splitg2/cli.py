@@ -584,8 +584,9 @@ def _point_pipeline(sc: catalog.Scenario, point: Mapping[str, Fraction],
     problems = []
     if not g2.compatibility_defect(sc.metric, phi).is_zero():
         problems.append("compatibility defect nonzero")
+    system = g2.torsion_linear_system(sc.algebra, sc.metric, phi, vol)
     try:
-        torsions = g2.torsion_solve(sc.algebra, sc.metric, phi, vol)
+        torsions = system.torsions()
         expected = _expected_torsions(sc, point).rescale(vol)
         for field in ("tau0", "tau1", "tau2", "tau3"):
             got, want = getattr(torsions, field), getattr(expected, field)
@@ -595,7 +596,6 @@ def _point_pipeline(sc: catalog.Scenario, point: Mapping[str, Fraction],
                 problems.append(f"{field} mismatch")
     except (NonUniqueSolution, InconsistentSystem, InternalInconsistency) as exc:
         problems.append(f"torsion solve failed: {exc}")
-    system = g2.torsion_linear_system(sc.algebra, sc.metric, phi, vol)
     rank = system.membership_kernel_rank()
     if rank != 49:
         problems.append(f"constrained rank {rank}")

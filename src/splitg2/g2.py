@@ -42,13 +42,16 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 _DIM = 7
 _TOP = tuple(range(1, 8))
+_SINGLES = tuple(range(1, _DIM + 1))
+_PAIRS = tuple(combinations(_SINGLES, 2))
+_TRIPLES = tuple(combinations(_SINGLES, 3))
 
 
 class Metric7:
     """Nondegenerate symmetric 2-tensor on the 7-dimensional frame with
     exact rational entries, plus its cached inverse and determinant."""
 
-    __slots__ = ("tensor", "matrix", "det", "inverse", "_lowered")
+    __slots__ = ("tensor", "matrix", "det", "inverse", "_lowered", "_star_columns")
 
     def __init__(self, tensor: SymTensor2):
         if tensor.dim != _DIM:
@@ -57,12 +60,14 @@ class Metric7:
             if not isinstance(v, (int, Fraction)):
                 raise ValidationError(f"metric entry {key} is not rational: {v!r}")
         self.tensor = tensor
-        self.matrix = tensor.to_matrix()
+        # frozen, because the star columns cached below are derived from it
+        self.matrix = tuple(tuple(row) for row in tensor.to_matrix())
         self.det = _linalg.mat_det(self.matrix)
         if self.det == 0:
             raise Degenerate("metric determinant is zero")
-        self.inverse = _linalg.mat_inverse(self.matrix)
+        self.inverse = tuple(tuple(row) for row in _linalg.mat_inverse(self.matrix))
         self._lowered = None
+        self._star_columns = {}
 
     def lowered(self, i: int) -> Form:
         """The 1-form g(e_i, .) in coframe components."""
@@ -81,9 +86,26 @@ class Metric7:
             ]
         return self._lowered[i]
 
+    def _star_column(self, key: tuple) -> dict:
+        """Unit-scale star of the monomial e^key, {complement key: coefficient},
+        from the defining identity of `hodge_star`; built on first use."""
+        column = self._star_columns.get(key)
+        if column is None:
+            mono = Form.monomial(_DIM, key)
+            column = {}
+            for out in combinations(_SINGLES, _DIM - len(key)):
+                w = mono
+                for u in out:
+                    w = w.wedge(self.lowered(u))
+                coeff = w.coefficient(_TOP)
+                if coeff:
+                    column[out] = coeff
+            self._star_columns[key] = column
+        return column
+
     def signature(self) -> Tuple[int, int]:
         """Inertia (plus, minus) via exact symmetric congruence reduction."""
-        a = [row[:] for row in self.matrix]
+        a = [list(row) for row in self.matrix]
         n = _DIM
         plus = minus = 0
         for i in range(n):
@@ -165,26 +187,32 @@ class G2Structure:
 
 
 def hodge_star(metric: Metric7, lam: Form, vol_scale=_F1) -> Form:
-    """Hodge dual from the defining identity
+    """Hodge dual with respect to vol = vol_scale * e^{1...7}.
 
-        (star lam)(e_u1, ..., e_u(7-p)) vol = lam ^ g(e_u1) ^ ... ^ g(e_u(7-p))
+    The star of each monomial e^I comes from the defining identity
 
-    with vol = vol_scale * e^{1...7}."""
+        (star e^I)(e_u1, ..., e_u(7-p)) e^{1...7} = e^I ^ g(e_u1) ^ ... ^ g(e_u(7-p))
+
+    and is cached per metric (`Metric7._star_column`).  The star is linear,
+    so star lam is the sum of lam_I * star e^I, divided by vol_scale; each
+    output coefficient is summed with `scalars.scalar_sum`, which groups
+    quotients by denominator as `Form.wedge` does."""
     c = Fraction(vol_scale)
     if c == 0:
         raise Degenerate("volume scale must be nonzero")
     if lam.dim != _DIM:
         raise DimensionMismatch(f"form must live on dimension {_DIM}")
-    p = lam.degree
+    buckets = {}
+    for key, coeff in lam.terms.items():
+        for out, v in metric._star_column(key).items():
+            buckets.setdefault(out, []).append(coeff * v)
     out = {}
-    for key in combinations(range(1, _DIM + 1), _DIM - p):
-        w = lam
-        for u in key:
-            w = w.wedge(metric.lowered(u))
-        coeff = w.coefficient(_TOP)
-        if not scalars.is_zero(scalars.as_scalar(coeff)):
-            out[key] = coeff / c
-    return Form(_DIM, _DIM - p, out)
+    # lexicographic keys, the order in which downstream sums meet the terms
+    for key in sorted(buckets):
+        total = scalars.scalar_sum(buckets[key])
+        if not scalars.is_zero(total):
+            out[key] = total / c
+    return Form(_DIM, _DIM - lam.degree, out)
 
 
 def lambda2_14_basis(phi: Form, star_phi: Form) -> SolutionSpace:
@@ -260,16 +288,24 @@ class TorsionSystem:
     index pairs in lexicographic order; tau3 components over triples.
     Rows 0..55 are the two structure equations (35 + 21 component rows);
     rows 56..70 are the membership constraints (7 + 7 + 1).  The
-    right-hand side sits at column `width`.
+    right-hand side sits at column `width`.  The system keeps the
+    algebra, metric, 3-form and volume scale it was built from, so that
+    `torsions()` can check its solution against them.
     """
 
-    __slots__ = ("labels", "rows", "bryant_count", "width")
+    __slots__ = ("labels", "rows", "bryant_count", "width",
+                 "algebra", "metric", "phi", "vol_scale")
 
-    def __init__(self, labels, rows, bryant_count):
+    def __init__(self, labels, rows, bryant_count, algebra, metric, phi,
+                 vol_scale):
         self.labels = labels
         self.rows = rows
         self.bryant_count = bryant_count
         self.width = len(labels)
+        self.algebra = algebra
+        self.metric = metric
+        self.phi = phi
+        self.vol_scale = vol_scale
 
     @property
     def bryant_rows(self) -> list:
@@ -284,6 +320,36 @@ class TorsionSystem:
 
     def solve(self) -> list:
         return _linalg.solve_unique(self.rows, self.width)
+
+    def torsions(self) -> TorsionSet:
+        """Unique exact solution, unpacked into the four torsion forms.
+
+        Before returning, the solution is confirmed by `bryant_residual`,
+        which substitutes it into both structure equations through the
+        public operations and shares no state with these rows, and by the
+        tau2 and tau3 component memberships.  Non-uniqueness or
+        inconsistency of the system signals a non-generic 3-form or a
+        coframe mismatch and is raised, never patched over.
+        """
+        x = self.solve()
+        tau1 = Form(_DIM, 1, {(i,): x[1 + idx]
+                              for idx, i in enumerate(_SINGLES) if _nz(x[1 + idx])})
+        tau2 = Form(_DIM, 2, {p: x[8 + idx]
+                              for idx, p in enumerate(_PAIRS) if _nz(x[8 + idx])})
+        tau3 = Form(_DIM, 3, {t: x[29 + idx]
+                              for idx, t in enumerate(_TRIPLES) if _nz(x[29 + idx])})
+        torsions = TorsionSet(x[0], tau1, tau2, tau3)
+
+        metric, phi, c = self.metric, self.phi, self.vol_scale
+        res1, res2 = bryant_residual(self.algebra, metric, phi, torsions, c)
+        if not (res1.is_zero() and res2.is_zero()):
+            raise InternalInconsistency("solved torsions fail the structure equations")
+        star_phi = hodge_star(metric, phi, c)
+        if not tau2.wedge(star_phi).is_zero():
+            raise InternalInconsistency("tau2 escapes its 14-dimensional component")
+        if not lambda3_27_check(tau3, phi, star_phi):
+            raise InternalInconsistency("tau3 escapes its 27-dimensional component")
+        return torsions
 
     def membership_kernel_rank(self) -> int:
         """Rank of the structure-equation block restricted to the
@@ -331,29 +397,26 @@ def torsion_linear_system(
     d_phi = _descended_differential(algebra, phi)
     d_star_phi = _descended_differential(algebra, star_phi)
 
-    singles = list(range(1, _DIM + 1))
-    pairs = list(combinations(singles, 2))
-    triples = list(combinations(singles, 3))
     labels = (
         ["t0"]
-        + [f"t1_{i}" for i in singles]
-        + ["t2_" + "".join(map(str, p)) for p in pairs]
-        + ["t3_" + "".join(map(str, t)) for t in triples]
+        + [f"t1_{i}" for i in _SINGLES]
+        + ["t2_" + "".join(map(str, p)) for p in _PAIRS]
+        + ["t3_" + "".join(map(str, t)) for t in _TRIPLES]
     )
     col_t0 = 0
-    col_t1 = {i: 1 + idx for idx, i in enumerate(singles)}
-    col_t2 = {p: 8 + idx for idx, p in enumerate(pairs)}
-    col_t3 = {t: 29 + idx for idx, t in enumerate(triples)}
+    col_t1 = {i: 1 + idx for idx, i in enumerate(_SINGLES)}
+    col_t2 = {p: 8 + idx for idx, p in enumerate(_PAIRS)}
+    col_t3 = {t: 29 + idx for idx, t in enumerate(_TRIPLES)}
     width = len(labels)
 
-    e1_phi = {i: Form.monomial(_DIM, (i,)).wedge(phi) for i in singles}
-    e1_star = {i: Form.monomial(_DIM, (i,)).wedge(star_phi) for i in singles}
-    e2_phi = {p: Form.monomial(_DIM, p).wedge(phi) for p in pairs}
-    e2_star = {p: Form.monomial(_DIM, p).wedge(star_phi) for p in pairs}
-    e3_phi = {t: Form.monomial(_DIM, t).wedge(phi) for t in triples}
-    e3_star = {t: Form.monomial(_DIM, t).wedge(star_phi) for t in triples}
+    e1_phi = {i: Form.monomial(_DIM, (i,)).wedge(phi) for i in _SINGLES}
+    e1_star = {i: Form.monomial(_DIM, (i,)).wedge(star_phi) for i in _SINGLES}
+    e2_phi = {p: Form.monomial(_DIM, p).wedge(phi) for p in _PAIRS}
+    e2_star = {p: Form.monomial(_DIM, p).wedge(star_phi) for p in _PAIRS}
+    e3_phi = {t: Form.monomial(_DIM, t).wedge(phi) for t in _TRIPLES}
+    e3_star = {t: Form.monomial(_DIM, t).wedge(star_phi) for t in _TRIPLES}
     star_e3 = {t: hodge_star(metric, Form.monomial(_DIM, t), vol_scale)
-               for t in triples}
+               for t in _TRIPLES}
 
     rows = []
 
@@ -362,22 +425,22 @@ def torsion_linear_system(
             row[col] = v
 
     # d phi = tau0 star phi + 3 tau1 ^ phi + star tau3: one row per 4-key
-    for key in combinations(singles, 4):
+    for key in combinations(_SINGLES, 4):
         row = {}
         put(row, col_t0, star_phi.terms.get(key, _F0))
-        for i in singles:
+        for i in _SINGLES:
             put(row, col_t1[i], 3 * e1_phi[i].terms.get(key, _F0))
-        for t in triples:
+        for t in _TRIPLES:
             put(row, col_t3[t], star_e3[t].terms.get(key, _F0))
         put(row, width, d_phi.terms.get(key, _F0))
         rows.append(row)
 
     # d star phi = 4 tau1 ^ star phi + tau2 ^ phi: one row per 5-key
-    for key in combinations(singles, 5):
+    for key in combinations(_SINGLES, 5):
         row = {}
-        for i in singles:
+        for i in _SINGLES:
             put(row, col_t1[i], 4 * e1_star[i].terms.get(key, _F0))
-        for p in pairs:
+        for p in _PAIRS:
             put(row, col_t2[p], e2_phi[p].terms.get(key, _F0))
         put(row, width, d_star_phi.terms.get(key, _F0))
         rows.append(row)
@@ -385,63 +448,35 @@ def torsion_linear_system(
     bryant_count = len(rows)
 
     # tau2 ^ star phi = 0: one row per 6-key
-    for key in combinations(singles, 6):
+    for key in combinations(_SINGLES, 6):
         row = {}
-        for p in pairs:
+        for p in _PAIRS:
             put(row, col_t2[p], e2_star[p].terms.get(key, _F0))
         rows.append(row)
 
     # tau3 ^ phi = 0: one row per 6-key
-    for key in combinations(singles, 6):
+    for key in combinations(_SINGLES, 6):
         row = {}
-        for t in triples:
+        for t in _TRIPLES:
             put(row, col_t3[t], e3_phi[t].terms.get(key, _F0))
         rows.append(row)
 
     # tau3 ^ star phi = 0: the single top-degree row
     row = {}
-    for t in triples:
+    for t in _TRIPLES:
         put(row, col_t3[t], e3_star[t].terms.get(_TOP, _F0))
     rows.append(row)
 
-    return TorsionSystem(tuple(labels), rows, bryant_count)
+    return TorsionSystem(tuple(labels), rows, bryant_count,
+                         algebra, metric, phi, vol_scale)
 
 
 def torsion_solve(
     algebra: LieAlgebra, metric: Metric7, phi: Form, vol_scale=_F1
 ) -> TorsionSet:
-    """Unique exact solution of the torsion equations.
-
-    Non-uniqueness or inconsistency of the system signals a non-generic
-    3-form or a coframe mismatch and is raised, never patched over.
-    """
-    system = torsion_linear_system(algebra, metric, phi, vol_scale)
-    x = system.solve()
-
-    singles = list(range(1, _DIM + 1))
-    pairs = list(combinations(singles, 2))
-    triples = list(combinations(singles, 3))
-    tau0 = x[0]
-    tau1 = Form(
-        _DIM, 1, {(i,): x[1 + idx] for idx, i in enumerate(singles) if _nz(x[1 + idx])}
-    )
-    tau2 = Form(
-        _DIM, 2, {p: x[8 + idx] for idx, p in enumerate(pairs) if _nz(x[8 + idx])}
-    )
-    tau3 = Form(
-        _DIM, 3, {t: x[29 + idx] for idx, t in enumerate(triples) if _nz(x[29 + idx])}
-    )
-    torsions = TorsionSet(tau0, tau1, tau2, tau3)
-
-    res1, res2 = bryant_residual(algebra, metric, phi, torsions, vol_scale)
-    if not (res1.is_zero() and res2.is_zero()):
-        raise InternalInconsistency("solved torsions fail the structure equations")
-    star_phi = hodge_star(metric, phi, vol_scale)
-    if not tau2.wedge(star_phi).is_zero():
-        raise InternalInconsistency("tau2 escapes its 14-dimensional component")
-    if not lambda3_27_check(tau3, phi, star_phi):
-        raise InternalInconsistency("tau3 escapes its 27-dimensional component")
-    return torsions
+    """Unique exact solution of the torsion equations, checked as
+    described in `TorsionSystem.torsions`."""
+    return torsion_linear_system(algebra, metric, phi, vol_scale).torsions()
 
 
 def _nz(v) -> bool:
@@ -457,8 +492,9 @@ def bryant_residual(
 ) -> Tuple[Form, Form]:
     """Defects of both structure equations by direct substitution.
 
-    Recomputes every ingredient from scratch and shares no state with
-    torsion_solve beyond the published operations."""
+    Recomputes star phi, d phi, d star phi and star tau3 through the
+    public operations and shares no state with the rows of the
+    `TorsionSystem` that produced the torsions."""
     star_phi = hodge_star(metric, phi, vol_scale)
     d_phi = _descended_differential(algebra, phi)
     d_star_phi = _descended_differential(algebra, star_phi)

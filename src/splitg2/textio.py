@@ -124,6 +124,9 @@ class _Collector:
         if self._seen_scalars:
             raise ParseError(f"line {lineno}: 'alphabet' must precede coefficients")
         names = tuple(value.split())
+        for name in names:
+            if not name.isidentifier():
+                raise ParseError(f"line {lineno}: bad parameter name {name!r}")
         if len(set(names)) != len(names):
             raise ParseError(f"line {lineno}: repeated parameter name")
         self.alphabet = names

@@ -282,3 +282,17 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "invariants", "--input", "-")
     assert code == 0
     assert "result: pass" in out
+
+
+def test_input_bad_parameter_name_is_usage():
+    doc = catalog.scenario("Ms").text().replace("alphabet: q\n",
+                                                "alphabet: q 1x\n", 1)
+    assert "alphabet: q 1x\n" in doc
+    proc = subprocess.run(
+        [sys.executable, "-m", "splitg2", "torsion", "--input", "-"],
+        input=doc, capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert "bad parameter name '1x'" in proc.stderr
+    assert "line 3" in proc.stderr

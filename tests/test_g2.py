@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from splitg2 import catalog, scalars
+from splitg2 import _linalg, catalog, scalars
 from splitg2.errors import (
     Degenerate,
     DegreeMismatch,
@@ -30,7 +30,9 @@ from splitg2.g2 import (
     torsion_solve,
 )
 
-from conftest import random_fraction
+from conftest import random_fraction, random_scalar
+
+TOP = tuple(range(1, 8))
 
 
 def euclidean():
@@ -83,6 +85,15 @@ def test_metric_inverse_and_det():
     assert m.inverse == m.matrix
 
 
+def test_metric_matrix_is_frozen():
+    m = split_diag()
+    with pytest.raises(TypeError):
+        m.matrix[0][0] = Fraction(2)
+    with pytest.raises(TypeError):
+        m.inverse[0][0] = Fraction(2)
+    assert m.signature() == (3, 4)
+
+
 def test_signature_diagonal():
     assert euclidean().signature() == (7, 0)
     assert split_diag().signature() == (3, 4)
@@ -120,6 +131,59 @@ def test_star_euclidean_hand_values():
     top = tuple(range(1, 8))
     assert hodge_star(m, Form.monomial(7, top)).terms == {(): Fraction(1)}
     assert hodge_star(m, Form(7, 0, {(): Fraction(1)})).terms == {top: Fraction(1)}
+
+
+def closed_form_star(metric, key, c):
+    """(star e^I)_J = sgn(I, I^c) * det g[J, I^c] / c, by determinants."""
+    comp = tuple(i for i in TOP if i not in key)
+    perm = key + comp
+    inversions = sum(1 for i, j in combinations(range(7), 2) if perm[i] > perm[j])
+    sign = -1 if inversions % 2 else 1
+    terms = {}
+    for out in combinations(TOP, len(comp)):
+        det = _linalg.mat_det([[metric.matrix[j - 1][k - 1] for k in comp]
+                               for j in out])
+        if det:
+            terms[out] = sign * det / c
+    return terms
+
+
+def star_by_identity(metric, lam, c=1):
+    """The star straight from its defining identity, one wedge chain per
+    output key: (star lam)(e_u1, ..., e_uk) vol = lam ^ g(e_u1) ^ ... ^ g(e_uk)."""
+    out = {}
+    for key in combinations(TOP, 7 - lam.degree):
+        w = lam
+        for u in key:
+            w = w.wedge(metric.lowered(u))
+        coeff = w.coefficient(TOP)
+        if not scalars.is_zero(scalars.as_scalar(coeff)):
+            out[key] = coeff / Fraction(c)
+    return Form(7, 7 - lam.degree, out)
+
+
+def test_star_matches_closed_form_on_all_monomials(ml, ms):
+    for metric in (ml.metric, ms.metric, euclidean(), split_diag()):
+        for c in (Fraction(1), Fraction(3), Fraction(-2, 5)):
+            for p in range(8):
+                for key in combinations(TOP, p):
+                    got = hodge_star(metric, Form.monomial(7, key), c).terms
+                    assert got == closed_form_star(metric, key, c), (key, c)
+
+
+def test_star_matches_defining_identity_on_symbolic_forms(ml, ms, rng):
+    for sc in (ml, ms):
+        for c in (1, Fraction(3)):
+            want = star_by_identity(sc.metric, sc.phi_family, c)
+            got = hodge_star(sc.metric, sc.phi_family, c)
+            assert got == want
+            assert str(got) == str(want)
+    for degree in (2, 3):
+        keys = list(combinations(TOP, degree))
+        lam = Form(7, degree, {k: random_scalar(rng, nonzero=True)
+                               for k in rng.sample(keys, 4)})
+        for metric in (ml.metric, split_diag()):
+            assert hodge_star(metric, lam, 3) == star_by_identity(metric, lam, 3)
 
 
 def test_star_is_linear(rng):
