@@ -7,7 +7,7 @@ Three scalar kinds appear throughout the package:
   omits "/1");
 * `Polynomial`, a sparse multivariate polynomial over a fixed, ordered
   alphabet of parameter names, stored as one rational content factor
-  times a primitive integer term map keyed by exponent vectors;
+  times a primitive integer term map keyed by packed exponent vectors;
 * `RationalFunction`, an unreduced numerator/denominator pair of
   polynomials.
 
@@ -22,22 +22,94 @@ with positive leading coefficient.
 Monomials are ordered lexicographically by exponent vector in the
 declared alphabet order.  Scalars from different alphabets never mix;
 combining them raises AlphabetMismatch.
+
+A term-map key is the whole exponent vector packed into one int, one
+_FIELD-bit field per variable with the first alphabet variable in the
+highest field (Monagan and Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007).  Integer order
+is then lexicographic order and a monomial product is one integer
+addition.  The top bit of each field is a guard that is clear in every
+stored key, so a sum of two valid keys never carries into a neighbouring
+field; a product that sets a guard bit raises ValidationError instead of
+wrapping.  Only this module packs or unpacks keys: the public methods
+take and return exponent tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache, reduce
 from math import gcd, lcm
+from operator import or_
 from typing import Iterable, Mapping, Union
 
 from . import kernels
-from .errors import AlphabetMismatch, ParseError, PoleAtPoint
+from .errors import AlphabetMismatch, ParseError, PoleAtPoint, ValidationError
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 Rational = Fraction
 Scalar = Union[Fraction, "Polynomial", "RationalFunction"]
+
+
+_FIELD = 16
+_LIMIT = 1 << (_FIELD - 1)  # exponents stay below the guard bit
+_LOW = _LIMIT - 1
+
+
+@cache
+def _guard(width: int) -> int:
+    """Mask of the guard bit of each of `width` fields."""
+    return sum(_LIMIT << (_FIELD * i) for i in range(width))
+
+
+def _pack(exp: tuple, width: int) -> int:
+    """Key of an exponent vector of length `width`."""
+    if len(exp) != width or any(x < 0 for x in exp):
+        raise ValueError(f"bad exponent vector {exp}")
+    key = 0
+    for x in exp:
+        if x >= _LIMIT:
+            raise ValidationError(f"exponent {x} exceeds the limit {_LOW}")
+        key = (key << _FIELD) | x
+    return key
+
+
+def _unpack(key: int, width: int) -> tuple:
+    """Exponent vector of a key."""
+    out = [0] * width
+    for i in range(width - 1, -1, -1):
+        out[i] = key & _LOW
+        key >>= _FIELD
+    return tuple(out)
+
+
+def _check_fields(keys, width: int) -> None:
+    """ValidationError when a key produced by addition overflowed a field."""
+    if reduce(or_, keys, 0) & _guard(width):
+        raise ValidationError(f"a product exponent exceeds the limit {_LOW}")
+
+
+def _min_key(keys, width: int) -> int:
+    """Key of the componentwise minimum of nonempty `keys`.
+
+    Fieldwise min without unpacking: with the guard bits of `lo` set, the
+    subtraction leaves a field's guard bit set exactly where that field
+    of `lo` is at least the one of `e`; the guard is then widened into a
+    mask selecting those fields from `e`.
+    """
+    if 0 in keys:
+        return 0
+    g = _guard(width)
+    it = iter(keys)
+    lo = next(it)
+    for e in it:
+        sel = ((lo | g) - e) & g
+        lo ^= (lo ^ e) & (sel - (sel >> (_FIELD - 1)))
+        if not lo:
+            break
+    return lo
 
 
 def _check_alphabet(alphabet) -> tuple:
@@ -53,8 +125,9 @@ def _check_alphabet(alphabet) -> tuple:
 class Polynomial:
     """Sparse polynomial with exact rational coefficients.
 
-    The coefficient of an exponent vector e is ``content * terms[e]``
-    where `terms` is primitive (integer gcd 1) and its lexicographically
+    The coefficient of an exponent vector e is ``content * terms[key]``,
+    `key` being e packed into one int (see the module docstring), where
+    `terms` is primitive (integer gcd 1) and its lexicographically
     leading coefficient is positive; the sign and scale live in
     `content`.  The zero polynomial has content 0 and no terms.
     Instances are immutable.
@@ -81,15 +154,15 @@ class Polynomial:
         value = Fraction(value)
         if not value:
             return cls(alphabet, _F0, {})
-        return cls(alphabet, value, {(0,) * len(alphabet): 1})
+        return cls(alphabet, value, {0: 1})
 
     @classmethod
     def variable(cls, alphabet: Iterable[str], name: str) -> "Polynomial":
         alphabet = _check_alphabet(alphabet)
         if name not in alphabet:
             raise ValueError(f"{name!r} is not in the alphabet {alphabet}")
-        exp = tuple(1 if v == name else 0 for v in alphabet)
-        return cls(alphabet, _F1, {exp: 1})
+        shift = _FIELD * (len(alphabet) - 1 - alphabet.index(name))
+        return cls(alphabet, _F1, {1 << shift: 1})
 
     @classmethod
     def from_terms(cls, alphabet: Iterable[str], mapping: Mapping) -> "Polynomial":
@@ -98,17 +171,15 @@ class Polynomial:
         width = len(alphabet)
         acc: dict = {}
         for exp, coeff in mapping.items():
-            exp = tuple(int(x) for x in exp)
-            if len(exp) != width or any(x < 0 for x in exp):
-                raise ValueError(f"bad exponent vector {exp}")
+            key = _pack(tuple(int(x) for x in exp), width)
             coeff = Fraction(coeff)
             if not coeff:
                 continue
-            prev = acc.get(exp, _F0) + coeff
+            prev = acc.get(key, _F0) + coeff
             if prev:
-                acc[exp] = prev
+                acc[key] = prev
             else:
-                acc.pop(exp, None)
+                acc.pop(key, None)
         if not acc:
             return cls(alphabet, _F0, {})
         den = 1
@@ -126,7 +197,8 @@ class Polynomial:
         return bool(self.content)
 
     def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {(0,) * len(self.alphabet)}
+        t = self.terms
+        return not t or (len(t) == 1 and 0 in t)
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial."""
@@ -134,22 +206,23 @@ class Polynomial:
             return _F0
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self.content * self.terms[(0,) * len(self.alphabet)]
+        return self.content * self.terms[0]
 
     def coefficient(self, exp: tuple) -> Fraction:
-        c = self.terms.get(tuple(exp))
+        c = self.terms.get(_pack(tuple(exp), len(self.alphabet)))
         return self.content * c if c is not None else _F0
 
     def total_degree(self) -> int:
         """Maximum total degree, -1 for the zero polynomial."""
         if not self.terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        width = len(self.alphabet)
+        return max(sum(_unpack(e, width)) for e in self.terms)
 
     def leading_exponent(self) -> tuple:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        return max(self.terms)
+        return _unpack(max(self.terms), len(self.alphabet))
 
     # -- arithmetic ----------------------------------------------------
 
@@ -209,6 +282,7 @@ class Polynomial:
         # Gauss: a product of primitive maps is primitive, and the lex
         # leading coefficient stays positive, so no renormalization.
         t = kernels.poly_mul(self.terms, other.terms)
+        _check_fields(t, len(self.alphabet))
         return Polynomial(self.alphabet, self.content * other.content, t)
 
     __rmul__ = __mul__
@@ -237,12 +311,12 @@ class Polynomial:
 
     def diff(self, name: str) -> "Polynomial":
         """Partial derivative with respect to one parameter."""
-        i = self.alphabet.index(name)
+        shift = _FIELD * (len(self.alphabet) - 1 - self.alphabet.index(name))
         out: dict = {}
         for e, c in self.terms.items():
-            k = e[i]
+            k = (e >> shift) & _LOW
             if k:
-                e2 = e[:i] + (k - 1,) + e[i + 1 :]
+                e2 = e - (1 << shift)
                 out[e2] = out.get(e2, 0) + c * k
         out = {e: c for e, c in out.items() if c}
         return _canon(self.alphabet, self.content, out)
@@ -255,9 +329,10 @@ class Polynomial:
                 raise ValueError(f"no value for parameter {name!r}")
             vals.append(Fraction(point[name]))
         total = _F0
+        width = len(vals)
         for e, c in self.terms.items():
             term = Fraction(c)
-            for v, k in zip(vals, e):
+            for v, k in zip(vals, _unpack(e, width)):
                 if k:
                     term *= v**k
             total += term
@@ -265,12 +340,18 @@ class Polynomial:
 
     def monomial_shift(self, shift: tuple) -> "Polynomial":
         """Divide every term by the monomial with exponent vector `shift`."""
-        if not any(shift):
+        return self._divide_monomial(_pack(tuple(shift), len(self.alphabet)))
+
+    def _divide_monomial(self, s: int) -> "Polynomial":
+        """`monomial_shift` for the monomial with key `s`."""
+        if not s:
             return self
+        g = _guard(len(self.alphabet))
         terms = {}
         for e, c in self.terms.items():
-            e2 = tuple(x - s for x, s in zip(e, shift))
-            if any(x < 0 for x in e2):
+            # a field of e below the one of s borrows into its guard bit
+            e2 = e - s
+            if e2 < 0 or e2 & g:
                 raise ValueError("monomial does not divide every term")
             terms[e2] = c
         return Polynomial(self.alphabet, self.content, terms)
@@ -279,15 +360,8 @@ class Polynomial:
         """Componentwise minimum exponent vector over all terms."""
         if not self.terms:
             raise ValueError("zero polynomial")
-        it = iter(self.terms)
-        lo = list(next(it))
-        for e in it:
-            for i, x in enumerate(e):
-                if x < lo[i]:
-                    lo[i] = x
-            if not any(lo):
-                break
-        return tuple(lo)
+        width = len(self.alphabet)
+        return _unpack(_min_key(self.terms, width), width)
 
     # -- comparison and rendering --------------------------------------
 
@@ -315,11 +389,12 @@ class Polynomial:
         if not self.content:
             return "0"
         parts = []
+        width = len(self.alphabet)
         for e in sorted(self.terms, reverse=True):
             coeff = self.content * self.terms[e]
             mono = "*".join(
                 name if k == 1 else f"{name}^{k}"
-                for name, k in zip(self.alphabet, e)
+                for name, k in zip(self.alphabet, _unpack(e, width))
                 if k
             )
             if not mono:
@@ -382,12 +457,13 @@ class RationalFunction:
         alphabet = num.alphabet
         if num.is_zero():
             return cls(alphabet, num, Polynomial.constant(alphabet, 1))
-        lo_n = num.min_exponents()
-        lo_d = den.min_exponents()
-        shift = tuple(min(a, b) for a, b in zip(lo_n, lo_d))
-        if any(shift):
-            num = num.monomial_shift(shift)
-            den = den.monomial_shift(shift)
+        width = len(alphabet)
+        shift = _min_key(
+            (_min_key(num.terms, width), _min_key(den.terms, width)), width
+        )
+        if shift:
+            num = num._divide_monomial(shift)
+            den = den._divide_monomial(shift)
         if den.content != 1:
             num = Polynomial(alphabet, num.content / den.content, num.terms)
             den = Polynomial(alphabet, _F1, den.terms)
@@ -633,6 +709,10 @@ def scalar_sum(values, alphabet: tuple = None):
 # -- scalar expression parsing --------------------------------------------
 
 
+# Largest exponent `parse_scalar` accepts after '^'; the catalogue needs 3.
+MAX_POWER = 64
+
+
 class _Tokens:
     def __init__(self, text: str):
         self.text = text
@@ -678,7 +758,8 @@ def parse_scalar(text: str, alphabet: Iterable[str] = ()) -> Scalar:
     """Parse an exact scalar expression.
 
     Grammar: integers, parameter names, + - * / ^, parentheses; ^ takes a
-    nonnegative integer exponent and binds tighter than unary minus.
+    nonnegative integer exponent of at most MAX_POWER and binds tighter
+    than unary minus.
     Returns a Fraction when the alphabet is empty, else a
     RationalFunction over the alphabet.
     """
@@ -710,6 +791,11 @@ def parse_scalar(text: str, alphabet: Iterable[str] = ()) -> Scalar:
             kind, val = toks.take() if toks.peek() is not None else (None, None)
             if kind != "int":
                 raise ParseError(f"'^' needs an integer exponent in {text!r}")
+            # the length test keeps int() off digit strings of any size
+            if len(val.lstrip("0")) > 3 or int(val) > MAX_POWER:
+                raise ParseError(
+                    f"exponent {val} exceeds the limit {MAX_POWER} in {text!r}"
+                )
             v = v ** int(val)
         return v
 

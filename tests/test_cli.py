@@ -296,3 +296,16 @@ def test_input_bad_parameter_name_is_usage():
     assert len(proc.stderr.splitlines()) == 1
     assert "bad parameter name '1x'" in proc.stderr
     assert "line 3" in proc.stderr
+
+
+def test_input_huge_exponent_is_usage():
+    doc = catalog.scenario("Ms").text().replace("phi: 1 3 6 q\n",
+                                                "phi: 1 3 6 (q+1)^3000\n", 1)
+    assert "(q+1)^3000" in doc
+    proc = subprocess.run(
+        [sys.executable, "-m", "splitg2", "torsion", "--input", "-"],
+        input=doc, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert "exponent 3000 exceeds the limit 64" in proc.stderr

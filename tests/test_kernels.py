@@ -1,24 +1,18 @@
-"""Backend kernels: pure-Python vs compiled parity, sign oracles."""
+"""Compute kernels: term-map arithmetic on packed monomial keys checked
+against tuple-exponent oracles, and wedge-merge sign oracles."""
 
-import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-import pytest
-
-from splitg2 import _kernels_py as pyk
 from splitg2 import kernels
+from splitg2.scalars import _pack
 
-try:
-    from splitg2 import _kernels_c as ck
-except ImportError:
-    ck = None
-
-needs_c = pytest.mark.skipif(ck is None, reason="compiled kernels not built")
+WIDTH = 3
 
 
-def random_exponent_map(rng, width=3, nterms=4):
+def random_exponent_map(rng, width=WIDTH, nterms=4):
+    """Exponent tuple -> nonzero int; the oracle side of the kernel tests."""
     out = {}
     for _ in range(nterms):
         e = tuple(rng.randint(0, 3) for _ in range(width))
@@ -26,6 +20,10 @@ def random_exponent_map(rng, width=3, nterms=4):
         if c:
             out[e] = c
     return out
+
+
+def packed(terms, width=WIDTH):
+    return {_pack(e, width): c for e, c in terms.items()}
 
 
 def random_index_map(rng, dim=7, degree=2, nterms=4, coeffs=Fraction):
@@ -47,17 +45,18 @@ def inversion_sign(seq):
     return sign
 
 
-# -- semantics of the pure backend ---------------------------------------------------
+def test_backend_name_is_py():
+    assert kernels.backend_name() == "py"
 
 
 def test_term_gcd_oracle(rng):
     for _ in range(20):
-        terms = random_exponent_map(rng)
+        terms = packed(random_exponent_map(rng))
         want = 0
         for c in terms.values():
             want = gcd(want, abs(c))
-        assert pyk.term_gcd(terms) == want
-    assert pyk.term_gcd({}) == 0
+        assert kernels.term_gcd(terms) == want
+    assert kernels.term_gcd({}) == 0
 
 
 def test_merge_indices_sign_is_shuffle_parity(rng):
@@ -67,7 +66,7 @@ def test_merge_indices_sign_is_shuffle_parity(rng):
         pool = rng.sample(range(1, 12), n + m)
         i = tuple(sorted(pool[:n]))
         j = tuple(sorted(pool[n:]))
-        got = pyk.merge_indices(i, j)
+        got = kernels.merge_indices(i, j)
         assert got is not None
         merged, sign = got
         assert merged == tuple(sorted(i + j))
@@ -75,7 +74,7 @@ def test_merge_indices_sign_is_shuffle_parity(rng):
 
 
 def test_merge_indices_collision():
-    assert pyk.merge_indices((1, 3), (3, 5)) is None
+    assert kernels.merge_indices((1, 3), (3, 5)) is None
 
 
 def test_wedge_terms_matches_naive(rng):
@@ -90,129 +89,47 @@ def test_wedge_terms_matches_naive(rng):
                 key = tuple(sorted(ia + ib))
                 naive[key] = naive.get(key, 0) + inversion_sign(ia + ib) * ca * cb
         naive = {k: v for k, v in naive.items() if v}
-        assert pyk.wedge_terms(a, b) == naive
+        assert kernels.wedge_terms(a, b) == naive
 
 
 def test_wedge_collect_folds_to_wedge_terms(rng):
     for _ in range(10):
         a = random_index_map(rng, degree=2)
         b = random_index_map(rng, degree=2)
-        collected = pyk.wedge_collect(a, b)
+        collected = kernels.wedge_collect(a, b)
         folded = {}
         for key, bucket in collected.items():
             total = sum(bucket)
             if total:
                 folded[key] = total
-        assert folded == pyk.wedge_terms(a, b)
+        assert folded == kernels.wedge_terms(a, b)
+
+
+def test_poly_mul_matches_tuple_convolution(rng):
+    for _ in range(20):
+        a = random_exponent_map(rng)
+        b = random_exponent_map(rng)
+        naive = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                naive[e] = naive.get(e, 0) + ca * cb
+        naive = {e: c for e, c in naive.items() if c}
+        assert kernels.poly_mul(packed(a), packed(b)) == packed(naive)
+    assert kernels.poly_mul({}, packed(a)) == {}
 
 
 def test_poly_mul_distributes(rng):
     for _ in range(10):
-        a = random_exponent_map(rng)
-        b = random_exponent_map(rng)
-        c = random_exponent_map(rng)
-        lhs = pyk.poly_mul(a, pyk.poly_axpy(1, b, 1, c))
-        rhs = pyk.poly_axpy(1, pyk.poly_mul(a, b), 1, pyk.poly_mul(a, c))
+        a = packed(random_exponent_map(rng))
+        b = packed(random_exponent_map(rng))
+        c = packed(random_exponent_map(rng))
+        lhs = kernels.poly_mul(a, kernels.poly_axpy(1, b, 1, c))
+        rhs = kernels.poly_axpy(1, kernels.poly_mul(a, b), 1, kernels.poly_mul(a, c))
         assert lhs == rhs
 
 
 def test_poly_axpy_cancellation():
-    a = {(1, 0): 3, (0, 1): -2}
-    assert pyk.poly_axpy(2, a, -2, a) == {}
-    assert pyk.poly_axpy(1, a, 1, {}) == a
-
-
-# -- compiled twin parity --------------------------------------------------------------
-
-
-@needs_c
-def test_c_backend_importable():
-    assert kernels.backend_name() in ("c", "py")
-
-
-@needs_c
-def test_parity_term_gcd(rng):
-    for _ in range(25):
-        terms = random_exponent_map(rng)
-        assert ck.term_gcd(terms) == pyk.term_gcd(terms)
-    assert ck.term_gcd({}) == pyk.term_gcd({})
-
-
-@needs_c
-def test_parity_poly_mul_and_axpy(rng):
-    for _ in range(25):
-        a = random_exponent_map(rng)
-        b = random_exponent_map(rng)
-        assert ck.poly_mul(a, b) == pyk.poly_mul(a, b)
-        ma = rng.choice((-3, -1, 1, 2, 5))
-        mb = rng.choice((-2, -1, 1, 4))
-        assert ck.poly_axpy(ma, a, mb, b) == pyk.poly_axpy(ma, a, mb, b)
-
-
-@needs_c
-def test_parity_merge_indices(rng):
-    cases = [((), ()), ((1,), ()), ((), (2,)), ((1, 2), (1, 3))]
-    for _ in range(60):
-        n = rng.randint(0, 4)
-        m = rng.randint(0, 4)
-        i = tuple(sorted(rng.sample(range(1, 12), n)))
-        j = tuple(sorted(rng.sample(range(1, 12), m)))
-        cases.append((i, j))
-    for i, j in cases:
-        assert ck.merge_indices(i, j) == pyk.merge_indices(i, j), (i, j)
-
-
-@needs_c
-def test_parity_wedge(rng):
-    for _ in range(25):
-        da, db = rng.randint(1, 3), rng.randint(1, 3)
-        a = random_index_map(rng, degree=da)
-        b = random_index_map(rng, degree=db)
-        assert ck.wedge_terms(a, b) == pyk.wedge_terms(a, b)
-        got = ck.wedge_collect(a, b)
-        want = pyk.wedge_collect(a, b)
-        assert {k: sorted(map(str, v)) for k, v in got.items()} == {
-            k: sorted(map(str, v)) for k, v in want.items()
-        }
-
-
-@needs_c
-def test_parity_wedge_with_polynomial_coefficients(rng):
-    from splitg2.scalars import Polynomial
-
-    alphabet = ("a", "q")
-    def poly(rng):
-        terms = {}
-        for _ in range(2):
-            terms[(rng.randint(0, 2), rng.randint(0, 2))] = rng.randint(-4, 4)
-        return Polynomial.from_terms(alphabet, terms)
-
-    for _ in range(10):
-        a = {k: poly(rng) for k in [(1, 2), (3, 4)]}
-        b = {k: poly(rng) for k in [(5, 6), (2, 7)]}
-        got = ck.wedge_terms(a, b)
-        want = pyk.wedge_terms(a, b)
-        assert set(got) == set(want)
-        for key in got:
-            assert (got[key] - want[key]).is_zero()
-
-
-def test_env_selection_runs_both_lanes():
-    import os
-    import subprocess
-    import sys
-
-    code = (
-        "from splitg2 import kernels; print(kernels.backend_name())"
-    )
-    for lane in ("py", "c"):
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, SPLITG2_KERNELS=lane),
-        )
-        if lane == "c" and proc.returncode != 0:
-            pytest.skip("compiled kernels not built")
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == lane
+    a = packed({(1, 0): 3, (0, 1): -2}, width=2)
+    assert kernels.poly_axpy(2, a, -2, a) == {}
+    assert kernels.poly_axpy(1, a, 1, {}) == a

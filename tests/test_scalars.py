@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from splitg2 import scalars
-from splitg2.errors import AlphabetMismatch, ParseError, PoleAtPoint
+from splitg2.errors import AlphabetMismatch, ParseError, PoleAtPoint, ValidationError
 from splitg2.scalars import Polynomial, RationalFunction
 
 from conftest import ALPHABET, random_fraction, random_scalar
@@ -35,7 +35,9 @@ def test_polynomial_content_is_extracted():
     x = Polynomial.from_terms(A, {(1, 0, 0): Fraction(4, 3),
                                   (0, 1, 0): Fraction(2, 3)})
     assert x.content == Fraction(2, 3)
-    assert x.terms == {(1, 0, 0): 2, (0, 1, 0): 1}
+    primitive = Polynomial.from_terms(A, {(1, 0, 0): 2, (0, 1, 0): 1})
+    assert primitive.content == 1
+    assert x.terms == primitive.terms
 
 
 def test_polynomial_leading_coefficient_positive():
@@ -62,6 +64,51 @@ def test_binomial_cube():
     assert scalars.equals(poly("(q + 1)^3"), poly("q^3 + 3*q^2 + 3*q + 1"))
 
 
+def test_packed_keys_match_tuple_reference(rng):
+    width = len(A)
+    top = scalars._LOW
+
+    def exponent():
+        return rng.choice((0, top, rng.randint(0, 5), rng.randint(0, top)))
+
+    for _ in range(200):
+        exps = sorted({tuple(exponent() for _ in A)
+                       for _ in range(rng.randint(1, 6))})
+        keys = [scalars._pack(e, width) for e in exps]
+        assert [scalars._unpack(k, width) for k in keys] == exps
+        # integer order of keys is lexicographic order of exponent tuples
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        x = Polynomial.from_terms(A, {e: rng.randint(1, 9) for e in exps})
+        assert x.leading_exponent() == max(exps)
+        lo = tuple(min(column) for column in zip(*exps))
+        assert x.min_exponents() == lo
+        shifted = x.monomial_shift(lo)
+        for e in exps:
+            down = tuple(u - v for u, v in zip(e, lo))
+            assert shifted.coefficient(down) == x.coefficient(e)
+        below = [k for k in range(width) if lo[k] < top]
+        if below:
+            i = rng.choice(below)
+            with pytest.raises(ValueError, match="does not divide"):
+                x.monomial_shift(lo[:i] + (lo[i] + 1,) + lo[i + 1:])
+
+
+def test_exponent_field_overflow_raises():
+    top = scalars._LOW
+    with pytest.raises(ValidationError):
+        Polynomial.from_terms(A, {(0, top + 1, 0): 1})
+    x = Polynomial.from_terms(A, {(0, top, 0): 1})
+    assert (x * Polynomial.variable(A, "a")).leading_exponent() == (1, top, 0)
+    with pytest.raises(ValidationError):
+        x * Polynomial.variable(A, "p")
+    # the last field overflows into no neighbour, still caught
+    last = Polynomial.from_terms(A, {(0, 0, top): 1, (0, 0, 0): 1})
+    with pytest.raises(ValidationError):
+        last * last
+    with pytest.raises(ValidationError):
+        Polynomial.variable(A, "q") ** (1 << 20)
+
+
 # -- rational function normal form --------------------------------------------
 
 
@@ -75,8 +122,8 @@ def test_fraction_denominator_content_folded():
 def test_fraction_monomial_cancellation():
     x = poly("(a*p) / (a*q)")
     # the common monomial factor a is removed on construction
-    assert x.num.terms == {(0, 1, 0): 1}
-    assert x.den.terms == {(0, 0, 1): 1}
+    assert x.num.terms == Polynomial.variable(A, "p").terms
+    assert x.den.terms == Polynomial.variable(A, "q").terms
 
 
 def test_unreduced_representatives_compare_equal():
