@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +164,14 @@ def test_invariants_reports_dimensions(capsys):
     assert code == 0
     assert "result: pass" in out
     assert "dimension" in out
+
+
+@pytest.mark.parametrize("name", ["Ml", "Ms"])
+def test_invariants_basis_listing_is_pinned(capsys, name):
+    golden = Path(__file__).parent / "golden" / f"invariants-{name}.txt"
+    code, out, _ = run(capsys, "invariants", "--scenario", name)
+    assert code == 0
+    assert out == golden.read_text()
 
 
 def test_invariants_kind_filter(capsys):
