@@ -7,9 +7,8 @@ floating point enters any check.
 """
 
 from . import catalog, errors, exterior, g2, invariants, liealg, report, scalars, textio
-from .exterior import Form, SymTensor2, Vector, interior, sym_product, wedge
+from .exterior import Form, SymTensor2, Vector, interior, sym_product
 from .g2 import (
-    G2Structure,
     Metric7,
     TorsionSet,
     bryant_residual,
@@ -28,7 +27,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BasisChange",
     "Form",
-    "G2Structure",
     "LieAlgebra",
     "Metric7",
     "Polynomial",
@@ -59,6 +57,5 @@ __all__ = [
     "sym_product",
     "textio",
     "torsion_solve",
-    "wedge",
     "__version__",
 ]

@@ -329,13 +329,13 @@ def row_reduce_min_fill(rows: list, width: int, domain) -> dict:
             rows[r2] = domain.combine(p, row2, f, prow, col)
 
 
-def detect_domain(rows, default_alphabet: tuple = ()):
+def detect_domain(rows):
     """FractionDomain unless some entry carries parameters."""
     for row in rows:
         for v in row.values():
             if isinstance(v, (Polynomial, RationalFunction)):
                 return PolyDomain(v.alphabet)
-    return FractionDomain() if not default_alphabet else PolyDomain(default_alphabet)
+    return FractionDomain()
 
 
 def prepare_rows(rows, domain):
@@ -355,19 +355,19 @@ def prepare_rows(rows, domain):
     return out
 
 
-def rank(rows, width: int, domain=None) -> int:
-    domain = domain or detect_domain(rows)
+def rank(rows, width: int) -> int:
+    domain = detect_domain(rows)
     work = prepare_rows(rows, domain)
     return len(row_reduce(work, width, domain))
 
 
-def kernel_basis(rows, width: int, domain=None) -> list:
+def kernel_basis(rows, width: int) -> list:
     """Basis of the homogeneous kernel, one vector per free column.
 
     The basis is deterministic: free columns in ascending order, each
     basis vector has 1 at its free column.
     """
-    domain = domain or detect_domain(rows)
+    domain = detect_domain(rows)
     work = prepare_rows(rows, domain)
     pivots = row_reduce(work, width, domain)
     free = [c for c in range(width) if c not in pivots]
@@ -384,7 +384,7 @@ def kernel_basis(rows, width: int, domain=None) -> list:
     return basis
 
 
-def solve_unique(rows, width: int, domain=None) -> list:
+def solve_unique(rows, width: int) -> list:
     """Solve an augmented system (RHS at column index `width`) that is
     required to have exactly one solution.
 
@@ -392,7 +392,7 @@ def solve_unique(rows, width: int, domain=None) -> list:
     order cannot change the answer, and on polynomial entries a fixed
     column order can make intermediate rows explode.
     """
-    domain = domain or detect_domain(rows)
+    domain = detect_domain(rows)
     work = prepare_rows(rows, domain)
     pivots = row_reduce_min_fill(work, width, domain)
     if len(pivots) < width:

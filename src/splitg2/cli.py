@@ -161,13 +161,13 @@ def _source_from_scenario(name: str) -> Source:
     )
 
 
-def _source_from_document(path: str, rep: Report) -> Optional[Source]:
-    """Parse and validate a scenario document, recording the validation.
+def _source_from_document(doc: textio.ScenarioDocument, path: str,
+                          rep: Report) -> Optional[Source]:
+    """Validate a parsed scenario document, recording the validation.
 
     Returns None when validation fails; the failing records are already
     on the report, so the caller can stop and render it (exit code 1).
     """
-    doc = textio.parse_scenario(_read_input(path))
     jac = doc.algebra.jacobi_check()
     rep.add("input.jacobi", "structure constants satisfy the Jacobi identity",
             jac.ok, "pass" if jac.ok else str(jac), "pass")
@@ -203,7 +203,8 @@ def _source_from_document(path: str, rep: Report) -> Optional[Source]:
 
 def _load_source(cfg: RunConfig, rep: Report) -> Optional[Source]:
     if cfg.input_path is not None:
-        return _source_from_document(cfg.input_path, rep)
+        doc = textio.parse_scenario(_read_input(cfg.input_path))
+        return _source_from_document(doc, cfg.input_path, rep)
     return _source_from_scenario(cfg.scenario)
 
 
@@ -598,8 +599,7 @@ def _point_pipeline(sc: catalog.Scenario, point: Mapping[str, Fraction],
     rank = system.membership_kernel_rank()
     if rank != 49:
         problems.append(f"constrained rank {rank}")
-    star_phi = g2.hodge_star(sc.metric, phi, vol)
-    dim14 = g2.lambda2_14_basis(phi, star_phi).dimension
+    dim14 = g2.lambda2_14_basis(phi, system.star_phi).dimension
     if dim14 != 14:
         problems.append(f"14-component dimension {dim14}")
     ok = not problems
@@ -694,12 +694,11 @@ def cmd_growth(cfg: RunConfig) -> Report:
 
 def cmd_describe(cfg: RunConfig) -> str:
     if cfg.input_path is not None:
+        doc = textio.parse_scenario(_read_input(cfg.input_path))
         rep = Report("describe", cfg.input_path)
-        source = _source_from_document(cfg.input_path, rep)
-        if source is None:
+        if _source_from_document(doc, cfg.input_path, rep) is None:
             raise ValidationError("input document failed validation; "
                                   "run torsion or invariants for a report")
-        doc = textio.parse_scenario(_read_input(cfg.input_path))
         return textio.render_scenario(doc)
     if cfg.scenario == "sp2":
         return catalog.algebra_text()

@@ -66,10 +66,6 @@ class Form:
         indices = tuple(indices)
         return cls(dim, len(indices), {indices: coeff})
 
-    @classmethod
-    def scalar(cls, dim: int, value) -> "Form":
-        return cls(dim, 0, {(): value})
-
     # -- linear structure ------------------------------------------------
 
     def _check_compatible(self, other: "Form"):
@@ -421,10 +417,6 @@ class SymTensor2:
 
 
 # -- operations ------------------------------------------------------------
-
-
-def wedge(a: Form, b: Form) -> Form:
-    return a.wedge(b)
 
 
 def interior(vector: Vector, form: Form) -> Form:

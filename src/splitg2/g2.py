@@ -35,7 +35,7 @@ from .errors import (
     ZeroReference,
 )
 from .exterior import Form, SymTensor2, Vector, interior
-from .invariants import LinearSystem, SolutionSpace, nullspace
+from .invariants import SolutionSpace, kernel_rows
 from .liealg import LieAlgebra
 
 _F0 = Fraction(0)
@@ -165,27 +165,6 @@ def compatibility_defect(metric: Metric7, phi: Form) -> SymTensor2:
     return SymTensor2(_DIM, entries) - metric.tensor * 3
 
 
-@dataclass(frozen=True)
-class G2Structure:
-    """Compatible metric/3-form pair with a chosen volume scale."""
-
-    metric: Metric7
-    phi: Form
-    vol_scale: Fraction = _F1
-
-    def __post_init__(self):
-        c = Fraction(self.vol_scale)
-        if c <= 0:
-            raise ValidationError("volume scale must be a positive rational")
-        object.__setattr__(self, "vol_scale", c)
-        defect = compatibility_defect(self.metric, self.phi)
-        if not defect.is_zero():
-            raise ValidationError(f"pair is not compatible: defect {defect}")
-
-    def star(self, lam: Form) -> Form:
-        return hodge_star(self.metric, lam, self.vol_scale)
-
-
 def hodge_star(metric: Metric7, lam: Form, vol_scale=_F1) -> Form:
     """Hodge dual with respect to vol = vol_scale * e^{1...7}.
 
@@ -219,33 +198,17 @@ def lambda2_14_basis(phi: Form, star_phi: Form) -> SolutionSpace:
     """The 14-dimensional component of 2-forms: kernel of a |-> a ^ star phi."""
     _expect(phi, 3)
     _expect(star_phi, 4)
-    pairs = list(combinations(range(1, _DIM + 1), 2))
-    system = LinearSystem([f"a{i}{j}" for i, j in pairs])
-    wedges = [Form.monomial(_DIM, pair).wedge(star_phi) for pair in pairs]
-    comps = set()
-    for w in wedges:
-        comps.update(w.terms)
-    for comp in sorted(comps):
-        row = {}
-        for col, w in enumerate(wedges):
-            v = w.terms.get(comp)
-            if v is not None:
-                row[col] = v
-        system.add_row(row)
+    wedges = [Form.monomial(_DIM, pair).wedge(star_phi).terms for pair in _PAIRS]
 
     def build(vec) -> Form:
-        terms = {
-            pairs[c]: v
-            for c, v in enumerate(vec)
-            if not scalars.is_zero(scalars.as_scalar(v))
-        }
-        return Form(_DIM, 2, terms)
+        return Form(_DIM, 2, {_PAIRS[c]: v for c, v in enumerate(vec) if _nz(v)})
 
     def coordinatize(form: Form) -> list:
         _expect(form, 2)
-        return [form.terms.get(pair, _F0) for pair in pairs]
+        return [form.terms.get(pair, _F0) for pair in _PAIRS]
 
-    space = nullspace(system, build, coordinatize)
+    kernel = _linalg.kernel_basis(kernel_rows(wedges), len(_PAIRS))
+    space = SolutionSpace(kernel, build, coordinatize)
     if space.dimension != 14:
         raise WrongDimension(
             f"2-form kernel has dimension {space.dimension}, expected 14"
@@ -282,7 +245,8 @@ class TorsionSet:
 
 
 class TorsionSystem:
-    """The assembled linear system for the torsion unknowns.
+    """The assembled linear system for the torsion unknowns, and the
+    context it was built in.
 
     Unknown order: tau0; tau1 components 1..7; tau2 components over
     index pairs in lexicographic order; tau3 components over triples.
@@ -290,36 +254,24 @@ class TorsionSystem:
     rows 56..70 are the membership constraints (7 + 7 + 1).  The
     right-hand side sits at column `width`.  The system keeps the
     algebra, metric, 3-form and volume scale it was built from, so that
-    `torsions()` can check its solution against them.
+    `torsions()` can check its solution against them, and the star phi
+    that the build computed.
     """
 
-    __slots__ = ("labels", "rows", "bryant_count", "width",
-                 "algebra", "metric", "phi", "vol_scale")
+    __slots__ = ("rows", "bryant_count", "algebra", "metric", "phi",
+                 "vol_scale", "star_phi")
 
-    def __init__(self, labels, rows, bryant_count, algebra, metric, phi,
-                 vol_scale):
-        self.labels = labels
+    width = 1 + len(_SINGLES) + len(_PAIRS) + len(_TRIPLES)
+
+    def __init__(self, rows, bryant_count, algebra, metric, phi, vol_scale,
+                 star_phi):
         self.rows = rows
         self.bryant_count = bryant_count
-        self.width = len(labels)
         self.algebra = algebra
         self.metric = metric
         self.phi = phi
         self.vol_scale = vol_scale
-
-    @property
-    def bryant_rows(self) -> list:
-        return self.rows[: self.bryant_count]
-
-    @property
-    def membership_rows(self) -> list:
-        return [
-            {c: v for c, v in row.items() if c < self.width}
-            for row in self.rows[self.bryant_count :]
-        ]
-
-    def solve(self) -> list:
-        return _linalg.solve_unique(self.rows, self.width)
+        self.star_phi = star_phi
 
     def torsions(self) -> TorsionSet:
         """Unique exact solution, unpacked into the four torsion forms.
@@ -331,7 +283,7 @@ class TorsionSystem:
         inconsistency of the system signals a non-generic 3-form or a
         coframe mismatch and is raised, never patched over.
         """
-        x = self.solve()
+        x = _linalg.solve_unique(self.rows, self.width)
         tau1 = Form(_DIM, 1, {(i,): x[1 + idx]
                               for idx, i in enumerate(_SINGLES) if _nz(x[1 + idx])})
         tau2 = Form(_DIM, 2, {p: x[8 + idx]
@@ -354,9 +306,10 @@ class TorsionSystem:
     def membership_kernel_rank(self) -> int:
         """Rank of the structure-equation block restricted to the
         subspace cut out by the membership constraints."""
-        kernel = _linalg.kernel_basis(self.membership_rows, self.width)
+        # the membership rows carry no right-hand side
+        kernel = _linalg.kernel_basis(self.rows[self.bryant_count :], self.width)
         rows = []
-        for row in self.bryant_rows:
+        for row in self.rows[: self.bryant_count]:
             new_row = {}
             for s, vec in enumerate(kernel):
                 total = _F0
@@ -397,17 +350,11 @@ def torsion_linear_system(
     d_phi = _descended_differential(algebra, phi)
     d_star_phi = _descended_differential(algebra, star_phi)
 
-    labels = (
-        ["t0"]
-        + [f"t1_{i}" for i in _SINGLES]
-        + ["t2_" + "".join(map(str, p)) for p in _PAIRS]
-        + ["t3_" + "".join(map(str, t)) for t in _TRIPLES]
-    )
     col_t0 = 0
     col_t1 = {i: 1 + idx for idx, i in enumerate(_SINGLES)}
     col_t2 = {p: 8 + idx for idx, p in enumerate(_PAIRS)}
     col_t3 = {t: 29 + idx for idx, t in enumerate(_TRIPLES)}
-    width = len(labels)
+    width = TorsionSystem.width
 
     e1_phi = {i: Form.monomial(_DIM, (i,)).wedge(phi) for i in _SINGLES}
     e1_star = {i: Form.monomial(_DIM, (i,)).wedge(star_phi) for i in _SINGLES}
@@ -467,8 +414,8 @@ def torsion_linear_system(
         put(row, col_t3[t], e3_star[t].terms.get(_TOP, _F0))
     rows.append(row)
 
-    return TorsionSystem(tuple(labels), rows, bryant_count,
-                         algebra, metric, phi, vol_scale)
+    return TorsionSystem(rows, bryant_count, algebra, metric, phi, vol_scale,
+                         star_phi)
 
 
 def torsion_solve(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import _linalg, scalars
 from .errors import DimensionMismatch, InternalInconsistency
@@ -22,41 +22,6 @@ from .liealg import LieAlgebra
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-
-
-class LinearSystem:
-    """Sparse homogeneous system over named unknowns."""
-
-    __slots__ = ("unknowns", "rows")
-
-    def __init__(self, unknowns: Sequence[str]):
-        names = tuple(unknowns)
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate unknown names")
-        self.unknowns = names
-        self.rows: List[dict] = []
-
-    @property
-    def width(self) -> int:
-        return len(self.unknowns)
-
-    def add_row(self, coeffs: dict) -> None:
-        """coeffs maps unknown index (or name) to a Scalar coefficient."""
-        row = {}
-        for key, v in coeffs.items():
-            col = self.unknowns.index(key) if isinstance(key, str) else int(key)
-            if not 0 <= col < len(self.unknowns):
-                raise ValueError(f"unknown column {key}")
-            if not scalars.is_zero(scalars.as_scalar(v)):
-                row[col] = v
-        if row:
-            self.rows.append(row)
-
-    def rank(self) -> int:
-        return _linalg.rank(self.rows, self.width)
-
-    def kernel(self) -> list:
-        return _linalg.kernel_basis(self.rows, self.width)
 
 
 class SolutionSpace:
@@ -68,10 +33,9 @@ class SolutionSpace:
     matching this basis element-for-element.
     """
 
-    __slots__ = ("unknowns", "vectors", "basis", "_coordinatize")
+    __slots__ = ("vectors", "basis", "_coordinatize")
 
-    def __init__(self, unknowns, vectors, build, coordinatize):
-        self.unknowns = tuple(unknowns)
+    def __init__(self, vectors, build, coordinatize):
         self.vectors = [list(v) for v in vectors]
         self.basis = [build(v) for v in self.vectors]
         self._coordinatize = coordinatize
@@ -80,40 +44,35 @@ class SolutionSpace:
     def dimension(self) -> int:
         return len(self.vectors)
 
-    def coordinates_of(self, obj) -> list:
-        return self._coordinatize(obj)
-
     def combination_for(self, obj) -> Optional[list]:
         """Coefficients expressing obj over the basis, or None."""
         target = self._coordinatize(obj)
         if not self.vectors:
             return [] if all(not _nonzero(t) for t in target) else None
-        return _linalg.solve_in_span(self.vectors, target, len(self.unknowns))
+        return _linalg.solve_in_span(self.vectors, target, len(target))
 
     def contains(self, obj) -> bool:
         return self.combination_for(obj) is not None
-
-    def describe(self) -> list:
-        """Human-readable family with fresh parameter names g1..gd."""
-        lines = [f"dimension {self.dimension}"]
-        for i, b in enumerate(self.basis, start=1):
-            lines.append(f"g{i}: {b}")
-        return lines
 
 
 def _nonzero(v) -> bool:
     return not scalars.is_zero(scalars.as_scalar(v))
 
 
-def nullspace(system: LinearSystem, build=None, coordinatize=None) -> SolutionSpace:
-    """Exact kernel with a deterministic basis (ascending free columns,
-    unit entry at each free column)."""
-    vectors = system.kernel()
-    if build is None:
-        build = tuple
-    if coordinatize is None:
-        coordinatize = list
-    return SolutionSpace(system.unknowns, vectors, build, coordinatize)
+def kernel_rows(columns: Sequence[dict]) -> list:
+    """Rows of sum_c x_c * columns[c] = 0, where each column maps a
+    component key to its coefficient: one row per component key, in
+    sorted key order, with zero entries and empty rows skipped."""
+    rows = []
+    for comp in sorted(set().union(*columns)):
+        row = {}
+        for col, column in enumerate(columns):
+            v = column.get(comp)
+            if v is not None and _nonzero(v):
+                row[col] = v
+        if row:
+            rows.append(row)
+    return rows
 
 
 # -- invariant tensor solvers -------------------------------------------------
@@ -135,24 +94,12 @@ def invariant_sym2(
     block, so vanishing is imposed on all components."""
     _check_split(algebra, verticals, k)
     pairs = _sym2_unknowns(k)
-    names = [f"g{i}{j}" if k < 10 else f"g{i},{j}" for i, j in pairs]
-    system = LinearSystem(names)
-    derivatives = {}
+    rows = []
     for a in sorted(set(verticals)):
-        for col, (i, j) in enumerate(pairs):
-            unit = SymTensor2(algebra.dim, {(i, j): _F1})
-            derivatives[(a, col)] = algebra.lie_derivative_sym2(a, unit)
-    for a in sorted(set(verticals)):
-        comps = set()
-        for col, _ in enumerate(pairs):
-            comps.update(derivatives[(a, col)].entries)
-        for comp in sorted(comps):
-            row = {}
-            for col, _ in enumerate(pairs):
-                c = derivatives[(a, col)].entries.get(comp)
-                if c is not None:
-                    row[col] = c
-            system.add_row(row)
+        rows += kernel_rows([
+            algebra.lie_derivative_sym2(a, SymTensor2(algebra.dim, {p: _F1})).entries
+            for p in pairs
+        ])
 
     def build(vec) -> SymTensor2:
         entries = {pairs[c]: v for c, v in enumerate(vec) if _nonzero(v)}
@@ -166,7 +113,7 @@ def invariant_sym2(
             raise DimensionMismatch(f"entries outside the horizontal block: {leftover}")
         return [tensor.entries.get(p, _F0) for p in pairs]
 
-    space = nullspace(system, build, coordinatize)
+    space = SolutionSpace(_linalg.kernel_basis(rows, len(pairs)), build, coordinatize)
     for tensor in space.basis:
         for a in sorted(set(verticals)):
             if not algebra.lie_derivative_sym2(a, tensor).is_zero():
@@ -180,22 +127,12 @@ def invariant_form3(
     """All horizontal 3-forms killed by every vertical Lie derivative."""
     _check_split(algebra, verticals, k)
     keys = _form3_unknowns(k)
-    names = ["w" + "".join(map(str, key)) for key in keys]
-    system = LinearSystem(names)
+    rows = []
     for a in sorted(set(verticals)):
-        derivs = []
-        comps = set()
-        for key in keys:
-            d = algebra.lie_derivative_form(a, Form.monomial(algebra.dim, key))
-            derivs.append(d)
-            comps.update(d.terms)
-        for comp in sorted(comps):
-            row = {}
-            for col, d in enumerate(derivs):
-                c = d.terms.get(comp)
-                if c is not None:
-                    row[col] = c
-            system.add_row(row)
+        rows += kernel_rows([
+            algebra.lie_derivative_form(a, Form.monomial(algebra.dim, key)).terms
+            for key in keys
+        ])
 
     def build(vec) -> Form:
         terms = {keys[c]: v for c, v in enumerate(vec) if _nonzero(v)}
@@ -210,7 +147,7 @@ def invariant_form3(
             raise DimensionMismatch(f"terms outside the horizontal block: {leftover}")
         return [form.terms.get(key, _F0) for key in keys]
 
-    space = nullspace(system, build, coordinatize)
+    space = SolutionSpace(_linalg.kernel_basis(rows, len(keys)), build, coordinatize)
     for form in space.basis:
         for a in sorted(set(verticals)):
             if not algebra.lie_derivative_form(a, form).is_zero():

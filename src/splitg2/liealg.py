@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import kernels, scalars, _linalg
@@ -423,12 +424,14 @@ def sp2_matrices() -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def sp2_build() -> LieAlgebra:
     """The rank-two split symplectic algebra in its defining basis E_1..E_10.
 
     Structure constants are extracted from exact 4x4 commutators; the
     extraction is verified by re-assembling each commutator, so a wrong
-    parameter matrix cannot slip through silently.
+    parameter matrix cannot slip through silently.  Built once and
+    shared: `LieAlgebra` is immutable.
     """
     mats = sp2_matrices()
     algebra = algebra_from_matrices(mats)

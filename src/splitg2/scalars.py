@@ -212,13 +212,6 @@ class Polynomial:
         c = self.terms.get(_pack(tuple(exp), len(self.alphabet)))
         return self.content * c if c is not None else _F0
 
-    def total_degree(self) -> int:
-        """Maximum total degree, -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        width = len(self.alphabet)
-        return max(sum(_unpack(e, width)) for e in self.terms)
-
     def leading_exponent(self) -> tuple:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
@@ -308,18 +301,6 @@ class Polynomial:
         if isinstance(other, Polynomial):
             return RationalFunction.make(self, other)
         return NotImplemented
-
-    def diff(self, name: str) -> "Polynomial":
-        """Partial derivative with respect to one parameter."""
-        shift = _FIELD * (len(self.alphabet) - 1 - self.alphabet.index(name))
-        out: dict = {}
-        for e, c in self.terms.items():
-            k = (e >> shift) & _LOW
-            if k:
-                e2 = e - (1 << shift)
-                out[e2] = out.get(e2, 0) + c * k
-        out = {e: c for e, c in out.items() if c}
-        return _canon(self.alphabet, self.content, out)
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
         """Exact value at a rational point covering the whole alphabet."""
@@ -497,9 +478,6 @@ class RationalFunction:
     def constant_value(self) -> Fraction:
         return self.num.constant_value() / self.den.constant_value()
 
-    def is_polynomial(self) -> bool:
-        return self.den.is_constant()
-
     # -- arithmetic -----------------------------------------------------
 
     def _lift(self, other):
@@ -618,7 +596,7 @@ class RationalFunction:
 # -- module-level helpers ------------------------------------------------
 
 
-def as_scalar(value, alphabet: tuple = ()) -> Scalar:
+def as_scalar(value) -> Scalar:
     """Coerce ints and fractions; pass polynomials and quotients through."""
     if isinstance(value, (Polynomial, RationalFunction)):
         return value
@@ -670,7 +648,7 @@ def constant_value(x) -> Fraction:
     return x.constant_value()
 
 
-def scalar_sum(values, alphabet: tuple = None):
+def scalar_sum(values):
     """Sum a sequence of scalars, grouping quotients by equal denominator.
 
     Grouping keeps unreduced denominators from compounding when many
@@ -769,9 +747,15 @@ def parse_scalar(text: str, alphabet: Iterable[str] = ()) -> Scalar:
     def atom():
         kind, val = toks.take() if toks.peek() is not None else (None, None)
         if kind == "int":
+            try:
+                n = int(val)
+            except ValueError:  # beyond the interpreter's digit limit
+                raise ParseError(
+                    f"integer literal of {len(val)} digits is too long"
+                ) from None
             if alphabet:
-                return RationalFunction.constant(alphabet, int(val))
-            return Fraction(int(val))
+                return RationalFunction.constant(alphabet, n)
+            return Fraction(n)
         if kind == "name":
             if val not in alphabet:
                 raise ParseError(f"unknown parameter {val!r} in {text!r}")

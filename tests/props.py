@@ -113,7 +113,7 @@ def check_star_scaling(seed=0, rounds=6) -> int:
     rng = random.Random(seed)
     sc = catalog.scenario("Ms")
     phi = sc.phi_family.map_coefficients(
-        lambda c: scalars.specialize(scalars.as_scalar(c, sc.alphabet),
+        lambda c: scalars.specialize(scalars.as_scalar(c),
                                      {"q": Fraction(2)})
     )
     checked = 0

@@ -70,7 +70,7 @@ def form_matches_table(sc, form, table, point=None):
     if set(form.terms) != set(want):
         return False
     return all(
-        scalars.equals(scalars.as_scalar(form.terms[k], sc.alphabet), want[k])
+        scalars.equals(scalars.as_scalar(form.terms[k]), want[k])
         for k in want
     )
 
@@ -91,7 +91,7 @@ def sample_point(rng, sc):
 
 def specialized_phi(sc, point):
     return sc.phi_family.map_coefficients(
-        lambda c: scalars.specialize(scalars.as_scalar(c, sc.alphabet), point)
+        lambda c: scalars.specialize(scalars.as_scalar(c), point)
     )
 
 
@@ -99,7 +99,7 @@ def calibrated_scale(sc, base):
     """Volume scale fixed by the reference value of tau0 at its point."""
     point = {k: Fraction(v) for k, v in sc.expected.tau0_reference_point.items()}
     ref = Fraction(sc.expected.tau0_reference_value)
-    t0 = scalars.specialize(scalars.as_scalar(base.tau0, sc.alphabet), point)
+    t0 = scalars.specialize(scalars.as_scalar(base.tau0), point)
     probe = TorsionSet(t0, base.tau1, base.tau2, base.tau3)
     return calibrate_vol_scale(ref, probe)
 
@@ -187,15 +187,15 @@ def test_criterion_06_short_scenario_torsion():
             assert sol.tau1.is_zero(), s
             assert sol.tau2.is_zero(), s
             want = base.rescale(s)
-            assert scalars.equals(scalars.as_scalar(sol.tau0, sc.alphabet),
-                                  scalars.as_scalar(want.tau0, sc.alphabet))
+            assert scalars.equals(scalars.as_scalar(sol.tau0),
+                                  scalars.as_scalar(want.tau0))
             assert (sol.tau3 - want.tau3).is_zero()
 
         # with the calibrated scale: tau0 = -18/7 and tau3 as displayed
         cstar = calibrated_scale(sc, base)
         assert str(cstar) == sc.expected.vol_scale
         final = base.rescale(cstar)
-        assert scalars.equals(scalars.as_scalar(final.tau0, sc.alphabet),
+        assert scalars.equals(scalars.as_scalar(final.tau0),
                               parse_over(sc, "-18/7"))
         assert form_matches_table(sc, final.tau3, sc.expected.tau3)
 
@@ -211,7 +211,7 @@ def test_criterion_07_long_scenario_torsion_symbolic():
         cstar = calibrated_scale(sc, base)
         assert str(cstar) == sc.expected.vol_scale
         final = base.rescale(cstar)
-        assert scalars.equals(scalars.as_scalar(final.tau0, sc.alphabet),
+        assert scalars.equals(scalars.as_scalar(final.tau0),
                               parse_over(sc, sc.expected.tau0))
         assert form_matches_table(sc, final.tau3, sc.expected.tau3)
 

@@ -231,6 +231,17 @@ def test_describe_scenario_round_trip(tmp_path, capsys):
     assert "input.jacobi" in out2
 
 
+def test_describe_stdin_round_trip(capsys):
+    code, doc, _ = run(capsys, "describe", "--scenario", "Ms")
+    assert code == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "splitg2", "describe", "--input", "-"],
+        input=doc, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == doc
+
+
 def test_describe_rejects_format_flag(capsys):
     code, _, _ = run(capsys, "describe", "--scenario", "Ms",
                      "--format", "json")
@@ -318,3 +329,16 @@ def test_input_huge_exponent_is_usage():
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1
     assert "exponent 3000 exceeds the limit 64" in proc.stderr
+
+
+def test_input_huge_integer_literal_is_usage():
+    doc = catalog.scenario("Ms").text().replace("phi: 1 3 6 q\n",
+                                                "phi: 1 3 6 q*" + "7" * 5000 + "\n", 1)
+    assert "7" * 5000 in doc
+    proc = subprocess.run(
+        [sys.executable, "-m", "splitg2", "torsion", "--input", "-"],
+        input=doc, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert "integer literal of 5000 digits is too long" in proc.stderr

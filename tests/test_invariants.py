@@ -7,15 +7,8 @@ import pytest
 from splitg2 import catalog
 from splitg2.errors import DimensionMismatch
 from splitg2.exterior import Form, SymTensor2
-from splitg2.invariants import (
-    LinearSystem,
-    invariant_form3,
-    invariant_sym2,
-    nullspace,
-)
+from splitg2.invariants import invariant_form3, invariant_sym2
 from splitg2.liealg import LieAlgebra
-
-from conftest import dense_kernel
 
 
 def euclidean3():
@@ -42,33 +35,6 @@ def trivial_action():
         (4, 5): {3: 1},
         (3, 5): {4: -1},
     })
-
-
-# -- linear system plumbing ---------------------------------------------------
-
-
-def test_linear_system_names_and_indices():
-    sys_ = LinearSystem(["x", "y"])
-    sys_.add_row({"x": Fraction(1), 1: Fraction(-1)})
-    space = nullspace(sys_)
-    assert space.dimension == 1
-    assert space.vectors[0] == [Fraction(1), Fraction(1)]
-
-
-def test_linear_system_duplicate_names():
-    with pytest.raises(ValueError):
-        LinearSystem(["x", "x"])
-
-
-def test_nullspace_matches_dense_oracle():
-    sys_ = LinearSystem(["a", "b", "c"])
-    rows = [
-        [Fraction(1), Fraction(2), Fraction(0)],
-        [Fraction(0), Fraction(1), Fraction(-1)],
-    ]
-    for r in rows:
-        sys_.add_row({i: v for i, v in enumerate(r) if v})
-    assert nullspace(sys_).vectors == dense_kernel(rows, 3)
 
 
 # -- rotation-invariant tensors on the euclidean algebra ------------------------
@@ -151,9 +117,3 @@ def test_scenario_families_in_span(name):
     for _, form in sc.expected.form_family:
         assert tri.contains(form.extend(sc.algebra.dim))
 
-
-def test_describe_lists_basis():
-    space = invariant_sym2(euclidean3(), (4, 5, 6), 3)
-    lines = space.describe()
-    assert lines[0] == "dimension 1"
-    assert lines[1].startswith("g1: ")

@@ -91,6 +91,10 @@ def test_killing_so3():
     assert (k - want).is_zero()
 
 
+def test_sp2_build_is_built_once():
+    assert sp2_build() is sp2_build()
+
+
 def test_killing_matches_trace_oracle(rng):
     g = sp2_build()
     k = g.killing()
