@@ -15,7 +15,7 @@ augmented right-hand sides travel through the elimination.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 from .errors import InconsistentSystem, NonUniqueSolution, SingularMatrix
 from .scalars import Polynomial, RationalFunction
@@ -271,6 +271,16 @@ def row_reduce(rows: list, width: int, domain) -> dict:
     return pivots
 
 
+def _tally(counts: dict, row: dict, width: int, step: int) -> bool:
+    """Add `step` to the count of each unknown in `row`; True if it has one."""
+    held = False
+    for c in row:
+        if c < width:
+            counts[c] = counts.get(c, 0) + step
+            held = True
+    return held
+
+
 def row_reduce_min_fill(rows: list, width: int, domain) -> dict:
     """Full Gauss-Jordan with a fill-minimizing pivot order.
 
@@ -282,51 +292,40 @@ def row_reduce_min_fill(rows: list, width: int, domain) -> dict:
     every unknown must end up pivoted, where it avoids the severe
     intermediate blowup a fixed column order can cause over polynomial
     entries.
+
+    Column nonzeros are counted over the live rows (not pivoted, holding
+    an unknown).  A pivoted column is eliminated from every other row, so
+    the counts change only in the rows that `combine` rewrites.
     """
     pivots: dict = {}
-    pivot_rows = set()
-    while True:
-        col_count: dict = {}
-        for r, row in enumerate(rows):
-            if r in pivot_rows:
-                continue
-            for c in row:
-                if c < width and c not in pivots:
-                    col_count[c] = col_count.get(c, 0) + 1
-        best = None
-        choice = None
-        for r, row in enumerate(rows):
-            if r in pivot_rows:
-                continue
-            live = [c for c in row if c < width and c not in pivots]
-            if not live:
-                continue
+    counts: dict = {}
+    live = {r for r, row in enumerate(rows) if _tally(counts, row, width, 1)}
+    while live:
+        best = (inf,)
+        for r in live:
+            row = rows[r]
             weight = len(row) - 1
-            for c in live:
-                key = (
-                    weight * (col_count[c] - 1),
-                    domain.size(row[c]),
-                    c,
-                    r,
-                )
-                if best is None or key < best:
-                    best = key
-                    choice = (c, r)
-        if choice is None:
-            return pivots
-        col, r = choice
+            for c in row:
+                if c < width:
+                    cost = weight * (counts[c] - 1)
+                    if cost <= best[0]:
+                        best = min(best, (cost, domain.size(row[c]), c, r))
+        col, r = best[2], best[3]
         pivots[col] = r
-        pivot_rows.add(r)
+        live.discard(r)
         prow = rows[r]
+        _tally(counts, prow, width, -1)
         p = prow[col]
-        for r2 in range(len(rows)):
-            if r2 == r:
-                continue
-            row2 = rows[r2]
+        for r2, row2 in enumerate(rows):
             f = row2.get(col)
-            if f is None:
+            if f is None or r2 == r:
                 continue
             rows[r2] = domain.combine(p, row2, f, prow, col)
+            if r2 in live:
+                _tally(counts, row2, width, -1)
+                if not _tally(counts, rows[r2], width, 1):
+                    live.discard(r2)
+    return pivots
 
 
 def detect_domain(rows):

@@ -47,6 +47,20 @@ _PAIRS = tuple(combinations(_SINGLES, 2))
 _TRIPLES = tuple(combinations(_SINGLES, 3))
 
 
+def _row_block(start: int, degree: int) -> dict:
+    """Row index of each degree-`degree` key, keys in lexicographic order."""
+    return {key: start + idx
+            for idx, key in enumerate(combinations(_SINGLES, degree))}
+
+
+# the row of each key in the five row blocks of `TorsionSystem`
+_ROWS_DPHI = _row_block(0, 4)            # rows 0..34
+_ROWS_DSTAR = _row_block(35, 5)          # rows 35..55; rows 0..55 are Bryant rows
+_ROWS_TAU2_STAR = _row_block(56, 6)      # rows 56..62
+_ROWS_TAU3_PHI = _row_block(63, 6)       # rows 63..69
+_ROWS_TAU3_STAR = {_TOP: 70}
+
+
 class Metric7:
     """Nondegenerate symmetric 2-tensor on the 7-dimensional frame with
     exact rational entries, plus its cached inverse and determinant."""
@@ -350,71 +364,46 @@ def torsion_linear_system(
     d_phi = _descended_differential(algebra, phi)
     d_star_phi = _descended_differential(algebra, star_phi)
 
-    col_t0 = 0
-    col_t1 = {i: 1 + idx for idx, i in enumerate(_SINGLES)}
-    col_t2 = {p: 8 + idx for idx, p in enumerate(_PAIRS)}
-    col_t3 = {t: 29 + idx for idx, t in enumerate(_TRIPLES)}
     width = TorsionSystem.width
+    rows = [{} for _ in range(71)]
 
-    e1_phi = {i: Form.monomial(_DIM, (i,)).wedge(phi) for i in _SINGLES}
-    e1_star = {i: Form.monomial(_DIM, (i,)).wedge(star_phi) for i in _SINGLES}
-    e2_phi = {p: Form.monomial(_DIM, p).wedge(phi) for p in _PAIRS}
-    e2_star = {p: Form.monomial(_DIM, p).wedge(star_phi) for p in _PAIRS}
-    e3_phi = {t: Form.monomial(_DIM, t).wedge(phi) for t in _TRIPLES}
-    e3_star = {t: Form.monomial(_DIM, t).wedge(star_phi) for t in _TRIPLES}
-    star_e3 = {t: hodge_star(metric, Form.monomial(_DIM, t), vol_scale)
-               for t in _TRIPLES}
+    def scatter(block, col, form, factor=None):
+        """Enter the terms of one column form into the rows of its block;
+        a form holds no zero terms, so no entry is zero."""
+        for key, v in form.terms.items():
+            rows[block[key]][col] = v if factor is None else factor * v
 
-    rows = []
+    def mono(key):
+        return Form.monomial(_DIM, key)
 
-    def put(row, col, v):
-        if not scalars.is_zero(scalars.as_scalar(v)):
-            row[col] = v
-
+    # columns are entered in ascending order, so every row lists its
+    # entries by column
     # d phi = tau0 star phi + 3 tau1 ^ phi + star tau3: one row per 4-key
-    for key in combinations(_SINGLES, 4):
-        row = {}
-        put(row, col_t0, star_phi.terms.get(key, _F0))
-        for i in _SINGLES:
-            put(row, col_t1[i], 3 * e1_phi[i].terms.get(key, _F0))
-        for t in _TRIPLES:
-            put(row, col_t3[t], star_e3[t].terms.get(key, _F0))
-        put(row, width, d_phi.terms.get(key, _F0))
-        rows.append(row)
+    scatter(_ROWS_DPHI, 0, star_phi)
+    for idx, i in enumerate(_SINGLES):
+        scatter(_ROWS_DPHI, 1 + idx, mono((i,)).wedge(phi), 3)
+    for idx, t in enumerate(_TRIPLES):
+        scatter(_ROWS_DPHI, 29 + idx, hodge_star(metric, mono(t), vol_scale))
+    scatter(_ROWS_DPHI, width, d_phi)
 
     # d star phi = 4 tau1 ^ star phi + tau2 ^ phi: one row per 5-key
-    for key in combinations(_SINGLES, 5):
-        row = {}
-        for i in _SINGLES:
-            put(row, col_t1[i], 4 * e1_star[i].terms.get(key, _F0))
-        for p in _PAIRS:
-            put(row, col_t2[p], e2_phi[p].terms.get(key, _F0))
-        put(row, width, d_star_phi.terms.get(key, _F0))
-        rows.append(row)
-
-    bryant_count = len(rows)
+    for idx, i in enumerate(_SINGLES):
+        scatter(_ROWS_DSTAR, 1 + idx, mono((i,)).wedge(star_phi), 4)
+    for idx, p in enumerate(_PAIRS):
+        scatter(_ROWS_DSTAR, 8 + idx, mono(p).wedge(phi))
+    scatter(_ROWS_DSTAR, width, d_star_phi)
 
     # tau2 ^ star phi = 0: one row per 6-key
-    for key in combinations(_SINGLES, 6):
-        row = {}
-        for p in _PAIRS:
-            put(row, col_t2[p], e2_star[p].terms.get(key, _F0))
-        rows.append(row)
+    for idx, p in enumerate(_PAIRS):
+        scatter(_ROWS_TAU2_STAR, 8 + idx, mono(p).wedge(star_phi))
 
-    # tau3 ^ phi = 0: one row per 6-key
-    for key in combinations(_SINGLES, 6):
-        row = {}
-        for t in _TRIPLES:
-            put(row, col_t3[t], e3_phi[t].terms.get(key, _F0))
-        rows.append(row)
+    # tau3 ^ phi = 0: one row per 6-key; tau3 ^ star phi = 0: the top row
+    for idx, t in enumerate(_TRIPLES):
+        scatter(_ROWS_TAU3_PHI, 29 + idx, mono(t).wedge(phi))
+    for idx, t in enumerate(_TRIPLES):
+        scatter(_ROWS_TAU3_STAR, 29 + idx, mono(t).wedge(star_phi))
 
-    # tau3 ^ star phi = 0: the single top-degree row
-    row = {}
-    for t in _TRIPLES:
-        put(row, col_t3[t], e3_star[t].terms.get(_TOP, _F0))
-    rows.append(row)
-
-    return TorsionSystem(rows, bryant_count, algebra, metric, phi, vol_scale,
+    return TorsionSystem(rows, 56, algebra, metric, phi, vol_scale,
                          star_phi)
 
 

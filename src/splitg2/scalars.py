@@ -597,10 +597,10 @@ class RationalFunction:
 
 
 def as_scalar(value) -> Scalar:
-    """Coerce ints and fractions; pass polynomials and quotients through."""
-    if isinstance(value, (Polynomial, RationalFunction)):
+    """Coerce ints to Fractions; pass every other scalar through unchanged."""
+    if isinstance(value, (Fraction, Polynomial, RationalFunction)):
         return value
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"not a scalar: {value!r}")
 

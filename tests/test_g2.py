@@ -19,6 +19,7 @@ from splitg2.exterior import Form, SymTensor2, Vector, interior
 from splitg2.g2 import (
     Metric7,
     TorsionSet,
+    _descended_differential,
     bryant_residual,
     calibrate_vol_scale,
     compatibility_defect,
@@ -278,6 +279,88 @@ def test_torsion_system_shape(ms_at_2):
     assert len(system.rows) == 71
     assert (system.star_phi - hodge_star(metric, phi)).is_zero()
     assert system.membership_kernel_rank() == 49
+
+
+def rowwise_torsion_rows(algebra, metric, phi, vol_scale=1):
+    """Reference assembly: every row probes every unknown for its key."""
+    singles = tuple(range(1, 8))
+    pairs = tuple(combinations(singles, 2))
+    triples = tuple(combinations(singles, 3))
+    zero = Fraction(0)
+    star_phi = hodge_star(metric, phi, vol_scale)
+    d_phi = _descended_differential(algebra, phi)
+    d_star_phi = _descended_differential(algebra, star_phi)
+    col_t1 = {i: 1 + idx for idx, i in enumerate(singles)}
+    col_t2 = {p: 8 + idx for idx, p in enumerate(pairs)}
+    col_t3 = {t: 29 + idx for idx, t in enumerate(triples)}
+    width = 64
+
+    def mono(key):
+        return Form.monomial(7, key)
+
+    e1_phi = {i: mono((i,)).wedge(phi) for i in singles}
+    e1_star = {i: mono((i,)).wedge(star_phi) for i in singles}
+    e2_phi = {p: mono(p).wedge(phi) for p in pairs}
+    e2_star = {p: mono(p).wedge(star_phi) for p in pairs}
+    e3_phi = {t: mono(t).wedge(phi) for t in triples}
+    e3_star = {t: mono(t).wedge(star_phi) for t in triples}
+    star_e3 = {t: hodge_star(metric, mono(t), vol_scale) for t in triples}
+
+    def put(row, col, v):
+        if not scalars.is_zero(scalars.as_scalar(v)):
+            row[col] = v
+
+    rows = []
+    for key in combinations(singles, 4):
+        row = {}
+        put(row, 0, star_phi.terms.get(key, zero))
+        for i in singles:
+            put(row, col_t1[i], 3 * e1_phi[i].terms.get(key, zero))
+        for t in triples:
+            put(row, col_t3[t], star_e3[t].terms.get(key, zero))
+        put(row, width, d_phi.terms.get(key, zero))
+        rows.append(row)
+    for key in combinations(singles, 5):
+        row = {}
+        for i in singles:
+            put(row, col_t1[i], 4 * e1_star[i].terms.get(key, zero))
+        for p in pairs:
+            put(row, col_t2[p], e2_phi[p].terms.get(key, zero))
+        put(row, width, d_star_phi.terms.get(key, zero))
+        rows.append(row)
+    bryant_count = len(rows)
+    for key in combinations(singles, 6):
+        row = {}
+        for p in pairs:
+            put(row, col_t2[p], e2_star[p].terms.get(key, zero))
+        rows.append(row)
+    for key in combinations(singles, 6):
+        row = {}
+        for t in triples:
+            put(row, col_t3[t], e3_phi[t].terms.get(key, zero))
+        rows.append(row)
+    row = {}
+    for t in triples:
+        put(row, col_t3[t], e3_star[t].terms.get(TOP, zero))
+    rows.append(row)
+    return rows, bryant_count
+
+
+def test_torsion_rows_match_rowwise_assembly(ml, ms):
+    rng = random.Random(11)
+    point = {"a": random_fraction(rng, nonzero=True),
+             "p": random_fraction(rng, nonzero=True), "q": Fraction(-2, 7)}
+    ml_at_point = specialize_form(ml.phi_family, ml.alphabet, point)
+    cases = [(ml, ml.phi_family, 1), (ms, ms.phi_family, 1),
+             (ml, ml_at_point, 1), (ml, ml.phi_family, 3),
+             (ms, ms.phi_family, Fraction(7, 3))]
+    for sc, phi, c in cases:
+        system = torsion_linear_system(sc.algebra, sc.metric, phi, c)
+        rows, bryant_count = rowwise_torsion_rows(sc.algebra, sc.metric, phi, c)
+        assert system.bryant_count == bryant_count == 56
+        # entry for entry, in the same column order within each row
+        assert ([[(k, type(v), v) for k, v in row.items()] for row in system.rows]
+                == [[(k, type(v), v) for k, v in row.items()] for row in rows])
 
 
 def test_torsion_solution_matches_goldens(ms):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from splitg2 import catalog
 from splitg2.errors import (
     DimensionMismatch,
     NotAFibration,
@@ -13,6 +14,7 @@ from splitg2.errors import (
 )
 from splitg2.exterior import Form, SymTensor2, Vector, sym_product
 from splitg2.liealg import (
+    _defect_size,
     BasisChange,
     LieAlgebra,
     Subspace,
@@ -78,6 +80,54 @@ def test_jacobi_violation_message():
     report = bad.jacobi_check()
     assert not report.ok
     assert str(report) == "violation at (1, 2, 3): e_3: -1"
+
+
+def dense_jacobi(g):
+    """Reference Jacobi check: visits every one of the C(dim, 3) triples."""
+    worst = None
+    n = g.dim
+    for j in range(1, n + 1):
+        for k in range(j + 1, n + 1):
+            for l in range(k + 1, n + 1):
+                defect = {}
+                for x, y, z in ((j, k, l), (k, l, j), (l, j, k)):
+                    for m, c in g.bracket_basis(x, y).items():
+                        for i, c2 in g.bracket_basis(m, z).items():
+                            v = defect.get(i, Fraction(0)) + c * c2
+                            if v:
+                                defect[i] = v
+                            else:
+                                defect.pop(i, None)
+                if defect:
+                    size = _defect_size(defect)
+                    if worst is None or size > worst[0]:
+                        worst = (size, (j, k, l), defect)
+    if worst is None:
+        return True, None, None
+    return False, worst[1], worst[2]
+
+
+def test_jacobi_matches_dense_reference(rng):
+    sp2 = sp2_build()
+    algebras = [so3(), heisenberg3(), sp2,
+                catalog.scenario("Ml").algebra, catalog.scenario("Ms").algebra,
+                LieAlgebra(16, sp2.brackets)]
+    for _ in range(12):
+        # shift one structure constant, possibly on a pair sp2 leaves zero
+        table = {pair: dict(row) for pair, row in sp2.brackets.items()}
+        j, k = sorted(rng.sample(range(1, 11), 2))
+        i = rng.randint(1, 10)
+        row = table.setdefault((j, k), {})
+        row[i] = row.get(i, 0) + rng.choice((-2, -1, 1, Fraction(1, 2)))
+        algebras.append(LieAlgebra(rng.choice((10, 13)), table))
+    for _ in range(8):
+        algebras.append(LieAlgebra(6, random_table(rng, 6, density=0.15)))
+    failures = 0
+    for g in algebras:
+        report = g.jacobi_check()
+        assert (report.ok, report.triple, report.defect) == dense_jacobi(g)
+        failures += not report.ok
+    assert failures >= 10
 
 
 # -- Killing form -------------------------------------------------------------------

@@ -6,13 +6,16 @@ from itertools import permutations
 
 import pytest
 
-from splitg2 import scalars
+from splitg2 import catalog, scalars
 from splitg2._linalg import (
     FractionDomain,
+    PolyDomain,
+    detect_domain,
     kernel_basis,
     mat_det,
     mat_inverse,
     mat_mul,
+    prepare_rows,
     rank,
     row_reduce,
     row_reduce_min_fill,
@@ -22,7 +25,9 @@ from splitg2._linalg import (
 from splitg2.errors import InconsistentSystem, NonUniqueSolution, SingularMatrix
 from splitg2.scalars import Polynomial, RationalFunction
 
-from conftest import dense_kernel, dense_rref, random_fraction
+from splitg2.g2 import torsion_linear_system
+
+from conftest import ALPHABET, dense_kernel, dense_rref, random_fraction, random_polynomial
 
 
 def random_sparse(rng, nrows, width, density=0.5):
@@ -196,6 +201,114 @@ def test_min_fill_agrees_with_fixed_order(rng):
             return out
 
         assert extract(work1, p1) == extract(work2, p2) == x
+
+
+def rescan_min_fill(rows, width, domain):
+    """Reference for `row_reduce_min_fill`: the same Markowitz rule, with
+    every column count rebuilt from all rows at every step."""
+    pivots: dict = {}
+    pivot_rows = set()
+    while True:
+        col_count: dict = {}
+        for r, row in enumerate(rows):
+            if r in pivot_rows:
+                continue
+            for c in row:
+                if c < width and c not in pivots:
+                    col_count[c] = col_count.get(c, 0) + 1
+        best = None
+        choice = None
+        for r, row in enumerate(rows):
+            if r in pivot_rows:
+                continue
+            live = [c for c in row if c < width and c not in pivots]
+            if not live:
+                continue
+            weight = len(row) - 1
+            for c in live:
+                key = (
+                    weight * (col_count[c] - 1),
+                    domain.size(row[c]),
+                    c,
+                    r,
+                )
+                if best is None or key < best:
+                    best = key
+                    choice = (c, r)
+        if choice is None:
+            return pivots
+        col, r = choice
+        pivots[col] = r
+        pivot_rows.add(r)
+        prow = rows[r]
+        p = prow[col]
+        for r2 in range(len(rows)):
+            if r2 == r:
+                continue
+            row2 = rows[r2]
+            f = row2.get(col)
+            if f is None:
+                continue
+            rows[r2] = domain.combine(p, row2, f, prow, col)
+
+
+def assert_min_fill_parity(rows, width, domain):
+    ref = [dict(r) for r in rows]
+    got = [dict(r) for r in rows]
+    assert row_reduce_min_fill(got, width, domain) == rescan_min_fill(ref, width, domain)
+    # same entries in the same order, so symbolic entries keep their form
+    assert [list(r.items()) for r in got] == [list(r.items()) for r in ref]
+
+
+def test_min_fill_parity_random_fraction_systems(rng):
+    for _ in range(40):
+        width = rng.randint(1, 8)
+        rows = random_sparse(rng, rng.randint(1, 10), width + 1, rng.choice((0.2, 0.5)))
+        assert_min_fill_parity(rows, width, FractionDomain())
+
+
+def test_min_fill_parity_random_polynomial_systems(rng):
+    domain = PolyDomain(ALPHABET)
+    for _ in range(15):
+        width = rng.randint(1, 4)
+        rows = []
+        for _ in range(rng.randint(1, 5)):
+            row = {}
+            for c in range(width + 1):
+                if rng.random() < 0.5:
+                    v = random_polynomial(rng, max_terms=2, max_exp=2)
+                    if not v.is_zero():
+                        row[c] = v
+            rows.append(row)
+        assert_min_fill_parity(prepare_rows(rows, domain), width, domain)
+
+
+def torsion_work_rows(sc, phi):
+    system = torsion_linear_system(sc.algebra, sc.metric, phi)
+    domain = detect_domain(system.rows)
+    return prepare_rows(system.rows, domain), system.width, domain
+
+
+def test_min_fill_parity_symbolic_ml():
+    sc = catalog.scenario("Ml")
+    rows, width, domain = torsion_work_rows(sc, sc.phi_family)
+    assert isinstance(domain, PolyDomain)
+    assert_min_fill_parity(rows, width, domain)
+
+
+def test_min_fill_parity_ml_points():
+    sc = catalog.scenario("Ml")
+    rng = random.Random(5)
+    for _ in range(3):
+        point = {"a": random_fraction(rng, nonzero=True),
+                 "p": random_fraction(rng, nonzero=True),
+                 "q": random_fraction(rng)}
+        if point["q"] == 1:  # excluded from the family
+            continue
+        phi = sc.phi_family.map_coefficients(lambda c: scalars.specialize(c, point))
+        rows, width, domain = torsion_work_rows(sc, phi)
+        assert isinstance(domain, FractionDomain)
+        assert_min_fill_parity(rows, width, domain)
 
 
 # -- span membership ---------------------------------------------------------------

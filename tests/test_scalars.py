@@ -293,3 +293,14 @@ def test_constant_value():
     assert scalars.constant_value(poly("(2*a)/(4*a)")) == Fraction(1, 2)
     with pytest.raises(ValueError):
         scalars.constant_value(poly("a/p"))
+
+
+def test_as_scalar_converts_only_ints():
+    x = Fraction(3, 4)
+    assert scalars.as_scalar(x) is x
+    two = scalars.as_scalar(2)
+    assert type(two) is Fraction and two == Fraction(2)
+    p = poly("a + 1")
+    assert scalars.as_scalar(p) is p
+    with pytest.raises(TypeError):
+        scalars.as_scalar(0.5)
