@@ -14,10 +14,10 @@ from splitg2.errors import (
 )
 from splitg2.exterior import Form, SymTensor2, Vector, sym_product
 from splitg2.liealg import (
-    _defect_size,
     BasisChange,
     LieAlgebra,
     Subspace,
+    _defect_size,
     ad_invariance_check,
     change_basis,
     growth_vector,
