@@ -16,7 +16,6 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -254,26 +253,25 @@ def _sample_point(rng: random.Random, source: Source) -> dict:
 # -- expected-value helpers ---------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _golden_torsions(name: str) -> TorsionSet:
-    """Golden torsions of a catalogue scenario, parsed once per name."""
-    sc = catalog.scenario(name)
-    exp = sc.expected
-    return TorsionSet(sc.scalar(exp.tau0), sc.form_from_table(1, exp.tau1),
-                      sc.form_from_table(2, exp.tau2),
-                      sc.form_from_table(3, exp.tau3))
-
-
 def _expected_torsions(sc: catalog.Scenario,
                        point: Optional[Mapping[str, Fraction]] = None) -> TorsionSet:
-    """Golden torsions of a catalogue scenario, optionally specialized."""
-    golden = _golden_torsions(sc.name)
-    if point is None:
-        return golden
-    return TorsionSet(scalars.specialize(golden.tau0, point),
-                      _specialize_form(golden.tau1, point),
-                      _specialize_form(golden.tau2, point),
-                      _specialize_form(golden.tau3, point))
+    """Golden torsions parsed from the catalog, optionally specialized."""
+
+    def value(text: str):
+        s = sc.scalar(text)
+        return scalars.specialize(s, point) if point is not None else s
+
+    def build(degree: int, table: Mapping) -> Form:
+        terms = {}
+        for key, text in table.items():
+            v = value(text)
+            if not scalars.is_zero(scalars.as_scalar(v)):
+                terms[key] = v
+        return Form(sc.horizontal, degree, terms)
+
+    exp = sc.expected
+    return TorsionSet(value(exp.tau0), build(1, exp.tau1),
+                      build(2, exp.tau2), build(3, exp.tau3))
 
 
 def _render(value) -> str:

@@ -99,30 +99,36 @@ class LieAlgebra:
 
         The defect of a triple is a sum of double brackets, so it is zero
         unless one of the triple's three pairs has a nonzero bracket; only
-        those triples are visited, in lexicographic order.  Returns a
-        report carrying the maximum-violation triple (largest defect, ties
-        broken lexicographically) when the identity fails.
+        those triples are visited, in lexicographic order, one smallest
+        index at a time so that memory stays quadratic in the dimension.
+        Returns a report carrying the maximum-violation triple (largest
+        defect, ties broken lexicographically) when the identity fails.
         """
-        triples = set()
+        n = self.dim
+        partners: dict = {}
         for j, k in self.brackets:
-            for l in range(1, self.dim + 1):
-                if l != j and l != k:
-                    triples.add(tuple(sorted((j, k, l))))
+            partners.setdefault(j, []).append(k)
         worst = None
-        for j, k, l in sorted(triples):
-            defect: dict = {}
-            for x, y, z in ((j, k, l), (k, l, j), (l, j, k)):
-                for m, c in self.bracket_basis(x, y).items():
-                    for i, c2 in self.bracket_basis(m, z).items():
-                        v = defect.get(i, _F0) + c * c2
-                        if scalars.is_zero(scalars.as_scalar(v)):
-                            defect.pop(i, None)
-                        else:
-                            defect[i] = v
-            if defect:
-                size = _defect_size(defect)
-                if worst is None or size > worst[0]:
-                    worst = (size, (j, k, l), defect)
+        for j in range(1, n + 1):
+            # pairs (k, l), j < k < l, with a nonzero bracket among j, k, l
+            pairs = {kl for kl in self.brackets if kl[0] > j}
+            for k in partners.get(j, ()):
+                pairs.update((min(k, l), max(k, l))
+                             for l in range(j + 1, n + 1) if l != k)
+            for k, l in sorted(pairs):
+                defect: dict = {}
+                for x, y, z in ((j, k, l), (k, l, j), (l, j, k)):
+                    for m, c in self.bracket_basis(x, y).items():
+                        for i, c2 in self.bracket_basis(m, z).items():
+                            v = defect.get(i, _F0) + c * c2
+                            if scalars.is_zero(scalars.as_scalar(v)):
+                                defect.pop(i, None)
+                            else:
+                                defect[i] = v
+                if defect:
+                    size = _defect_size(defect)
+                    if worst is None or size > worst[0]:
+                        worst = (size, (j, k, l), defect)
         if worst is None:
             return JacobiReport(True, None, None)
         return JacobiReport(False, worst[1], worst[2])

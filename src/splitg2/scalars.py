@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, reduce
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import or_
 from typing import Iterable, Mapping, Union
 
@@ -56,6 +56,7 @@ Scalar = Union[Fraction, "Polynomial", "RationalFunction"]
 _FIELD = 16
 _LIMIT = 1 << (_FIELD - 1)  # exponents stay below the guard bit
 _LOW = _LIMIT - 1
+_ONE = {0: 1}  # term map of every nonzero constant
 
 
 @cache
@@ -272,6 +273,9 @@ class Polynomial:
             return NotImplemented
         if not self.content or not other.content:
             return Polynomial(self.alphabet, _F0, {})
+        if self.terms == _ONE or other.terms == _ONE:  # a constant only rescales
+            t = other.terms if self.terms == _ONE else self.terms
+            return Polynomial(self.alphabet, self.content * other.content, t)
         # Gauss: a product of primitive maps is primitive, and the lex
         # leading coefficient stays positive, so no renormalization.
         t = kernels.poly_mul(self.terms, other.terms)
@@ -309,15 +313,20 @@ class Polynomial:
             if name not in point:
                 raise ValueError(f"no value for parameter {name!r}")
             vals.append(Fraction(point[name]))
-        total = _F0
+        # over the denominator prod d_i^D_i (D_i: degree in i) terms are ints
         width = len(vals)
-        for e, c in self.terms.items():
-            term = Fraction(c)
-            for v, k in zip(vals, _unpack(e, width)):
+        exps = [_unpack(e, width) for e in self.terms]
+        degs = [max(col) for col in zip(*exps)]
+        total = 0
+        for exp, c in zip(exps, self.terms.values()):
+            for v, k, d in zip(vals, exp, degs):
                 if k:
-                    term *= v**k
-            total += term
-        return self.content * total
+                    c *= v.numerator**k
+                if k != d:
+                    c *= v.denominator ** (d - k)
+            total += c
+        den = prod(v.denominator**d for v, d in zip(vals, degs))
+        return self.content * Fraction(total, den)
 
     def monomial_shift(self, shift: tuple) -> "Polynomial":
         """Divide every term by the monomial with exponent vector `shift`."""
@@ -439,9 +448,9 @@ class RationalFunction:
         if num.is_zero():
             return cls(alphabet, num, Polynomial.constant(alphabet, 1))
         width = len(alphabet)
-        shift = _min_key(
-            (_min_key(num.terms, width), _min_key(den.terms, width)), width
-        )
+        shift = _min_key(den.terms, width)
+        if shift:
+            shift = _min_key((_min_key(num.terms, width), shift), width)
         if shift:
             num = num._divide_monomial(shift)
             den = den._divide_monomial(shift)
@@ -452,17 +461,13 @@ class RationalFunction:
 
     @classmethod
     def constant(cls, alphabet: Iterable[str], value) -> "RationalFunction":
-        alphabet = _check_alphabet(alphabet)
-        return cls.make(
-            Polynomial.constant(alphabet, value), Polynomial.constant(alphabet, 1)
-        )
+        num = Polynomial.constant(alphabet, value)  # over 1: make() would keep it
+        return cls(num.alphabet, num, Polynomial(num.alphabet, _F1, {0: 1}))
 
     @classmethod
     def variable(cls, alphabet: Iterable[str], name: str) -> "RationalFunction":
-        alphabet = _check_alphabet(alphabet)
-        return cls.make(
-            Polynomial.variable(alphabet, name), Polynomial.constant(alphabet, 1)
-        )
+        num = Polynomial.variable(alphabet, name)  # over 1: make() would keep it
+        return cls(num.alphabet, num, Polynomial(num.alphabet, _F1, {0: 1}))
 
     # -- predicates -----------------------------------------------------
 
@@ -743,9 +748,9 @@ def parse_scalar(text: str, alphabet: Iterable[str] = ()) -> Scalar:
     """
     alphabet = _check_alphabet(alphabet)
     toks = _Tokens(text)
+    literals: dict = {}  # scalars are immutable: build each literal once
 
-    def atom():
-        kind, val = toks.take() if toks.peek() is not None else (None, None)
+    def literal(kind, val):
         if kind == "int":
             try:
                 n = int(val)
@@ -756,10 +761,17 @@ def parse_scalar(text: str, alphabet: Iterable[str] = ()) -> Scalar:
             if alphabet:
                 return RationalFunction.constant(alphabet, n)
             return Fraction(n)
-        if kind == "name":
-            if val not in alphabet:
-                raise ParseError(f"unknown parameter {val!r} in {text!r}")
-            return RationalFunction.variable(alphabet, val)
+        if val not in alphabet:
+            raise ParseError(f"unknown parameter {val!r} in {text!r}")
+        return RationalFunction.variable(alphabet, val)
+
+    def atom():
+        kind, val = toks.take() if toks.peek() is not None else (None, None)
+        if kind == "int" or kind == "name":
+            v = literals.get(val)
+            if v is None:
+                v = literals[val] = literal(kind, val)
+            return v
         if kind == "(":
             v = expr()
             if toks.peek() != ")":

@@ -1,6 +1,7 @@
 """Lie algebra layer: structure constants, differentials, subspaces."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -128,6 +129,21 @@ def test_jacobi_matches_dense_reference(rng):
         assert (report.ok, report.triple, report.defect) == dense_jacobi(g)
         failures += not report.ok
     assert failures >= 10
+
+
+def test_jacobi_memory_stays_quadratic():
+    # a bracket on every consecutive pair makes about dim^2 / 2 candidate
+    # triples; only those of one smallest index are held at a time
+    n = 120
+    g = LieAlgebra(n, {(j, j + 1): {1: Fraction(1)} for j in range(1, n)})
+    tracemalloc.start()
+    try:
+        report = g.jacobi_check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.triple == (2, 3, 4)
+    assert peak < 500_000
 
 
 # -- Killing form -------------------------------------------------------------------

@@ -11,11 +11,11 @@ from fractions import Fraction
 
 import pytest
 
-from splitg2 import scalars
+from splitg2 import kernels, scalars
 from splitg2.errors import AlphabetMismatch, ParseError, PoleAtPoint, ValidationError
 from splitg2.scalars import Polynomial, RationalFunction
 
-from conftest import ALPHABET, random_fraction, random_scalar
+from conftest import ALPHABET, random_fraction, random_polynomial, random_scalar
 
 A = ALPHABET
 
@@ -186,6 +186,56 @@ def test_arithmetic_matches_fraction_evaluation():
                 continue
             rhs = {"add": rx + ry, "sub": rx - ry, "mul": rx * ry}[op]
             assert lhs == rhs
+
+
+def convolve(x, y):
+    """Reference product: the convolution kernel on the primitive maps."""
+    terms = kernels.poly_mul(x.terms, y.terms)
+    return (x.content * y.content if terms else Fraction(0)), terms
+
+
+def test_constant_factors_and_powers_keep_the_canonical_form(rng):
+    one = Polynomial.constant(A, 1)
+    for _ in range(100):
+        x = random_polynomial(rng)
+        c = Polynomial.constant(A, random_fraction(rng))
+        for left, right in ((x, c), (c, x), (x, one), (one, x), (x, x)):
+            got = left * right
+            assert (got.content, got.terms) == convolve(left, right)
+        power = (one.content, one.terms)
+        for n in range(5):
+            got = x ** n
+            assert (got.content, got.terms) == power
+            power = convolve(Polynomial(A, *power), x)
+
+
+def test_constants_and_variables_are_in_normal_form():
+    one = Polynomial.constant(A, 1)
+
+    def parts(x):
+        return x.num.content, x.num.terms, x.den.content, x.den.terms
+
+    for value in (0, 3, Fraction(-2, 7)):
+        want = RationalFunction.make(Polynomial.constant(A, value), one)
+        assert parts(RationalFunction.constant(list(A), value)) == parts(want)
+    for name in A:
+        want = RationalFunction.make(Polynomial.variable(A, name), one)
+        assert parts(RationalFunction.variable(A, name)) == parts(want)
+    with pytest.raises(ValueError):
+        RationalFunction.constant(("a", "a"), 1)
+
+
+def test_evaluate_matches_termwise_fractions(rng):
+    for _ in range(200):
+        x = random_polynomial(rng, max_terms=6, max_exp=4)
+        point = {name: random_fraction(rng) for name in A}
+        want = Fraction(0)
+        for key, c in x.terms.items():
+            term = x.content * c
+            for name, k in zip(A, scalars._unpack(key, len(A))):
+                term *= point[name] ** k
+            want += term
+        assert x.evaluate(point) == want
 
 
 def test_power_and_negation():
