@@ -77,24 +77,6 @@ def mat_inverse(rows) -> list:
     return [row[n:] for row in m]
 
 
-def mat_mul(a, b) -> list:
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0])
-    out = [[_F0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            x = ai[k]
-            if x:
-                bk = b[k]
-                for j in range(cols):
-                    if bk[j]:
-                        oi[j] += x * bk[j]
-    return out
-
-
 # -- domains for the sparse engine ------------------------------------------
 
 
@@ -103,9 +85,6 @@ class FractionDomain:
 
     def size(self, entry) -> int:
         return 1
-
-    def is_zero(self, entry) -> bool:
-        return not entry
 
     def combine(self, p, row, f, prow, col):
         """p*row - f*prow scaled back by p (classical update), col removed."""
@@ -128,9 +107,6 @@ class FractionDomain:
     def div(self, a, b):
         return a / b
 
-    def neg_div(self, a, b):
-        return -a / b
-
 
 class PolyDomain:
     """Row entries are Polynomials; cross-multiplication elimination."""
@@ -140,9 +116,6 @@ class PolyDomain:
 
     def size(self, entry) -> int:
         return len(entry.terms)
-
-    def is_zero(self, entry) -> bool:
-        return entry.is_zero()
 
     def combine(self, p, row, f, prow, col):
         out = {}
@@ -162,9 +135,6 @@ class PolyDomain:
 
     def div(self, a, b):
         return RationalFunction.make(a, b)
-
-    def neg_div(self, a, b):
-        return RationalFunction.make(-a, b)
 
 
 def normalize_poly_row(row: dict, alphabet: tuple) -> dict:
@@ -378,7 +348,7 @@ def kernel_basis(rows, width: int) -> list:
             row = work[r]
             a = row.get(fc)
             if a is not None:
-                vec[col] = domain.neg_div(a, row[col])
+                vec[col] = domain.div(-a, row[col])
         basis.append(vec)
     return basis
 

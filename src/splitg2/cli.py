@@ -5,8 +5,9 @@ byte-stable text or JSON form: rerunning with the same inputs, flags and
 seed yields identical bytes.  Records carry stable anchor ids (for
 example "Ml.torsion.tau0") so runs can be diffed across versions.
 
-Exit codes: 0 when every check passed, 1 when a check failed or an
-input was rejected by a validator, 2 for usage or input parse errors.
+Exit codes: 0 when every check passed, 1 when a check failed or the
+package rejected the input (any `SplitG2Error`), 2 for usage or input
+parse errors.
 """
 
 from __future__ import annotations
@@ -21,15 +22,12 @@ from typing import Mapping, Optional, Sequence, Tuple
 
 from . import catalog, g2, invariants, liealg, scalars, textio
 from .errors import (
-    Degenerate,
     ExclusionError,
     InconsistentSystem,
     InternalInconsistency,
     NonUniqueSolution,
-    NotAFibration,
-    NotInvariant,
     ParseError,
-    PoleAtPoint,
+    SplitG2Error,
     ValidationError,
     ZeroReference,
 )
@@ -67,7 +65,6 @@ class RunConfig:
 class Source:
     """Uniform view of a builtin scenario or a parsed input document."""
 
-    label: str
     algebra: LieAlgebra
     horizontal: int
     verticals: Tuple[int, ...]
@@ -149,7 +146,6 @@ def _read_input(path: str) -> str:
 def _source_from_scenario(name: str) -> Source:
     sc = catalog.scenario(name)
     return Source(
-        label=sc.name,
         algebra=sc.algebra,
         horizontal=sc.horizontal,
         verticals=sc.verticals,
@@ -161,7 +157,7 @@ def _source_from_scenario(name: str) -> Source:
     )
 
 
-def _source_from_document(doc: textio.ScenarioDocument, path: str,
+def _source_from_document(doc: textio.ScenarioDocument,
                           rep: Report) -> Optional[Source]:
     """Validate a parsed scenario document, recording the validation.
 
@@ -189,7 +185,6 @@ def _source_from_document(doc: textio.ScenarioDocument, path: str,
         if not ok:
             return None
     return Source(
-        label=doc.name or path,
         algebra=doc.algebra,
         horizontal=doc.horizontal,
         verticals=doc.verticals,
@@ -204,7 +199,7 @@ def _source_from_document(doc: textio.ScenarioDocument, path: str,
 def _load_source(cfg: RunConfig, rep: Report) -> Optional[Source]:
     if cfg.input_path is not None:
         doc = textio.parse_scenario(_read_input(cfg.input_path))
-        return _source_from_document(doc, cfg.input_path, rep)
+        return _source_from_document(doc, rep)
     return _source_from_scenario(cfg.scenario)
 
 
@@ -262,12 +257,8 @@ def _expected_torsions(sc: catalog.Scenario,
         return scalars.specialize(s, point) if point is not None else s
 
     def build(degree: int, table: Mapping) -> Form:
-        terms = {}
-        for key, text in table.items():
-            v = value(text)
-            if not scalars.is_zero(scalars.as_scalar(v)):
-                terms[key] = v
-        return Form(sc.horizontal, degree, terms)
+        return Form(sc.horizontal, degree,
+                    {key: value(text) for key, text in table.items()})
 
     exp = sc.expected
     return TorsionSet(value(exp.tau0), build(1, exp.tau1),
@@ -696,7 +687,7 @@ def cmd_describe(cfg: RunConfig) -> str:
     if cfg.input_path is not None:
         doc = textio.parse_scenario(_read_input(cfg.input_path))
         rep = Report("describe", cfg.input_path)
-        if _source_from_document(doc, cfg.input_path, rep) is None:
+        if _source_from_document(doc, rep) is None:
             raise ValidationError("input document failed validation; "
                                   "run torsion or invariants for a report")
         return textio.render_scenario(doc)
@@ -733,6 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="replay every catalogued check for one or both "
                             "scenarios")
     common(p, with_input=False, required=False)
+    p.set_defaults(handler=cmd_verify_paper)
     p.add_argument("--vol-scale", metavar="FRACTION",
                    help="positive rational volume scale (default 1)")
     p.add_argument("--seed", type=int, default=0,
@@ -747,12 +739,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dimensions and bases of the invariant tensor "
                             "spaces")
     common(p)
+    p.set_defaults(handler=cmd_invariants)
     p.add_argument("--kind", choices=("metric", "3-form", "both"),
                    default="both")
 
     p = sub.add_parser("torsion",
                        help="solve the torsion equations exactly")
     common(p)
+    p.set_defaults(handler=cmd_torsion)
     p.add_argument("--set", action="append", metavar="NAME=VALUE",
                    help="pin one parameter to a rational value (repeatable; "
                         "all parameters or none)")
@@ -761,6 +755,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("growth",
                        help="invariance and growth of the named distributions")
+    p.set_defaults(handler=cmd_growth)
     p.add_argument("names", nargs="*",
                    help="distribution names (default: all four)")
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -771,18 +766,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, scenarios=SCENARIO_NAMES + ("sp2",), with_format=False)
 
     return parser
-
-
-_HANDLERS = {
-    "verify-paper": cmd_verify_paper,
-    "invariants": cmd_invariants,
-    "torsion": cmd_torsion,
-    "growth": cmd_growth,
-}
-
-_CHECK_FAILURES = (ValidationError, ExclusionError, Degenerate, NotAFibration,
-                   NotInvariant, NonUniqueSolution, InconsistentSystem,
-                   ZeroReference, PoleAtPoint, InternalInconsistency)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -803,14 +786,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if ns.command == "describe":
             _emit(cmd_describe(cfg), cfg.out)
             return 0
-        report = _HANDLERS[ns.command](cfg)
+        report = ns.handler(cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except _CHECK_FAILURES as exc:
+    except SplitG2Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     _emit(report.render(cfg.fmt), cfg.out)

@@ -63,9 +63,9 @@ _ROWS_TAU3_STAR = {_TOP: 70}
 
 class Metric7:
     """Nondegenerate symmetric 2-tensor on the 7-dimensional frame with
-    exact rational entries, plus its cached inverse and determinant."""
+    exact rational entries, plus its cached determinant."""
 
-    __slots__ = ("tensor", "matrix", "det", "inverse", "_lowered", "_star_columns")
+    __slots__ = ("tensor", "matrix", "det", "_lowered", "_star_columns")
 
     def __init__(self, tensor: SymTensor2):
         if tensor.dim != _DIM:
@@ -79,7 +79,6 @@ class Metric7:
         self.det = _linalg.mat_det(self.matrix)
         if self.det == 0:
             raise Degenerate("metric determinant is zero")
-        self.inverse = tuple(tuple(row) for row in _linalg.mat_inverse(self.matrix))
         self._lowered = None
         self._star_columns = {}
 
@@ -172,10 +171,7 @@ def compatibility_defect(metric: Metric7, phi: Form) -> SymTensor2:
     for u in range(1, 8):
         left = hooked[u]
         for v in range(u, 8):
-            w = left.wedge(hooked[v]).wedge(phi)
-            b = w.coefficient(_TOP)
-            if not scalars.is_zero(scalars.as_scalar(b)):
-                entries[(u, v)] = b
+            entries[(u, v)] = left.wedge(hooked[v]).wedge(phi).coefficient(_TOP)
     return SymTensor2(_DIM, entries) - metric.tensor * 3
 
 
@@ -215,7 +211,7 @@ def lambda2_14_basis(phi: Form, star_phi: Form) -> SolutionSpace:
     wedges = [Form.monomial(_DIM, pair).wedge(star_phi).terms for pair in _PAIRS]
 
     def build(vec) -> Form:
-        return Form(_DIM, 2, {_PAIRS[c]: v for c, v in enumerate(vec) if _nz(v)})
+        return Form(_DIM, 2, dict(zip(_PAIRS, vec)))
 
     def coordinatize(form: Form) -> list:
         _expect(form, 2)
@@ -298,12 +294,9 @@ class TorsionSystem:
         coframe mismatch and is raised, never patched over.
         """
         x = _linalg.solve_unique(self.rows, self.width)
-        tau1 = Form(_DIM, 1, {(i,): x[1 + idx]
-                              for idx, i in enumerate(_SINGLES) if _nz(x[1 + idx])})
-        tau2 = Form(_DIM, 2, {p: x[8 + idx]
-                              for idx, p in enumerate(_PAIRS) if _nz(x[8 + idx])})
-        tau3 = Form(_DIM, 3, {t: x[29 + idx]
-                              for idx, t in enumerate(_TRIPLES) if _nz(x[29 + idx])})
+        tau1 = Form(_DIM, 1, {(i,): v for i, v in zip(_SINGLES, x[1:8])})
+        tau2 = Form(_DIM, 2, dict(zip(_PAIRS, x[8:29])))
+        tau3 = Form(_DIM, 3, dict(zip(_TRIPLES, x[29:])))
         torsions = TorsionSet(x[0], tau1, tau2, tau3)
 
         metric, phi, c = self.metric, self.phi, self.vol_scale
@@ -330,7 +323,7 @@ class TorsionSystem:
                 for c, v in row.items():
                     if c < self.width and vec[c]:
                         total = total + v * vec[c]
-                if not scalars.is_zero(scalars.as_scalar(total)):
+                if not scalars.is_zero(total):
                     new_row[s] = total
             rows.append(new_row)
         return _linalg.rank(rows, len(kernel))
@@ -413,10 +406,6 @@ def torsion_solve(
     """Unique exact solution of the torsion equations, checked as
     described in `TorsionSystem.torsions`."""
     return torsion_linear_system(algebra, metric, phi, vol_scale).torsions()
-
-
-def _nz(v) -> bool:
-    return not scalars.is_zero(scalars.as_scalar(v))
 
 
 def bryant_residual(

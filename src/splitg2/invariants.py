@@ -47,16 +47,10 @@ class SolutionSpace:
     def combination_for(self, obj) -> Optional[list]:
         """Coefficients expressing obj over the basis, or None."""
         target = self._coordinatize(obj)
-        if not self.vectors:
-            return [] if all(not _nonzero(t) for t in target) else None
         return _linalg.solve_in_span(self.vectors, target, len(target))
 
     def contains(self, obj) -> bool:
         return self.combination_for(obj) is not None
-
-
-def _nonzero(v) -> bool:
-    return not scalars.is_zero(scalars.as_scalar(v))
 
 
 def kernel_rows(columns: Sequence[dict]) -> list:
@@ -68,7 +62,7 @@ def kernel_rows(columns: Sequence[dict]) -> list:
         row = {}
         for col, column in enumerate(columns):
             v = column.get(comp)
-            if v is not None and _nonzero(v):
+            if v is not None and not scalars.is_zero(v):
                 row[col] = v
         if row:
             rows.append(row)
@@ -102,8 +96,7 @@ def invariant_sym2(
         ])
 
     def build(vec) -> SymTensor2:
-        entries = {pairs[c]: v for c, v in enumerate(vec) if _nonzero(v)}
-        return SymTensor2(algebra.dim, entries)
+        return SymTensor2(algebra.dim, dict(zip(pairs, vec)))
 
     def coordinatize(tensor: SymTensor2) -> list:
         if tensor.dim != algebra.dim:
@@ -135,8 +128,7 @@ def invariant_form3(
         ])
 
     def build(vec) -> Form:
-        terms = {keys[c]: v for c, v in enumerate(vec) if _nonzero(v)}
-        return Form(algebra.dim, 3, terms)
+        return Form(algebra.dim, 3, dict(zip(keys, vec)))
 
     def coordinatize(form: Form) -> list:
         if form.degree != 3:

@@ -86,7 +86,7 @@ class LieAlgebra:
         acc = [_F0] * self.dim
         for (j, k), comps in self.brackets.items():
             w = x[j] * y[k] - x[k] * y[j]
-            if scalars.is_zero(scalars.as_scalar(w)):
+            if scalars.is_zero(w):
                 continue
             for i, c in comps.items():
                 acc[i - 1] = acc[i - 1] + w * c
@@ -121,7 +121,7 @@ class LieAlgebra:
                     for m, c in self.bracket_basis(x, y).items():
                         for i, c2 in self.bracket_basis(m, z).items():
                             v = defect.get(i, _F0) + c * c2
-                            if scalars.is_zero(scalars.as_scalar(v)):
+                            if scalars.is_zero(v):
                                 defect.pop(i, None)
                             else:
                                 defect[i] = v
@@ -157,7 +157,7 @@ class LieAlgebra:
                     if c2 is not None:
                         total = total + c * c2
                 total = total * twelfth
-                if not scalars.is_zero(scalars.as_scalar(total)):
+                if not scalars.is_zero(total):
                     entries[(j, l)] = total
         return SymTensor2(n, entries)
 
@@ -247,23 +247,6 @@ class LieAlgebra:
             out.append(Form(self.dim, 2, kept))
         return out
 
-    def leaf_algebra(self, k: int) -> "LieAlgebra":
-        """The vertical algebra read off the restricted differentials,
-        re-indexed to 1..dim-k."""
-        restricted = self.leaf_restriction(k)
-        brackets: dict = {}
-        for offset, d in enumerate(restricted):
-            i_new = offset + 1
-            for (j, l), c in d.terms.items():
-                brackets.setdefault((j - k, l - k), {})[i_new] = -c
-        leaf = LieAlgebra(self.dim - k, brackets)
-        report = leaf.jacobi_check()
-        if not report.ok:
-            raise InternalInconsistency(
-                f"leaf constants violate Jacobi at {report.triple}"
-            )
-        return leaf
-
 
 def _sym_accumulate(algebra: LieAlgebra, a: int, tensor: SymTensor2) -> dict:
     """Components of -(A^T g + g A) with A^i_k = c^i_ak."""
@@ -279,13 +262,13 @@ def _sym_accumulate(algebra: LieAlgebra, a: int, tensor: SymTensor2) -> dict:
             total = _F0
             for i, c in cols[kk].items():
                 v = g[i - 1][ll - 1]
-                if not scalars.is_zero(scalars.as_scalar(v)):
+                if not scalars.is_zero(v):
                     total = total - c * v
             for i, c in cols[ll].items():
                 v = g[kk - 1][i - 1]
-                if not scalars.is_zero(scalars.as_scalar(v)):
+                if not scalars.is_zero(v):
                     total = total - v * c
-            if not scalars.is_zero(scalars.as_scalar(total)):
+            if not scalars.is_zero(total):
                 out[(kk, ll)] = total
     return out
 
@@ -350,7 +333,7 @@ class BasisChange:
             total = _F0
             for c in range(n):
                 x = coords[c]
-                if not scalars.is_zero(scalars.as_scalar(x)):
+                if not scalars.is_zero(x):
                     if inv[c][d]:
                         total = total + x * inv[c][d]
             out.append(total)
@@ -367,14 +350,7 @@ def change_basis(algebra: LieAlgebra, change: BasisChange) -> LieAlgebra:
         va = change.new_vector(a)
         for b in range(a + 1, n + 1):
             w = algebra.bracket(va, change.new_vector(b))
-            coords = change.old_to_new(w.components)
-            comps = {
-                i + 1: c
-                for i, c in enumerate(coords)
-                if not scalars.is_zero(scalars.as_scalar(c))
-            }
-            if comps:
-                brackets[(a, b)] = comps
+            brackets[(a, b)] = dict(enumerate(change.old_to_new(w.components), 1))
     return LieAlgebra(n, brackets)
 
 
@@ -409,9 +385,7 @@ def algebra_from_matrices(matrices: Sequence) -> LieAlgebra:
                 raise ValidationError(
                     f"commutator of generators {a + 1},{b + 1} leaves the span"
                 )
-            comps = {i + 1: c for i, c in enumerate(coords) if c}
-            if comps:
-                brackets[(a + 1, b + 1)] = comps
+            brackets[(a + 1, b + 1)] = dict(enumerate(coords, 1))
     return LieAlgebra(n, brackets)
 
 

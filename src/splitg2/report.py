@@ -32,12 +32,11 @@ class Record:
 class Report:
     """Accumulates records for one command run."""
 
-    def __init__(self, command: str, scenario: str, seed: Optional[int] = None,
-                 notes: Optional[List[str]] = None):
+    def __init__(self, command: str, scenario: str, seed: Optional[int] = None):
         self.command = command
         self.scenario = scenario
         self.seed = seed
-        self.notes = list(notes or [])
+        self.notes: List[str] = []
         self.records: List[Record] = []
         # extra JSON-only content, e.g. solved torsions as structured data
         self.payload: dict = {}
@@ -51,10 +50,6 @@ class Report:
 
     def note(self, text: str) -> None:
         self.notes.append(text)
-
-    def extend(self, other: "Report") -> None:
-        self.records.extend(other.records)
-        self.notes.extend(other.notes)
 
     def passed(self) -> bool:
         return all(r.status != "fail" for r in self.records)

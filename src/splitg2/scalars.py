@@ -49,7 +49,6 @@ from .errors import AlphabetMismatch, ParseError, PoleAtPoint, ValidationError
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
-Rational = Fraction
 Scalar = Union[Fraction, "Polynomial", "RationalFunction"]
 
 
@@ -642,15 +641,6 @@ def specialize(x, point: Mapping[str, Fraction]) -> Fraction:
     if isinstance(x, RationalFunction):
         return x.specialize(point)
     raise TypeError(f"not a scalar: {x!r}")
-
-
-def constant_value(x) -> Fraction:
-    """The rational value of a constant scalar of any kind."""
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, Fraction):
-        return x
-    return x.constant_value()
 
 
 def scalar_sum(values):

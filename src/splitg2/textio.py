@@ -89,8 +89,7 @@ def _scalar(lineno: int, text: str, alphabet: tuple):
 class _Collector:
     """Shared key handling for both document kinds."""
 
-    def __init__(self, kind: str):
-        self.kind = kind
+    def __init__(self):
         self.name = ""
         self.alphabet: tuple = ()
         self.dim = None
@@ -212,7 +211,7 @@ def _parse(text: str, expected_format: str) -> _Collector:
         raise ParseError(
             f"line {lineno}: expected format {expected_format!r}, got {value!r}"
         )
-    collector = _Collector(expected_format)
+    collector = _Collector()
     for lineno, key, value in lines:
         if key == "format":
             raise ParseError(f"line {lineno}: duplicate 'format' line")

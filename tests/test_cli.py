@@ -369,3 +369,57 @@ def test_input_huge_integer_literal_is_usage():
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1
     assert "integer literal of 5000 digits is too long" in proc.stderr
+
+
+# -- the exit-code contract --------------------------------------------------------------------
+
+
+LEG6_METRIC = """\
+format: splitg2-scenario 1
+dim: 8
+horizontal: 6
+metric: 1 1 1
+metric: 2 2 1
+metric: 3 3 1
+metric: 4 4 -1
+metric: 5 5 -1
+metric: 6 6 -1
+"""
+
+
+@pytest.mark.parametrize("command", ["torsion", "invariants", "describe"])
+def test_input_metric_off_dimension_seven_is_one_line(tmp_path, command):
+    path = tmp_path / "leg6.txt"
+    path.write_text(LEG6_METRIC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "splitg2", command, "--input", str(path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "error: metric must live on dimension 7\n"
+    assert proc.stdout == ""
+
+
+def _package_errors():
+    from splitg2 import errors
+
+    return [obj for obj in vars(errors).values()
+            if isinstance(obj, type) and obj.__module__ == errors.__name__]
+
+
+@pytest.mark.parametrize("cls", _package_errors(), ids=lambda cls: cls.__name__)
+def test_every_package_error_maps_to_an_exit_code(capsys, monkeypatch, cls):
+    from splitg2 import cli
+    from splitg2.errors import ParseError, SplitG2Error
+
+    assert issubclass(cls, SplitG2Error)
+
+    def handler(cfg):
+        raise cls("injected failure")
+
+    monkeypatch.setattr(cli, "cmd_torsion", handler)
+    code, out, err = run(capsys, "torsion", "--scenario", "Ms")
+    assert code == (2 if cls is ParseError else 1)
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "injected failure" in err

@@ -370,12 +370,6 @@ def test_horizontal_integrability():
     assert product_with_so3().horizontal_integrability(2)
 
 
-def test_leaf_algebra_recovers_fiber():
-    leaf = product_with_so3().leaf_algebra(2)
-    assert leaf.dim == 3
-    assert leaf.brackets == so3().brackets
-
-
 def test_not_a_fibration():
     g = LieAlgebra(4, {(3, 4): {1: 1}})
     assert not g.horizontal_integrability(2)

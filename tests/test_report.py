@@ -8,7 +8,8 @@ from splitg2.report import SCHEMA_VERSION, Record, Report
 
 
 def sample():
-    rep = Report("verify-paper", "Ms", seed=7, notes=["warm"])
+    rep = Report("verify-paper", "Ms", seed=7)
+    rep.note("warm")
     rep.add("b.check", "later anchor", True, "1", "1")
     rep.add("a.check", "dimension", False, "3", "4")
     rep.add("a.check", "claim", None, "growth (2,3)")
@@ -78,16 +79,6 @@ def test_json_payload_merged():
     assert doc["torsion"]["tau0"] == "-18/7"
     # text output ignores the payload
     assert "tau0" not in rep.to_text()
-
-
-def test_extend_merges_records_and_notes():
-    a = Report("verify-paper", "Ml", notes=["left"])
-    a.add("m", "one", True, "1")
-    b = Report("verify-paper", "Ml", notes=["right"])
-    b.add("n", "two", True, "2")
-    a.extend(b)
-    assert len(a.records) == 2
-    assert a.notes == ["left", "right"]
 
 
 def test_render_dispatch():
