@@ -5,14 +5,15 @@ replay.
 All expected scalar values are stored as rendered expression strings and
 parsed at comparison time, so the golden data stays human-diffable.  The
 two scenarios are built once, validated (Jacobi, fibration integrability,
-compatibility) and cached immutable.
+compatibility) and cached immutable.  `Scenario` is also the form a
+validated input document takes (`from_document`, `validation`).
 """
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Optional, Tuple
+from typing import Iterator, Mapping, Optional, Tuple
 
 from . import liealg, scalars, textio
 from .errors import InternalInconsistency, NotAFibration, ValidationError
@@ -151,18 +152,21 @@ class Expected:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One quotient scenario: algebra, split, structure data, goldens."""
+    """One quotient: algebra, split, structure data, and for the builtin
+    fixtures the basis change and goldens.  A scenario read from a document
+    (`from_document`) has no `basis` or `expected`, and may lack `metric`
+    and `phi_family`."""
 
     name: str
     alphabet: Tuple[str, ...]
     algebra: LieAlgebra
-    basis: BasisChange
+    basis: Optional[BasisChange]
     horizontal: int
     verticals: Tuple[int, ...]
-    metric: Metric7
-    phi_family: Form
+    metric: Optional[Metric7]
+    phi_family: Optional[Form]
     exclusions: Tuple[Tuple[str, Fraction], ...]
-    expected: Expected
+    expected: Optional[Expected]
 
     def scalar(self, text: str):
         """Parse a scalar over this scenario's alphabet."""
@@ -181,7 +185,7 @@ class Scenario:
             verticals=self.verticals,
             alphabet=self.alphabet,
             name=self.name,
-            metric=self.metric.tensor,
+            metric=None if self.metric is None else self.metric.tensor,
             phi=self.phi_family,
             exclusions=self.exclusions,
         )
@@ -190,14 +194,36 @@ class Scenario:
         return textio.render_scenario(self.document())
 
 
+def from_document(doc: textio.ScenarioDocument) -> Scenario:
+    """The scenario a parsed document declares, not yet validated."""
+    metric = None if doc.metric is None else Metric7(doc.metric)
+    return Scenario(doc.name, doc.alphabet, doc.algebra, None, doc.horizontal,
+                    doc.verticals, metric, doc.phi, doc.exclusions, None)
+
+
+def validation(sc: Scenario) -> Iterator[Tuple[str, str, bool, str, str]]:
+    """(check, claim, ok, computed, expected) records of the Jacobi,
+    fibration and, given a metric and a 3-form, compatibility checks; each
+    check runs when its record is asked for, so a caller can stop early."""
+    jac = sc.algebra.jacobi_check()
+    yield ("jacobi", "structure constants satisfy the Jacobi identity",
+           jac.ok, "pass" if jac.ok else str(jac), "pass")
+    fib = sc.algebra.horizontal_integrability(sc.horizontal)
+    yield ("fibration", "horizontal coframe block is integrable",
+           fib, "integrable" if fib else "not integrable", "integrable")
+    if sc.metric is not None and sc.phi_family is not None:
+        defect = compatibility_defect(sc.metric, sc.phi_family)
+        ok = defect.is_zero()
+        yield ("compatibility", "metric and 3-form are compatible",
+               ok, "defect 0" if ok else f"defect {defect}", "defect 0")
+
+
 def _validate(scenario: Scenario) -> Scenario:
-    report = scenario.algebra.jacobi_check()
-    if not report.ok:
-        raise InternalInconsistency(f"fixture fails Jacobi: {report}")
-    if not scenario.algebra.horizontal_integrability(scenario.horizontal):
-        raise NotAFibration("fixture fails horizontal integrability")
-    if not compatibility_defect(scenario.metric, scenario.phi_family).is_zero():
-        raise InternalInconsistency("fixture 3-form is not metric-compatible")
+    """A builtin fixture must pass `validation`; raise at the first failure."""
+    for check, _, ok, computed, _ in validation(scenario):
+        if not ok:
+            error = NotAFibration if check == "fibration" else InternalInconsistency
+            raise error(f"fixture fails {check}: {computed}")
     if scenario.phi_family.dim != scenario.horizontal:
         raise ValidationError("3-form does not live on the horizontal coframe")
     return scenario

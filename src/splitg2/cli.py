@@ -31,8 +31,8 @@ from .errors import (
     ValidationError,
     ZeroReference,
 )
-from .exterior import Form, SymTensor2
-from .g2 import Metric7, TorsionSet
+from .exterior import Form
+from .g2 import TorsionSet
 from .liealg import LieAlgebra
 from .report import Report
 
@@ -59,20 +59,6 @@ class RunConfig:
     kind: str = "both"
     names: Tuple[str, ...] = ()
     corrupt: Optional[Tuple[int, int, int]] = None
-
-
-@dataclass(frozen=True)
-class Source:
-    """Uniform view of a builtin scenario or a parsed input document."""
-
-    algebra: LieAlgebra
-    horizontal: int
-    verticals: Tuple[int, ...]
-    alphabet: Tuple[str, ...]
-    metric: Optional[Metric7]
-    phi: Optional[Form]
-    exclusions: Tuple[Tuple[str, Fraction], ...]
-    scenario: Optional[catalog.Scenario]
 
 
 # -- option parsing helpers ---------------------------------------------------
@@ -143,64 +129,18 @@ def _read_input(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}")
 
 
-def _source_from_scenario(name: str) -> Source:
-    sc = catalog.scenario(name)
-    return Source(
-        algebra=sc.algebra,
-        horizontal=sc.horizontal,
-        verticals=sc.verticals,
-        alphabet=sc.alphabet,
-        metric=sc.metric,
-        phi=sc.phi_family,
-        exclusions=sc.exclusions,
-        scenario=sc,
-    )
-
-
-def _source_from_document(doc: textio.ScenarioDocument,
-                          rep: Report) -> Optional[Source]:
-    """Validate a parsed scenario document, recording the validation.
-
-    Returns None when validation fails; the failing records are already
-    on the report, so the caller can stop and render it (exit code 1).
-    """
-    jac = doc.algebra.jacobi_check()
-    rep.add("input.jacobi", "structure constants satisfy the Jacobi identity",
-            jac.ok, "pass" if jac.ok else str(jac), "pass")
-    if not jac.ok:
-        return None
-    fib = doc.algebra.horizontal_integrability(doc.horizontal)
-    rep.add("input.fibration", "horizontal coframe block is integrable",
-            fib, "integrable" if fib else "not integrable", "integrable")
-    if not fib:
-        return None
-    metric = None
-    if doc.metric is not None:
-        metric = Metric7(doc.metric)
-    if metric is not None and doc.phi is not None:
-        defect = g2.compatibility_defect(metric, doc.phi)
-        ok = defect.is_zero()
-        rep.add("input.compatibility", "metric and 3-form are compatible",
-                ok, "defect 0" if ok else f"defect {defect}", "defect 0")
+def _load_scenario(cfg: RunConfig, rep: Report) -> Optional[catalog.Scenario]:
+    """The builtin scenario, or the `--input` document validated into one,
+    its checks recorded as `input.*`.  None means a check failed: the caller
+    stops and renders the report (exit code 1)."""
+    if cfg.input_path is None:
+        return catalog.scenario(cfg.scenario)
+    sc = catalog.from_document(textio.parse_scenario(_read_input(cfg.input_path)))
+    for check, claim, ok, computed, expected in catalog.validation(sc):
+        rep.add(f"input.{check}", claim, ok, computed, expected)
         if not ok:
             return None
-    return Source(
-        algebra=doc.algebra,
-        horizontal=doc.horizontal,
-        verticals=doc.verticals,
-        alphabet=doc.alphabet,
-        metric=metric,
-        phi=doc.phi,
-        exclusions=doc.exclusions,
-        scenario=None,
-    )
-
-
-def _load_source(cfg: RunConfig, rep: Report) -> Optional[Source]:
-    if cfg.input_path is not None:
-        doc = textio.parse_scenario(_read_input(cfg.input_path))
-        return _source_from_document(doc, rep)
-    return _source_from_scenario(cfg.scenario)
+    return sc
 
 
 # -- specialization helpers ---------------------------------------------------
@@ -210,17 +150,17 @@ def _point_text(point: Mapping[str, Fraction], alphabet: Sequence[str]) -> str:
     return ", ".join(f"{name}={point[name]}" for name in alphabet)
 
 
-def _validate_point(point: Mapping[str, Fraction], source: Source) -> None:
+def _validate_point(point: Mapping[str, Fraction], sc: catalog.Scenario) -> None:
     """A point must pin every parameter and avoid the excluded values."""
-    unknown = sorted(set(point) - set(source.alphabet))
+    unknown = sorted(set(point) - set(sc.alphabet))
     if unknown:
         raise UsageError(f"--set names not in the alphabet "
-                         f"{source.alphabet}: {', '.join(unknown)}")
-    missing = sorted(set(source.alphabet) - set(point))
+                         f"{sc.alphabet}: {', '.join(unknown)}")
+    missing = sorted(set(sc.alphabet) - set(point))
     if missing:
         raise UsageError(f"--set must pin every parameter or none; "
                          f"missing: {', '.join(missing)}")
-    for name, value in source.exclusions:
+    for name, value in sc.exclusions:
         if point.get(name) == value:
             raise ExclusionError(f"parameter {name} = {value} is excluded")
 
@@ -229,13 +169,13 @@ def _specialize_form(form: Form, point: Mapping[str, Fraction]) -> Form:
     return form.map_coefficients(lambda c: scalars.specialize(c, point))
 
 
-def _sample_point(rng: random.Random, source: Source) -> dict:
+def _sample_point(rng: random.Random, sc: catalog.Scenario) -> dict:
     """Small-height rational point avoiding the declared exclusions."""
     excluded: dict = {}
-    for name, value in source.exclusions:
+    for name, value in sc.exclusions:
         excluded.setdefault(name, set()).add(value)
     point = {}
-    for name in source.alphabet:
+    for name in sc.alphabet:
         while True:
             value = Fraction(rng.randint(-SAMPLE_HEIGHT, SAMPLE_HEIGHT),
                              rng.randint(1, SAMPLE_HEIGHT))
@@ -248,21 +188,20 @@ def _sample_point(rng: random.Random, source: Source) -> dict:
 # -- expected-value helpers ---------------------------------------------------
 
 
-def _expected_torsions(sc: catalog.Scenario,
-                       point: Optional[Mapping[str, Fraction]] = None) -> TorsionSet:
-    """Golden torsions parsed from the catalog, optionally specialized."""
-
-    def value(text: str):
-        s = sc.scalar(text)
-        return scalars.specialize(s, point) if point is not None else s
-
-    def build(degree: int, table: Mapping) -> Form:
-        return Form(sc.horizontal, degree,
-                    {key: value(text) for key, text in table.items()})
-
+def _expected_torsions(sc: catalog.Scenario) -> TorsionSet:
+    """Golden torsions parsed from the catalog."""
     exp = sc.expected
-    return TorsionSet(value(exp.tau0), build(1, exp.tau1),
-                      build(2, exp.tau2), build(3, exp.tau3))
+    return TorsionSet(sc.scalar(exp.tau0), sc.form_from_table(1, exp.tau1),
+                      sc.form_from_table(2, exp.tau2),
+                      sc.form_from_table(3, exp.tau3))
+
+
+def _specialize_torsions(torsions: TorsionSet,
+                         point: Mapping[str, Fraction]) -> TorsionSet:
+    return TorsionSet(scalars.specialize(torsions.tau0, point),
+                      _specialize_form(torsions.tau1, point),
+                      _specialize_form(torsions.tau2, point),
+                      _specialize_form(torsions.tau3, point))
 
 
 def _render(value) -> str:
@@ -287,22 +226,30 @@ def _torsion_payload(torsions: TorsionSet, vol: Fraction) -> dict:
     }
 
 
+TORSION_NAMES = {"tau0": "scalar torsion", "tau1": "vector torsion",
+                 "tau2": "torsion in the 14-dimensional component",
+                 "tau3": "torsion in the 27-dimensional component"}
+
+
+def _compare_torsions(computed: TorsionSet, expected: TorsionSet):
+    """(field, computed, expected, equal) for each of the four torsions."""
+    for field in TORSION_NAMES:
+        got, want = getattr(computed, field), getattr(expected, field)
+        same = (scalars.equals(got, want) if field == "tau0"
+                else (got - want).is_zero())
+        yield field, got, want, same
+
+
 def _torsion_records(rep: Report, prefix: str, computed: TorsionSet,
                      expected: Optional[TorsionSet]) -> None:
-    names = {"tau0": "scalar torsion", "tau1": "vector torsion",
-             "tau2": "torsion in the 14-dimensional component",
-             "tau3": "torsion in the 27-dimensional component"}
-    for field in ("tau0", "tau1", "tau2", "tau3"):
-        got = getattr(computed, field)
-        if expected is None:
-            rep.add(f"{prefix}.{field}", names[field], None, _render(got))
-            continue
-        want = getattr(expected, field)
-        if field == "tau0":
-            ok = scalars.equals(got, want)
-        else:
-            ok = (got - want).is_zero()
-        rep.add(f"{prefix}.{field}", names[field], ok, _render(got), _render(want))
+    if expected is None:
+        for field, name in TORSION_NAMES.items():
+            rep.add(f"{prefix}.{field}", name, None,
+                    _render(getattr(computed, field)))
+        return
+    for field, got, want, same in _compare_torsions(computed, expected):
+        rep.add(f"{prefix}.{field}", TORSION_NAMES[field], same,
+                _render(got), _render(want))
 
 
 # -- shared check blocks ------------------------------------------------------
@@ -372,61 +319,47 @@ def _distribution_records(rep: Report, base: LieAlgebra, prefix: str,
                     None, f"growth {text}")
 
 
-def _invariant_space_checks(rep: Report, source: Source, prefix: str,
+# per kind: expected-dimension key, claim, and the anchor and claim of
+# the structure-member record the builtin fixtures add
+_INVARIANT_TEXT = {
+    "metric": ("invariant-metrics", "invariant symmetric 2-tensors",
+               "killing-member", "structure metric is an invariant tensor"),
+    "3-form": ("invariant-3-forms", "invariant horizontal 3-forms",
+               "structure-member", "structure 3-form family is invariant"),
+}
+
+
+def _invariant_space_checks(rep: Report, sc: catalog.Scenario, prefix: str,
                             kinds: Sequence[str], list_basis: bool) -> None:
-    sc = source.scenario
-    if "metric" in kinds:
-        space = invariants.invariant_sym2(source.algebra, source.verticals,
-                                          source.horizontal)
-        expected_dim = sc.expected.dimensions["invariant-metrics"] if sc else None
-        rep.add(f"{prefix}.metric.dimension", "invariant symmetric 2-tensors",
-                None if expected_dim is None else space.dimension == expected_dim,
-                str(space.dimension),
-                "" if expected_dim is None else str(expected_dim))
+    exp = sc.expected
+    for kind in kinds:
+        dim_key, claim, member_anchor, member_claim = _INVARIANT_TEXT[kind]
+        is_metric = kind == "metric"
+        build = invariants.invariant_sym2 if is_metric else invariants.invariant_form3
+        space = build(sc.algebra, sc.verticals, sc.horizontal)
+        want = None if exp is None else exp.dimensions[dim_key]
+        rep.add(f"{prefix}.{kind}.dimension", claim,
+                None if want is None else space.dimension == want,
+                str(space.dimension), "" if want is None else str(want))
         if list_basis:
-            for idx, tensor in enumerate(space.basis, start=1):
-                rep.add(f"{prefix}.metric.basis.g{idx}", "kernel basis element",
-                        None, str(tensor.restrict(source.horizontal)))
-        if sc is not None:
-            missing = [name for name, gen in sc.expected.metric_family
-                       if not space.contains(gen.extend(source.algebra.dim))]
-            rep.add(f"{prefix}.metric.family",
-                    "displayed metric family lies in the computed span",
-                    not missing,
-                    "all members contained" if not missing
-                    else "missing: " + ", ".join(missing),
-                    "all members contained")
-            in_span = space.contains(sc.metric.tensor.extend(source.algebra.dim))
-            rep.add(f"{prefix}.metric.killing-member",
-                    "structure metric is an invariant tensor",
-                    in_span, "contained" if in_span else "not contained",
-                    "contained")
-    if "3-form" in kinds:
-        space = invariants.invariant_form3(source.algebra, source.verticals,
-                                           source.horizontal)
-        expected_dim = sc.expected.dimensions["invariant-3-forms"] if sc else None
-        rep.add(f"{prefix}.3-form.dimension", "invariant horizontal 3-forms",
-                None if expected_dim is None else space.dimension == expected_dim,
-                str(space.dimension),
-                "" if expected_dim is None else str(expected_dim))
-        if list_basis:
-            for idx, form in enumerate(space.basis, start=1):
-                rep.add(f"{prefix}.3-form.basis.g{idx}", "kernel basis element",
-                        None, str(form.restrict(source.horizontal)))
-        if sc is not None:
-            missing = [name for name, gen in sc.expected.form_family
-                       if not space.contains(gen.extend(source.algebra.dim))]
-            rep.add(f"{prefix}.3-form.family",
-                    "displayed 3-form family lies in the computed span",
-                    not missing,
-                    "all members contained" if not missing
-                    else "missing: " + ", ".join(missing),
-                    "all members contained")
-            phi_in = space.contains(sc.phi_family.extend(source.algebra.dim))
-            rep.add(f"{prefix}.3-form.structure-member",
-                    "structure 3-form family is invariant",
-                    phi_in, "contained" if phi_in else "not contained",
-                    "contained")
+            for idx, element in enumerate(space.basis, start=1):
+                rep.add(f"{prefix}.{kind}.basis.g{idx}", "kernel basis element",
+                        None, str(element.restrict(sc.horizontal)))
+        if exp is None:
+            continue
+        family = exp.metric_family if is_metric else exp.form_family
+        missing = [name for name, gen in family
+                   if not space.contains(gen.extend(sc.algebra.dim))]
+        rep.add(f"{prefix}.{kind}.family",
+                f"displayed {kind} family lies in the computed span",
+                not missing,
+                "all members contained" if not missing
+                else "missing: " + ", ".join(missing),
+                "all members contained")
+        member = sc.metric.tensor if is_metric else sc.phi_family
+        contained = space.contains(member.extend(sc.algebra.dim))
+        rep.add(f"{prefix}.{kind}.{member_anchor}", member_claim, contained,
+                "contained" if contained else "not contained", "contained")
 
 
 # -- scenario verification ----------------------------------------------------
@@ -434,7 +367,6 @@ def _invariant_space_checks(rep: Report, source: Source, prefix: str,
 
 def _scenario_checks(rep: Report, name: str, cfg: RunConfig) -> None:
     sc = catalog.scenario(name)
-    source = _source_from_scenario(name)
     n = sc.name
     exp = sc.expected
 
@@ -481,7 +413,7 @@ def _scenario_checks(rep: Report, name: str, cfg: RunConfig) -> None:
             else "mismatch at rows " + ", ".join(map(str, leaf_bad)),
             "3/3 rows match")
 
-    _invariant_space_checks(rep, source, n, ("metric", "3-form"),
+    _invariant_space_checks(rep, sc, n, ("metric", "3-form"),
                             list_basis=False)
 
     display = sc.form_from_table(3, exp.phi_display)
@@ -511,13 +443,13 @@ def _scenario_checks(rep: Report, name: str, cfg: RunConfig) -> None:
 
     vol = cfg.vol_scale
     torsions = g2.torsion_solve(sc.algebra, sc.metric, sc.phi_family, vol)
-    expected = _expected_torsions(sc).rescale(vol)
+    golden = _expected_torsions(sc)
+    expected = golden.rescale(vol)
     _torsion_records(rep, f"{n}.torsion", torsions, expected)
 
     if vol == 1:
         try:
-            reference = sc.scalar(exp.tau0)
-            scale = g2.calibrate_vol_scale(reference, torsions)
+            scale = g2.calibrate_vol_scale(golden.tau0, torsions)
             ok = str(scale) == exp.vol_scale
             rep.add(f"{n}.torsion.calibration",
                     "volume scale matching the reference scalar torsion",
@@ -564,13 +496,15 @@ def _scenario_checks(rep: Report, name: str, cfg: RunConfig) -> None:
 
     rng = random.Random(f"{cfg.seed}:{n}")
     for idx in range(1, SPECIALIZATION_COUNT + 1):
-        point = _sample_point(rng, source)
-        rep.add(*_point_pipeline(sc, point, vol, f"{n}.point{idx}"))
+        point = _sample_point(rng, sc)
+        rep.add(*_point_pipeline(sc, expected, point, vol, f"{n}.point{idx}"))
 
 
-def _point_pipeline(sc: catalog.Scenario, point: Mapping[str, Fraction],
-                    vol: Fraction, anchor: str) -> tuple:
-    """Full rational pipeline at one admissible point; one record."""
+def _point_pipeline(sc: catalog.Scenario, expected: TorsionSet,
+                    point: Mapping[str, Fraction], vol: Fraction,
+                    anchor: str) -> tuple:
+    """Full rational pipeline at one admissible point, against the golden
+    torsions `expected` at volume scale `vol`; one record."""
     phi = _specialize_form(sc.phi_family, point)
     problems = []
     if not g2.compatibility_defect(sc.metric, phi).is_zero():
@@ -578,11 +512,8 @@ def _point_pipeline(sc: catalog.Scenario, point: Mapping[str, Fraction],
     system = g2.torsion_linear_system(sc.algebra, sc.metric, phi, vol)
     try:
         torsions = system.torsions()
-        expected = _expected_torsions(sc, point).rescale(vol)
-        for field in ("tau0", "tau1", "tau2", "tau3"):
-            got, want = getattr(torsions, field), getattr(expected, field)
-            same = (scalars.equals(got, want) if field == "tau0"
-                    else (got - want).is_zero())
+        for field, _, _, same in _compare_torsions(
+                torsions, _specialize_torsions(expected, point)):
             if not same:
                 problems.append(f"{field} mismatch")
     except (NonUniqueSolution, InconsistentSystem, InternalInconsistency) as exc:
@@ -630,36 +561,35 @@ def cmd_verify_paper(cfg: RunConfig) -> Report:
 
 def cmd_invariants(cfg: RunConfig) -> Report:
     rep = Report("invariants", cfg.scenario or cfg.input_path, seed=None)
-    source = _load_source(cfg, rep)
-    if source is None:
+    sc = _load_scenario(cfg, rep)
+    if sc is None:
         return rep
     kinds = ("metric", "3-form") if cfg.kind == "both" else (cfg.kind,)
-    _invariant_space_checks(rep, source, "invariants", kinds, list_basis=True)
+    _invariant_space_checks(rep, sc, "invariants", kinds, list_basis=True)
     return rep
 
 
 def cmd_torsion(cfg: RunConfig) -> Report:
     rep = Report("torsion", cfg.scenario or cfg.input_path, seed=None)
-    source = _load_source(cfg, rep)
-    if source is None:
+    sc = _load_scenario(cfg, rep)
+    if sc is None:
         return rep
-    if source.metric is None or source.phi is None:
+    if sc.metric is None or sc.phi_family is None:
         raise ValidationError("torsion needs both a metric and a 3-form; "
                               "the input document lacks one")
-    point = None
-    phi = source.phi
+    phi = sc.phi_family
     if cfg.sets:
-        _validate_point(cfg.sets, source)
-        point = dict(cfg.sets)
-        phi = _specialize_form(phi, point)
-        rep.note("specialized at " + _point_text(point, source.alphabet))
+        _validate_point(cfg.sets, sc)
+        phi = _specialize_form(phi, cfg.sets)
+        rep.note("specialized at " + _point_text(cfg.sets, sc.alphabet))
     if cfg.vol_scale != 1:
         rep.note(f"volume scale {cfg.vol_scale}")
-    torsions = g2.torsion_solve(source.algebra, source.metric, phi,
-                                cfg.vol_scale)
+    torsions = g2.torsion_solve(sc.algebra, sc.metric, phi, cfg.vol_scale)
     expected = None
-    if source.scenario is not None:
-        expected = _expected_torsions(source.scenario, point)
+    if sc.expected is not None:
+        expected = _expected_torsions(sc)
+        if cfg.sets:
+            expected = _specialize_torsions(expected, cfg.sets)
         expected = expected.rescale(cfg.vol_scale)
     _torsion_records(rep, "torsion", torsions, expected)
     rep.add("torsion.verified",
@@ -684,16 +614,13 @@ def cmd_growth(cfg: RunConfig) -> Report:
 
 
 def cmd_describe(cfg: RunConfig) -> str:
-    if cfg.input_path is not None:
-        doc = textio.parse_scenario(_read_input(cfg.input_path))
-        rep = Report("describe", cfg.input_path)
-        if _source_from_document(doc, rep) is None:
-            raise ValidationError("input document failed validation; "
-                                  "run torsion or invariants for a report")
-        return textio.render_scenario(doc)
     if cfg.scenario == "sp2":
         return catalog.algebra_text()
-    return catalog.scenario(cfg.scenario).text()
+    sc = _load_scenario(cfg, Report("describe", cfg.input_path))
+    if sc is None:
+        raise ValidationError("input document failed validation; "
+                              "run torsion or invariants for a report")
+    return sc.text()
 
 
 # -- argument parser ----------------------------------------------------------
@@ -769,10 +696,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc.strerror or exc}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -784,9 +714,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = _config_from(ns)
         if ns.command == "describe":
-            _emit(cmd_describe(cfg), cfg.out)
-            return 0
-        report = ns.handler(cfg)
+            text, code = cmd_describe(cfg), 0
+        else:
+            report = ns.handler(cfg)
+            text, code = report.render(cfg.fmt), 0 if report.passed() else 1
+        _emit(text, cfg.out)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -796,8 +728,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SplitG2Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(report.render(cfg.fmt), cfg.out)
-    return 0 if report.passed() else 1
+    return code
 
 
 def entry() -> None:

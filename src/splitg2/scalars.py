@@ -684,6 +684,10 @@ def scalar_sum(values):
 
 # Largest exponent `parse_scalar` accepts after '^'; the catalogue needs 3.
 MAX_POWER = 64
+# Deepest nesting of parentheses and unary signs `parse_scalar` accepts; the
+# catalogue's strings need 4.  The parser recurses once per level, so the
+# limit also keeps it well inside the interpreter's recursion limit.
+MAX_NESTING = 32
 
 
 class _Tokens:
@@ -732,13 +736,24 @@ def parse_scalar(text: str, alphabet: Iterable[str] = ()) -> Scalar:
 
     Grammar: integers, parameter names, + - * / ^, parentheses; ^ takes a
     nonnegative integer exponent of at most MAX_POWER and binds tighter
-    than unary minus.
+    than unary minus.  Parentheses and unary signs nest at most
+    MAX_NESTING deep.
     Returns a Fraction when the alphabet is empty, else a
     RationalFunction over the alphabet.
     """
     alphabet = _check_alphabet(alphabet)
     toks = _Tokens(text)
     literals: dict = {}  # scalars are immutable: build each literal once
+    depth = 0
+
+    def nested(parse):
+        nonlocal depth
+        if depth == MAX_NESTING:
+            raise ParseError(f"nesting exceeds the limit {MAX_NESTING}")
+        depth += 1
+        v = parse()
+        depth -= 1
+        return v
 
     def literal(kind, val):
         if kind == "int":
@@ -763,7 +778,7 @@ def parse_scalar(text: str, alphabet: Iterable[str] = ()) -> Scalar:
                 v = literals[val] = literal(kind, val)
             return v
         if kind == "(":
-            v = expr()
+            v = nested(expr)
             if toks.peek() != ")":
                 raise ParseError(f"missing ')' in {text!r}")
             toks.take()
@@ -788,10 +803,10 @@ def parse_scalar(text: str, alphabet: Iterable[str] = ()) -> Scalar:
     def factor():
         if toks.peek() == "-":
             toks.take()
-            return -factor()
+            return -nested(factor)
         if toks.peek() == "+":
             toks.take()
-            return factor()
+            return nested(factor)
         return power()
 
     def term():

@@ -1,14 +1,31 @@
-"""Shared test helpers: random exact scalars and a dense reference
-eliminator used as an independent oracle for the sparse linear algebra."""
+"""Shared test helpers: random exact scalars, a dense reference eliminator
+used as an independent oracle for the sparse linear algebra, and a runner
+for the command in a child process."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from splitg2 import scalars
 
 ALPHABET = ("a", "p", "q")
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_splitg2(*argv, stdin=None, timeout=120):
+    """`python -m splitg2 ARGV` in a child process that imports the package
+    from this checkout's `src`, installed or not."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC),
+                                                      env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "splitg2", *argv], input=stdin,
+                          env=env, capture_output=True, text=True,
+                          timeout=timeout)
 
 
 def random_fraction(rng, height=9, nonzero=False):

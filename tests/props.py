@@ -4,8 +4,6 @@ returns the number of cases it checked, so callers can confirm the
 sampling actually ran."""
 
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,6 +11,8 @@ from splitg2 import catalog, scalars
 from splitg2.exterior import Form, Vector, interior
 from splitg2.g2 import hodge_star, torsion_solve
 from splitg2.liealg import sp2_build
+
+from conftest import run_splitg2
 
 
 def _fraction(rng, nonzero=False):
@@ -141,9 +141,4 @@ def check_star_scaling(seed=0, rounds=6) -> int:
 
 def corrupted_jacobi_exit_code() -> int:
     """Exit status of a negative-control run in a fresh process."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "splitg2", "verify-paper", "--corrupt", "1,5,1"],
-        capture_output=True,
-        text=True,
-    )
-    return proc.returncode
+    return run_splitg2("verify-paper", "--corrupt", "1,5,1").returncode

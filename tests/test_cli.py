@@ -1,16 +1,18 @@
 """Command-line drivers: exit codes, output stability, negative controls."""
 
 import json
-import subprocess
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from splitg2 import catalog, scalars
 from splitg2.cli import main
+
+from conftest import run_splitg2
+
+REF = Path(__file__).resolve().parents[1] / "perfbench" / "ref"
 
 BAD_JACOBI = """\
 format: splitg2-scenario 1
@@ -142,8 +144,17 @@ def test_point_torsion_repeats_the_reference_bytes(capsys):
     code, second, _ = run(capsys, *argv)
     assert code == 0
     # the report the benchmark's warm-up request is checked against
-    ref = Path(__file__).resolve().parents[1] / "perfbench" / "ref" / "torsion-Ml-point.txt"
-    assert second == first == ref.read_text()
+    assert second == first == (REF / "torsion-Ml-point.txt").read_text()
+
+
+@pytest.mark.parametrize("argv, ref", [
+    (("verify-paper", "--seed", "0"), "verify-paper-seed0.txt"),
+    (("torsion", "--scenario", "Ml", "--vol-scale", "2"), "torsion-Ml-vol2.txt"),
+], ids=["verify-paper", "torsion-vol2"])
+def test_report_repeats_the_benchmark_reference(capsys, argv, ref):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == (REF / ref).read_text()
 
 
 def test_torsion_partial_set_rejected(capsys):
@@ -247,10 +258,7 @@ def test_describe_scenario_round_trip(tmp_path, capsys):
 def test_describe_stdin_round_trip(capsys):
     code, doc, _ = run(capsys, "describe", "--scenario", "Ms")
     assert code == 0
-    proc = subprocess.run(
-        [sys.executable, "-m", "splitg2", "describe", "--input", "-"],
-        input=doc, capture_output=True, text=True,
-    )
+    proc = run_splitg2("describe", "--input", "-", stdin=doc)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == doc
 
@@ -304,14 +312,21 @@ def test_out_writes_file(tmp_path, capsys):
     assert "result: pass" in target.read_text()
 
 
+@pytest.mark.parametrize("argv", [("growth",), ("describe", "--scenario", "Ms")],
+                         ids=["growth", "describe"])
+def test_out_to_unwritable_path_is_usage(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: cannot write {target}: No such file or directory\n"
+
+
 # -- process-level behaviour -------------------------------------------------------------------
 
 
 def test_entry_point_subprocess():
-    proc = subprocess.run(
-        [sys.executable, "-m", "splitg2", "describe", "--scenario", "sp2"],
-        capture_output=True, text=True,
-    )
+    proc = run_splitg2("describe", "--scenario", "sp2")
     assert proc.returncode == 0
     assert proc.stdout.startswith("format: splitg2-algebra 1")
 
@@ -335,10 +350,7 @@ def test_input_bad_parameter_name_is_usage():
     doc = catalog.scenario("Ms").text().replace("alphabet: q\n",
                                                 "alphabet: q 1x\n", 1)
     assert "alphabet: q 1x\n" in doc
-    proc = subprocess.run(
-        [sys.executable, "-m", "splitg2", "torsion", "--input", "-"],
-        input=doc, capture_output=True, text=True,
-    )
+    proc = run_splitg2("torsion", "--input", "-", stdin=doc)
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1
     assert "bad parameter name '1x'" in proc.stderr
@@ -349,10 +361,7 @@ def test_input_huge_exponent_is_usage():
     doc = catalog.scenario("Ms").text().replace("phi: 1 3 6 q\n",
                                                 "phi: 1 3 6 (q+1)^3000\n", 1)
     assert "(q+1)^3000" in doc
-    proc = subprocess.run(
-        [sys.executable, "-m", "splitg2", "torsion", "--input", "-"],
-        input=doc, capture_output=True, text=True, timeout=60,
-    )
+    proc = run_splitg2("torsion", "--input", "-", stdin=doc, timeout=60)
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1
     assert "exponent 3000 exceeds the limit 64" in proc.stderr
@@ -362,13 +371,22 @@ def test_input_huge_integer_literal_is_usage():
     doc = catalog.scenario("Ms").text().replace("phi: 1 3 6 q\n",
                                                 "phi: 1 3 6 q*" + "7" * 5000 + "\n", 1)
     assert "7" * 5000 in doc
-    proc = subprocess.run(
-        [sys.executable, "-m", "splitg2", "torsion", "--input", "-"],
-        input=doc, capture_output=True, text=True, timeout=60,
-    )
+    proc = run_splitg2("torsion", "--input", "-", stdin=doc, timeout=60)
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1
     assert "integer literal of 5000 digits is too long" in proc.stderr
+
+
+@pytest.mark.parametrize("coefficient", ["(" * 200 + "q" + ")" * 200, "-" * 1000 + "q"],
+                         ids=["parentheses", "minus-signs"])
+def test_input_deep_nesting_is_usage(coefficient):
+    doc = catalog.scenario("Ms").text().replace("phi: 1 3 6 q\n",
+                                                f"phi: 1 3 6 {coefficient}\n", 1)
+    assert coefficient in doc
+    proc = run_splitg2("torsion", "--input", "-", stdin=doc, timeout=60)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert "nesting exceeds the limit 32" in proc.stderr
 
 
 # -- the exit-code contract --------------------------------------------------------------------
@@ -391,10 +409,7 @@ metric: 6 6 -1
 def test_input_metric_off_dimension_seven_is_one_line(tmp_path, command):
     path = tmp_path / "leg6.txt"
     path.write_text(LEG6_METRIC)
-    proc = subprocess.run(
-        [sys.executable, "-m", "splitg2", command, "--input", str(path)],
-        capture_output=True, text=True, timeout=60,
-    )
+    proc = run_splitg2(command, "--input", str(path), timeout=60)
     assert proc.returncode == 1
     assert proc.stderr == "error: metric must live on dimension 7\n"
     assert proc.stdout == ""

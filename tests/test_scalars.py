@@ -317,6 +317,21 @@ def test_parse_rejects_garbage():
             scalars.parse_scalar(text, A)
 
 
+def test_parse_bounds_nesting():
+    n = scalars.MAX_NESTING
+    # parentheses and unary signs share one depth count
+    assert scalars.equals(scalars.parse_scalar("(" * n + "a" + ")" * n, A), poly("a"))
+    assert scalars.equals(scalars.parse_scalar("-(" * (n // 2) + "a" + ")" * (n // 2), A),
+                          poly("a"))
+    assert scalars.parse_scalar("-" * n + "3", ()) == 3
+    # one level past the limit, or far past it, is a ParseError rather than
+    # a RecursionError
+    for text in ("(" * (n + 1) + "a" + ")" * (n + 1), "+" * (n + 1) + "a",
+                 "(" * 200 + "a" + ")" * 200, "-" * 1000 + "a"):
+        with pytest.raises(ParseError, match=f"nesting exceeds the limit {n}"):
+            scalars.parse_scalar(text, A)
+
+
 def test_render_parse_round_trip():
     rng = random.Random(404)
     for _ in range(60):
