@@ -1,10 +1,14 @@
 """Exact linear algebra:
 
 * dense helpers over Fraction (inverse, determinant),
-* a sparse Gauss-Jordan engine that works over the rationals or, after
-  denominator clearing, over a polynomial ring with cross-multiplication
-  row updates and content/monomial row normalization (fraction free:
-  no polynomial division, no gcd).
+* a sparse Gauss-Jordan engine that works over the rationals or over a
+  polynomial ring.  Both domains clear denominators first and then
+  eliminate fraction free, by cross-multiplication row updates followed
+  by content normalization: rational rows become primitive integer rows
+  (exact gcds, no Fraction arithmetic), polynomial rows are divided by
+  their rational and monomial content (no polynomial division, no
+  polynomial gcd).  Quotients appear only when a solution is read off
+  (`div`).
 
 Rows are dicts from column index to nonzero entries.  Columns
 0..width-1 are unknowns eliminated in ascending order (deterministic
@@ -81,31 +85,60 @@ def mat_inverse(rows) -> list:
 
 
 class FractionDomain:
-    """Row entries are Fractions; classical elimination."""
+    """Rational rows held as primitive integer rows (see `prepare_rows`);
+    cross-multiplication elimination.
+
+    A row and its integer multiple have the same solution set and the
+    same nonzero pattern, so pivots, solutions and kernel bases are those
+    of classical elimination over the rationals."""
 
     def size(self, entry) -> int:
         return 1
 
     def combine(self, p, row, f, prow, col):
-        """p*row - f*prow scaled back by p (classical update), col removed."""
-        ratio = f / p
+        """p'*row - f'*prow with p' = p/g, f' = f/g, g = gcd(p, f), col
+        removed, divided by its content."""
+        g = gcd(p, f)
+        if g != 1:
+            p //= g
+            f //= g
         out = {}
-        for c in row:
+        for c, v in row.items():
             if c != col:
-                out[c] = row[c]
+                out[c] = p * v
         for c, v in prow.items():
             if c == col:
                 continue
             cur = out.get(c)
-            nxt = (cur if cur is not None else _F0) - ratio * v
-            if nxt:
-                out[c] = nxt
+            if cur is None:
+                out[c] = -f * v
             else:
-                out.pop(c, None)
-        return out
+                cur -= f * v
+                if cur:
+                    out[c] = cur
+                else:
+                    del out[c]
+        return _primitive(out)
 
     def div(self, a, b):
-        return a / b
+        return Fraction(a, b)
+
+
+def _primitive(row: dict) -> dict:
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    if g > 1:
+        return {c: v // g for c, v in row.items()}
+    return row
+
+
+def _integer_row(row: dict) -> dict:
+    """A rational row times the lcm of its denominators, divided by the
+    gcd of the result: the primitive integer row with the same nonzero
+    pattern, zeros dropped."""
+    den = lcm(*(v.denominator for v in row.values()))
+    return _primitive({c: v.numerator * (den // v.denominator)
+                       for c, v in row.items() if v})
 
 
 class PolyDomain:
@@ -308,20 +341,11 @@ def detect_domain(rows):
 
 
 def prepare_rows(rows, domain):
-    """Copy rows, dropping zeros; clear denominators for the poly domain."""
-    out = []
+    """Copy rows, dropping zeros: primitive integer rows for the rational
+    domain, cleared denominators for the polynomial domain."""
     if isinstance(domain, PolyDomain):
-        for row in rows:
-            out.append(clear_row_denominators(row, domain.alphabet))
-    else:
-        for row in rows:
-            clean = {}
-            for c, v in row.items():
-                v = Fraction(v) if isinstance(v, int) else v
-                if v:
-                    clean[c] = v
-            out.append(clean)
-    return out
+        return [clear_row_denominators(row, domain.alphabet) for row in rows]
+    return [_integer_row(row) for row in rows]
 
 
 def rank(rows, width: int) -> int:

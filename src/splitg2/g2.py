@@ -21,10 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from typing import Tuple
 
-from . import _linalg, scalars
+from . import _linalg, kernels, scalars
 from .errors import (
     Degenerate,
     DegreeMismatch,
@@ -45,6 +46,19 @@ _TOP = tuple(range(1, 8))
 _SINGLES = tuple(range(1, _DIM + 1))
 _PAIRS = tuple(combinations(_SINGLES, 2))
 _TRIPLES = tuple(combinations(_SINGLES, 3))
+_SINGLE_KEYS = tuple((i,) for i in _SINGLES)
+
+
+@cache
+def _merge_table(key_degree: int, form_degree: int) -> dict:
+    """{k: {t: (k + t, sign of e^k ^ e^t)}} over the disjoint index keys
+    of the given degrees; built on first use."""
+    return {
+        k: {t: merged
+            for t in combinations(_SINGLES, form_degree)
+            if (merged := kernels.merge_indices(k, t)) is not None}
+        for k in combinations(_SINGLES, key_degree)
+    }
 
 
 def _row_block(start: int, degree: int) -> dict:
@@ -366,35 +380,43 @@ def torsion_linear_system(
         for key, v in form.terms.items():
             rows[block[key]][col] = v if factor is None else factor * v
 
-    def mono(key):
-        return Form.monomial(_DIM, key)
+    def scatter_wedges(block, col, keys, form, factor=None):
+        """Enter the columns e^k ^ form, k in `keys`, from `col` on.  Each
+        term e^t of the form lands at one key k + t, so no entry sums
+        anything and the merge table replaces the wedges."""
+        table = _merge_table(len(keys[0]), form.degree)
+        for k in keys:
+            merges = table[k]
+            for t, v in form.terms.items():
+                hit = merges.get(t)
+                if hit is not None:
+                    key, sign = hit
+                    if sign < 0:
+                        v = -v
+                    rows[block[key]][col] = v if factor is None else factor * v
+            col += 1
 
     # columns are entered in ascending order, so every row lists its
     # entries by column
     # d phi = tau0 star phi + 3 tau1 ^ phi + star tau3: one row per 4-key
     scatter(_ROWS_DPHI, 0, star_phi)
-    for idx, i in enumerate(_SINGLES):
-        scatter(_ROWS_DPHI, 1 + idx, mono((i,)).wedge(phi), 3)
+    scatter_wedges(_ROWS_DPHI, 1, _SINGLE_KEYS, phi, 3)
     for idx, t in enumerate(_TRIPLES):
-        scatter(_ROWS_DPHI, 29 + idx, hodge_star(metric, mono(t), vol_scale))
+        scatter(_ROWS_DPHI, 29 + idx,
+                hodge_star(metric, Form.monomial(_DIM, t), vol_scale))
     scatter(_ROWS_DPHI, width, d_phi)
 
     # d star phi = 4 tau1 ^ star phi + tau2 ^ phi: one row per 5-key
-    for idx, i in enumerate(_SINGLES):
-        scatter(_ROWS_DSTAR, 1 + idx, mono((i,)).wedge(star_phi), 4)
-    for idx, p in enumerate(_PAIRS):
-        scatter(_ROWS_DSTAR, 8 + idx, mono(p).wedge(phi))
+    scatter_wedges(_ROWS_DSTAR, 1, _SINGLE_KEYS, star_phi, 4)
+    scatter_wedges(_ROWS_DSTAR, 8, _PAIRS, phi)
     scatter(_ROWS_DSTAR, width, d_star_phi)
 
     # tau2 ^ star phi = 0: one row per 6-key
-    for idx, p in enumerate(_PAIRS):
-        scatter(_ROWS_TAU2_STAR, 8 + idx, mono(p).wedge(star_phi))
+    scatter_wedges(_ROWS_TAU2_STAR, 8, _PAIRS, star_phi)
 
     # tau3 ^ phi = 0: one row per 6-key; tau3 ^ star phi = 0: the top row
-    for idx, t in enumerate(_TRIPLES):
-        scatter(_ROWS_TAU3_PHI, 29 + idx, mono(t).wedge(phi))
-    for idx, t in enumerate(_TRIPLES):
-        scatter(_ROWS_TAU3_STAR, 29 + idx, mono(t).wedge(star_phi))
+    scatter_wedges(_ROWS_TAU3_PHI, 29, _TRIPLES, phi)
+    scatter_wedges(_ROWS_TAU3_STAR, 29, _TRIPLES, star_phi)
 
     return TorsionSystem(rows, 56, algebra, metric, phi, vol_scale,
                          star_phi)

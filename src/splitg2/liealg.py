@@ -41,10 +41,11 @@ class LieAlgebra:
 
     `brackets` maps ordered index pairs (J, K), J < K, to sparse maps
     I -> c^I_JK.  Instances are immutable after construction; the
-    coframe differentials are cached lazily.
+    coframe differentials and the differentials d e^K of the monomials
+    met so far are cached lazily.
     """
 
-    __slots__ = ("dim", "brackets", "_dcoframe")
+    __slots__ = ("dim", "brackets", "_dcoframe", "_dcolumns")
 
     def __init__(self, dim: int, brackets: Mapping):
         if dim < 1:
@@ -67,6 +68,7 @@ class LieAlgebra:
         self.dim = dim
         self.brackets = clean
         self._dcoframe = None
+        self._dcolumns = {}
 
     # -- brackets -------------------------------------------------------
 
@@ -175,35 +177,37 @@ class LieAlgebra:
             ]
         return self._dcoframe[index]
 
-    def mc_differential(self, form: Form) -> Form:
-        """Exterior differential of an invariant form."""
-        if form.dim != self.dim:
-            raise DimensionMismatch("form dimension does not match algebra")
-        buckets: dict = {}
-        for key, coeff in form.terms.items():
+    def _dcolumn(self, key: tuple) -> dict:
+        """d e^key as {key: coefficient}, from d e^I = -(1/2) c^I_JK e^J ^ e^K
+        extended as an antiderivation; built on first use."""
+        column = self._dcolumns.get(key)
+        if column is None:
+            buckets: dict = {}
             for t, idx in enumerate(key):
-                dterm = self.coframe_differential(idx)
-                if not dterm:
-                    continue
                 rest = key[:t] + key[t + 1 :]
-                for pair, u in dterm.terms.items():
+                for pair, u in self.coframe_differential(idx).terms.items():
                     merged = kernels.merge_indices(pair, rest)
                     if merged is None:
                         continue
                     mkey, sign = merged
                     if t % 2:
                         sign = -sign
-                    v = coeff * u
-                    if sign < 0:
-                        v = -v
-                    buckets.setdefault(mkey, []).append(v)
-        out = {}
-        for mkey, bucket in buckets.items():
-            total = bucket[0] if len(bucket) == 1 else scalars.scalar_sum(bucket)
-            if not scalars.is_zero(total):
-                out[mkey] = total
+                    buckets.setdefault(mkey, []).append(u if sign > 0 else -u)
+            column = _fold(buckets)
+            self._dcolumns[key] = column
+        return column
+
+    def mc_differential(self, form: Form) -> Form:
+        """Exterior differential of an invariant form: the sum of
+        coeff * d e^key over its terms, each d e^key cached per algebra."""
+        if form.dim != self.dim:
+            raise DimensionMismatch("form dimension does not match algebra")
+        buckets: dict = {}
+        for key, coeff in form.terms.items():
+            for mkey, u in self._dcolumn(key).items():
+                buckets.setdefault(mkey, []).append(coeff * u)
         f = Form.__new__(Form)
-        f.dim, f.degree, f.terms = form.dim, form.degree + 1, out
+        f.dim, f.degree, f.terms = form.dim, form.degree + 1, _fold(buckets)
         return f
 
     # -- Lie derivatives ---------------------------------------------------
@@ -248,28 +252,51 @@ class LieAlgebra:
         return out
 
 
-def _sym_accumulate(algebra: LieAlgebra, a: int, tensor: SymTensor2) -> dict:
-    """Components of -(A^T g + g A) with A^i_k = c^i_ak."""
-    n = algebra.dim
-    g = tensor.to_matrix()
-    cols: list = [dict() for _ in range(n + 1)]
-    for k in range(1, n + 1):
-        for i, c in algebra.bracket_basis(a, k).items():
-            cols[k][i] = c
+def _fold(buckets: dict) -> dict:
+    """{key: sum of its contributions}, zero sums dropped; quotients are
+    grouped by denominator (`scalars.scalar_sum`)."""
     out = {}
-    for kk in range(1, n + 1):
-        for ll in range(kk, n + 1):
-            total = _F0
-            for i, c in cols[kk].items():
-                v = g[i - 1][ll - 1]
-                if not scalars.is_zero(v):
-                    total = total - c * v
-            for i, c in cols[ll].items():
-                v = g[kk - 1][i - 1]
-                if not scalars.is_zero(v):
-                    total = total - v * c
-            if not scalars.is_zero(total):
-                out[(kk, ll)] = total
+    for key, bucket in buckets.items():
+        total = bucket[0] if len(bucket) == 1 else scalars.scalar_sum(bucket)
+        if not scalars.is_zero(total):
+            out[key] = total
+    return out
+
+
+def _sym_accumulate(algebra: LieAlgebra, a: int, tensor: SymTensor2) -> dict:
+    """Components of -(A^T g + g A) with A^i_k = c^i_ak.
+
+    Only the entries (k, l), k <= l, that some nonzero c^i_ak g_il or
+    g_ki c^i_al reaches are visited, in ascending order, so the work
+    follows the nonzeros of A and g rather than the square of the
+    dimension."""
+    cols: dict = {}
+    for k in range(1, algebra.dim + 1):
+        col = algebra.bracket_basis(a, k)
+        if col:
+            cols[k] = col
+    g: dict = {}
+    for (i, j), v in tensor.entries.items():
+        g.setdefault(i, {})[j] = v
+        g.setdefault(j, {})[i] = v
+    reached = set()
+    for k, col in cols.items():
+        for i in col:
+            for l in g.get(i, ()):
+                reached.add((k, l) if k <= l else (l, k))
+    out = {}
+    for kk, ll in sorted(reached):
+        total = _F0
+        for i, c in cols.get(kk, {}).items():
+            v = g.get(i, {}).get(ll)
+            if v is not None:
+                total = total - c * v
+        for i, c in cols.get(ll, {}).items():
+            v = g.get(kk, {}).get(i)
+            if v is not None:
+                total = total - v * c
+        if not scalars.is_zero(total):
+            out[(kk, ll)] = total
     return out
 
 
@@ -456,7 +483,7 @@ class Subspace:
             p = row[col]
             comps = [_F0] * dim
             for c, v in row.items():
-                comps[c] = v / p
+                comps[c] = domain.div(v, p)
             basis.append(Vector(comps))
         self.dim = dim
         self.basis = tuple(basis)

@@ -9,6 +9,11 @@ everything the command-line tools need to run on user-supplied input.
 
 Rendering is byte-stable: fixed key order, sorted indices, canonical
 scalar text.  `parse_*(render_*(doc))` reproduces the document.
+
+Documents are bounded so that no input can run the commands for long:
+past one of the limits below the parser raises a one-line `ParseError`.
+The paper's documents need dim 10, 30 bracket lines, 3 parameters and
+60 lines.
 """
 
 from dataclasses import dataclass, field
@@ -22,6 +27,11 @@ from .liealg import LieAlgebra
 
 ALGEBRA_FORMAT = "splitg2-algebra 1"
 SCENARIO_FORMAT = "splitg2-scenario 1"
+
+MAX_DIM = 512
+MAX_BRACKETS = 1024
+MAX_ALPHABET = 8
+MAX_LINES = 4096
 
 
 @dataclass(frozen=True)
@@ -54,6 +64,9 @@ class ScenarioDocument:
 
 def _lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        if lineno > MAX_LINES:
+            raise ParseError(f"line {lineno}: document exceeds the limit of "
+                             f"{MAX_LINES} lines")
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -94,6 +107,7 @@ class _Collector:
         self.alphabet: tuple = ()
         self.dim = None
         self.brackets: dict = {}
+        self.bracket_lines = 0
         self.horizontal = None
         self.verticals = None
         self.metric_entries: dict = {}
@@ -123,6 +137,8 @@ class _Collector:
         if self._seen_scalars:
             raise ParseError(f"line {lineno}: 'alphabet' must precede coefficients")
         names = tuple(value.split())
+        if len(names) > MAX_ALPHABET:
+            raise ParseError(f"line {lineno}: more than {MAX_ALPHABET} parameters")
         for name in names:
             if not name.isidentifier():
                 raise ParseError(f"line {lineno}: bad parameter name {name!r}")
@@ -132,6 +148,9 @@ class _Collector:
 
     def _key_dim(self, lineno: int, value: str) -> None:
         fields = _int_fields(lineno, value, 1, "dim")
+        if fields[0] > MAX_DIM:
+            raise ParseError(f"line {lineno}: dim {fields[0]} exceeds the limit "
+                             f"{MAX_DIM}")
         self._once(lineno, "dim", fields[0])
 
     def _key_horizontal(self, lineno: int, value: str) -> None:
@@ -148,6 +167,9 @@ class _Collector:
         self._once(lineno, "verticals", fields)
 
     def _key_bracket(self, lineno: int, value: str) -> None:
+        self.bracket_lines += 1
+        if self.bracket_lines > MAX_BRACKETS:
+            raise ParseError(f"line {lineno}: more than {MAX_BRACKETS} bracket lines")
         j, k, i, rest = _int_fields(lineno, value, 3, "bracket")
         coeff = _scalar(lineno, rest, self.alphabet)
         self._seen_scalars = True

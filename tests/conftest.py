@@ -17,15 +17,19 @@ ALPHABET = ("a", "p", "q")
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_splitg2(*argv, stdin=None, timeout=120):
-    """`python -m splitg2 ARGV` in a child process that imports the package
-    from this checkout's `src`, installed or not."""
+def run_python(*argv, stdin=None, timeout=120):
+    """`python ARGV` in a child process that imports the package from this
+    checkout's `src`, installed or not."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC),
                                                       env.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-m", "splitg2", *argv], input=stdin,
-                          env=env, capture_output=True, text=True,
-                          timeout=timeout)
+    return subprocess.run([sys.executable, *argv], input=stdin, env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def run_splitg2(*argv, stdin=None, timeout=120):
+    """`python -m splitg2 ARGV` in a child process, as `run_python`."""
+    return run_python("-m", "splitg2", *argv, stdin=stdin, timeout=timeout)
 
 
 def random_fraction(rng, height=9, nonzero=False):

@@ -30,7 +30,7 @@ from splitg2.g2 import (
     torsion_solve,
 )
 
-from conftest import random_fraction, random_scalar
+from conftest import random_fraction, random_scalar, run_python
 
 TOP = tuple(range(1, 8))
 
@@ -358,6 +358,18 @@ def test_torsion_rows_match_rowwise_assembly(ml, ms):
         # entry for entry, in the same column order within each row
         assert ([[(k, type(v), v) for k, v in row.items()] for row in system.rows]
                 == [[(k, type(v), v) for k, v in row.items()] for row in rows])
+
+
+def test_setup_builds_no_merge_table():
+    # the benchmark's set-up steps, in a fresh interpreter: the assembly's
+    # merge tables are built by the first torsion system, never before
+    code = ("import splitg2\n"
+            "from splitg2 import catalog, g2, liealg\n"
+            "catalog.scenario('Ml'); catalog.scenario('Ms'); liealg.sp2_build()\n"
+            "print(g2._merge_table.cache_info().currsize)\n")
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
 
 
 def test_torsion_solution_matches_goldens(ms):

@@ -3,8 +3,9 @@
 Every mutated document must run or be rejected: exit code 0, 1 or 2, at
 most one line on stderr, no escaping exception, and a bounded total CPU
 time.  The mutations start from the `describe --scenario Ms` document:
-dropped, duplicated and swapped lines, one token replaced, and one
-coefficient nested past the parser's limit or up to it.
+dropped, duplicated and swapped lines, one token replaced, one
+coefficient nested past the parser's limit or up to it, and `dim` or the
+bracket count pushed past its document limit.
 """
 
 import io
@@ -12,7 +13,7 @@ import random
 import sys
 import time
 
-from splitg2 import catalog, scalars
+from splitg2 import catalog, scalars, textio
 from splitg2.cli import main
 
 SEED = 7
@@ -30,10 +31,28 @@ def _nested(rng) -> str:
     return "-" * depth + "q"
 
 
+def _inflated(rng, lines: list) -> list:
+    """`dim` past its limit, or at it with one bracket line too many."""
+    if rng.random() < 0.5:
+        dim = rng.choice((textio.MAX_DIM + 1, 1000, 10 ** 6))
+        return [f"dim: {dim}" if line.startswith("dim:") else line
+                for line in lines]
+    lines = [f"dim: {textio.MAX_DIM}" if line.startswith("dim:") else line
+             for line in lines]
+    count = textio.MAX_BRACKETS + 1 - sum(line.startswith("bracket:")
+                                          for line in lines)
+    # pairs past the document's own indices, so that no triple repeats
+    pairs = ((j, k) for j in range(1, textio.MAX_DIM + 1)
+             for k in range(max(j + 1, 11), textio.MAX_DIM + 1))
+    extra = [f"bracket: {j} {k} 1 1" for (j, k), _ in zip(pairs, range(count))]
+    at = rng.randrange(len(lines) + 1)
+    return lines[:at] + extra + lines[at:]
+
+
 def _mutate(rng, lines: list) -> list:
     lines = list(lines)
     i = rng.randrange(len(lines))
-    kind = rng.randrange(5)
+    kind = rng.randrange(6)
     if kind == 0:
         del lines[i]
     elif kind == 1:
@@ -45,11 +64,13 @@ def _mutate(rng, lines: list) -> list:
         tokens = lines[i].split(" ")
         tokens[rng.randrange(len(tokens))] = rng.choice(TOKENS)
         lines[i] = " ".join(tokens)
-    else:
+    elif kind == 4:
         coefficients = [k for k, line in enumerate(lines)
                         if line.startswith(("phi:", "bracket:"))]
         k = rng.choice(coefficients)
         lines[k] = lines[k].rsplit(" ", 1)[0] + " " + _nested(rng)
+    else:
+        lines = _inflated(rng, lines)
     return lines
 
 

@@ -3,10 +3,11 @@
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from splitg2 import catalog
+from splitg2 import catalog, kernels, scalars
 from splitg2.errors import (
     DimensionMismatch,
     NotAFibration,
@@ -14,18 +15,20 @@ from splitg2.errors import (
     SingularMatrix,
 )
 from splitg2.exterior import Form, SymTensor2, Vector, sym_product
+from splitg2.g2 import hodge_star
 from splitg2.liealg import (
     BasisChange,
     LieAlgebra,
     Subspace,
     _defect_size,
+    _sym_accumulate,
     ad_invariance_check,
     change_basis,
     growth_vector,
     sp2_build,
 )
 
-from conftest import random_fraction
+from conftest import random_fraction, random_polynomial
 
 
 def so3():
@@ -240,6 +243,87 @@ def test_mc_differential_is_antiderivation(rng):
         assert (lhs - rhs).is_zero()
 
 
+def termwise_mc_differential(algebra, form):
+    """Reference differential: every term re-derives d e^key from the
+    coframe differentials, term by term, with no cached columns."""
+    buckets = {}
+    for key, coeff in form.terms.items():
+        for t, idx in enumerate(key):
+            rest = key[:t] + key[t + 1:]
+            for pair, u in algebra.coframe_differential(idx).terms.items():
+                merged = kernels.merge_indices(pair, rest)
+                if merged is None:
+                    continue
+                mkey, sign = merged
+                if t % 2:
+                    sign = -sign
+                v = coeff * u
+                if sign < 0:
+                    v = -v
+                buckets.setdefault(mkey, []).append(v)
+    out = {}
+    for mkey, bucket in buckets.items():
+        total = bucket[0] if len(bucket) == 1 else scalars.scalar_sum(bucket)
+        if not scalars.is_zero(total):
+            out[mkey] = total
+    return out
+
+
+def random_form(rng, dim, degree, coefficient, density):
+    """About `density` of the degree-`degree` monomials, so that the
+    differentials of distinct terms meet at common keys."""
+    return Form(dim, degree, {key: coefficient()
+                              for key in combinations(range(1, dim + 1), degree)
+                              if rng.random() < density})
+
+
+def symbolic_coefficients(rng):
+    """Fractions, polynomials and quotients over two shared denominators,
+    so that terms meet both equal and distinct denominators."""
+    dens = []
+    while len(dens) < 2:
+        den = random_polynomial(rng, max_terms=2, max_exp=2)
+        if den:
+            dens.append(den)
+
+    def draw():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return random_fraction(rng, nonzero=True)
+        if kind == 1:
+            return random_polynomial(rng)
+        return scalars.RationalFunction.make(random_polynomial(rng), rng.choice(dens))
+
+    return draw
+
+
+@pytest.mark.parametrize("name", ["Ms", "Ml", "sp2"])
+def test_cached_differential_matches_termwise(name):
+    g = sp2_build() if name == "sp2" else catalog.scenario(name).algebra
+    rng = random.Random(808)
+    forms = []
+    for degree in range(g.dim + 1):
+        for density in (0.1, 0.5):
+            forms.append(random_form(rng, g.dim, degree,
+                                     lambda: random_fraction(rng, nonzero=True), density))
+            forms.append(random_form(rng, g.dim, degree, symbolic_coefficients(rng),
+                                     density))
+    if name != "sp2":
+        sc = catalog.scenario(name)
+        forms += [sc.phi_family.extend(g.dim),
+                  hodge_star(sc.metric, sc.phi_family).extend(g.dim)]
+    for w in forms:
+        got = g.mc_differential(w)
+        want = termwise_mc_differential(g, w)
+        assert got.degree == w.degree + 1
+        assert got.terms.keys() == want.keys()
+        assert all(scalars.equals(v, want[k]) for k, v in got.terms.items())
+        # the same representatives, not only the same values
+        assert ({k: str(v) for k, v in got.terms.items()}
+                == {k: str(v) for k, v in want.items()})
+        assert g.mc_differential(got).is_zero()
+
+
 def test_mc_differential_dimension_guard():
     with pytest.raises(DimensionMismatch):
         so3().mc_differential(Form.monomial(4, (1,)))
@@ -290,6 +374,50 @@ def test_lie_derivative_sym2_product_rule(rng):
         rhs = (sym_product(g.lie_derivative_form(a, alpha), beta)
                + sym_product(alpha, g.lie_derivative_form(a, beta)))
         assert (lhs - rhs).is_zero()
+
+
+def dense_sym_accumulate(algebra, a, tensor):
+    """Reference for `_sym_accumulate`: every entry (k, l), k <= l, summed
+    over the dense matrix of the tensor."""
+    n = algebra.dim
+    g = tensor.to_matrix()
+    cols = [{}] + [algebra.bracket_basis(a, k) for k in range(1, n + 1)]
+    out = {}
+    for kk in range(1, n + 1):
+        for ll in range(kk, n + 1):
+            total = Fraction(0)
+            for i, c in cols[kk].items():
+                v = g[i - 1][ll - 1]
+                if not scalars.is_zero(v):
+                    total = total - c * v
+            for i, c in cols[ll].items():
+                v = g[kk - 1][i - 1]
+                if not scalars.is_zero(v):
+                    total = total - v * c
+            if not scalars.is_zero(total):
+                out[(kk, ll)] = total
+    return out
+
+
+@pytest.mark.parametrize("name", ["Ms", "Ml", "sp2", "random"])
+def test_sparse_sym_lie_derivative_matches_dense(name):
+    rng = random.Random(909)
+    if name == "random":
+        g = LieAlgebra(6, random_table(rng, 6))
+    else:
+        g = sp2_build() if name == "sp2" else catalog.scenario(name).algebra
+    pairs = list(combinations(range(1, g.dim + 1), 2)) + [(i, i) for i in range(1, g.dim + 1)]
+    for density in (0.05, 0.3):
+        for coefficient in (lambda: random_fraction(rng, nonzero=True),
+                            symbolic_coefficients(rng)):
+            tensor = SymTensor2(g.dim, {p: coefficient() for p in pairs
+                                        if rng.random() < density})
+            for a in range(1, g.dim + 1):
+                got = _sym_accumulate(g, a, tensor)
+                want = dense_sym_accumulate(g, a, tensor)
+                # the same entries in the same order, with the same representatives
+                assert ([(k, type(v), str(v)) for k, v in got.items()]
+                        == [(k, type(v), str(v)) for k, v in want.items()])
 
 
 def test_killing_is_ad_invariant():

@@ -3,10 +3,11 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
 
-from splitg2 import catalog, scalars
+from splitg2 import _linalg, catalog, scalars
 from splitg2._linalg import (
     FractionDomain,
     PolyDomain,
@@ -22,6 +23,8 @@ from splitg2._linalg import (
     solve_unique,
 )
 from splitg2.errors import InconsistentSystem, NonUniqueSolution, SingularMatrix
+from splitg2.exterior import Vector
+from splitg2.liealg import Subspace
 from splitg2.scalars import Polynomial, RationalFunction
 
 from splitg2.g2 import torsion_linear_system
@@ -189,17 +192,17 @@ def test_min_fill_agrees_with_fixed_order(rng):
         aug = attach_rhs(rows, width, rhs)
         dom = FractionDomain()
 
-        work1 = [dict(r) for r in aug]
+        work1 = prepare_rows(aug, dom)
         p1 = row_reduce(work1, width, dom)
-        work2 = [dict(r) for r in aug]
+        work2 = prepare_rows(aug, dom)
         p2 = row_reduce_min_fill(work2, width, dom)
         assert len(p1) == len(p2) == width
 
         def extract(work, pivots):
             out = [Fraction(0)] * width
             for col, r in pivots.items():
-                b = work[r].get(width, Fraction(0))
-                out[col] = b / work[r][col]
+                b = work[r].get(width, 0)
+                out[col] = Fraction(b, work[r][col])
             return out
 
         assert extract(work1, p1) == extract(work2, p2) == x
@@ -266,7 +269,8 @@ def test_min_fill_parity_random_fraction_systems(rng):
     for _ in range(40):
         width = rng.randint(1, 8)
         rows = random_sparse(rng, rng.randint(1, 10), width + 1, rng.choice((0.2, 0.5)))
-        assert_min_fill_parity(rows, width, FractionDomain())
+        domain = FractionDomain()
+        assert_min_fill_parity(prepare_rows(rows, domain), width, domain)
 
 
 def test_min_fill_parity_random_polynomial_systems(rng):
@@ -335,6 +339,112 @@ def test_solve_in_span_negative():
     span = [[Fraction(1), Fraction(0), Fraction(0)]]
     target = [Fraction(0), Fraction(1), Fraction(0)]
     assert solve_in_span(span, target, 3) is None
+
+
+# -- integer rows against classical rational elimination ---------------------------
+
+
+class RationalRowDomain:
+    """Reference for `FractionDomain`: rows of Fractions and the classical
+    update row - (f/p)*prow, as rational rows were eliminated before they
+    were held as integer rows."""
+
+    def size(self, entry):
+        return 1
+
+    def combine(self, p, row, f, prow, col):
+        ratio = f / p
+        out = {c: v for c, v in row.items() if c != col}
+        for c, v in prow.items():
+            if c == col:
+                continue
+            nxt = out.get(c, Fraction(0)) - ratio * v
+            if nxt:
+                out[c] = nxt
+            else:
+                out.pop(c, None)
+        return out
+
+    def div(self, a, b):
+        return a / b
+
+
+def rational_rows(rows, domain):
+    """Reference for `prepare_rows` on rational rows: Fractions, zeros dropped."""
+    return [{c: Fraction(v) for c, v in row.items() if v} for row in rows]
+
+
+def mixed_sparse(rng, nrows, width):
+    """Sparse rows of int and Fraction entries, empty rows included."""
+    rows = []
+    for _ in range(nrows):
+        row = {}
+        if rng.random() < 0.8:
+            for c in range(width):
+                if rng.random() < 0.4:
+                    v = random_fraction(rng)
+                    row[c] = int(v) if v.denominator == 1 and rng.random() < 0.5 else v
+        rows.append(row)
+    return rows
+
+
+def elimination_results(rng_state, cases):
+    """Every rational entry point on the seeded random systems, as
+    (type, value) pairs so that an int cannot pass for a Fraction."""
+    rng = random.Random(rng_state)
+
+    def typed(vec):
+        return None if vec is None else [(type(v), v) for v in vec]
+
+    out = []
+    for _ in range(cases):
+        width = rng.randint(1, 6)
+        rows = mixed_sparse(rng, rng.randint(0, 7), width)
+        out.append(rank(rows, width))
+        out.append([typed(v) for v in kernel_basis(rows, width)])
+        aug = mixed_sparse(rng, rng.randint(width, width + 3), width + 1)
+        try:
+            out.append(typed(solve_unique(aug, width)))
+        except (NonUniqueSolution, InconsistentSystem) as exc:
+            out.append(type(exc))
+        span = [[row.get(c, 0) for c in range(width)] for row in rows]
+        target = [rng.choice((0, 1, Fraction(-2, 3))) for _ in range(width)]
+        if span and rng.random() < 0.5:
+            target = [sum((Fraction(k) * vec[c] for k, vec in enumerate(span)),
+                          Fraction(0)) for c in range(width)]
+        out.append(typed(solve_in_span(span, target, width)))
+        gens = [Vector([row.get(c, 0) for c in range(width)]) for row in rows]
+        out.append([str(b) for b in Subspace(width, gens).basis])
+    return out
+
+
+def test_integer_rows_match_rational_elimination(monkeypatch):
+    got = elimination_results(41, 200)
+    with monkeypatch.context() as m:
+        m.setattr(_linalg, "FractionDomain", RationalRowDomain)
+        m.setattr(_linalg, "prepare_rows", rational_rows)
+        want = elimination_results(41, 200)
+    assert got == want
+    # the sample reaches unique, underdetermined and inconsistent systems
+    solves = want[2::5]
+    assert any(isinstance(x, list) for x in solves)
+    assert {x for x in solves if isinstance(x, type)} == {NonUniqueSolution,
+                                                          InconsistentSystem}
+
+
+def test_prepared_rational_rows_are_primitive_integer_rows(rng):
+    for _ in range(100):
+        rows = mixed_sparse(rng, 4, 6)
+        for row, prepared in zip(rows, prepare_rows(rows, FractionDomain())):
+            assert prepared.keys() == {c for c, v in row.items() if v}
+            assert all(type(v) is int for v in prepared.values())
+            assert not prepared or gcd(*prepared.values()) == 1
+            # a positive multiple of the original row
+            if prepared:
+                k = next(iter(prepared))
+                scale = prepared[k] / Fraction(row[k])
+                assert scale > 0
+                assert all(v == scale * row[c] for c, v in prepared.items())
 
 
 # -- polynomial domain ---------------------------------------------------------------

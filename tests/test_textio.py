@@ -149,6 +149,36 @@ def test_scenario_parse_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+def _at_limit(limit: str, step: int) -> str:
+    """A valid algebra document `step` past the named limit (0: at it)."""
+    head = "format: splitg2-algebra 1\n"
+    if limit == "dim":
+        return head + f"dim: {textio.MAX_DIM + step}\n"
+    if limit == "brackets":
+        pairs = [(j, k) for j in range(1, 65) for k in range(j + 1, 65)]
+        body = "".join(f"bracket: {j} {k} 1 1\n"
+                       for j, k in pairs[:textio.MAX_BRACKETS + step])
+        return head + f"dim: {textio.MAX_DIM}\n" + body
+    if limit == "alphabet":
+        names = " ".join(f"x{i}" for i in range(textio.MAX_ALPHABET + step))
+        return head + f"alphabet: {names}\ndim: 2\n"
+    return head + "dim: 2\n" + "# comment\n" * (textio.MAX_LINES - 2 + step)
+
+
+@pytest.mark.parametrize("limit,fragment", [
+    ("dim", f"exceeds the limit {textio.MAX_DIM}"),
+    ("brackets", f"more than {textio.MAX_BRACKETS} bracket lines"),
+    ("alphabet", f"more than {textio.MAX_ALPHABET} parameters"),
+    ("lines", f"exceeds the limit of {textio.MAX_LINES} lines"),
+])
+def test_documents_past_a_limit_are_rejected(limit, fragment):
+    assert parse_algebra(_at_limit(limit, 0)).algebra.dim in (2, textio.MAX_DIM)
+    with pytest.raises(ParseError) as err:
+        parse_algebra(_at_limit(limit, 1))
+    assert fragment in str(err.value)
+    assert len(str(err.value).splitlines()) == 1
+
+
 def test_error_lines_carry_line_numbers():
     with pytest.raises(ParseError, match="line 3"):
         parse_algebra("format: splitg2-algebra 1\ndim: 3\nbracket: 2 1 3 1\n")
