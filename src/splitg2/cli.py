@@ -608,6 +608,9 @@ def cmd_growth(cfg: RunConfig) -> Report:
         raise UsageError("unknown distribution name(s): " + ", ".join(unknown)
                          + "; choose from "
                          + ", ".join(sorted(catalog.DISTRIBUTION_FACTS)))
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise UsageError("distribution name(s) given twice: " + ", ".join(repeated))
     base = liealg.sp2_build()
     _distribution_records(rep, base, "growth", names)
     return rep

@@ -19,6 +19,7 @@ from . import kernels, scalars
 from .errors import DegreeMismatch, DimensionMismatch
 
 _F0 = Fraction(0)
+_F1 = Fraction(1)
 
 
 def _symbolic(terms: Mapping) -> bool:
@@ -32,6 +33,71 @@ def _check_key(dim: int, key) -> tuple:
     if any(a >= b for a, b in zip(key, key[1:])):
         raise ValueError(f"indices {key} must be strictly increasing")
     return key
+
+
+# -- the sparse coefficient-map core ------------------------------------------
+
+
+def fold(buckets: Mapping) -> dict:
+    """{key: sum of its contribution list}, in the order of `buckets`,
+    zero sums dropped.  A lone contribution is kept as it is; longer lists
+    go through `scalars.scalar_sum`, which groups quotients by denominator
+    so that unreduced denominators do not compound pairwise."""
+    out = {}
+    for key, bucket in buckets.items():
+        total = bucket[0] if len(bucket) == 1 else scalars.scalar_sum(bucket)
+        if not scalars.is_zero(total):
+            out[key] = total
+    return out
+
+
+def _sum_maps(a: Mapping, b: Mapping, sign: int = 1) -> dict:
+    """a + sign * b for sign +-1, zero sums dropped."""
+    out = dict(a)
+    for key, coeff in b.items():
+        if sign < 0:
+            coeff = -coeff
+        cur = out.get(key)
+        if cur is None:
+            out[key] = coeff
+        else:
+            cur = cur + coeff
+            if scalars.is_zero(cur):
+                del out[key]
+            else:
+                out[key] = cur
+    return out
+
+
+def _scaled(terms: Mapping, scalar) -> dict:
+    scalar = scalars.as_scalar(scalar)
+    if scalars.is_zero(scalar):
+        return {}
+    return {k: c * scalar for k, c in terms.items()}
+
+
+def _equal_maps(a: Mapping, b: Mapping) -> bool:
+    """Value equality: shared keys compare by `scalars.equals`, since
+    unreduced quotients store equal values differently; otherwise the
+    difference decides."""
+    if a.keys() != b.keys():
+        return not _sum_maps(a, b, -1)
+    return all(scalars.equals(c, b[k]) for k, c in a.items())
+
+
+def _term_text(coeff, basis: str) -> str:
+    """One rendered term coeff * basis; an empty basis is the constant."""
+    c = scalars.render_scalar(coeff)
+    if not basis:
+        return c
+    if c == "1":
+        return basis
+    if c == "-1":
+        return f"-{basis}"
+    simple_negative = c.startswith("-") and not any(op in c[1:] for op in " +-")
+    if any(op in c for op in " +-/") and not simple_negative:
+        return f"({c})*{basis}"
+    return f"{c}*{basis}"
 
 
 class Form:
@@ -66,6 +132,13 @@ class Form:
         indices = tuple(indices)
         return cls(dim, len(indices), {indices: coeff})
 
+    @classmethod
+    def raw(cls, dim: int, degree: int, terms: dict) -> "Form":
+        """Unchecked construction: valid keys of `degree`, nonzero scalars."""
+        f = cls.__new__(cls)
+        f.dim, f.degree, f.terms = dim, degree, terms
+        return f
+
     # -- linear structure ------------------------------------------------
 
     def _check_compatible(self, other: "Form"):
@@ -78,39 +151,17 @@ class Form:
 
     def __add__(self, other):
         self._check_compatible(other)
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            cur = out.get(key)
-            if cur is None:
-                out[key] = coeff
-            else:
-                cur = cur + coeff
-                if scalars.is_zero(cur):
-                    del out[key]
-                else:
-                    out[key] = cur
-        f = Form.__new__(Form)
-        f.dim, f.degree, f.terms = self.dim, self.degree, out
-        return f
-
-    def __neg__(self):
-        f = Form.__new__(Form)
-        f.dim, f.degree = self.dim, self.degree
-        f.terms = {k: -c for k, c in self.terms.items()}
-        return f
+        return Form.raw(self.dim, self.degree, _sum_maps(self.terms, other.terms))
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check_compatible(other)
+        return Form.raw(self.dim, self.degree, _sum_maps(self.terms, other.terms, -1))
+
+    def __neg__(self):
+        return Form.raw(self.dim, self.degree, _sum_maps({}, self.terms, -1))
 
     def __mul__(self, scalar):
-        scalar = scalars.as_scalar(scalar)
-        f = Form.__new__(Form)
-        f.dim, f.degree = self.dim, self.degree
-        if scalars.is_zero(scalar):
-            f.terms = {}
-        else:
-            f.terms = {k: c * scalar for k, c in self.terms.items()}
-        return f
+        return Form.raw(self.dim, self.degree, _scaled(self.terms, scalar))
 
     __rmul__ = __mul__
 
@@ -123,13 +174,8 @@ class Form:
     def __eq__(self, other):
         if not isinstance(other, Form):
             return NotImplemented
-        if self.dim != other.dim or self.degree != other.degree:
-            return False
-        if set(self.terms) != set(other.terms):
-            return (self - other).is_zero()
-        return all(
-            scalars.equals(c, other.terms[k]) for k, c in self.terms.items()
-        )
+        return (self.dim == other.dim and self.degree == other.degree
+                and _equal_maps(self.terms, other.terms))
 
     __hash__ = None
 
@@ -147,18 +193,12 @@ class Form:
         if _symbolic(self.terms) or _symbolic(other.terms):
             # fold contribution lists with denominator grouping so that
             # unreduced quotients do not compound pairwise
-            collected = kernels.wedge_collect(self.terms, other.terms)
-            out = {}
-            for k, bucket in collected.items():
-                total = scalars.scalar_sum(bucket)
-                if not scalars.is_zero(total):
-                    out[k] = total
+            out = fold(kernels.wedge_collect(self.terms, other.terms))
         else:
-            merged = kernels.wedge_terms(self.terms, other.terms)
-            out = {k: c for k, c in merged.items() if not scalars.is_zero(c)}
-        f = Form.__new__(Form)
-        f.dim, f.degree, f.terms = self.dim, degree, out
-        return f
+            # zero sums are dropped by the merge; rational products of
+            # nonzero terms are nonzero
+            out = kernels.wedge_terms(self.terms, other.terms)
+        return Form.raw(self.dim, degree, out)
 
     def coefficient(self, indices: Iterable[int]):
         key = _check_key(self.dim, indices)
@@ -167,13 +207,10 @@ class Form:
     def map_coefficients(self, fn) -> "Form":
         out = {}
         for k, c in self.terms.items():
-            v = fn(c)
-            v = scalars.as_scalar(v)
+            v = scalars.as_scalar(fn(c))
             if not scalars.is_zero(v):
                 out[k] = v
-        f = Form.__new__(Form)
-        f.dim, f.degree, f.terms = self.dim, self.degree, out
-        return f
+        return Form.raw(self.dim, self.degree, out)
 
     def restrict(self, dim: int) -> "Form":
         """Reinterpret over the first `dim` coframe legs.
@@ -194,31 +231,13 @@ class Form:
         return Form(dim, self.degree, self.terms)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms):
-            c = scalars.render_scalar(self.terms[key])
-            if key == ():
-                parts.append(c)
-                continue
-            basis = "e^{" + " ".join(str(i) for i in key) + "}"
-            if c == "1":
-                parts.append(basis)
-            elif c == "-1":
-                parts.append(f"-{basis}")
-            elif any(op in c for op in " +-/") and not _is_simple_negative(c):
-                parts.append(f"({c})*{basis}")
-            else:
-                parts.append(f"{c}*{basis}")
-        return " + ".join(parts)
+        return " + ".join(
+            _term_text(self.terms[k], "e^{" + " ".join(map(str, k)) + "}" if k else "")
+            for k in sorted(self.terms)
+        ) or "0"
 
     def __repr__(self) -> str:
         return f"Form({self})"
-
-
-def _is_simple_negative(c: str) -> bool:
-    return c.startswith("-") and not any(op in c[1:] for op in " +-")
 
 
 class Vector:
@@ -235,7 +254,10 @@ class Vector:
     def basis(cls, dim: int, index: int) -> "Vector":
         if not 1 <= index <= dim:
             raise ValueError(f"index {index} out of range 1..{dim}")
-        return cls([1 if i == index else 0 for i in range(1, dim + 1)])
+        v = cls.__new__(cls)
+        v.dim = dim
+        v.components = (_F0,) * (index - 1) + (_F1,) + (_F0,) * (dim - index)
+        return v
 
     def __getitem__(self, index: int):
         if not 1 <= index <= self.dim:
@@ -310,6 +332,13 @@ class SymTensor2:
             i, j = j, i
         return self.entries.get((i, j), _F0)
 
+    @classmethod
+    def raw(cls, dim: int, entries: dict) -> "SymTensor2":
+        """Unchecked construction: keys (i, j), i <= j, nonzero scalars."""
+        t = cls.__new__(cls)
+        t.dim, t.entries = dim, entries
+        return t
+
     def _check_compatible(self, other: "SymTensor2"):
         if not isinstance(other, SymTensor2):
             raise TypeError(f"not a symmetric tensor: {other!r}")
@@ -318,39 +347,17 @@ class SymTensor2:
 
     def __add__(self, other):
         self._check_compatible(other)
-        out = dict(self.entries)
-        for key, value in other.entries.items():
-            cur = out.get(key)
-            if cur is None:
-                out[key] = value
-            else:
-                cur = cur + value
-                if scalars.is_zero(cur):
-                    del out[key]
-                else:
-                    out[key] = cur
-        t = SymTensor2.__new__(SymTensor2)
-        t.dim, t.entries = self.dim, out
-        return t
-
-    def __neg__(self):
-        t = SymTensor2.__new__(SymTensor2)
-        t.dim = self.dim
-        t.entries = {k: -v for k, v in self.entries.items()}
-        return t
+        return SymTensor2.raw(self.dim, _sum_maps(self.entries, other.entries))
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check_compatible(other)
+        return SymTensor2.raw(self.dim, _sum_maps(self.entries, other.entries, -1))
+
+    def __neg__(self):
+        return SymTensor2.raw(self.dim, _sum_maps({}, self.entries, -1))
 
     def __mul__(self, scalar):
-        scalar = scalars.as_scalar(scalar)
-        t = SymTensor2.__new__(SymTensor2)
-        t.dim = self.dim
-        if scalars.is_zero(scalar):
-            t.entries = {}
-        else:
-            t.entries = {k: v * scalar for k, v in self.entries.items()}
-        return t
+        return SymTensor2.raw(self.dim, _scaled(self.entries, scalar))
 
     __rmul__ = __mul__
 
@@ -360,13 +367,7 @@ class SymTensor2:
     def __eq__(self, other):
         if not isinstance(other, SymTensor2):
             return NotImplemented
-        if self.dim != other.dim:
-            return False
-        return (self - other).is_zero() if set(self.entries) != set(
-            other.entries
-        ) else all(
-            scalars.equals(v, other.entries[k]) for k, v in self.entries.items()
-        )
+        return self.dim == other.dim and _equal_maps(self.entries, other.entries)
 
     __hash__ = None
 
@@ -394,23 +395,11 @@ class SymTensor2:
         return SymTensor2(dim, self.entries)
 
     def __str__(self) -> str:
-        if not self.entries:
-            return "0"
-        parts = []
-        for (i, j) in sorted(self.entries):
-            v = self.entries[(i, j)]
-            shown = v if i == j else v * 2
-            c = scalars.render_scalar(shown)
-            basis = f"(e^{i})^2" if i == j else f"e^{i}(.)e^{j}"
-            if c == "1":
-                parts.append(basis)
-            elif c == "-1":
-                parts.append(f"-{basis}")
-            elif any(op in c for op in " +-/") and not _is_simple_negative(c):
-                parts.append(f"({c})*{basis}")
-            else:
-                parts.append(f"{c}*{basis}")
-        return " + ".join(parts)
+        return " + ".join(
+            _term_text(v, f"(e^{i})^2") if i == j
+            else _term_text(v * 2, f"e^{i}(.)e^{j}")
+            for (i, j), v in sorted(self.entries.items())
+        ) or "0"
 
     def __repr__(self) -> str:
         return f"SymTensor2({self})"
@@ -437,14 +426,7 @@ def interior(vector: Vector, form: Form) -> Form:
             if t % 2:
                 v = -v
             buckets.setdefault(sub, []).append(v)
-    out = {}
-    for sub, bucket in buckets.items():
-        total = bucket[0] if len(bucket) == 1 else scalars.scalar_sum(bucket)
-        if not scalars.is_zero(total):
-            out[sub] = total
-    f = Form.__new__(Form)
-    f.dim, f.degree, f.terms = form.dim, form.degree - 1, out
-    return f
+    return Form.raw(form.dim, form.degree - 1, fold(buckets))
 
 
 def sym_product(a: Form, b: Form) -> SymTensor2:

@@ -35,7 +35,7 @@ from .errors import (
     WrongDimension,
     ZeroReference,
 )
-from .exterior import Form, SymTensor2, Vector, interior
+from .exterior import Form, SymTensor2, Vector, fold, interior
 from .invariants import SolutionSpace, kernel_rows
 from .liealg import LieAlgebra
 
@@ -197,9 +197,9 @@ def hodge_star(metric: Metric7, lam: Form, vol_scale=_F1) -> Form:
         (star e^I)(e_u1, ..., e_u(7-p)) e^{1...7} = e^I ^ g(e_u1) ^ ... ^ g(e_u(7-p))
 
     and is cached per metric (`Metric7._star_column`).  The star is linear,
-    so star lam is the sum of lam_I * star e^I, divided by vol_scale; each
-    output coefficient is summed with `scalars.scalar_sum`, which groups
-    quotients by denominator as `Form.wedge` does."""
+    so star lam is the sum of lam_I * star e^I, divided by vol_scale; the
+    contributions to each output coefficient go through `exterior.fold`,
+    as those of `Form.wedge` do."""
     c = Fraction(vol_scale)
     if c == 0:
         raise Degenerate("volume scale must be nonzero")
@@ -209,13 +209,9 @@ def hodge_star(metric: Metric7, lam: Form, vol_scale=_F1) -> Form:
     for key, coeff in lam.terms.items():
         for out, v in metric._star_column(key).items():
             buckets.setdefault(out, []).append(coeff * v)
-    out = {}
     # lexicographic keys, the order in which downstream sums meet the terms
-    for key in sorted(buckets):
-        total = scalars.scalar_sum(buckets[key])
-        if not scalars.is_zero(total):
-            out[key] = total / c
-    return Form(_DIM, _DIM - lam.degree, out)
+    out = fold({key: buckets[key] for key in sorted(buckets)})
+    return Form.raw(_DIM, _DIM - lam.degree, {k: v / c for k, v in out.items()})
 
 
 def lambda2_14_basis(phi: Form, star_phi: Form) -> SolutionSpace:

@@ -30,7 +30,7 @@ from .errors import (
     SingularMatrix,
     ValidationError,
 )
-from .exterior import Form, SymTensor2, Vector, interior
+from .exterior import Form, SymTensor2, Vector, fold, interior
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -41,11 +41,11 @@ class LieAlgebra:
 
     `brackets` maps ordered index pairs (J, K), J < K, to sparse maps
     I -> c^I_JK.  Instances are immutable after construction; the
-    coframe differentials and the differentials d e^K of the monomials
-    met so far are cached lazily.
+    coframe differentials, the columns of every ad(e_a) and the
+    differentials d e^K of the monomials met so far are cached lazily.
     """
 
-    __slots__ = ("dim", "brackets", "_dcoframe", "_dcolumns")
+    __slots__ = ("dim", "brackets", "_dcoframe", "_dcolumns", "_adcolumns")
 
     def __init__(self, dim: int, brackets: Mapping):
         if dim < 1:
@@ -69,6 +69,7 @@ class LieAlgebra:
         self.brackets = clean
         self._dcoframe = None
         self._dcolumns = {}
+        self._adcolumns = None
 
     # -- brackets -------------------------------------------------------
 
@@ -80,6 +81,17 @@ class LieAlgebra:
             return dict(self.brackets.get((j, k), {}))
         comps = self.brackets.get((k, j), {})
         return {i: -c for i, c in comps.items()}
+
+    def _ad(self, a: int) -> dict:
+        """The nonzero columns {k: [e_a, e_k]} of ad(e_a), k ascending;
+        built for every a at once on first use."""
+        if self._adcolumns is None:
+            ad: dict = {}
+            for j, k in sorted(self.brackets):
+                ad.setdefault(j, {})[k] = self.bracket_basis(j, k)
+                ad.setdefault(k, {})[j] = self.bracket_basis(k, j)
+            self._adcolumns = ad
+        return self._adcolumns.get(a, {})
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
         """Bracket of two frame vectors, extended bilinearly."""
@@ -140,13 +152,8 @@ class LieAlgebra:
     def killing(self) -> SymTensor2:
         """Killing tensor K_JL = (1/12) sum_{I,K} c^I_JK c^K_LI."""
         n = self.dim
-        ad = []
-        for a in range(1, n + 1):
-            m: dict = {}
-            for k in range(1, n + 1):
-                for i, c in self.bracket_basis(a, k).items():
-                    m[(i, k)] = c
-            ad.append(m)
+        ad = [{(i, k): c for k, col in self._ad(a).items() for i, c in col.items()}
+              for a in range(1, n + 1)]
         twelfth = Fraction(1, 12)
         entries = {}
         for j in range(1, n + 1):
@@ -193,7 +200,7 @@ class LieAlgebra:
                     if t % 2:
                         sign = -sign
                     buckets.setdefault(mkey, []).append(u if sign > 0 else -u)
-            column = _fold(buckets)
+            column = fold(buckets)
             self._dcolumns[key] = column
         return column
 
@@ -206,9 +213,7 @@ class LieAlgebra:
         for key, coeff in form.terms.items():
             for mkey, u in self._dcolumn(key).items():
                 buckets.setdefault(mkey, []).append(coeff * u)
-        f = Form.__new__(Form)
-        f.dim, f.degree, f.terms = form.dim, form.degree + 1, _fold(buckets)
-        return f
+        return Form.raw(form.dim, form.degree + 1, fold(buckets))
 
     # -- Lie derivatives ---------------------------------------------------
 
@@ -252,17 +257,6 @@ class LieAlgebra:
         return out
 
 
-def _fold(buckets: dict) -> dict:
-    """{key: sum of its contributions}, zero sums dropped; quotients are
-    grouped by denominator (`scalars.scalar_sum`)."""
-    out = {}
-    for key, bucket in buckets.items():
-        total = bucket[0] if len(bucket) == 1 else scalars.scalar_sum(bucket)
-        if not scalars.is_zero(total):
-            out[key] = total
-    return out
-
-
 def _sym_accumulate(algebra: LieAlgebra, a: int, tensor: SymTensor2) -> dict:
     """Components of -(A^T g + g A) with A^i_k = c^i_ak.
 
@@ -270,11 +264,7 @@ def _sym_accumulate(algebra: LieAlgebra, a: int, tensor: SymTensor2) -> dict:
     g_ki c^i_al reaches are visited, in ascending order, so the work
     follows the nonzeros of A and g rather than the square of the
     dimension."""
-    cols: dict = {}
-    for k in range(1, algebra.dim + 1):
-        col = algebra.bracket_basis(a, k)
-        if col:
-            cols[k] = col
+    cols = algebra._ad(a)
     g: dict = {}
     for (i, j), v in tensor.entries.items():
         g.setdefault(i, {})[j] = v

@@ -103,8 +103,8 @@ class _Collector:
     """Shared key handling for both document kinds."""
 
     def __init__(self):
-        self.name = ""
-        self.alphabet: tuple = ()
+        self.name = None
+        self.alphabet = None
         self.dim = None
         self.brackets: dict = {}
         self.bracket_lines = 0
@@ -127,12 +127,10 @@ class _Collector:
         setattr(self, attr, new)
 
     def _key_name(self, lineno: int, value: str) -> None:
-        if self.name:
-            raise ParseError(f"line {lineno}: duplicate 'name' line")
-        self.name = value
+        self._once(lineno, "name", value)
 
     def _key_alphabet(self, lineno: int, value: str) -> None:
-        if self.alphabet:
+        if self.alphabet is not None:
             raise ParseError(f"line {lineno}: duplicate 'alphabet' line")
         if self._seen_scalars:
             raise ParseError(f"line {lineno}: 'alphabet' must precede coefficients")
@@ -171,7 +169,7 @@ class _Collector:
         if self.bracket_lines > MAX_BRACKETS:
             raise ParseError(f"line {lineno}: more than {MAX_BRACKETS} bracket lines")
         j, k, i, rest = _int_fields(lineno, value, 3, "bracket")
-        coeff = _scalar(lineno, rest, self.alphabet)
+        coeff = _scalar(lineno, rest, self.alphabet or ())
         self._seen_scalars = True
         if j >= k:
             raise ParseError(f"line {lineno}: bracket pair must have J < K")
@@ -197,7 +195,7 @@ class _Collector:
             raise ParseError(f"line {lineno}: phi term needs i < j < k")
         if (i, j, k) in self.phi_terms:
             raise ParseError(f"line {lineno}: duplicate phi term {i} {j} {k}")
-        self.phi_terms[(i, j, k)] = _scalar(lineno, rest, self.alphabet)
+        self.phi_terms[(i, j, k)] = _scalar(lineno, rest, self.alphabet or ())
         self._seen_scalars = True
 
     def _key_exclude(self, lineno: int, value: str) -> None:
@@ -205,7 +203,7 @@ class _Collector:
         if len(parts) != 2:
             raise ParseError(f"line {lineno}: exclude needs 'parameter value'")
         pname, ptext = parts
-        if pname not in self.alphabet:
+        if pname not in (self.alphabet or ()):
             raise ParseError(f"line {lineno}: unknown parameter {pname!r}")
         try:
             self.exclusions.append((pname, scalars.parse_rational(ptext)))
@@ -245,7 +243,8 @@ def parse_algebra(text: str) -> AlgebraDocument:
     c = _parse(text, ALGEBRA_FORMAT)
     if c.horizontal is not None or c.metric_entries or c.phi_terms:
         raise ParseError("algebra documents carry no scenario data")
-    return AlgebraDocument(algebra=c.algebra(), alphabet=c.alphabet, name=c.name)
+    return AlgebraDocument(algebra=c.algebra(), alphabet=c.alphabet or (),
+                           name=c.name or "")
 
 
 def parse_scenario(text: str) -> ScenarioDocument:
@@ -278,8 +277,8 @@ def parse_scenario(text: str) -> ScenarioDocument:
         algebra=algebra,
         horizontal=k,
         verticals=verticals,
-        alphabet=c.alphabet,
-        name=c.name,
+        alphabet=c.alphabet or (),
+        name=c.name or "",
         metric=metric,
         phi=phi,
         exclusions=tuple(c.exclusions),

@@ -226,6 +226,13 @@ def test_growth_unknown_name(capsys):
     assert code == 2
 
 
+def test_growth_repeated_name_is_usage(capsys):
+    code, out, err = run(capsys, "growth", "D_l1", "D_s1", "D_l1")
+    assert code == 2
+    assert out == ""
+    assert err == "usage error: distribution name(s) given twice: D_l1\n"
+
+
 # -- describe ----------------------------------------------------------------------------
 
 
@@ -344,6 +351,23 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "invariants", "--input", "-")
     assert code == 0
     assert "result: pass" in out
+
+
+def test_input_wide_abelian_invariants_run_quickly(capsys, monkeypatch):
+    # no verticals line: all 505 legs past the horizontal block are vertical,
+    # and each Lie derivative must cost the nonzeros it touches, not dim
+    import io
+
+    lines = catalog.scenario("Ms").text().replace("dim: 10\n", "dim: 512\n", 1)
+    doc = "".join(line for line in lines.splitlines(keepends=True)
+                  if not line.startswith(("bracket:", "verticals:")))
+    assert "dim: 512\n" in doc
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+    start = time.process_time()
+    code, out, _ = run(capsys, "invariants", "--input", "-")
+    assert code == 0
+    assert "result: pass" in out
+    assert time.process_time() - start < 5
 
 
 def test_input_bad_parameter_name_is_usage():

@@ -1,11 +1,14 @@
 """Sparse exterior algebra: wedge, interior product, symmetric tensors."""
 
+import ast
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import splitg2
 from splitg2 import scalars
 from splitg2.errors import DegreeMismatch, DimensionMismatch
 from splitg2.exterior import Form, SymTensor2, Vector, interior, sym_product
@@ -225,6 +228,62 @@ def test_restrict_rejects_out_of_range():
     a = Form(5, 2, {(1, 5): 1})
     with pytest.raises(ValueError):
         a.restrict(3)
+
+
+# -- the shared coefficient-map core ----------------------------------------------
+
+# coefficient text -> how one term with that coefficient renders
+TERM_TEXT = [
+    ("1", "{b}"),
+    ("-1", "-{b}"),
+    ("-1/2", "-1/2*{b}"),
+    ("-a", "-a*{b}"),
+    ("a + 1", "(a + 1)*{b}"),
+]
+
+
+@pytest.mark.parametrize("text,shape", TERM_TEXT, ids=[t for t, _ in TERM_TEXT])
+def test_forms_and_tensors_share_term_rendering(text, shape):
+    c = scalars.parse_scalar(text, ("a",))
+    assert str(Form(3, 2, {(1, 2): c})) == shape.format(b="e^{1 2}")
+    assert str(Form(3, 0, {(): c})) == text  # a constant has no basis to attach
+    assert str(SymTensor2(3, {(2, 2): c})) == shape.format(b="(e^2)^2")
+    # an off-diagonal entry g_12 is shown as the coefficient of e^1 (.) e^2
+    assert str(SymTensor2(3, {(1, 2): c / 2})) == shape.format(b="e^1(.)e^2")
+
+
+def test_equality_by_value_on_shared_keys_and_by_difference_otherwise():
+    a = scalars.parse_scalar("a", ("a",))
+    f = Form(3, 1, {(1,): a, (2,): 1})
+    assert f != Form(3, 1, {(1,): a}) and Form(3, 1, {(1,): a}) != f
+    assert f == Form(3, 1, {(2,): 1}) + Form(3, 1, {(1,): a})
+    t = SymTensor2(3, {(1, 2): a, (3, 3): 1})
+    assert t != SymTensor2(3, {(1, 2): a}) and SymTensor2(3, {(1, 2): a}) != t
+    assert t == SymTensor2(3, {(3, 3): 1}) + SymTensor2(3, {(1, 2): a})
+    # quotients are never reduced: equal values may be stored differently
+    unreduced = scalars.parse_scalar("(a^2 - 1)/(a - 1)", ("a",))
+    reduced = scalars.parse_scalar("a + 1", ("a",))
+    assert str(unreduced) != str(reduced)
+    assert Form(3, 1, {(1,): unreduced}) == Form(3, 1, {(1,): reduced})
+    assert SymTensor2(3, {(1, 2): unreduced}) == SymTensor2(3, {(1, 2): reduced})
+    assert Form(3, 1, {(1,): unreduced}) != Form(3, 1, {(1,): a})
+    assert SymTensor2(3, {(1, 2): unreduced}) != SymTensor2(3, {(1, 2): a})
+
+
+def test_raw_construction_stays_in_exterior():
+    """Unchecked construction of forms and tensors goes through `raw`."""
+    offenders = []
+    for path in sorted(Path(splitg2.__file__).parent.glob("*.py")):
+        if path.name == "exterior.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Attribute) and node.attr == "__new__"):
+                continue
+            owner = ast.unparse(node.value)
+            if owner in ("Form", "SymTensor2") or owner.endswith(
+                    (".Form", ".SymTensor2")):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 def test_str_is_deterministic(rng):

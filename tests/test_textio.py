@@ -105,6 +105,8 @@ def test_defaulted_verticals():
     ("format: splitg2-algebra 1\nname: a\nname: b\ndim: 2\n", "duplicate 'name'"),
     ("format: splitg2-algebra 1\nalphabet: q q\ndim: 2\n", "repeated parameter"),
     ("format: splitg2-algebra 1\nalphabet: a\nalphabet: b\ndim: 2\n", "duplicate 'alphabet'"),
+    ("format: splitg2-algebra 1\nname:\nname: Other\ndim: 2\n", "duplicate 'name'"),
+    ("format: splitg2-algebra 1\nalphabet:\nalphabet: q\ndim: 2\n", "duplicate 'alphabet'"),
     ("format: splitg2-algebra 1\ndim: 3\nbracket: 1 2 3 1\nalphabet: q\n",
      "must precede coefficients"),
     ("format: splitg2-algebra 1\ndim: 3\nhorizontal: 2\n", "no scenario data"),
