@@ -11,9 +11,13 @@
   (`div`).
 
 Rows are dicts from column index to nonzero entries.  Columns
-0..width-1 are unknowns eliminated in ascending order (deterministic
-pivoting); any higher column indices are carried along, which is how
-augmented right-hand sides travel through the elimination.
+0..width-1 are unknowns; any higher column indices are carried along,
+which is how augmented right-hand sides travel through the elimination.
+Two pivot orders exist: `row_reduce` takes the columns in ascending
+order (deterministic echelon forms and kernel bases, used by `rank`,
+`kernel_basis`, `solve_in_span` and rational `solve_unique`), and
+`row_reduce_min_fill` follows a Markowitz rule, used only for
+polynomial `solve_unique`, where a fixed order lets entries swell.
 """
 
 from __future__ import annotations
@@ -381,13 +385,21 @@ def solve_unique(rows, width: int) -> list:
     """Solve an augmented system (RHS at column index `width`) that is
     required to have exactly one solution.
 
-    Uses the fill-minimizing pivot order: the solution is unique, so the
-    order cannot change the answer, and on polynomial entries a fixed
-    column order can make intermediate rows explode.
+    Rational systems are eliminated in ascending column order
+    (`row_reduce`): a unique rational solution is a tuple of canonical
+    Fractions, so the order cannot change it, and the ascending scan is
+    the cheaper one.  Polynomial systems take the fill-minimizing order
+    (`row_reduce_min_fill`): a fixed column order can make intermediate
+    rows explode there, and since quotients stay unreduced the pivot
+    order also fixes the representatives that get printed.  The order
+    decides which columns a `NonUniqueSolution` names as free.
     """
     domain = detect_domain(rows)
     work = prepare_rows(rows, domain)
-    pivots = row_reduce_min_fill(work, width, domain)
+    if isinstance(domain, PolyDomain):
+        pivots = row_reduce_min_fill(work, width, domain)
+    else:
+        pivots = row_reduce(work, width, domain)
     if len(pivots) < width:
         free = [c for c in range(width) if c not in pivots]
         raise NonUniqueSolution(f"free unknowns at columns {free}")

@@ -16,6 +16,7 @@ import argparse
 import random
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Tuple
@@ -39,6 +40,11 @@ from .report import Report
 SCENARIO_NAMES = ("Ml", "Ms")
 SPECIALIZATION_COUNT = 5
 SAMPLE_HEIGHT = 9
+# Digits a --set or --vol-scale numerator or denominator may have.  An Ml
+# torsion at a point and volume scale has up to nine times the digits of
+# those values, so the worst case at the bound stays inside the
+# interpreter's 4300-digit limit for rendering an integer.
+MAX_VALUE_DIGITS = 400
 
 
 class UsageError(Exception):
@@ -65,10 +71,16 @@ class RunConfig:
 
 
 def _parse_fraction(text: str, what: str) -> Fraction:
+    """A flag value: a rational expression without parameters, its
+    numerator and denominator below MAX_VALUE_DIGITS digits each."""
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
+        value = scalars.parse_rational(text)
+    except ParseError:
         raise UsageError(f"{what} must be a rational like 3, -2/5: got {text!r}")
+    if max(abs(value.numerator), value.denominator) >= 10**MAX_VALUE_DIGITS:
+        raise UsageError(f"{what} must have at most {MAX_VALUE_DIGITS} digits "
+                         f"in its numerator and in its denominator")
+    return value
 
 
 def _parse_sets(pairs: Sequence[str]) -> dict:
@@ -654,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="replay every catalogued check for one or both "
                             "scenarios")
     common(p, with_input=False, required=False)
-    p.set_defaults(handler=cmd_verify_paper)
+    p.set_defaults(handler="cmd_verify_paper")
     p.add_argument("--vol-scale", metavar="FRACTION",
                    help="positive rational volume scale (default 1)")
     p.add_argument("--seed", type=int, default=0,
@@ -669,14 +681,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dimensions and bases of the invariant tensor "
                             "spaces")
     common(p)
-    p.set_defaults(handler=cmd_invariants)
+    p.set_defaults(handler="cmd_invariants")
     p.add_argument("--kind", choices=("metric", "3-form", "both"),
                    default="both")
 
     p = sub.add_parser("torsion",
                        help="solve the torsion equations exactly")
     common(p)
-    p.set_defaults(handler=cmd_torsion)
+    p.set_defaults(handler="cmd_torsion")
     p.add_argument("--set", action="append", metavar="NAME=VALUE",
                    help="pin one parameter to a rational value (repeatable; "
                         "all parameters or none)")
@@ -685,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("growth",
                        help="invariance and growth of the named distributions")
-    p.set_defaults(handler=cmd_growth)
+    p.set_defaults(handler="cmd_growth")
     p.add_argument("names", nargs="*",
                    help="distribution names (default: all four)")
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -696,6 +708,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, scenarios=SCENARIO_NAMES + ("sp2",), with_format=False)
 
     return parser
+
+
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then kept."""
+    return build_parser()
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -709,9 +727,14 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    """Run one command line; returns the exit code.
+
+    The argument parser is built on the first call in a process, not at
+    import, and reused.  Handlers are looked up by name when the command
+    runs, so a rebinding of `cmd_torsion` and the like takes effect.
+    """
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -719,7 +742,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if ns.command == "describe":
             text, code = cmd_describe(cfg), 0
         else:
-            report = ns.handler(cfg)
+            report = globals()[ns.handler](cfg)
             text, code = report.render(cfg.fmt), 0 if report.passed() else 1
         _emit(text, cfg.out)
     except UsageError as exc:

@@ -34,6 +34,7 @@ from .exterior import Form, SymTensor2, Vector, fold, interior
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+_EMPTY: dict = {}  # shared read-only stand-in for a missing column
 
 
 class LieAlgebra:
@@ -82,16 +83,22 @@ class LieAlgebra:
         comps = self.brackets.get((k, j), {})
         return {i: -c for i, c in comps.items()}
 
-    def _ad(self, a: int) -> dict:
-        """The nonzero columns {k: [e_a, e_k]} of ad(e_a), k ascending;
-        built for every a at once on first use."""
+    def _ad_columns(self) -> dict:
+        """{a: {k: [e_a, e_k]}}: the nonzero columns of every ad(e_a), k
+        ascending, built on first use.  Read-only: the columns of ordered
+        pairs are the bracket table's own maps."""
         if self._adcolumns is None:
             ad: dict = {}
             for j, k in sorted(self.brackets):
-                ad.setdefault(j, {})[k] = self.bracket_basis(j, k)
-                ad.setdefault(k, {})[j] = self.bracket_basis(k, j)
+                comps = self.brackets[(j, k)]
+                ad.setdefault(j, {})[k] = comps
+                ad.setdefault(k, {})[j] = {i: -c for i, c in comps.items()}
             self._adcolumns = ad
-        return self._adcolumns.get(a, {})
+        return self._adcolumns
+
+    def _ad(self, a: int) -> dict:
+        """The nonzero columns {k: [e_a, e_k]} of ad(e_a), k ascending."""
+        return self._ad_columns().get(a, _EMPTY)
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
         """Bracket of two frame vectors, extended bilinearly."""
@@ -117,8 +124,10 @@ class LieAlgebra:
         index at a time so that memory stays quadratic in the dimension.
         Returns a report carrying the maximum-violation triple (largest
         defect, ties broken lexicographically) when the identity fails.
+        Brackets are read from the cached ad(e_a) columns.
         """
         n = self.dim
+        ad = self._ad_columns()
         partners: dict = {}
         for j, k in self.brackets:
             partners.setdefault(j, []).append(k)
@@ -129,11 +138,16 @@ class LieAlgebra:
             for k in partners.get(j, ()):
                 pairs.update((min(k, l), max(k, l))
                              for l in range(j + 1, n + 1) if l != k)
+            adj = ad.get(j, _EMPTY)
             for k, l in sorted(pairs):
                 defect: dict = {}
-                for x, y, z in ((j, k, l), (k, l, j), (l, j, k)):
-                    for m, c in self.bracket_basis(x, y).items():
-                        for i, c2 in self.bracket_basis(m, z).items():
+                # [[e_j, e_k], e_l] + [[e_k, e_l], e_j] + [[e_l, e_j], e_k]
+                for col, z in ((adj.get(k), l), (ad.get(k, _EMPTY).get(l), j),
+                               (ad.get(l, _EMPTY).get(j), k)):
+                    if col is None:
+                        continue
+                    for m, c in col.items():
+                        for i, c2 in ad.get(m, _EMPTY).get(z, _EMPTY).items():
                             v = defect.get(i, _F0) + c * c2
                             if scalars.is_zero(v):
                                 defect.pop(i, None)

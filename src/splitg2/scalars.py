@@ -684,6 +684,10 @@ def scalar_sum(values):
 
 # Largest exponent `parse_scalar` accepts after '^'; the catalogue needs 3.
 MAX_POWER = 64
+# Largest bit length of the numerator or denominator a power of a rational
+# may reach in `parse_scalar`; nested powers of a constant otherwise grow
+# doubly exponentially ("((2^64)^64)^64" already has 262,145 bits).
+MAX_POWER_BITS = 1 << 16
 # Deepest nesting of parentheses and unary signs `parse_scalar` accepts; the
 # catalogue's strings need 4.  The parser recurses once per level, so the
 # limit also keeps it well inside the interpreter's recursion limit.
@@ -736,10 +740,19 @@ def parse_scalar(text: str, alphabet: Iterable[str] = ()) -> Scalar:
 
     Grammar: integers, parameter names, + - * / ^, parentheses; ^ takes a
     nonnegative integer exponent of at most MAX_POWER and binds tighter
-    than unary minus.  Parentheses and unary signs nest at most
-    MAX_NESTING deep.
+    than unary minus, and a power of a rational stays within
+    MAX_POWER_BITS.  Parentheses and unary signs nest at most MAX_NESTING
+    deep.
     Returns a Fraction when the alphabet is empty, else a
     RationalFunction over the alphabet.
+
+    Sub-expressions are evaluated in the smallest scalar kind: a
+    Fraction until a parameter enters, a Polynomial until something is
+    divided by a non-constant polynomial, and only then a
+    RationalFunction; the result is lifted once at the end.  All three
+    kinds are canonical and a RationalFunction over 1 combines exactly
+    like its numerator, so the numerator and denominator returned are the
+    ones an evaluation entirely in RationalFunctions would give.
     """
     alphabet = _check_alphabet(alphabet)
     toks = _Tokens(text)
@@ -758,17 +771,14 @@ def parse_scalar(text: str, alphabet: Iterable[str] = ()) -> Scalar:
     def literal(kind, val):
         if kind == "int":
             try:
-                n = int(val)
+                return Fraction(int(val))
             except ValueError:  # beyond the interpreter's digit limit
                 raise ParseError(
                     f"integer literal of {len(val)} digits is too long"
                 ) from None
-            if alphabet:
-                return RationalFunction.constant(alphabet, n)
-            return Fraction(n)
         if val not in alphabet:
             raise ParseError(f"unknown parameter {val!r} in {text!r}")
-        return RationalFunction.variable(alphabet, val)
+        return Polynomial.variable(alphabet, val)
 
     def atom():
         kind, val = toks.take() if toks.peek() is not None else (None, None)
@@ -797,8 +807,26 @@ def parse_scalar(text: str, alphabet: Iterable[str] = ()) -> Scalar:
                 raise ParseError(
                     f"exponent {val} exceeds the limit {MAX_POWER} in {text!r}"
                 )
-            v = v ** int(val)
+            n = int(val)
+            if isinstance(v, Fraction) and n * max(
+                v.numerator.bit_length(), v.denominator.bit_length()
+            ) > MAX_POWER_BITS:
+                raise ParseError(
+                    f"power exceeds the limit of {MAX_POWER_BITS} bits in {text!r}"
+                )
+            v = v**n
         return v
+
+    def divide(v, w):
+        # Fraction and Polynomial have no quotient by a Polynomial: a
+        # constant divisor becomes a Fraction, a non-constant one a
+        # RationalFunction denominator
+        if isinstance(w, Polynomial):
+            if w.is_constant():
+                w = w.constant_value()
+            elif isinstance(v, Fraction):
+                v = Polynomial.constant(alphabet, v)
+        return v / w
 
     def factor():
         if toks.peek() == "-":
@@ -815,7 +843,7 @@ def parse_scalar(text: str, alphabet: Iterable[str] = ()) -> Scalar:
             op, _ = toks.take()
             w = factor()
             try:
-                v = v * w if op == "*" else v / w
+                v = v * w if op == "*" else divide(v, w)
             except ZeroDivisionError as exc:
                 raise ParseError(f"division by zero in {text!r}") from exc
         return v
@@ -831,6 +859,12 @@ def parse_scalar(text: str, alphabet: Iterable[str] = ()) -> Scalar:
     value = expr()
     if toks.peek() is not None:
         raise ParseError(f"trailing input in {text!r}")
+    if not alphabet:
+        return value
+    if isinstance(value, Fraction):
+        return RationalFunction.constant(alphabet, value)
+    if isinstance(value, Polynomial):
+        return RationalFunction(alphabet, value, Polynomial(alphabet, _F1, {0: 1}))
     return value
 
 

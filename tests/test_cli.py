@@ -1,6 +1,8 @@
 """Command-line drivers: exit codes, output stability, negative controls."""
 
 import json
+import random
+import re
 import sys
 import time
 from pathlib import Path
@@ -8,9 +10,9 @@ from pathlib import Path
 import pytest
 
 from splitg2 import catalog, scalars
-from splitg2.cli import main
+from splitg2.cli import MAX_VALUE_DIGITS, main
 
-from conftest import run_splitg2
+from conftest import run_python, run_splitg2
 
 REF = Path(__file__).resolve().parents[1] / "perfbench" / "ref"
 
@@ -179,6 +181,85 @@ def test_torsion_unknown_parameter(capsys):
     code, _, err = run(capsys, "torsion", "--scenario", "Ms", "--set", "z=2")
     assert code == 2
 
+
+
+@pytest.mark.parametrize("argv", [
+    ("--scenario", "Ml", "--vol-scale", "1e100000"),
+    ("--scenario", "Ms", "--set", "q=1e5000"),
+    ("--scenario", "Ms", "--set", "q=1.5"),
+    ("--scenario", "Ml", "--vol-scale", "2.5"),
+    ("--scenario", "Ms", "--set", "q=" + "7" * (MAX_VALUE_DIGITS + 1)),
+    ("--scenario", "Ms", "--set", "q=1/" + "3" * (MAX_VALUE_DIGITS + 1)),
+    ("--scenario", "Ms", "--vol-scale", f"(10^50)^{MAX_VALUE_DIGITS // 50}"),
+    ("--scenario", "Ml", "--set", "a=" + "9" * 4000, "--set", "p=1", "--set", "q=2"),
+    ("--scenario", "Ms", "--set", "q=((2^64)^64)^64"),
+])
+def test_torsion_flag_values_outside_the_grammar_or_bound_are_usage(capsys, argv):
+    code, out, err = run(capsys, "torsion", *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("usage error: --")
+
+
+def test_torsion_flag_values_at_the_digit_bound_render(capsys):
+    # generic values (no cancellation) with numerator and denominator at
+    # the bound: the largest rendered integers come near nine times the
+    # bound, and stay below the interpreter's 4300-digit rendering limit
+    rng = random.Random(4300)
+
+    def value():
+        n, d = (rng.randrange(10 ** (MAX_VALUE_DIGITS - 1), 10 ** MAX_VALUE_DIGITS)
+                for _ in range(2))
+        return f"{rng.choice(('', '-'))}{n}/{d}"
+
+    for name in ("Ml", "Ms", "Ml"):
+        sc = catalog.scenario(name)
+        argv = ["torsion", "--scenario", name,
+                "--vol-scale", value().lstrip("-")]
+        for p in sc.alphabet:
+            argv += ["--set", f"{p}={value()}"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert "result: pass" in out
+        longest = max(map(len, re.findall(r"\d+", out)))
+        assert longest < 4300
+        if name == "Ml":
+            assert longest > 8 * MAX_VALUE_DIGITS
+
+
+def test_torsion_flag_values_are_rational_expressions(capsys):
+    code, out, err = run(capsys, "torsion", "--scenario", "Ms", "--set", "q= 3/4 ",
+                         "--vol-scale", "(1 + 1)^2/8")
+    assert (code, err) == (0, "")
+    assert "specialized at q=3/4" in out
+    assert "volume scale 1/2" in out
+
+
+def test_one_parser_per_process():
+    script = """
+import argparse, io, sys
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import splitg2.cli as cli
+assert "splitg2" not in built, built
+calls = []
+build = cli.build_parser
+def spy():
+    calls.append(1)
+    return build()
+cli.build_parser = spy
+sys.stdout = io.StringIO()
+codes = [cli.main(["describe", "--scenario", "sp2"]) for _ in range(2)]
+sys.stdout = sys.__stdout__
+print(codes, len(calls))
+"""
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[0] == "[0, 0] 1"
 
 # -- invariants ------------------------------------------------------------------------
 

@@ -134,6 +134,29 @@ def test_jacobi_matches_dense_reference(rng):
     assert failures >= 10
 
 
+def test_jacobi_reads_cached_ad_columns(monkeypatch, rng):
+    # no bracket_basis call: every bracket comes from the ad(e_a) columns,
+    # without a copied or negated component map per visited triple
+    calls = []
+    original = LieAlgebra.bracket_basis
+
+    def spy(self, j, k):
+        calls.append((j, k))
+        return original(self, j, k)
+
+    table = {pair: dict(row) for pair, row in sp2_build().brackets.items()}
+    table[(2, 9)][5] += 1
+    fresh = [LieAlgebra(10, table), LieAlgebra(12, sp2_build().brackets),
+             LieAlgebra(6, random_table(rng, 6, density=0.3))]
+    want = [dense_jacobi(g) for g in fresh]
+    assert calls == []  # the spy is not installed yet
+    monkeypatch.setattr(LieAlgebra, "bracket_basis", spy)
+    got = [g.jacobi_check() for g in fresh]
+    assert calls == []
+    assert [(r.ok, r.triple, r.defect) for r in got] == want
+    assert not got[0].ok
+
+
 def test_jacobi_memory_stays_quadratic():
     # a bracket on every consecutive pair makes about dim^2 / 2 candidate
     # triples; only those of one smallest index are held at a time

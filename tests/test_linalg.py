@@ -317,6 +317,106 @@ def test_min_fill_parity_ml_points():
         assert_min_fill_parity(rows, width, domain)
 
 
+# -- rational solve in ascending order against the min-fill order ----------------
+
+
+def min_fill_solve(rows, width):
+    """Reference for rational `solve_unique`: the same solve with the
+    fill-minimizing pivot order that polynomial systems keep."""
+    domain = detect_domain(rows)
+    work = prepare_rows(rows, domain)
+    pivots = row_reduce_min_fill(work, width, domain)
+    if len(pivots) < width:
+        free = [c for c in range(width) if c not in pivots]
+        raise NonUniqueSolution(f"free unknowns at columns {free}")
+    pivot_rows = set(pivots.values())
+    if any(row for r, row in enumerate(work) if r not in pivot_rows):
+        raise InconsistentSystem("zero row with nonzero right-hand side")
+    x = [Fraction(0)] * width
+    for col, r in pivots.items():
+        b = work[r].get(width)
+        x[col] = Fraction(0) if b is None else domain.div(b, work[r][col])
+    return x
+
+
+def solve_outcome(solve, rows, width):
+    """The typed solution, or the class of the exception raised."""
+    try:
+        return [(type(v), v) for v in solve(rows, width)]
+    except (NonUniqueSolution, InconsistentSystem) as exc:
+        return type(exc)
+
+
+def seeded_rational_systems(rng, cases):
+    """(rows, width, solution) for augmented systems that are unique,
+    underdetermined or inconsistent by construction (solution None unless
+    unique), plus unconstrained random ones."""
+    for _ in range(cases):
+        width = rng.randint(1, 7)
+        kind = rng.choice(("unique", "deficient", "inconsistent", "random"))
+        if kind == "random":
+            rows = random_sparse(rng, rng.randint(0, width + 3), width + 1, 0.4)
+            yield rows, width, None
+            continue
+        rank_ = width if kind != "deficient" else rng.randint(0, width - 1)
+        basis = random_sparse(rng, rank_, width, 0.6)
+        while rank(basis, width) != rank_:
+            basis = random_sparse(rng, rank_, width, 0.6)
+        x = [random_fraction(rng) for _ in range(width)]
+
+        def with_rhs(row):
+            b = sum((v * x[c] for c, v in row.items()), Fraction(0))
+            return {**row, width: b} if b else row
+
+        rows = [with_rhs(b) for b in basis]
+        for _ in range(rng.randint(0, 3)):  # dependent rows
+            combo = {}
+            for b in basis:
+                k = random_fraction(rng)
+                for c, v in b.items():
+                    combo[c] = combo.get(c, Fraction(0)) + k * v
+            rows.append(with_rhs({c: v for c, v in combo.items() if v}))
+        if kind == "inconsistent":
+            bad = dict(rng.choice(rows))
+            bad[width] = bad.get(width, Fraction(0)) + random_fraction(rng, nonzero=True)
+            rows.append({c: v for c, v in bad.items() if v})
+        rng.shuffle(rows)
+        yield rows, width, x if kind == "unique" else None
+
+
+def test_rational_solve_matches_min_fill_order():
+    outcomes = []
+    for rows, width, x in seeded_rational_systems(random.Random(1013), 300):
+        got = solve_outcome(solve_unique, rows, width)
+        assert got == solve_outcome(min_fill_solve, rows, width)
+        if x is not None:
+            assert got == [(Fraction, v) for v in x]
+        outcomes.append(got)
+    # the sample reaches every outcome
+    assert any(isinstance(x, list) for x in outcomes)
+    assert {x for x in outcomes if isinstance(x, type)} == {NonUniqueSolution,
+                                                           InconsistentSystem}
+
+
+@pytest.mark.parametrize("name", ["Ml", "Ms"])
+def test_rational_solve_matches_min_fill_order_at_points(name):
+    sc = catalog.scenario(name)
+    rng = random.Random(f"solve-parity:{name}")
+    excluded = set(sc.exclusions)
+    for _ in range(4):
+        point = {}
+        for p in sc.alphabet:
+            v = random_fraction(rng, nonzero=True)
+            while (p, v) in excluded:
+                v = random_fraction(rng, nonzero=True)
+            point[p] = v
+        phi = sc.phi_family.map_coefficients(lambda c: scalars.specialize(c, point))
+        system = torsion_linear_system(sc.algebra, sc.metric, phi)
+        got = solve_outcome(solve_unique, system.rows, system.width)
+        assert isinstance(got, list)
+        assert got == solve_outcome(min_fill_solve, system.rows, system.width)
+
+
 # -- span membership ---------------------------------------------------------------
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from splitg2 import kernels, scalars
+from splitg2 import catalog, kernels, scalars
 from splitg2.errors import AlphabetMismatch, ParseError, PoleAtPoint, ValidationError
 from splitg2.scalars import Polynomial, RationalFunction
 
@@ -369,3 +369,186 @@ def test_as_scalar_converts_only_ints():
     assert scalars.as_scalar(p) is p
     with pytest.raises(TypeError):
         scalars.as_scalar(0.5)
+
+
+# -- typed parse against an evaluation entirely in RationalFunctions -------------
+
+
+def parse_all_rational_functions(text, alphabet=()):
+    """Reference for `parse_scalar`: every literal and sub-expression is a
+    RationalFunction over a nonempty alphabet, as before the parser kept
+    the smallest scalar kind (no bound on constant powers)."""
+    alphabet = scalars._check_alphabet(alphabet)
+    toks = scalars._Tokens(text)
+    depth = 0
+
+    def nested(parse):
+        nonlocal depth
+        if depth == scalars.MAX_NESTING:
+            raise ParseError(f"nesting exceeds the limit {scalars.MAX_NESTING}")
+        depth += 1
+        v = parse()
+        depth -= 1
+        return v
+
+    def atom():
+        kind, val = toks.take() if toks.peek() is not None else (None, None)
+        if kind == "int":
+            try:
+                n = int(val)
+            except ValueError:
+                raise ParseError(f"integer literal of {len(val)} digits is too long") from None
+            return RationalFunction.constant(alphabet, n) if alphabet else Fraction(n)
+        if kind == "name":
+            if val not in alphabet:
+                raise ParseError(f"unknown parameter {val!r} in {text!r}")
+            return RationalFunction.variable(alphabet, val)
+        if kind == "(":
+            v = nested(expr)
+            if toks.peek() != ")":
+                raise ParseError(f"missing ')' in {text!r}")
+            toks.take()
+            return v
+        raise ParseError(f"unexpected token in {text!r}")
+
+    def power():
+        v = atom()
+        if toks.peek() == "^":
+            toks.take()
+            kind, val = toks.take() if toks.peek() is not None else (None, None)
+            if kind != "int":
+                raise ParseError(f"'^' needs an integer exponent in {text!r}")
+            if len(val.lstrip("0")) > 3 or int(val) > scalars.MAX_POWER:
+                raise ParseError(
+                    f"exponent {val} exceeds the limit {scalars.MAX_POWER} in {text!r}")
+            v = v ** int(val)
+        return v
+
+    def factor():
+        if toks.peek() == "-":
+            toks.take()
+            return -nested(factor)
+        if toks.peek() == "+":
+            toks.take()
+            return nested(factor)
+        return power()
+
+    def term():
+        v = factor()
+        while toks.peek() in ("*", "/"):
+            op, _ = toks.take()
+            w = factor()
+            try:
+                v = v * w if op == "*" else v / w
+            except ZeroDivisionError as exc:
+                raise ParseError(f"division by zero in {text!r}") from exc
+        return v
+
+    def expr():
+        v = term()
+        while toks.peek() in ("+", "-"):
+            op, _ = toks.take()
+            w = term()
+            v = v + w if op == "+" else v - w
+        return v
+
+    value = expr()
+    if toks.peek() is not None:
+        raise ParseError(f"trailing input in {text!r}")
+    return value
+
+
+def parse_outcome(parse, text, alphabet):
+    """What a parse gives, in a comparable form: the exception's class and
+    message, a Fraction, or the alphabet, contents and term maps of the
+    numerator and denominator."""
+    try:
+        value = parse(text, alphabet)
+    except (ParseError, ValidationError, ValueError) as exc:
+        return type(exc), str(exc)
+    if isinstance(value, Fraction):
+        return Fraction, value
+    assert type(value) is RationalFunction
+    return (RationalFunction, value.alphabet,
+            value.num.content, value.num.terms, value.den.content, value.den.terms)
+
+
+def catalogue_strings(sc):
+    """Every scalar string of a builtin scenario's goldens and relations,
+    with the alphabet each is parsed over."""
+    exp = sc.expected
+    texts = [exp.tau0, exp.metric_det, exp.vol_scale, exp.tau0_reference_value]
+    for table in (exp.tau1, exp.tau2, exp.tau3, exp.phi_display,
+                  exp.solution_relations, exp.tau0_reference_point,
+                  exp.coclosed_slice or {}):
+        texts.extend(table.values())
+    # the rendered structure family, as a scenario document carries it
+    texts.extend(scalars.render_scalar(c) for c in sc.phi_family.terms.values())
+    out = [(text, sc.alphabet) for text in texts]
+    if exp.coclosed_slice:  # the slice relations, over the leftover alphabet
+        rest = tuple(p for p in sc.alphabet if p not in exp.coclosed_slice)
+        out.extend((catalog.substitute_parameters(rel, exp.coclosed_slice), rest)
+                   for rel in exp.solution_relations.values())
+    return out
+
+
+@pytest.mark.parametrize("name", ["Ml", "Ms"])
+def test_typed_parse_matches_rational_function_parse_on_the_catalogue(name):
+    strings = catalogue_strings(catalog.scenario(name))
+    assert len(strings) > 10
+    for text, alphabet in strings:
+        want = parse_outcome(parse_all_rational_functions, text, alphabet)
+        assert parse_outcome(scalars.parse_scalar, text, alphabet) == want, text
+
+
+def random_expression(rng, names, depth=0):
+    """Random expression text over `names`: literals (zero included),
+    unknown names, unary signs, + - * /, powers and parentheses."""
+    roll = rng.random()
+    if depth >= 4 or roll < 0.3:
+        if names and rng.random() < 0.5:
+            return rng.choice(names) if rng.random() < 0.95 else "z"
+        return str(rng.choice((0, 0, 1, 2, 3, 5, 12, 100)))
+    if roll < 0.4:
+        return rng.choice("-+") + random_expression(rng, names, depth + 1)
+    if roll < 0.55:
+        inner = random_expression(rng, names, depth + 1)
+        return f"({inner})^{rng.randint(0, 4)}"
+    if roll < 0.65:
+        return "(" + random_expression(rng, names, depth + 1) + ")"
+    op = rng.choice("+-*//")
+    return (random_expression(rng, names, depth + 1) + f" {op} "
+            + random_expression(rng, names, depth + 1))
+
+
+def test_typed_parse_matches_rational_function_parse_on_random_expressions():
+    rng = random.Random(7321)
+    alphabets = [(), ("q",), ("a", "p", "q")]
+    seen = set()
+    for idx in range(360):
+        alphabet = alphabets[idx % 3]
+        text = random_expression(rng, alphabet)
+        if idx % 10 == 0:  # constants only, over any alphabet
+            text = random_expression(rng, ())
+        if idx % 17 == 0:  # a division by a zero sub-expression
+            zero = f"({alphabet[0]} - {alphabet[0]})" if alphabet else "(2 - 2)"
+            text = f"{text} / {zero}"
+        want = parse_outcome(parse_all_rational_functions, text, alphabet)
+        assert parse_outcome(scalars.parse_scalar, text, alphabet) == want, text
+        seen.add(want[0] if isinstance(want[0], type) and issubclass(
+            want[0], Exception) else (want[0], bool(alphabet)))
+        if want[0] is ParseError and "division by zero" in want[1]:
+            seen.add("division by zero")
+    # the sample reaches rationals, rational functions, unknown names and
+    # divisions by zero
+    assert {(Fraction, False), (RationalFunction, True), ParseError,
+            "division by zero"} <= seen
+
+
+def test_constant_powers_are_bounded():
+    assert scalars.parse_rational("(2^64)^64") == 2 ** 4096
+    for text in ("((2^64)^64)^64", "((2^64)^64)^64 - 1", "1/((3^64)^64)^64"):
+        with pytest.raises(ParseError, match="power exceeds the limit of 65536 bits"):
+            scalars.parse_rational(text)
+    with pytest.raises(ParseError, match="power exceeds"):
+        scalars.parse_scalar("a * ((2^64)^64)^64", A)
