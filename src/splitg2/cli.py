@@ -72,7 +72,7 @@ class RunConfig:
 
 def _parse_fraction(text: str, what: str) -> Fraction:
     """A flag value: a rational expression without parameters, its
-    numerator and denominator below MAX_VALUE_DIGITS digits each."""
+    numerator and denominator of at most MAX_VALUE_DIGITS digits each."""
     try:
         value = scalars.parse_rational(text)
     except ParseError:
