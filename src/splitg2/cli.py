@@ -608,7 +608,8 @@ def cmd_torsion(cfg: RunConfig) -> Report:
             "solution re-checked against both structure equations "
             "and both component memberships",
             True, "exact", "exact")
-    rep.payload["torsion"] = _torsion_payload(torsions, cfg.vol_scale)
+    if cfg.fmt == "json":  # text reports never read the payload
+        rep.payload["torsion"] = _torsion_payload(torsions, cfg.vol_scale)
     return rep
 
 

@@ -1,13 +1,36 @@
 """Compute kernels for term maps and wedge merges.
 
-Term maps are dicts from monomial keys to nonzero ints.  The kernels never
-look inside a key: adding two keys must give the key of the product
-monomial, which `scalars` arranges by packing each exponent vector into
-one int.  Index maps are dicts from strictly increasing index tuples to
-coefficient objects supporting +, *, unary - and truth testing.
+Term maps are dicts from monomial keys to nonzero ints.  A key is an
+exponent vector packed into one int, FIELD bits per variable with the
+first variable in the highest field; this module owns the field width
+and `scalars` packs and unpacks keys with it.  Adding two keys gives the
+key of the product monomial.  Index maps are dicts from strictly
+increasing index tuples to coefficient objects supporting +, *, unary -
+and truth testing.
+
+`poly_mul` has two routes with the same result.  When the shorter
+operand has fewer than DENSE_MIN_TERMS terms it convolves the two maps
+term by term and never looks inside a key.  Otherwise it reads the keys:
+it takes the per-field exponent ranges of both maps and, when the
+product's exponent box packs into at most DENSE_MAX_BYTES bytes per term
+product of the convolution, multiplies by Kronecker substitution: each
+map becomes one int with a fixed-width slot per box cell, the two ints
+are multiplied once, and the slots of the product are read back
+(R. Fateman, "Can you save time in multiplying polynomials by encoding
+them as integers?", 2010; D. Harvey, "Faster polynomial multiplication
+via multipoint Kronecker substitution", J. Symb. Comp. 44, 2009).
 """
 
 from math import gcd
+
+FIELD = 16  # bits per exponent field of a packed key
+_MASK = (1 << FIELD) - 1
+
+# `poly_mul` takes the dense route when the shorter operand has at least
+# DENSE_MIN_TERMS terms and the packed product takes at most
+# DENSE_MAX_BYTES bytes per term product of the convolution.
+DENSE_MIN_TERMS = 16
+DENSE_MAX_BYTES = 1
 
 
 def backend_name() -> str:
@@ -26,11 +49,16 @@ def term_gcd(terms):
 
 
 def poly_mul(a, b):
-    """Convolution of two integer term maps."""
+    """Product of two integer term maps: the dense route for two large
+    operands in a small enough exponent box, else the convolution."""
     if not a or not b:
         return {}
     if len(a) > len(b):
         a, b = b, a
+    if len(a) >= DENSE_MIN_TERMS:
+        out = _dense_mul(a, b)
+        if out is not None:
+            return out
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
@@ -45,6 +73,86 @@ def poly_mul(a, b):
                 else:
                     del out[e]
     return out
+
+
+def _dense_mul(a, b):
+    """`poly_mul` by Kronecker substitution; None when the packed box
+    would take more than DENSE_MAX_BYTES bytes per term product.
+
+    Field i of the product spans lo_i .. lo_i + D_i - 1, with lo_i the sum
+    of the operands' lowest exponents and D_i the sum of their exponent
+    ranges plus one; cell t of the box is the mixed-radix number with
+    digit e_i - lo_i in radix D_i, field 0 least significant, so cell
+    order is key order.  A slot of W bytes holds |coefficient| <
+    min(len)·max|a|·max|b| < 2^(8W-2).  Negative coefficients are packed
+    into a second int that is subtracted, and adding 2^(8W-1) to every
+    slot of the product leaves no borrow between slots, so each slot reads
+    back as one unsigned W-byte value; a slot equal to the bias is zero.
+    """
+    top = max(max(a), max(b)).bit_length()
+    shifts = range(0, top or 1, FIELD)
+    cols_a = [[(k >> s) & _MASK for k in a] for s in shifts]
+    cols_b = [[(k >> s) & _MASK for k in b] for s in shifts]
+    radix = []
+    size = 1
+    base = 0  # key of the lowest cell
+    for s, ca, cb in zip(shifts, cols_a, cols_b):
+        lo_a = min(ca)
+        lo_b = min(cb)
+        d = max(ca) - lo_a + max(cb) - lo_b + 1
+        radix.append(d)
+        size *= d
+        base += (lo_a + lo_b) << s
+    bits = (
+        max(map(abs, a.values())).bit_length()
+        + max(map(abs, b.values())).bit_length()
+        + len(a).bit_length()
+    )
+    width = (bits + 9) // 8  # bits + 2, rounded up to whole bytes
+    if size * width > DENSE_MAX_BYTES * len(a) * len(b):
+        return None
+    prod = _pack(a, cols_a, radix, width, size) * _pack(b, cols_b, radix, width, size)
+    zero = bytes(width - 1) + b"\x80"
+    half = 1 << (8 * width - 1)
+    raw = (prod + int.from_bytes(zero * size, "little")).to_bytes(
+        width * size, "little"
+    )
+    keys = [base]
+    for s, d in zip(shifts, radix):
+        if d > 1:
+            keys = [k + (e << s) for e in range(d) for k in keys]
+    frm = int.from_bytes
+    return {
+        k: frm(c, "little") - half
+        for k, c in zip(keys, [raw[o : o + width] for o in range(0, len(raw), width)])
+        if c != zero
+    }
+
+
+def _pack(m, cols, radix, width, size):
+    """One int holding coefficient c of `m` in slot t of `width` bytes, t
+    the mixed-radix cell of its exponents relative to the map's lowest."""
+    cells = [0] * len(m)
+    place = 1
+    for col, d in zip(cols, radix):
+        if d > 1:
+            lo = min(col)
+            cells = [t + (e - lo) * place for t, e in zip(cells, col)]
+            place *= d
+    empty = bytes(width)
+    pos = [empty] * size
+    neg = None
+    for t, c in zip(cells, m.values()):
+        if c > 0:
+            pos[t] = c.to_bytes(width, "little")
+        else:
+            if neg is None:
+                neg = [empty] * size
+            neg[t] = (-c).to_bytes(width, "little")
+    v = int.from_bytes(b"".join(pos), "little")
+    if neg is not None:
+        v -= int.from_bytes(b"".join(neg), "little")
+    return v
 
 
 def poly_axpy(ma, a, mb, b):

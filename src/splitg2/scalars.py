@@ -24,22 +24,24 @@ declared alphabet order.  Scalars from different alphabets never mix;
 combining them raises AlphabetMismatch.
 
 A term-map key is the whole exponent vector packed into one int, one
-_FIELD-bit field per variable with the first alphabet variable in the
-highest field (Monagan and Pearce, "Polynomial division using dynamic
-arrays, heaps, and packed exponent vectors", CASC 2007).  Integer order
-is then lexicographic order and a monomial product is one integer
-addition.  The top bit of each field is a guard that is clear in every
-stored key, so a sum of two valid keys never carries into a neighbouring
-field; a product that sets a guard bit raises ValidationError instead of
-wrapping.  Only this module packs or unpacks keys: the public methods
-take and return exponent tuples.
+field of `kernels.FIELD` bits per variable with the first alphabet
+variable in the highest field (Monagan and Pearce, "Polynomial division
+using dynamic arrays, heaps, and packed exponent vectors", CASC 2007).
+Integer order is then lexicographic order and a monomial product is one
+integer addition.  The top bit of each field is a guard that is clear in
+every stored key, so a sum of two valid keys never carries into a
+neighbouring field; a product that sets a guard bit raises
+ValidationError instead of wrapping.  The field width is defined once,
+in `kernels`, because the dense route of `kernels.poly_mul` reads the
+exponent ranges of the keys; apart from that, only this module packs or
+unpacks keys, and the public methods take and return exponent tuples.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, reduce
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import or_
 from typing import Iterable, Mapping, Union
 
@@ -52,7 +54,7 @@ _F1 = Fraction(1)
 Scalar = Union[Fraction, "Polynomial", "RationalFunction"]
 
 
-_FIELD = 16
+_FIELD = kernels.FIELD
 _LIMIT = 1 << (_FIELD - 1)  # exponents stay below the guard bit
 _LOW = _LIMIT - 1
 _ONE = {0: 1}  # term map of every nonzero constant
@@ -688,10 +690,36 @@ MAX_POWER = 64
 # may reach in `parse_scalar`; nested powers of a constant otherwise grow
 # doubly exponentially ("((2^64)^64)^64" already has 262,145 bits).
 MAX_POWER_BITS = 1 << 16
+# Most terms, and most bits over all coefficients, that a power of a
+# polynomial may reach in `parse_scalar`, bounded before it is expanded
+# (`_power_size`).  "((1+a+p+q)^8)^4" (6,545 terms) parses; the terms
+# stop "((1+a+p+q)^16)^4" (47,905 terms) and the bits "((1+a)^64)^64"
+# (4,097 terms of up to 4,090 bits), each seconds of CPU otherwise.
+MAX_POWER_TERMS = 1 << 14
+MAX_POWER_SIZE = 1 << 22
 # Deepest nesting of parentheses and unary signs `parse_scalar` accepts; the
 # catalogue's strings need 4.  The parser recurses once per level, so the
 # limit also keeps it well inside the interpreter's recursion limit.
 MAX_NESTING = 32
+
+
+def _power_size(p: Polynomial, n: int) -> tuple:
+    """Upper bounds on the terms of p**n and on the bits of all its
+    coefficients, from p alone.
+
+    The terms are at most the multisets of n terms of p and, computed only
+    when that count is past MAX_POWER_TERMS, at most the monomials of
+    total degree n * deg p in the w parameters p contains.  Each
+    coefficient of the integer map of p**n is below ||terms||_1^n.
+    """
+    terms = comb(len(p.terms) + n - 1, n)
+    if terms > MAX_POWER_TERMS:
+        width = len(p.alphabet)
+        deg = max(sum(_unpack(k, width)) for k in p.terms)
+        w = sum(1 for x in _unpack(reduce(or_, p.terms, 0), width) if x)
+        terms = min(terms, comb(n * deg + w, w))
+    norm = sum(map(abs, p.terms.values()))
+    return terms, terms * n * norm.bit_length()
 
 
 class _Tokens:
@@ -740,9 +768,11 @@ def parse_scalar(text: str, alphabet: Iterable[str] = ()) -> Scalar:
 
     Grammar: integers, parameter names, + - * / ^, parentheses; ^ takes a
     nonnegative integer exponent of at most MAX_POWER and binds tighter
-    than unary minus, and a power of a rational stays within
-    MAX_POWER_BITS.  Parentheses and unary signs nest at most MAX_NESTING
-    deep.
+    than unary minus, a power of a rational stays within MAX_POWER_BITS,
+    and a power of a polynomial (of the numerator and the denominator of
+    a quotient) is bounded to MAX_POWER_TERMS terms and MAX_POWER_SIZE
+    coefficient bits before it is expanded.  Parentheses and unary signs
+    nest at most MAX_NESTING deep.
     Returns a Fraction when the alphabet is empty, else a
     RationalFunction over the alphabet.
 
@@ -814,6 +844,17 @@ def parse_scalar(text: str, alphabet: Iterable[str] = ()) -> Scalar:
                 raise ParseError(
                     f"power exceeds the limit of {MAX_POWER_BITS} bits in {text!r}"
                 )
+            parts = (v.num, v.den) if isinstance(v, RationalFunction) else (v,)
+            for f in parts:
+                # a power of a monomial stays one term with coefficient 1
+                if not isinstance(f, Polynomial) or len(f.terms) < 2:
+                    continue
+                terms, size = _power_size(f, n)
+                if terms > MAX_POWER_TERMS or size > MAX_POWER_SIZE:
+                    raise ParseError(
+                        f"power exceeds the limit of {MAX_POWER_TERMS} terms "
+                        f"or {MAX_POWER_SIZE} coefficient bits in {text!r}"
+                    )
             v = v**n
         return v
 

@@ -159,6 +159,51 @@ def test_report_repeats_the_benchmark_reference(capsys, argv, ref):
     assert out == (REF / ref).read_text()
 
 
+def slice_document(slope: int) -> str:
+    """The Ml scenario document restricted to the slice p = slope*a."""
+    lines = []
+    for line in catalog.scenario("Ml").text().splitlines():
+        if line.startswith("name:"):
+            line = f"name: Ml slice p = {slope}*a"
+        elif line.startswith("alphabet:"):
+            line = "alphabet: a q"
+        elif line.startswith("exclude: p "):
+            continue
+        elif line.startswith("phi:"):
+            line = re.sub(r"\bp\b", f"({slope}*a)", line)
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("argv, stdin, golden", [
+    (("torsion", "--scenario", "Ms"), None, "torsion-Ms.txt"),
+    (("torsion", "--scenario", "Ml", "--format", "json"), None, "torsion-Ml.json"),
+    (("torsion", "--input", "-"), 3, "torsion-Ml-slice-p3a.txt"),
+], ids=["Ms", "Ml-json", "Ml-slice"])
+def test_symbolic_torsion_reports_are_pinned(capsys, monkeypatch, argv, stdin, golden):
+    import io
+
+    if stdin is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(slice_document(stdin)))
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == (Path(__file__).parent / "golden" / golden).read_text()
+
+
+def test_text_torsion_renders_no_payload(capsys, monkeypatch):
+    import splitg2.cli as cli
+
+    calls = []
+    payload = cli._torsion_payload
+    monkeypatch.setattr(cli, "_torsion_payload",
+                        lambda *args: calls.append(1) or payload(*args))
+    code, _, _ = run(capsys, "torsion", "--scenario", "Ms")
+    assert code == 0 and calls == []
+    code, out, _ = run(capsys, "torsion", "--scenario", "Ms", "--format", "json")
+    assert code == 0 and calls == [1]
+    assert json.loads(out)["torsion"]["vol_scale"] == "1"
+
+
 def test_torsion_partial_set_rejected(capsys):
     code, _, err = run(capsys, "torsion", "--scenario", "Ml", "--set", "a=1")
     assert code == 2
@@ -470,6 +515,16 @@ def test_input_huge_exponent_is_usage():
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1
     assert "exponent 3000 exceeds the limit 64" in proc.stderr
+
+
+def test_input_huge_polynomial_power_is_usage():
+    doc = catalog.scenario("Ml").text().replace("phi: 1 2 7 -a\n",
+                                                "phi: 1 2 7 -((1+a+p+q)^16)^4\n", 1)
+    assert "^16)^4" in doc
+    proc = run_splitg2("torsion", "--input", "-", stdin=doc, timeout=60)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert "power exceeds the limit of 16384 terms" in proc.stderr
 
 
 def test_input_huge_integer_literal_is_usage():

@@ -133,3 +133,90 @@ def test_poly_axpy_cancellation():
     a = packed({(1, 0): 3, (0, 1): -2}, width=2)
     assert kernels.poly_axpy(2, a, -2, a) == {}
     assert kernels.poly_axpy(1, a, 1, {}) == a
+
+
+# -- the dense route of poly_mul ------------------------------------------------
+
+
+def convolution(a, b):
+    """Term-by-term convolution of two packed maps: the reference result
+    for both routes of `poly_mul`."""
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def seeded_map(rng, width, nterms, bits):
+    """Packed map of at most `nterms` terms over `width` fields with mixed
+    coefficient signs of up to `bits` bits.  Up to three fields spread
+    over a few exponents, the others are zero or fixed at one exponent;
+    leading fields are zero on a coin flip."""
+    lead = rng.randint(1, width - 1) if width > 1 and rng.random() < 0.5 else 0
+    spread = set(rng.sample(range(lead, width), min(3, width - lead)))
+    fields = []
+    for i in range(width):
+        if i in spread:
+            fields.append((rng.randint(0, 3), rng.randint(1, 6)))
+        elif i < lead or rng.random() < 0.5:
+            fields.append((0, 0))
+        else:
+            fields.append((rng.randint(1, 9000), 0))
+    out = {}
+    for _ in range(nterms):
+        e = tuple(lo + rng.randint(0, span) for lo, span in fields)
+        out[_pack(e, width)] = rng.choice((-1, 1)) * rng.randint(1, 1 << bits)
+    return out
+
+
+def test_dense_route_matches_the_convolution(rng, monkeypatch):
+    n = kernels.DENSE_MIN_TERMS
+    pairs = []
+    for width in range(1, 9):
+        for bits in (3, 65, 193):
+            for sizes in ((n - 1, n + 5), (n, n), (n + 1, 3 * n), (3 * n, 2 * n)):
+                a = seeded_map(rng, width, sizes[0], bits)
+                b = seeded_map(rng, width, sizes[1], bits)
+                pairs.append((a, b, convolution(a, b)))
+    for a, b, want in pairs:  # each route as dispatched
+        assert kernels.poly_mul(a, b) == want
+        assert kernels.poly_mul(b, a) == want
+    # the box bound is a speed choice: lift it so every pair goes dense
+    monkeypatch.setattr(kernels, "DENSE_MAX_BYTES", 1 << 30)
+    for a, b, want in pairs:
+        short, long = sorted((a, b), key=len)
+        got = kernels._dense_mul(short, long)
+        assert got == want
+        assert list(got) == sorted(got)  # cell order is key order
+
+
+def test_dense_route_on_small_and_degenerate_operands(rng, monkeypatch):
+    # every nonempty pair takes the dense route
+    monkeypatch.setattr(kernels, "DENSE_MIN_TERMS", 1)
+    monkeypatch.setattr(kernels, "DENSE_MAX_BYTES", 1 << 30)
+    big = seeded_map(rng, 3, 40, 200)
+    cases = [({0: 5}, {0: -3}), ({0: 1}, big), (big, {0: -(1 << 300)}),
+             ({_pack((2, 0, 7), 3): -1}, {_pack((0, 5, 1), 3): 1 << 70}),
+             ({_pack((1, 0, 0), 3): 1, 0: -1}, {_pack((1, 0, 0), 3): 1, 0: 1}),
+             (big, big)]
+    for a, b in cases:
+        assert kernels.poly_mul(a, b) == convolution(a, b)
+    assert kernels.poly_mul({}, big) == kernels.poly_mul(big, {}) == {}
+    assert kernels.poly_mul({}, {}) == {}
+
+
+def test_small_operands_keep_the_convolution(rng, monkeypatch):
+    calls = []
+    dense_mul = kernels._dense_mul
+    monkeypatch.setattr(kernels, "_dense_mul",
+                        lambda a, b: calls.append(len(a)) or dense_mul(a, b))
+    n = kernels.DENSE_MIN_TERMS
+    a = seeded_map(rng, 2, n - 1, 8)
+    b = seeded_map(rng, 2, 4 * n, 8)
+    assert len(a) < n
+    assert kernels.poly_mul(a, b) == convolution(a, b)
+    assert calls == []
+    c = {_pack((0, i), 2): i + 1 for i in range(n)}
+    assert kernels.poly_mul(c, c) == convolution(c, c)
+    assert calls == [n]

@@ -7,6 +7,7 @@ code paths.
 """
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -552,3 +553,38 @@ def test_constant_powers_are_bounded():
             scalars.parse_rational(text)
     with pytest.raises(ParseError, match="power exceeds"):
         scalars.parse_scalar("a * ((2^64)^64)^64", A)
+
+
+def test_dense_product_past_the_guard_bit_raises(monkeypatch):
+    # 257 terms a^0..a^255 and a^16384: the box of the square has 32,769
+    # cells of 2 bytes, within one byte per term product, so the dense
+    # route runs; a^16384 * a^16384 sets the guard bit of the first field
+    calls = []
+    dense_mul = kernels._dense_mul
+    monkeypatch.setattr(kernels, "_dense_mul",
+                        lambda a, b: calls.append(1) or dense_mul(a, b))
+    alphabet = ("a", "q")
+    exps = {(i, 0): 1 for i in range(256)}
+    x = Polynomial.from_terms(alphabet, exps)
+    assert len((x * x).terms) == 511 and calls == [1]
+    y = Polynomial.from_terms(alphabet, {**exps, (1 << 14, 0): 1})
+    with pytest.raises(ValidationError, match="exceeds the limit"):
+        y * y
+    assert calls == [1, 1]
+
+
+def test_polynomial_powers_are_bounded_before_expansion():
+    apq = ("a", "p", "q")
+    assert len(scalars.parse_scalar("((1+a+p+q)^8)^4", apq).num.terms) == 6545
+    assert len(scalars.parse_scalar("((1+a+p)^20)^3", apq).num.terms) == 1891
+    assert len(scalars.parse_scalar("a^64*p^64", apq).num.terms) == 1
+    assert scalars.parse_scalar("(p - p)^0", apq) == 1
+    # a quotient bounds its numerator and its denominator
+    assert len(scalars.parse_scalar("((1+a)/(2+q))^32", apq).den.terms) == 33
+    for text in ("((1+a+p+q)^16)^4", "1/((1+a+p+q)^16)^4",
+                 "((1+a+p+q)^16/(1+a))^4", "((1+a)/(2+(1+a+p+q)^4))^16",
+                 "((1+a)^64)^64"):
+        start = time.process_time()
+        with pytest.raises(ParseError, match="power exceeds the limit of 16384 terms"):
+            scalars.parse_scalar(text, apq)
+        assert time.process_time() - start < 1.0
