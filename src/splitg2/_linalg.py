@@ -5,9 +5,14 @@
   polynomial ring.  Both domains clear denominators first and then
   eliminate fraction free, by cross-multiplication row updates followed
   by content normalization: rational rows become primitive integer rows
-  (exact gcds, no Fraction arithmetic), polynomial rows are divided by
-  their rational and monomial content (no polynomial division, no
-  polynomial gcd).  Quotients appear only when a solution is read off
+  (exact gcds, no Fraction arithmetic), polynomial rows become Polynomial
+  entries with integer contents of gcd 1 and no common monomial factor
+  (no polynomial division, no polynomial gcd).  A polynomial row update
+  runs on integer term maps: each entry is its integer content times its
+  packed-key term map, products go through `scalars.mul_terms` and sums
+  through `kernels.poly_axpy`, and one integer normaliser (`_poly_row`)
+  divides the result by the gcd of all its coefficients and by the
+  common monomial.  Quotients appear only when a solution is read off
   (`div`).
 
 Rows are dicts from column index to nonzero entries.  Columns
@@ -25,6 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, inf, lcm
 
+from . import kernels, scalars
 from .errors import InconsistentSystem, NonUniqueSolution, SingularMatrix
 from .scalars import Polynomial, RationalFunction
 
@@ -146,7 +152,9 @@ def _integer_row(row: dict) -> dict:
 
 
 class PolyDomain:
-    """Row entries are Polynomials; cross-multiplication elimination."""
+    """Row entries are Polynomials with integer contents, gcd 1 over the
+    row, and no common monomial factor (see `_poly_row`);
+    cross-multiplication elimination on their integer term maps."""
 
     def __init__(self, alphabet: tuple):
         self.alphabet = alphabet
@@ -155,59 +163,63 @@ class PolyDomain:
         return len(entry.terms)
 
     def combine(self, p, row, f, prow, col):
+        """p*row - f*prow with col removed, divided by its integer and
+        monomial content.  Each entry is carried as an integer multiplier
+        times a primitive term map: a product is the product of the
+        multipliers times `scalars.mul_terms` of the maps, and only an
+        entry present in both rows needs `kernels.poly_axpy` and a gcd."""
+        width = len(self.alphabet)
+        mul = scalars.mul_terms
+        cp, tp = p.content.numerator, p.terms
+        cf, tf = -f.content.numerator, f.terms
         out = {}
-        for c in row:
+        for c, v in row.items():
             if c != col:
-                out[c] = p * row[c]
+                out[c] = (cp * v.content.numerator, mul(tp, v.terms, width))
         for c, v in prow.items():
             if c == col:
                 continue
+            k, t = cf * v.content.numerator, mul(tf, v.terms, width)
             cur = out.get(c)
-            nxt = cur - f * v if cur is not None else -(f * v)
-            if nxt.is_zero():
-                out.pop(c, None)
+            if cur is None:
+                out[c] = (k, t)
             else:
-                out[c] = nxt
-        return normalize_poly_row(out, self.alphabet)
+                g = gcd(cur[0], k)
+                t = kernels.poly_axpy(cur[0] // g, cur[1], k // g, t)
+                if t:
+                    h, t = scalars.canonical_terms(t)
+                    out[c] = (g * h, t)
+                else:
+                    del out[c]
+        return _poly_row(out, self.alphabet)
 
     def div(self, a, b):
         return RationalFunction.make(a, b)
 
 
-def normalize_poly_row(row: dict, alphabet: tuple) -> dict:
-    """Divide a polynomial row by its rational content and monomial content."""
-    if not row:
-        return row
-    num_gcd = 0
-    den_lcm = 1
-    lo = None
-    for entry in row.values():
-        c = entry.content
-        num_gcd = gcd(num_gcd, c.numerator)
-        den_lcm = lcm(den_lcm, c.denominator)
-        e = entry.min_exponents()
-        if lo is None:
-            lo = list(e)
-        else:
-            for i, x in enumerate(e):
-                if x < lo[i]:
-                    lo[i] = x
-    scale = Fraction(num_gcd, den_lcm)
-    shift = tuple(lo)
-    if scale == 1 and not any(shift):
-        return row
+def _poly_row(entries: dict, alphabet: tuple) -> dict:
+    """{col: Polynomial} from {col: (k, terms)}, k a nonzero int and terms
+    a primitive term map with positive leading coefficient, divided by
+    the gcd of the k (the gcd of all coefficients) and by the monomial
+    dividing every term; entry order and term order are kept."""
+    if not entries:
+        return {}
+    width = len(alphabet)
+    g = gcd(*(k for k, _ in entries.values()))
+    shift = scalars._min_key([scalars._min_key(t, width)
+                              for _, t in entries.values()], width)
     out = {}
-    for c, entry in row.items():
-        entry = Polynomial(alphabet, entry.content / scale, entry.terms)
-        if any(shift):
-            entry = entry.monomial_shift(shift)
-        out[c] = entry
+    for c, (k, t) in entries.items():
+        if shift:
+            t = {e - shift: v for e, v in t.items()}
+        out[c] = Polynomial(alphabet, Fraction(k // g), t)
     return out
 
 
 def clear_row_denominators(row: dict, alphabet: tuple) -> dict:
     """Turn mixed scalar entries into Polynomial entries times one common
-    (dropped) denominator; preserves the row's solution set.
+    (dropped) denominator, normalized as `PolyDomain` rows are; preserves
+    the row's solution set.
 
     Invariant while scanning: out[k] == original[k] * cleared, where
     `cleared` is the product of the denominators met so far.
@@ -238,7 +250,10 @@ def clear_row_denominators(row: dict, alphabet: tuple) -> dict:
                 cleared = cleared * v.den
         else:
             raise TypeError(f"not a scalar entry: {v!r}")
-    return normalize_poly_row(out, alphabet)
+    den = lcm(*(v.content.denominator for v in out.values()))
+    return _poly_row({c: (v.content.numerator * (den // v.content.denominator),
+                          v.terms)
+                      for c, v in out.items()}, alphabet)
 
 
 def row_reduce(rows: list, width: int, domain) -> dict:

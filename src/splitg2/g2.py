@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from math import lcm
 from typing import Tuple
 
 from . import _linalg, kernels, scalars
@@ -61,6 +62,20 @@ def _merge_table(key_degree: int, form_degree: int) -> dict:
     }
 
 
+@cache
+def _complement(key: tuple) -> tuple:
+    """(rest, sign): the increasing complement of `key` in 1..7 and the
+    sign of e^key ^ e^rest against e^{1...7}."""
+    rest = tuple(i for i in _SINGLES if i not in key)
+    return rest, kernels.merge_indices(key, rest)[1]
+
+
+@cache
+def _mask(key: tuple) -> int:
+    """The index set of `key` as a bit mask, bit i - 1 for index i."""
+    return sum(1 << (i - 1) for i in key)
+
+
 def _row_block(start: int, degree: int) -> dict:
     """Row index of each degree-`degree` key, keys in lexicographic order."""
     return {key: start + idx
@@ -79,7 +94,8 @@ class Metric7:
     """Nondegenerate symmetric 2-tensor on the 7-dimensional frame with
     exact rational entries, plus its cached determinant."""
 
-    __slots__ = ("tensor", "matrix", "det", "_lowered", "_star_columns")
+    __slots__ = ("tensor", "matrix", "det", "_star_columns", "_scale",
+                 "_int_rows", "_minors")
 
     def __init__(self, tensor: SymTensor2):
         if tensor.dim != _DIM:
@@ -93,42 +109,56 @@ class Metric7:
         self.det = _linalg.mat_det(self.matrix)
         if self.det == 0:
             raise Degenerate("metric determinant is zero")
-        self._lowered = None
         self._star_columns = {}
-
-    def lowered(self, i: int) -> Form:
-        """The 1-form g(e_i, .) in coframe components."""
-        if self._lowered is None:
-            self._lowered = [None] + [
-                Form(
-                    _DIM,
-                    1,
-                    {
-                        (j,): self.matrix[k - 1][j - 1]
-                        for j in range(1, _DIM + 1)
-                        if self.matrix[k - 1][j - 1]
-                    },
-                )
-                for k in range(1, _DIM + 1)
-            ]
-        return self._lowered[i]
+        # the nonzero entries of D g by row, as (column bit, integer), D the
+        # lcm of the denominators of g: the star columns come from integer
+        # minors of D g (`_minor`)
+        self._scale = lcm(*(x.denominator for row in self.matrix for x in row))
+        self._int_rows = [[(1 << j, x.numerator * (self._scale // x.denominator))
+                           for j, x in enumerate(row) if x]
+                          for row in self.matrix]
+        self._minors = {}
 
     def _star_column(self, key: tuple) -> dict:
         """Unit-scale star of the monomial e^key, {complement key: coefficient},
-        from the defining identity of `hodge_star`; built on first use."""
+        keys in lexicographic order; built on first use.
+
+        Expanding the defining identity of `hodge_star`, the coefficient
+        at `out` is e^key ^ g(e_u1) ^ ... ^ g(e_uk) read at e^{1...7}, u
+        running over `out`: only the covectors e^j with j in rest, the
+        complement of key, survive, so it is sign(key, rest) times the
+        minor det g[out, rest]."""
         column = self._star_columns.get(key)
         if column is None:
-            mono = Form.monomial(_DIM, key)
+            rest, sign = _complement(key)
+            cols = _mask(rest)
+            den = self._scale ** len(rest)
             column = {}
-            for out in combinations(_SINGLES, _DIM - len(key)):
-                w = mono
-                for u in out:
-                    w = w.wedge(self.lowered(u))
-                coeff = w.coefficient(_TOP)
-                if coeff:
-                    column[out] = coeff
+            for out in combinations(_SINGLES, len(rest)):
+                m = self._minor(_mask(out), cols)
+                if m:
+                    column[out] = Fraction(m if sign > 0 else -m, den)
             self._star_columns[key] = column
         return column
+
+    def _minor(self, rows: int, cols: int) -> int:
+        """det(D g)[rows, cols], D = `_scale`, for index sets of one size
+        given as bit masks (`_mask`), by expansion along the first row
+        that skips zero entries; memoised, so each minor is expanded once."""
+        if not rows:
+            return 1
+        m = self._minors.get((rows, cols))
+        if m is None:
+            low = rows & -rows
+            below = rows ^ low
+            m = 0
+            for bit, x in self._int_rows[low.bit_length() - 1]:
+                if cols & bit:
+                    t = x * self._minor(below, cols ^ bit)
+                    # the column's position among cols fixes the sign
+                    m = m - t if (cols & (bit - 1)).bit_count() & 1 else m + t
+            self._minors[(rows, cols)] = m
+        return m
 
     def signature(self) -> Tuple[int, int]:
         """Inertia (plus, minus) via exact symmetric congruence reduction."""
@@ -185,7 +215,16 @@ def compatibility_defect(metric: Metric7, phi: Form) -> SymTensor2:
     for u in range(1, 8):
         left = hooked[u]
         for v in range(u, 8):
-            entries[(u, v)] = left.wedge(hooked[v]).wedge(phi).coefficient(_TOP)
+            # the top coefficient of w ^ phi pairs each term of the 4-form
+            # w with the term of phi at its complement, in the order of w
+            bucket = []
+            for key, x in left.wedge(hooked[v]).terms.items():
+                rest, sign = _complement(key)
+                y = phi.terms.get(rest)
+                if y is not None:
+                    bucket.append(x * y if sign > 0 else -(x * y))
+            entries[(u, v)] = (fold({_TOP: bucket}).get(_TOP, _F0)
+                               if bucket else _F0)
     return SymTensor2(_DIM, entries) - metric.tensor * 3
 
 
@@ -196,7 +235,9 @@ def hodge_star(metric: Metric7, lam: Form, vol_scale=_F1) -> Form:
 
         (star e^I)(e_u1, ..., e_u(7-p)) e^{1...7} = e^I ^ g(e_u1) ^ ... ^ g(e_u(7-p))
 
-    and is cached per metric (`Metric7._star_column`).  The star is linear,
+    whose right-hand side is sign(I, J) det g[u, J] e^{1...7}, J the
+    complement of I; `Metric7._star_column` reads each column off these
+    minors and caches it per metric.  The star is linear,
     so star lam is the sum of lam_I * star e^I, divided by vol_scale; the
     contributions to each output coefficient go through `exterior.fold`,
     as those of `Form.wedge` do."""

@@ -13,7 +13,8 @@ operand has fewer than DENSE_MIN_TERMS terms it convolves the two maps
 term by term and never looks inside a key.  Otherwise it reads the keys:
 it takes the per-field exponent ranges of both maps and, when the
 product's exponent box packs into at most DENSE_MAX_BYTES bytes per term
-product of the convolution, multiplies by Kronecker substitution: each
+product of the convolution and DENSE_MAX_BOX bytes in all, multiplies
+by Kronecker substitution: each
 map becomes one int with a fixed-width slot per box cell, the two ints
 are multiplied once, and the slots of the product are read back
 (R. Fateman, "Can you save time in multiplying polynomials by encoding
@@ -28,9 +29,15 @@ _MASK = (1 << FIELD) - 1
 
 # `poly_mul` takes the dense route when the shorter operand has at least
 # DENSE_MIN_TERMS terms and the packed product takes at most
-# DENSE_MAX_BYTES bytes per term product of the convolution.
+# DENSE_MAX_BYTES bytes per term product of the convolution and at most
+# DENSE_MAX_BOX bytes in all.  CPython multiplies big ints by Karatsuba,
+# so the packed product's cost grows faster than its size: at 0.9 bytes
+# per product, seeded one-variable maps with 100-bit coefficients lose
+# to the convolution from a box of about 180 KB (8-bit ones already at
+# 56 KB), while the largest box the torsion solves pack takes 25 KB.
 DENSE_MIN_TERMS = 16
 DENSE_MAX_BYTES = 1
+DENSE_MAX_BOX = 1 << 16
 
 
 def backend_name() -> str:
@@ -77,7 +84,8 @@ def poly_mul(a, b):
 
 def _dense_mul(a, b):
     """`poly_mul` by Kronecker substitution; None when the packed box
-    would take more than DENSE_MAX_BYTES bytes per term product.
+    would take more than DENSE_MAX_BYTES bytes per term product or more
+    than DENSE_MAX_BOX bytes.
 
     Field i of the product spans lo_i .. lo_i + D_i - 1, with lo_i the sum
     of the operands' lowest exponents and D_i the sum of their exponent
@@ -109,7 +117,8 @@ def _dense_mul(a, b):
         + len(a).bit_length()
     )
     width = (bits + 9) // 8  # bits + 2, rounded up to whole bytes
-    if size * width > DENSE_MAX_BYTES * len(a) * len(b):
+    box = size * width
+    if box > DENSE_MAX_BOX or box > DENSE_MAX_BYTES * len(a) * len(b):
         return None
     prod = _pack(a, cols_a, radix, width, size) * _pack(b, cols_b, radix, width, size)
     zero = bytes(width - 1) + b"\x80"

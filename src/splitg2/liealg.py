@@ -389,13 +389,23 @@ def change_basis(algebra: LieAlgebra, change: BasisChange) -> LieAlgebra:
 
 
 def _mat_comm(x, y):
+    """The commutator xy - yx of two square matrices, summing only the
+    products of nonzero entries."""
     n = len(x)
     out = [[_F0] * n for _ in range(n)]
     for i in range(n):
+        xi = [(k, v) for k, v in enumerate(x[i]) if v]
+        yi = [(k, v) for k, v in enumerate(y[i]) if v]
         for j in range(n):
             s = _F0
-            for k in range(n):
-                s += x[i][k] * y[k][j] - y[i][k] * x[k][j]
+            for k, v in xi:
+                w = y[k][j]
+                if w:
+                    s += v * w
+            for k, v in yi:
+                w = x[k][j]
+                if w:
+                    s -= v * w
             out[i][j] = s
     return out
 

@@ -93,6 +93,32 @@ def _check_fields(keys, width: int) -> None:
         raise ValidationError(f"a product exponent exceeds the limit {_LOW}")
 
 
+def mul_terms(a: dict, b: dict, width: int) -> dict:
+    """Term map of the product of two primitive term maps in `width`
+    variables.  Every product of packed keys is formed here: a constant
+    map {0: 1} only hands back the other operand, any other pair goes
+    through `kernels.poly_mul` and the guard-bit check."""
+    if a == _ONE:
+        return b
+    if b == _ONE:
+        return a
+    t = kernels.poly_mul(a, b)
+    _check_fields(t, width)
+    return t
+
+
+def canonical_terms(ints: dict) -> tuple:
+    """(g, ints / g) for a nonempty integer term map, g the gcd of its
+    coefficients signed like its lexicographically leading one, so the
+    returned map is primitive with positive leading coefficient."""
+    g = kernels.term_gcd(ints)
+    if ints[max(ints)] < 0:
+        g = -g
+    if g != 1:
+        ints = {e: c // g for e, c in ints.items()}
+    return g, ints
+
+
 def _min_key(keys, width: int) -> int:
     """Key of the componentwise minimum of nonempty `keys`.
 
@@ -274,13 +300,9 @@ class Polynomial:
             return NotImplemented
         if not self.content or not other.content:
             return Polynomial(self.alphabet, _F0, {})
-        if self.terms == _ONE or other.terms == _ONE:  # a constant only rescales
-            t = other.terms if self.terms == _ONE else self.terms
-            return Polynomial(self.alphabet, self.content * other.content, t)
         # Gauss: a product of primitive maps is primitive, and the lex
         # leading coefficient stays positive, so no renormalization.
-        t = kernels.poly_mul(self.terms, other.terms)
-        _check_fields(t, len(self.alphabet))
+        t = mul_terms(self.terms, other.terms, len(self.alphabet))
         return Polynomial(self.alphabet, self.content * other.content, t)
 
     __rmul__ = __mul__
@@ -410,11 +432,7 @@ def _canon(alphabet: tuple, scale: Fraction, ints: dict) -> Polynomial:
     """Canonical polynomial from a rational scale and an integer map."""
     if not ints or not scale:
         return Polynomial(alphabet, _F0, {})
-    g = kernels.term_gcd(ints)
-    if ints[max(ints)] < 0:
-        g = -g
-    if g != 1:
-        ints = {e: c // g for e, c in ints.items()}
+    g, ints = canonical_terms(ints)
     return Polynomial(alphabet, scale * g, ints)
 
 

@@ -4,6 +4,7 @@ for the command in a child process."""
 
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from splitg2 import scalars
+from splitg2 import catalog, scalars
 
 ALPHABET = ("a", "p", "q")
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -30,6 +31,22 @@ def run_python(*argv, stdin=None, timeout=120):
 def run_splitg2(*argv, stdin=None, timeout=120):
     """`python -m splitg2 ARGV` in a child process, as `run_python`."""
     return run_python("-m", "splitg2", *argv, stdin=stdin, timeout=timeout)
+
+
+def slice_document(slope: int) -> str:
+    """The Ml scenario document restricted to the slice p = slope*a."""
+    lines = []
+    for line in catalog.scenario("Ml").text().splitlines():
+        if line.startswith("name:"):
+            line = f"name: Ml slice p = {slope}*a"
+        elif line.startswith("alphabet:"):
+            line = "alphabet: a q"
+        elif line.startswith("exclude: p "):
+            continue
+        elif line.startswith("phi:"):
+            line = re.sub(r"\bp\b", f"({slope}*a)", line)
+        lines.append(line)
+    return "\n".join(lines) + "\n"
 
 
 def random_fraction(rng, height=9, nonzero=False):

@@ -12,7 +12,7 @@ import pytest
 from splitg2 import catalog, scalars
 from splitg2.cli import MAX_VALUE_DIGITS, main
 
-from conftest import run_python, run_splitg2
+from conftest import run_python, run_splitg2, slice_document
 
 REF = Path(__file__).resolve().parents[1] / "perfbench" / "ref"
 
@@ -157,22 +157,6 @@ def test_report_repeats_the_benchmark_reference(capsys, argv, ref):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out == (REF / ref).read_text()
-
-
-def slice_document(slope: int) -> str:
-    """The Ml scenario document restricted to the slice p = slope*a."""
-    lines = []
-    for line in catalog.scenario("Ml").text().splitlines():
-        if line.startswith("name:"):
-            line = f"name: Ml slice p = {slope}*a"
-        elif line.startswith("alphabet:"):
-            line = "alphabet: a q"
-        elif line.startswith("exclude: p "):
-            continue
-        elif line.startswith("phi:"):
-            line = re.sub(r"\bp\b", f"({slope}*a)", line)
-        lines.append(line)
-    return "\n".join(lines) + "\n"
 
 
 @pytest.mark.parametrize("argv, stdin, golden", [

@@ -145,6 +145,11 @@ def closed_form_star(metric, key, c):
     return terms
 
 
+def lowered(metric, i):
+    """The 1-form g(e_i, .) in coframe components."""
+    return Form(7, 1, {(j,): v for j, v in enumerate(metric.matrix[i - 1], 1)})
+
+
 def star_by_identity(metric, lam, c=1):
     """The star straight from its defining identity, one wedge chain per
     output key: (star lam)(e_u1, ..., e_uk) vol = lam ^ g(e_u1) ^ ... ^ g(e_uk)."""
@@ -152,7 +157,7 @@ def star_by_identity(metric, lam, c=1):
     for key in combinations(TOP, 7 - lam.degree):
         w = lam
         for u in key:
-            w = w.wedge(metric.lowered(u))
+            w = w.wedge(lowered(metric, u))
         coeff = w.coefficient(TOP)
         if not scalars.is_zero(scalars.as_scalar(coeff)):
             out[key] = coeff / Fraction(c)
@@ -181,6 +186,56 @@ def test_star_matches_defining_identity_on_symbolic_forms(ml, ms, rng):
                                for k in rng.sample(keys, 4)})
         for metric in (ml.metric, split_diag()):
             assert hodge_star(metric, lam, 3) == star_by_identity(metric, lam, 3)
+
+
+def wedge_identity_columns(metric):
+    """Reference for `Metric7._star_column`: every unit-scale monomial star
+    column from the defining identity of `hodge_star`,
+    (star e^I)(e_u1, ..., e_uk) e^{1...7} = e^I ^ g(e_u1) ^ ... ^ g(e_uk),
+    the wedge chains g(e_u1) ^ ... ^ g(e_uk) shared between all I.  Of a
+    chain only its term at the complement J of I survives the wedge with
+    e^I, which gives that term times the sign of e^I ^ e^J."""
+    chains = {(): Form(7, 0, {(): 1})}
+    for k in range(1, 8):
+        for out in combinations(TOP, k):
+            chains[out] = chains[out[:-1]].wedge(lowered(metric, out[-1]))
+    columns = {}
+    for p in range(8):
+        for key in combinations(TOP, p):
+            rest = tuple(i for i in TOP if i not in key)
+            sign = Form.monomial(7, key).wedge(Form.monomial(7, rest)).terms[TOP]
+            column = columns[key] = {}
+            for out in combinations(TOP, 7 - p):
+                c = chains[out].terms.get(rest)
+                if c:
+                    column[out] = sign * c
+    return columns
+
+
+def seeded_dense_metrics(rng, count):
+    """Nondegenerate symmetric 7x7 rational metrics with no zero entry."""
+    out = []
+    while len(out) < count:
+        entries = {(i, j): random_fraction(rng, height=3, nonzero=True)
+                   for i in range(1, 8) for j in range(i, 8)}
+        try:
+            out.append(Metric7(SymTensor2(7, entries)))
+        except Degenerate:
+            continue
+    return out
+
+
+def test_star_columns_match_the_wedge_identity(ml, ms):
+    metrics = [ml.metric, ms.metric, euclidean(), split_diag()]
+    metrics += seeded_dense_metrics(random.Random(12), 20)
+    for metric in metrics:
+        want = wedge_identity_columns(metric)
+        assert len(want) == 128
+        for key, column in want.items():
+            got = metric._star_column(key)
+            # same values in the same key order, all Fractions
+            assert list(got.items()) == list(column.items()), key
+            assert all(type(v) is Fraction for v in got.values())
 
 
 def test_star_is_linear(rng):
@@ -245,6 +300,35 @@ def test_compatibility_cubic_scaling(ms_at_2, ms):
 def test_compatibility_detects_perturbation(ms_at_2):
     metric, phi = ms_at_2
     assert not compatibility_defect(metric, phi + Form.monomial(7, (1, 2, 3))).is_zero()
+
+
+def wedge_compatibility_defect(metric, phi):
+    """Reference for `compatibility_defect`: B_uv read off the full wedge
+    (e_u -| phi) ^ (e_v -| phi) ^ phi."""
+    hooked = [None] + [interior(Vector.basis(7, m), phi) for m in range(1, 8)]
+    entries = {(u, v): hooked[u].wedge(hooked[v]).wedge(phi).coefficient(TOP)
+               for u in range(1, 8) for v in range(u, 8)}
+    return SymTensor2(7, entries) - metric.tensor * 3
+
+
+def test_compatibility_defect_matches_the_full_wedge(ml, ms, ms_at_2, rng):
+    cases = [(ml.metric, ml.phi_family), (ms.metric, ms.phi_family), ms_at_2,
+             (ms_at_2[0], ms_at_2[1] + Form.monomial(7, (1, 2, 3)))]
+    for sc in (ml, ms):
+        # failing defects with polynomial and rational-function coefficients
+        for _ in range(3):
+            keys = rng.sample(list(combinations(TOP, 3)), 3)
+            bump = Form(7, 3, {k: random_scalar(rng, sc.alphabet, nonzero=True)
+                               for k in keys})
+            cases.append((sc.metric, sc.phi_family + bump))
+    failing = 0
+    for metric, phi in cases:
+        got = compatibility_defect(metric, phi)
+        want = wedge_compatibility_defect(metric, phi)
+        assert list(got.entries) == list(want.entries)
+        assert str(got) == str(want)
+        failing += not got.is_zero()
+    assert failing == len(cases) - 3
 
 
 # -- the 2-form and 3-form components -------------------------------------------------

@@ -182,8 +182,9 @@ def test_dense_route_matches_the_convolution(rng, monkeypatch):
     for a, b, want in pairs:  # each route as dispatched
         assert kernels.poly_mul(a, b) == want
         assert kernels.poly_mul(b, a) == want
-    # the box bound is a speed choice: lift it so every pair goes dense
+    # the box bounds are a speed choice: lift them so every pair goes dense
     monkeypatch.setattr(kernels, "DENSE_MAX_BYTES", 1 << 30)
+    monkeypatch.setattr(kernels, "DENSE_MAX_BOX", 1 << 40)
     for a, b, want in pairs:
         short, long = sorted((a, b), key=len)
         got = kernels._dense_mul(short, long)
@@ -220,3 +221,25 @@ def test_small_operands_keep_the_convolution(rng, monkeypatch):
     c = {_pack((0, i), 2): i + 1 for i in range(n)}
     assert kernels.poly_mul(c, c) == convolution(c, c)
     assert calls == [n]
+
+
+def test_large_boxes_keep_the_convolution(rng, monkeypatch):
+    # 1000 x 1000 terms of 100 bits spread over 18,000 exponents: about one
+    # packed byte per term product, but a box near 1 MB, where the big-int
+    # product of the dense route costs more than the convolution
+    def spread(n, span):
+        return {e: rng.choice((-1, 1)) * ((1 << 99) | rng.getrandbits(99))
+                for e in rng.sample(range(span), n)}
+
+    dense_mul = kernels._dense_mul
+    calls = []
+    monkeypatch.setattr(kernels, "_dense_mul",
+                        lambda a, b: calls.append(len(a)) or dense_mul(a, b))
+    a, b = spread(1000, 18_000), spread(1000, 18_000)
+    box = (max(a) - min(a) + max(b) - min(b) + 1) * 27  # 27-byte slots
+    assert kernels.DENSE_MAX_BOX < box <= kernels.DENSE_MAX_BYTES * 1000 * 1000
+    assert dense_mul(a, b) is None
+    # at the same density a box under the cap takes the dense route
+    c, d = spread(100, 180), spread(100, 180)
+    assert kernels.poly_mul(c, d) == convolution(c, d)
+    assert calls == [100]

@@ -3,11 +3,11 @@
 import random
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
-from splitg2 import _linalg, catalog, scalars
+from splitg2 import _linalg, catalog, scalars, textio
 from splitg2._linalg import (
     FractionDomain,
     PolyDomain,
@@ -22,14 +22,27 @@ from splitg2._linalg import (
     solve_in_span,
     solve_unique,
 )
-from splitg2.errors import InconsistentSystem, NonUniqueSolution, SingularMatrix
+from splitg2.errors import (
+    InconsistentSystem,
+    NonUniqueSolution,
+    SingularMatrix,
+    ValidationError,
+)
 from splitg2.exterior import Vector
 from splitg2.liealg import Subspace
 from splitg2.scalars import Polynomial, RationalFunction
 
 from splitg2.g2 import torsion_linear_system
 
-from conftest import ALPHABET, dense_kernel, dense_rref, random_fraction, random_polynomial
+from conftest import (
+    ALPHABET,
+    dense_kernel,
+    dense_rref,
+    random_fraction,
+    random_polynomial,
+    random_scalar,
+    slice_document,
+)
 
 
 def random_sparse(rng, nrows, width, density=0.5):
@@ -583,3 +596,142 @@ def test_poly_rank_with_rational_entries():
     rows = [{0: half_a, 1: one}, {0: a, 1: Polynomial.constant(("a",), 2)}]
     # second row is 2x the first: rank 1
     assert rank(rows, 2) == 1
+
+
+# -- integer polynomial rows against Polynomial arithmetic ---------------------------
+
+
+def reference_normalize_row(row, alphabet):
+    """Reference for the integer row normaliser: divide a polynomial row by
+    its rational content and its monomial content in Polynomial arithmetic."""
+    if not row:
+        return row
+    num_gcd = 0
+    den_lcm = 1
+    lo = None
+    for entry in row.values():
+        c = entry.content
+        num_gcd = gcd(num_gcd, c.numerator)
+        den_lcm = lcm(den_lcm, c.denominator)
+        e = entry.min_exponents()
+        lo = list(e) if lo is None else [min(x, y) for x, y in zip(lo, e)]
+    scale = Fraction(num_gcd, den_lcm)
+    shift = tuple(lo)
+    if scale == 1 and not any(shift):
+        return row
+    out = {}
+    for c, entry in row.items():
+        entry = Polynomial(alphabet, entry.content / scale, entry.terms)
+        if any(shift):
+            entry = entry.monomial_shift(shift)
+        out[c] = entry
+    return out
+
+
+def reference_clear_row(row, alphabet):
+    """Reference for `clear_row_denominators`: the same clearing, normalized
+    by `reference_normalize_row`."""
+    out = {}
+    cleared = Polynomial.constant(alphabet, 1)
+    for c in sorted(row):
+        v = scalars.as_scalar(row[c])
+        if scalars.is_zero(v):
+            continue
+        if isinstance(v, Fraction):
+            out[c] = Polynomial.constant(alphabet, v) * cleared
+        elif isinstance(v, Polynomial):
+            out[c] = v * cleared
+        elif v.den.is_constant():
+            out[c] = (v.num / v.den.constant_value()) * cleared
+        else:
+            for k in out:
+                out[k] = out[k] * v.den
+            out[c] = v.num * cleared
+            cleared = cleared * v.den
+    return reference_normalize_row(out, alphabet)
+
+
+class PolynomialRowDomain(PolyDomain):
+    """Reference for `PolyDomain.combine`: the update p*row - f*prow in
+    Polynomial arithmetic, as polynomial rows were eliminated before they
+    were held as integer term maps."""
+
+    def combine(self, p, row, f, prow, col):
+        out = {c: p * v for c, v in row.items() if c != col}
+        for c, v in prow.items():
+            if c == col:
+                continue
+            cur = out.get(c)
+            nxt = cur - f * v if cur is not None else -(f * v)
+            if nxt.is_zero():
+                out.pop(c, None)
+            else:
+                out[c] = nxt
+        return reference_normalize_row(out, self.alphabet)
+
+
+def layout(rows):
+    """Every entry in order, with its content and its terms in order."""
+    return [[(c, type(v.content), v.content, list(v.terms.items()))
+             for c, v in row.items()] for row in rows]
+
+
+def assert_poly_elimination_parity(rows, width, reduce):
+    """The integer eliminator gives the entries of the Polynomial reference
+    in the same order, after `prepare_rows` and after `reduce`."""
+    alphabet = detect_domain(rows).alphabet
+    got = prepare_rows(rows, PolyDomain(alphabet))
+    want = [reference_clear_row(row, alphabet) for row in rows]
+    assert layout(got) == layout(want)
+    pivots = reduce(got, width, PolyDomain(alphabet))
+    assert pivots == reduce(want, width, PolynomialRowDomain(alphabet))
+    assert layout(got) == layout(want)
+    return pivots
+
+
+def test_poly_elimination_matches_polynomial_arithmetic(rng):
+    pivoted = 0
+    for _ in range(40):
+        width = rng.randint(1, 5)
+        rows = []
+        for _ in range(rng.randint(1, 6)):
+            row = {}
+            for c in range(width + 1):
+                if rng.random() < 0.5:
+                    row[c] = rng.choice((
+                        random_polynomial(rng, max_terms=3, max_exp=3),
+                        random_scalar(rng), random_fraction(rng),
+                        rng.randint(-3, 3)))
+            rows.append(row)
+        rows.append({0: Polynomial.variable(ALPHABET, "a")})  # polynomial domain
+        for reduce in (row_reduce, row_reduce_min_fill):
+            pivoted += len(assert_poly_elimination_parity(rows, width, reduce))
+    assert pivoted > 100
+
+
+def ml_slice(slope):
+    """The Ml scenario on the slice p = slope*a, from its document."""
+    return catalog.from_document(textio.parse_scenario(slice_document(slope)))
+
+
+@pytest.mark.parametrize("name, vol_scale", [
+    ("Ml", 1), ("Ml", Fraction(7, 3)), ("Ms", 1), ("Ml slice", 1)])
+def test_poly_elimination_matches_polynomial_arithmetic_on_torsion_rows(
+        name, vol_scale):
+    sc = ml_slice(3) if name == "Ml slice" else catalog.scenario(name)
+    system = torsion_linear_system(sc.algebra, sc.metric, sc.phi_family, vol_scale)
+    assert isinstance(detect_domain(system.rows), PolyDomain)
+    pivots = assert_poly_elimination_parity(system.rows, system.width,
+                                            row_reduce_min_fill)
+    assert len(pivots) == system.width
+
+
+def test_field_overflow_in_the_eliminator_raises():
+    # the pivot a^20000 times the entry a^20000 + 1 needs exponent 40000,
+    # past the field limit of 32767
+    a = Polynomial.variable(("a",), "a")
+    big = a ** 20000
+    rows = [{0: big, 1: 1}, {0: 1, 1: big + 1}]
+    for entry in (lambda: rank(rows, 2), lambda: solve_unique(rows, 1)):
+        with pytest.raises(ValidationError, match="exceeds the limit"):
+            entry()
