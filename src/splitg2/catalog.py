@@ -12,7 +12,7 @@ validated input document takes (`from_document`, `validation`).
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator, Mapping, Optional, Tuple
 
 from . import liealg, scalars, textio
@@ -168,6 +168,15 @@ class Scenario:
     exclusions: Tuple[Tuple[str, Fraction], ...]
     expected: Optional[Expected]
 
+    @cached_property
+    def defect(self) -> Optional[SymTensor2]:
+        """The compatibility defect of `metric` and `phi_family`
+        (`g2.compatibility_defect`), None when either is missing; computed
+        on first use and kept with the scenario, whose fields are frozen."""
+        if self.metric is None or self.phi_family is None:
+            return None
+        return compatibility_defect(self.metric, self.phi_family)
+
     def scalar(self, text: str):
         """Parse a scalar over this scenario's alphabet."""
         return scalars.parse_scalar(text, self.alphabet)
@@ -204,15 +213,17 @@ def from_document(doc: textio.ScenarioDocument) -> Scenario:
 def validation(sc: Scenario) -> Iterator[Tuple[str, str, bool, str, str]]:
     """(check, claim, ok, computed, expected) records of the Jacobi,
     fibration and, given a metric and a 3-form, compatibility checks; each
-    check runs when its record is asked for, so a caller can stop early."""
+    check runs when its record is asked for, so a caller can stop early.
+    The compatibility record reads `Scenario.defect`, so the defect a
+    fixture was validated with is the one its reports show."""
     jac = sc.algebra.jacobi_check()
     yield ("jacobi", "structure constants satisfy the Jacobi identity",
            jac.ok, "pass" if jac.ok else str(jac), "pass")
     fib = sc.algebra.horizontal_integrability(sc.horizontal)
     yield ("fibration", "horizontal coframe block is integrable",
            fib, "integrable" if fib else "not integrable", "integrable")
-    if sc.metric is not None and sc.phi_family is not None:
-        defect = compatibility_defect(sc.metric, sc.phi_family)
+    defect = sc.defect
+    if defect is not None:
         ok = defect.is_zero()
         yield ("compatibility", "metric and 3-form are compatible",
                ok, "defect 0" if ok else f"defect {defect}", "defect 0")

@@ -448,7 +448,7 @@ def _scenario_checks(rep: Report, name: str, cfg: RunConfig) -> None:
     rep.add(f"{n}.metric.signature", "signature as an unordered pair",
             sorted(sig) == [3, 4], sig_set, "{3,4}")
 
-    defect = g2.compatibility_defect(sc.metric, sc.phi_family)
+    defect = sc.defect
     rep.add(f"{n}.compatibility", "metric and 3-form family are compatible",
             defect.is_zero(), "defect 0" if defect.is_zero()
             else f"defect {defect}", "defect 0")
@@ -516,7 +516,11 @@ def _point_pipeline(sc: catalog.Scenario, expected: TorsionSet,
                     point: Mapping[str, Fraction], vol: Fraction,
                     anchor: str) -> tuple:
     """Full rational pipeline at one admissible point, against the golden
-    torsions `expected` at volume scale `vol`; one record."""
+    torsions `expected` at volume scale `vol`; one record.
+
+    The 14-dimensional component of 2-forms is computed once and serves
+    both the dimension check and, as the tau2 block of the membership
+    kernel, the constrained rank (`TorsionSystem.membership_kernel_rank`)."""
     phi = _specialize_form(sc.phi_family, point)
     problems = []
     if not g2.compatibility_defect(sc.metric, phi).is_zero():
@@ -530,12 +534,12 @@ def _point_pipeline(sc: catalog.Scenario, expected: TorsionSet,
                 problems.append(f"{field} mismatch")
     except (NonUniqueSolution, InconsistentSystem, InternalInconsistency) as exc:
         problems.append(f"torsion solve failed: {exc}")
-    rank = system.membership_kernel_rank()
+    lambda2_14 = g2.lambda2_14_basis(phi, system.star_phi)
+    rank = system.membership_kernel_rank(lambda2_14.vectors)
     if rank != 49:
         problems.append(f"constrained rank {rank}")
-    dim14 = g2.lambda2_14_basis(phi, system.star_phi).dimension
-    if dim14 != 14:
-        problems.append(f"14-component dimension {dim14}")
+    if lambda2_14.dimension != 14:
+        problems.append(f"14-component dimension {lambda2_14.dimension}")
     ok = not problems
     computed = ("torsion match, constrained rank 49, 14-component dim 14"
                 if ok else "; ".join(problems))

@@ -89,6 +89,17 @@ _ROWS_TAU2_STAR = _row_block(56, 6)      # rows 56..62
 _ROWS_TAU3_PHI = _row_block(63, 6)       # rows 63..69
 _ROWS_TAU3_STAR = {_TOP: 70}
 
+# the column range of each torsion form among the unknowns of
+# `TorsionSystem`, {first column: end}, tau3 and tau0 first: their images
+# in the Bryant rows are the sparsest (`membership_kernel_rank`)
+_TAU2_COLUMN = 1 + len(_SINGLES)
+_UNKNOWN_GROUPS = {
+    _TAU2_COLUMN + len(_PAIRS): _TAU2_COLUMN + len(_PAIRS) + len(_TRIPLES),
+    0: 1,
+    1: _TAU2_COLUMN,
+    _TAU2_COLUMN: _TAU2_COLUMN + len(_PAIRS),
+}
+
 
 class Metric7:
     """Nondegenerate symmetric 2-tensor on the 7-dimensional frame with
@@ -361,22 +372,58 @@ class TorsionSystem:
             raise InternalInconsistency("tau3 escapes its 27-dimensional component")
         return torsions
 
-    def membership_kernel_rank(self) -> int:
+    def membership_kernel_rank(self, tau2_kernel=None) -> int:
         """Rank of the structure-equation block restricted to the
-        subspace cut out by the membership constraints."""
-        # the membership rows carry no right-hand side
-        kernel = _linalg.kernel_basis(self.rows[self.bryant_count :], self.width)
-        rows = []
-        for row in self.rows[: self.bryant_count]:
-            new_row = {}
-            for s, vec in enumerate(kernel):
-                total = _F0
-                for c, v in row.items():
-                    if c < self.width and vec[c]:
-                        total = total + v * vec[c]
-                if not scalars.is_zero(total):
-                    new_row[s] = total
-            rows.append(new_row)
+        subspace cut out by the membership constraints.
+
+        The membership rows are block diagonal in the unknowns: each reads
+        only the tau2 or only the tau3 columns, and tau0 and tau1 are
+        unconstrained.  So the kernel is spanned by the kernels of the
+        column groups (`_UNKNOWN_GROUPS`) taken one at a time, unit
+        vectors for tau0 and tau1; `tau2_kernel`, if given, holds the
+        vectors of the tau2 kernel over the index pairs (those of
+        `lambda2_14_basis` at the same 3-form and star phi).  The kernel
+        vectors stay sparse and are mapped through a column view of the
+        Bryant rows, both scaled free of denominators, which changes no
+        rank.  The rank of the images is that of an exact elimination
+        (`_linalg.rank`), kernel vectors as columns in group order.
+        """
+        width = self.width
+        domain = _linalg.detect_domain(self.rows)
+        # {unknown: [(row, entry)]} of the Bryant rows
+        columns = {}
+        for r, row in enumerate(_linalg.prepare_rows(
+                self.rows[: self.bryant_count], domain)):
+            for c, v in row.items():
+                if c < width:
+                    columns.setdefault(c, []).append((r, v))
+        groups = {lo: [] for lo in _UNKNOWN_GROUPS}
+        for row in self.rows[self.bryant_count :]:
+            if not row:
+                continue
+            # the membership rows carry no right-hand side
+            lo = max(lo for lo in _UNKNOWN_GROUPS if lo <= min(row))
+            if max(row) >= _UNKNOWN_GROUPS[lo]:
+                raise InternalInconsistency(
+                    "a membership row mixes torsion components")
+            groups[lo].append({c - lo: v for c, v in row.items()})
+        kernel = []
+        for lo, hi in _UNKNOWN_GROUPS.items():
+            if lo == _TAU2_COLUMN and tau2_kernel is not None:
+                vectors = tau2_kernel
+            else:
+                vectors = _linalg.kernel_basis(groups[lo], hi - lo)
+            kernel += ({lo + c: v for c, v in enumerate(vec) if v}
+                       for vec in vectors)
+        rows = [{} for _ in range(self.bryant_count)]
+        for s, vec in enumerate(_linalg.prepare_rows(kernel, domain)):
+            image = {}
+            for c, x in vec.items():
+                for r, v in columns.get(c, ()):
+                    image[r] = image[r] + x * v if r in image else x * v
+            for r, v in image.items():
+                if v:
+                    rows[r][s] = v
         return _linalg.rank(rows, len(kernel))
 
 

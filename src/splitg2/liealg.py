@@ -46,7 +46,8 @@ class LieAlgebra:
     differentials d e^K of the monomials met so far are cached lazily.
     """
 
-    __slots__ = ("dim", "brackets", "_dcoframe", "_dcolumns", "_adcolumns")
+    __slots__ = ("dim", "brackets", "_rational", "_dcoframe", "_dcolumns",
+                 "_adcolumns")
 
     def __init__(self, dim: int, brackets: Mapping):
         if dim < 1:
@@ -68,6 +69,8 @@ class LieAlgebra:
                 clean[(j, k)] = inner
         self.dim = dim
         self.brackets = clean
+        self._rational = all(type(c) is Fraction
+                             for comps in clean.values() for c in comps.values())
         self._dcoframe = None
         self._dcolumns = {}
         self._adcolumns = None
@@ -101,9 +104,31 @@ class LieAlgebra:
         return self._ad_columns().get(a, _EMPTY)
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
-        """Bracket of two frame vectors, extended bilinearly."""
+        """Bracket of two frame vectors, extended bilinearly.
+
+        For rational vectors over rational structure constants, the sum
+        runs over the nonzero components x_a and y_k only and reads each
+        [e_a, e_k] from the cached ad(e_a) columns (`_ad`), so the work
+        follows the nonzeros of x and y, not the whole bracket table; a
+        sum of Fractions has one value in any order.  Any other scalar
+        takes the sum pair by pair over the bracket table, the order in
+        which unreduced quotients were always combined, so they render
+        as before."""
         if x.dim != self.dim or y.dim != self.dim:
             raise DimensionMismatch("vector dimension does not match algebra")
+        xs, ys = x.components, y.components
+        if self._rational and all(type(v) is Fraction for v in xs + ys):
+            ad = self._ad_columns()
+            sums: dict = {}
+            for a, xa in enumerate(xs, 1):
+                if xa and a in ad:
+                    for k, col in ad[a].items():
+                        yk = ys[k - 1]
+                        if yk:
+                            w = xa * yk
+                            for i, c in col.items():
+                                sums[i] = sums.get(i, _F0) + w * c
+            return Vector([sums.get(i, _F0) for i in range(1, self.dim + 1)])
         acc = [_F0] * self.dim
         for (j, k), comps in self.brackets.items():
             w = x[j] * y[k] - x[k] * y[j]
@@ -329,7 +354,7 @@ class JacobiReport:
 class BasisChange:
     """Invertible change of basis; rows express new vectors in the old basis."""
 
-    __slots__ = ("dim", "matrix", "_inverse")
+    __slots__ = ("dim", "matrix", "_inverse", "_inverse_rows")
 
     def __init__(self, matrix: Sequence[Sequence]):
         rows = tuple(tuple(Fraction(x) for x in row) for row in matrix)
@@ -342,6 +367,9 @@ class BasisChange:
             self._inverse = _linalg.mat_inverse(rows)
         except SingularMatrix:
             raise SingularMatrix("basis change matrix is singular") from None
+        # the nonzero entries (d, inverse[c][d]) of each row c of the inverse
+        self._inverse_rows = tuple(tuple((d, v) for d, v in enumerate(row) if v)
+                                   for row in self._inverse)
 
     @classmethod
     def permutation(cls, images: Sequence[int]) -> "BasisChange":
@@ -356,18 +384,17 @@ class BasisChange:
         return Vector(self.matrix[i - 1])
 
     def old_to_new(self, coords: Sequence) -> list:
-        """Re-express an old-basis coordinate row in the new basis."""
-        inv = self._inverse
-        n = self.dim
-        out = []
-        for d in range(n):
-            total = _F0
-            for c in range(n):
-                x = coords[c]
-                if not scalars.is_zero(x):
-                    if inv[c][d]:
-                        total = total + x * inv[c][d]
-            out.append(total)
+        """Re-express an old-basis coordinate row in the new basis.
+
+        Only nonzero coordinates and nonzero entries of the inverse are
+        visited; each new coordinate still sums its terms in ascending
+        old index, starting from 0."""
+        out = [_F0] * self.dim
+        for c, row in enumerate(self._inverse_rows):
+            x = coords[c]
+            if not scalars.is_zero(x):
+                for d, v in row:
+                    out[d] = out[d] + x * v
         return out
 
 

@@ -712,7 +712,10 @@ MAX_POWER_BITS = 1 << 16
 # polynomial may reach in `parse_scalar`, bounded before it is expanded
 # (`_power_size`).  "((1+a+p+q)^8)^4" (6,545 terms) parses; the terms
 # stop "((1+a+p+q)^16)^4" (47,905 terms) and the bits "((1+a)^64)^64"
-# (4,097 terms of up to 4,090 bits), each seconds of CPU otherwise.
+# (4,097 terms of up to 4,090 bits), each seconds of CPU otherwise.  The
+# same limits bound a product (`_check_product`): the product of twelve
+# factors (1+a+b+c+d+e+f+g+h) stops at the ninth, where it would pass
+# 16,384 terms, instead of expanding 125,970 terms in 0.7 s.
 MAX_POWER_TERMS = 1 << 14
 MAX_POWER_SIZE = 1 << 22
 # Deepest nesting of parentheses and unary signs `parse_scalar` accepts; the
@@ -721,23 +724,88 @@ MAX_POWER_SIZE = 1 << 22
 MAX_NESTING = 32
 
 
+def _degree(p: Polynomial) -> int:
+    width = len(p.alphabet)
+    return max(sum(_unpack(k, width)) for k in p.terms)
+
+
+def _monomials(degree: int, *polys: Polynomial) -> int:
+    """The monomials of total degree at most `degree` in the parameters
+    that occur in `polys`: a bound on the terms of a polynomial of that
+    degree built from them."""
+    width = len(polys[0].alphabet)
+    used = reduce(or_, (k for p in polys for k in p.terms), 0)
+    w = sum(1 for x in _unpack(used, width) if x)
+    return comb(degree + w, w)
+
+
+def _norm_bits(p: Polynomial) -> int:
+    return sum(map(abs, p.terms.values())).bit_length()
+
+
 def _power_size(p: Polynomial, n: int) -> tuple:
     """Upper bounds on the terms of p**n and on the bits of all its
     coefficients, from p alone.
 
     The terms are at most the multisets of n terms of p and, computed only
     when that count is past MAX_POWER_TERMS, at most the monomials of
-    total degree n * deg p in the w parameters p contains.  Each
+    total degree n * deg p in the parameters p contains.  Each
     coefficient of the integer map of p**n is below ||terms||_1^n.
     """
     terms = comb(len(p.terms) + n - 1, n)
     if terms > MAX_POWER_TERMS:
-        width = len(p.alphabet)
-        deg = max(sum(_unpack(k, width)) for k in p.terms)
-        w = sum(1 for x in _unpack(reduce(or_, p.terms, 0), width) if x)
-        terms = min(terms, comb(n * deg + w, w))
-    norm = sum(map(abs, p.terms.values()))
-    return terms, terms * n * norm.bit_length()
+        terms = min(terms, _monomials(n * _degree(p), p))
+    return terms, terms * n * _norm_bits(p)
+
+
+def _check_product(a, b, text: str) -> None:
+    """Raise ParseError when the product a*b of two Polynomials (None
+    stands for 1) would pass MAX_POWER_TERMS terms or MAX_POWER_SIZE
+    coefficient bits, before it is expanded.
+
+    It has at most len(a) * len(b) terms, and when that count is past
+    MAX_POWER_TERMS, at most the monomials of total degree deg a + deg b
+    in their parameters; each coefficient of its integer map is at most
+    ||a||_1 * ||b||_1.  Below the first count, which is all that
+    catalogue-sized operands cost, the coefficient bits are not checked:
+    a product adds the bits of its factors, where a power multiplies
+    them, so they grow only with the text."""
+    if a is None or b is None or len(a.terms) * len(b.terms) <= MAX_POWER_TERMS:
+        return
+    if len(a.terms) < 2 or len(b.terms) < 2:
+        return  # a monomial factor shifts the keys of the other
+    terms = min(len(a.terms) * len(b.terms),
+                _monomials(_degree(a) + _degree(b), a, b))
+    if (terms > MAX_POWER_TERMS
+            or terms * (_norm_bits(a) + _norm_bits(b)) > MAX_POWER_SIZE):
+        raise ParseError(
+            f"product exceeds the limit of {MAX_POWER_TERMS} terms "
+            f"or {MAX_POWER_SIZE} coefficient bits in {text!r}"
+        )
+
+
+def _parts(x) -> tuple:
+    """(numerator, denominator) as Polynomials, None for a constant 1."""
+    if isinstance(x, RationalFunction):
+        return x.num, x.den
+    return (None if isinstance(x, Fraction) else x), None
+
+
+def _check_operation(v, op: str, w, text: str) -> None:
+    """`_check_product` on every product of numerators and denominators
+    that v op w expands; a Fraction only scales the other operand."""
+    vn, vd = _parts(v)
+    wn, wd = _parts(w)
+    if op == "*":
+        _check_product(vn, wn, text)
+        _check_product(vd, wd, text)
+    elif op == "/":
+        _check_product(vn, wd, text)
+        _check_product(vd, wn, text)
+    elif vd != wd:  # a sum over distinct denominators cross-multiplies
+        _check_product(vn, wd, text)
+        _check_product(wn, vd, text)
+        _check_product(vd, wd, text)
 
 
 class _Tokens:
@@ -789,8 +857,10 @@ def parse_scalar(text: str, alphabet: Iterable[str] = ()) -> Scalar:
     than unary minus, a power of a rational stays within MAX_POWER_BITS,
     and a power of a polynomial (of the numerator and the denominator of
     a quotient) is bounded to MAX_POWER_TERMS terms and MAX_POWER_SIZE
-    coefficient bits before it is expanded.  Parentheses and unary signs
-    nest at most MAX_NESTING deep.
+    coefficient bits before it is expanded, as is each product of
+    polynomials that a product, a quotient or a sum of quotients expands
+    (`_check_product`).  Parentheses and unary signs nest at most
+    MAX_NESTING deep.
     Returns a Fraction when the alphabet is empty, else a
     RationalFunction over the alphabet.
 
@@ -901,6 +971,12 @@ def parse_scalar(text: str, alphabet: Iterable[str] = ()) -> Scalar:
         while toks.peek() in ("*", "/"):
             op, _ = toks.take()
             w = factor()
+            if type(v) is Polynomial and type(w) is Polynomial:
+                # a quotient of polynomials multiplies nothing out
+                if op == "*" and len(v.terms) * len(w.terms) > MAX_POWER_TERMS:
+                    _check_product(v, w, text)
+            elif not (isinstance(v, Fraction) or isinstance(w, Fraction)):
+                _check_operation(v, op, w, text)
             try:
                 v = v * w if op == "*" else divide(v, w)
             except ZeroDivisionError as exc:
@@ -912,6 +988,8 @@ def parse_scalar(text: str, alphabet: Iterable[str] = ()) -> Scalar:
         while toks.peek() in ("+", "-"):
             op, _ = toks.take()
             w = term()
+            if isinstance(v, RationalFunction) or isinstance(w, RationalFunction):
+                _check_operation(v, op, w, text)
             v = v + w if op == "+" else v - w
         return v
 

@@ -5,6 +5,7 @@ import random
 import re
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -157,6 +158,50 @@ def test_report_repeats_the_benchmark_reference(capsys, argv, ref):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out == (REF / ref).read_text()
+
+
+@pytest.mark.parametrize("argv, golden, want_code", [
+    (("verify-paper", "--format", "json", "--seed", "5"),
+     "verify-paper-seed5.json", 0),
+    (("verify-paper", "--vol-scale", "3", "--seed", "2"),
+     "verify-paper-vol3-seed2.txt", 0),
+    (("verify-paper", "--scenario", "Ms", "--seed", "9"),
+     "verify-paper-Ms-seed9.txt", 0),
+    (("verify-paper", "--corrupt", "1,5,1"),
+     "verify-paper-corrupt-1-5-1.txt", 1),
+], ids=["json-seed5", "vol3-seed2", "Ms-seed9", "corrupt-1-5-1"])
+def test_verify_paper_reports_are_pinned(capsys, argv, golden, want_code):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (want_code, "")
+    assert out == (Path(__file__).parent / "golden" / golden).read_text()
+
+
+def test_verify_paper_computes_each_defect_once(capsys, monkeypatch):
+    """One compatibility defect per catalogue structure family, built with
+    the scenario, plus one per sampled point."""
+    import splitg2.cli as cli
+    from splitg2 import g2
+
+    calls = []
+
+    def spy(metric, phi):
+        calls.append(phi)
+        return real(metric, phi)
+
+    real = g2.compatibility_defect
+    monkeypatch.setattr(g2, "compatibility_defect", spy)
+    monkeypatch.setattr(catalog, "compatibility_defect", spy)
+    # scenarios are built once per process: build them again under the spy
+    catalog.scenario_Ml.cache_clear()
+    catalog.scenario_Ms.cache_clear()
+    code, _, _ = run(capsys, "verify-paper", "--seed", "4")
+    assert code == 0
+    families = [catalog.scenario(name).phi_family for name in ("Ml", "Ms")]
+    symbolic = [phi for phi in calls
+                if not all(isinstance(c, Fraction) for c in phi.terms.values())]
+    assert len(symbolic) == len(families)
+    assert all(a is b for a, b in zip(symbolic, families))
+    assert len(calls) == len(families) + 2 * cli.SPECIALIZATION_COUNT
 
 
 @pytest.mark.parametrize("argv, stdin, golden", [
@@ -509,6 +554,18 @@ def test_input_huge_polynomial_power_is_usage():
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1
     assert "power exceeds the limit of 16384 terms" in proc.stderr
+
+
+def test_input_long_product_is_usage():
+    factor = "(1+a+b+c+d+e+f+q)"
+    doc = catalog.scenario("Ms").text().replace(
+        "alphabet: q\n", "alphabet: q a b c d e f\n", 1).replace(
+        "phi: 1 3 6 q\n", "phi: 1 3 6 " + "*".join([factor] * 12) + "\n", 1)
+    assert "alphabet: q a b c d e f\n" in doc and factor + "*" + factor in doc
+    proc = run_splitg2("torsion", "--input", "-", stdin=doc, timeout=60)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert "product exceeds the limit of 16384 terms" in proc.stderr
 
 
 def test_input_huge_integer_literal_is_usage():

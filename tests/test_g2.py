@@ -362,6 +362,91 @@ def test_torsion_system_shape(ms_at_2):
     assert system.membership_kernel_rank() == 49
 
 
+def full_kernel_rank(system):
+    """Reference for `TorsionSystem.membership_kernel_rank`: the kernel of
+    all membership rows as one system, dense, with every Bryant row
+    projected through every kernel vector."""
+    kernel = _linalg.kernel_basis(system.rows[system.bryant_count:], system.width)
+    rows = []
+    for row in system.rows[: system.bryant_count]:
+        new_row = {}
+        for s, vec in enumerate(kernel):
+            total = Fraction(0)
+            for c, v in row.items():
+                if c < system.width and vec[c]:
+                    total = total + v * vec[c]
+            if not scalars.is_zero(total):
+                new_row[s] = total
+        rows.append(new_row)
+    return _linalg.rank(rows, len(kernel))
+
+
+def seeded_systems():
+    """(scenario, 3-form, system) at two seeded points of each scenario
+    for each volume scale 1, 3 and 7/3."""
+    from splitg2.cli import _sample_point
+
+    out = []
+    for name in ("Ml", "Ms"):
+        sc = catalog.scenario(name)
+        rng = random.Random(f"rank:{name}")
+        for c in (Fraction(1), Fraction(3), Fraction(7, 3)):
+            for _ in range(2):
+                phi = specialize_form(sc.phi_family, sc.alphabet,
+                                      _sample_point(rng, sc))
+                out.append((sc, phi, torsion_linear_system(
+                    sc.algebra, sc.metric, phi, c)))
+    return out
+
+
+def test_block_rank_matches_the_full_kernel():
+    for sc, phi, system in seeded_systems():
+        want = full_kernel_rank(system)
+        assert want == 49
+        assert system.membership_kernel_rank() == want
+        # the tau2 block may come from the 14-component computed elsewhere
+        space = lambda2_14_basis(phi, system.star_phi)
+        assert system.membership_kernel_rank(space.vectors) == want
+
+
+def test_block_rank_matches_the_full_kernel_below_49(ms):
+    """Systems made rank-deficient: Bryant rows dropped, an unknown's
+    entries dropped from the Bryant rows only, or from every row (then
+    the membership rows no longer constrain it and the kernel grows)."""
+    from splitg2.g2 import TorsionSystem
+
+    def variant(system, rows, bryant_count):
+        return TorsionSystem(rows, bryant_count, system.algebra, system.metric,
+                             system.phi, system.vol_scale, system.star_phi)
+
+    def without(rows, cols):
+        return [{c: v for c, v in row.items() if c not in cols} for row in rows]
+
+    seen = set()
+    systems = seeded_systems()[::3] + [
+        (ms, ms.phi_family, torsion_linear_system(ms.algebra, ms.metric,
+                                                  ms.phi_family))]
+    for _, _, system in systems:
+        rows, n = system.rows, system.bryant_count
+        variants = [
+            variant(system, rows[1:], n - 1),
+            variant(system, rows[:20] + rows[n:], 20),
+            variant(system, rows[:35] + rows[n:], 35),
+            variant(system, rows[35:], n - 35),
+            variant(system, without(rows[:n], {0}) + rows[n:], n),
+            variant(system, without(rows[:n], {29}) + rows[n:], n),
+            variant(system, without(rows[:n], range(1, 8)) + rows[n:], n),
+            variant(system, without(rows[:n], range(40, 64)) + rows[n:], n),
+            variant(system, without(rows, {29, 40}), n),
+            variant(system, without(rows, range(8, 29)), n),
+        ]
+        for v in variants:
+            want = full_kernel_rank(v)
+            assert v.membership_kernel_rank() == want
+            seen.add(want)
+    assert min(seen) < 30 and len(seen - {49}) >= 4, seen
+
+
 def rowwise_torsion_rows(algebra, metric, phi, vol_scale=1):
     """Reference assembly: every row probes every unknown for its key."""
     singles = tuple(range(1, 8))

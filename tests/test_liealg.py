@@ -68,6 +68,151 @@ def test_bracket_antisymmetry():
     assert (g.bracket(x, y) + g.bracket(y, x)).is_zero()
 
 
+def pairwise_bracket(algebra, x, y):
+    """Reference for `LieAlgebra.bracket`: the sum over every pair J < K of
+    the bracket table, (x_J y_K - x_K y_J) [e_J, e_K], in table order."""
+    acc = [Fraction(0)] * algebra.dim
+    for (j, k), comps in algebra.brackets.items():
+        w = x[j] * y[k] - x[k] * y[j]
+        if scalars.is_zero(w):
+            continue
+        for i, c in comps.items():
+            acc[i - 1] = acc[i - 1] + w * c
+    return Vector(acc)
+
+
+def random_vector(rng, dim, density):
+    return Vector([random_fraction(rng) if rng.random() < density else 0
+                   for _ in range(dim)])
+
+
+def bracket_algebras():
+    rng = random.Random(5)
+    yield "sp2", sp2_build()
+    yield "Ml", catalog.scenario("Ml").algebra
+    yield "Ms", catalog.scenario("Ms").algebra
+    for dim in (3, 7, 12):
+        yield f"random{dim}", LieAlgebra(dim, random_table(rng, dim))
+    table = random_table(rng, 6)
+    yield "random6-fractions", LieAlgebra(6, {
+        pair: {i: Fraction(c, rng.randint(1, 9)) for i, c in comps.items()}
+        for pair, comps in table.items()})
+
+
+@pytest.mark.parametrize("name, algebra", list(bracket_algebras()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_sparse_bracket_matches_the_pairwise_sum(name, algebra):
+    rng = random.Random(f"bracket:{name}")
+    n = algebra.dim
+    for density in (0.1, 0.25, 0.5, 0.75, 1.0):
+        for _ in range(12):
+            x = random_vector(rng, n, density)
+            y = random_vector(rng, n, density)
+            got = algebra.bracket(x, y)
+            assert got.components == pairwise_bracket(algebra, x, y).components
+            assert all(type(c) is Fraction for c in got.components)
+            assert (got + algebra.bracket(y, x)).is_zero()
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            got = algebra.bracket(Vector.basis(n, a), Vector.basis(n, b))
+            want = algebra.bracket_basis(a, b)
+            assert got.components == tuple(want.get(i, Fraction(0))
+                                           for i in range(1, n + 1))
+
+
+def test_symbolic_bracket_keeps_the_pairwise_order():
+    """A quotient of polynomials is kept unreduced, so the order of the sum
+    shows in its rendering: non-rational vectors and structure constants
+    take the table's pair order."""
+    rng = random.Random(11)
+    alphabet = ("a", "p", "q")
+    g = sp2_build()
+
+    def symbolic():
+        return Vector([scalars.parse_scalar(
+            f"({random_polynomial(rng)})/(a + {rng.randint(1, 5)})", alphabet)
+            if rng.random() < 0.5 else random_fraction(rng)
+            for _ in range(g.dim)])
+
+    symbolic_table = LieAlgebra(4, {
+        pair: {i: scalars.parse_scalar(f"{c}/(p - {i})", alphabet)
+               for i, c in comps.items()}
+        for pair, comps in random_table(rng, 4, 0.6).items()})
+    cases = [(g, symbolic(), symbolic()) for _ in range(6)]
+    cases += [(symbolic_table, random_vector(rng, 4, 0.8),
+               random_vector(rng, 4, 0.8)) for _ in range(6)]
+    for algebra, x, y in cases:
+        got = algebra.bracket(x, y)
+        want = pairwise_bracket(algebra, x, y)
+        assert [scalars.render_scalar(c) for c in got.components] == \
+            [scalars.render_scalar(c) for c in want.components]
+
+
+def pairwise_change_basis(algebra, change):
+    """Reference for `change_basis` over `pairwise_bracket`."""
+    n = algebra.dim
+    brackets = {}
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            w = pairwise_bracket(algebra, change.new_vector(a), change.new_vector(b))
+            brackets[(a, b)] = dict(enumerate(change.old_to_new(w.components), 1))
+    return LieAlgebra(n, brackets)
+
+
+def dense_old_to_new(change, coords):
+    """Reference for `BasisChange.old_to_new`: every (old, new) index pair."""
+    inv = change._inverse
+    out = []
+    for d in range(change.dim):
+        total = Fraction(0)
+        for c in range(change.dim):
+            if not scalars.is_zero(coords[c]) and inv[c][d]:
+                total = total + coords[c] * inv[c][d]
+        out.append(total)
+    return out
+
+
+def test_sparse_old_to_new_matches_the_dense_sum():
+    rng = random.Random(23)
+    alphabet = ("a", "p", "q")
+    changes = [catalog.scenario(name).basis for name in ("Ml", "Ms")]
+    changes.append(BasisChange([[rng.randint(-2, 2) for _ in range(5)]
+                                for _ in range(5)]))
+    for change in changes:
+        for _ in range(10):
+            coords = [random_fraction(rng) if rng.random() < 0.5 else 0
+                      for _ in range(change.dim)]
+            got = change.old_to_new(coords)
+            want = dense_old_to_new(change, coords)
+            assert got == want and list(map(type, got)) == list(map(type, want))
+            symbolic = [scalars.parse_scalar(
+                f"({random_polynomial(rng)})/(q + {rng.randint(1, 4)})", alphabet)
+                if rng.random() < 0.5 else Fraction(0) for _ in range(change.dim)]
+            assert ([scalars.render_scalar(x) for x in change.old_to_new(symbolic)]
+                    == [scalars.render_scalar(x)
+                        for x in dense_old_to_new(change, symbolic)])
+
+
+def test_change_basis_matches_the_pairwise_reference():
+    g = sp2_build()
+    changes = [catalog.scenario(name).basis for name in ("Ml", "Ms")]
+    rng = random.Random(17)
+    while len(changes) < 6:
+        density = rng.choice((0.2, 0.5, 1.0))
+        try:
+            changes.append(BasisChange(
+                [[rng.randint(-3, 3) if rng.random() < density else 0
+                  for _ in range(g.dim)] for _ in range(g.dim)]))
+        except SingularMatrix:
+            continue
+    for change in changes:
+        got = change_basis(g, change)
+        assert got.brackets == pairwise_change_basis(g, change).brackets
+    for name in ("Ml", "Ms"):
+        assert (change_basis(g, catalog.scenario(name).basis).brackets
+                == catalog.scenario(name).algebra.brackets)
+
+
 def test_bracket_pair_validation():
     with pytest.raises(ValueError):
         LieAlgebra(3, {(2, 1): {3: 1}})

@@ -555,6 +555,34 @@ def test_constant_powers_are_bounded():
         scalars.parse_scalar("a * ((2^64)^64)^64", A)
 
 
+def test_polynomial_products_are_bounded_before_expansion():
+    letters = tuple("abcdefgh")
+    factor = "(1+a+b+c+d+e+f+g+h)"
+    # eight factors have 12,870 terms; the ninth would pass 16,384
+    assert len(scalars.parse_scalar("*".join([factor] * 8), letters).num.terms) == 12870
+    start = time.process_time()
+    with pytest.raises(ParseError, match="product exceeds the limit of 16384 terms"):
+        scalars.parse_scalar("*".join([factor] * 12), letters)
+    assert time.process_time() - start < 0.1
+    apq = ("a", "p", "q")
+    # a product is bounded as the equal power is
+    assert len(scalars.parse_scalar("*".join(["(1+a+p+q)^8"] * 4), apq).num.terms) == 6545
+    assert len(scalars.parse_scalar("(1+a)^64*(1+a)^64*(1+a)^64", apq).num.terms) == 193
+    # a monomial factor only shifts the other one
+    assert len(scalars.parse_scalar("a*((1+a+p+q)^8)^4", apq).num.terms) == 6545
+    for text in ("*".join(["(1+a+b+c)^16"] * 4),
+                 "1/(" + "*".join([factor] * 12) + ")",
+                 "*".join([factor] * 6) + "/(2+a)*" + "*".join([factor] * 6),
+                 "/".join(["1", *[factor] * 12]),
+                 "+".join(f"1/({k}+a+b+c+d+e+f+g+h)" for k in range(1, 13)),
+                 # 3,003 terms of up to 24,000 bits: past the bits
+                 "*".join(["(" + "7" * 1200 + "+a+b+c+d+e+f+g+h)^3"] * 2)):
+        start = time.process_time()
+        with pytest.raises(ParseError, match="product exceeds the limit"):
+            scalars.parse_scalar(text, letters)
+        assert time.process_time() - start < 1.0, text
+
+
 def test_dense_product_past_the_guard_bit_raises(monkeypatch):
     # 257 terms a^0..a^255 and a^16384: the box of the square has 32,769
     # cells of 2 bytes, within one byte per term product, so the dense
