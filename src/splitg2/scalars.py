@@ -760,7 +760,7 @@ def _power_size(p: Polynomial, n: int) -> tuple:
 
 def _check_product(a, b, text: str) -> None:
     """Raise ParseError when the product a*b of two Polynomials (None
-    stands for 1) would pass MAX_POWER_TERMS terms or MAX_POWER_SIZE
+    stands for a constant) would pass MAX_POWER_TERMS terms or MAX_POWER_SIZE
     coefficient bits, before it is expanded.
 
     It has at most len(a) * len(b) terms, and when that count is past
@@ -785,7 +785,8 @@ def _check_product(a, b, text: str) -> None:
 
 
 def _parts(x) -> tuple:
-    """(numerator, denominator) as Polynomials, None for a constant 1."""
+    """(numerator, denominator) as Polynomials, None for a constant part,
+    which only scales what it multiplies."""
     if isinstance(x, RationalFunction):
         return x.num, x.den
     return (None if isinstance(x, Fraction) else x), None
