@@ -518,9 +518,11 @@ def _point_pipeline(sc: catalog.Scenario, expected: TorsionSet,
     """Full rational pipeline at one admissible point, against the golden
     torsions `expected` at volume scale `vol`; one record.
 
-    The 14-dimensional component of 2-forms is computed once and serves
-    both the dimension check and, as the tau2 block of the membership
-    kernel, the constrained rank (`TorsionSystem.membership_kernel_rank`)."""
+    The constrained rank is that of the Bryant rows on the kernel of the
+    membership rows (`TorsionSystem.membership_kernel_rank`).  Where the
+    component of 2-forms that `g2.lambda2_14_basis` computes is not
+    14-dimensional, it raises WrongDimension, which ends the command with
+    exit 1, as a non-generic 3-form does elsewhere."""
     phi = _specialize_form(sc.phi_family, point)
     problems = []
     if not g2.compatibility_defect(sc.metric, phi).is_zero():
@@ -534,12 +536,10 @@ def _point_pipeline(sc: catalog.Scenario, expected: TorsionSet,
                 problems.append(f"{field} mismatch")
     except (NonUniqueSolution, InconsistentSystem, InternalInconsistency) as exc:
         problems.append(f"torsion solve failed: {exc}")
-    lambda2_14 = g2.lambda2_14_basis(phi, system.star_phi)
-    rank = system.membership_kernel_rank(lambda2_14.vectors)
+    rank = system.membership_kernel_rank()
     if rank != 49:
         problems.append(f"constrained rank {rank}")
-    if lambda2_14.dimension != 14:
-        problems.append(f"14-component dimension {lambda2_14.dimension}")
+    g2.lambda2_14_basis(phi, system.star_phi)
     ok = not problems
     computed = ("torsion match, constrained rank 49, 14-component dim 14"
                 if ok else "; ".join(problems))

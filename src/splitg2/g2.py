@@ -372,7 +372,7 @@ class TorsionSystem:
             raise InternalInconsistency("tau3 escapes its 27-dimensional component")
         return torsions
 
-    def membership_kernel_rank(self, tau2_kernel=None) -> int:
+    def membership_kernel_rank(self) -> int:
         """Rank of the structure-equation block restricted to the
         subspace cut out by the membership constraints.
 
@@ -380,13 +380,11 @@ class TorsionSystem:
         only the tau2 or only the tau3 columns, and tau0 and tau1 are
         unconstrained.  So the kernel is spanned by the kernels of the
         column groups (`_UNKNOWN_GROUPS`) taken one at a time, unit
-        vectors for tau0 and tau1; `tau2_kernel`, if given, holds the
-        vectors of the tau2 kernel over the index pairs (those of
-        `lambda2_14_basis` at the same 3-form and star phi).  The kernel
-        vectors stay sparse and are mapped through a column view of the
-        Bryant rows, both scaled free of denominators, which changes no
-        rank.  The rank of the images is that of an exact elimination
-        (`_linalg.rank`), kernel vectors as columns in group order.
+        vectors for tau0 and tau1.  The kernel vectors stay sparse and are
+        mapped through a column view of the Bryant rows, both scaled free
+        of denominators, which changes no rank.  The rank of the images is
+        that of an exact elimination (`_linalg.rank`), kernel vectors as
+        columns in group order.
         """
         width = self.width
         domain = _linalg.detect_domain(self.rows)
@@ -409,12 +407,8 @@ class TorsionSystem:
             groups[lo].append({c - lo: v for c, v in row.items()})
         kernel = []
         for lo, hi in _UNKNOWN_GROUPS.items():
-            if lo == _TAU2_COLUMN and tau2_kernel is not None:
-                vectors = tau2_kernel
-            else:
-                vectors = _linalg.kernel_basis(groups[lo], hi - lo)
             kernel += ({lo + c: v for c, v in enumerate(vec) if v}
-                       for vec in vectors)
+                       for vec in _linalg.kernel_basis(groups[lo], hi - lo))
         rows = [{} for _ in range(self.bryant_count)]
         for s, vec in enumerate(_linalg.prepare_rows(kernel, domain)):
             image = {}

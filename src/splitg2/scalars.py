@@ -715,7 +715,9 @@ MAX_POWER_BITS = 1 << 16
 # (4,097 terms of up to 4,090 bits), each seconds of CPU otherwise.  The
 # same limits bound a product (`_check_product`): the product of twelve
 # factors (1+a+b+c+d+e+f+g+h) stops at the ninth, where it would pass
-# 16,384 terms, instead of expanding 125,970 terms in 0.7 s.
+# 16,384 terms, instead of expanding 125,970 terms in 0.7 s, and a product
+# of factors (X+a)^16, X of 4,000 digits, stops at the second on the bits,
+# each further factor costing seconds of CPU otherwise.
 MAX_POWER_TERMS = 1 << 14
 MAX_POWER_SIZE = 1 << 22
 # Deepest nesting of parentheses and unary signs `parse_scalar` accepts; the
@@ -743,6 +745,10 @@ def _norm_bits(p: Polynomial) -> int:
     return sum(map(abs, p.terms.values())).bit_length()
 
 
+def _coefficient_bits(p: Polynomial) -> int:
+    return max(map(int.bit_length, p.terms.values()))
+
+
 def _power_size(p: Polynomial, n: int) -> tuple:
     """Upper bounds on the terms of p**n and on the bits of all its
     coefficients, from p alone.
@@ -763,21 +769,24 @@ def _check_product(a, b, text: str) -> None:
     stands for a constant) would pass MAX_POWER_TERMS terms or MAX_POWER_SIZE
     coefficient bits, before it is expanded.
 
-    It has at most len(a) * len(b) terms, and when that count is past
-    MAX_POWER_TERMS, at most the monomials of total degree deg a + deg b
-    in their parameters; each coefficient of its integer map is at most
-    ||a||_1 * ||b||_1.  Below the first count, which is all that
-    catalogue-sized operands cost, the coefficient bits are not checked:
-    a product adds the bits of its factors, where a power multiplies
-    them, so they grow only with the text."""
-    if a is None or b is None or len(a.terms) * len(b.terms) <= MAX_POWER_TERMS:
+    A monomial factor (coefficient 1 in a primitive map) only shifts the
+    keys of the other.  Otherwise the product has at most n = len(a) *
+    len(b) terms, and for n up to MAX_POWER_TERMS each coefficient of its
+    integer map sums at most sqrt(n) <= 2**7 products, so it has at most
+    bits(a) + bits(b) + 7 bits, bits being those of the largest
+    coefficient; catalogue-sized operands pass on that one comparison.
+    Past it, the finer bounds decide: the terms are also at most the
+    monomials of total degree deg a + deg b in their parameters, and each
+    coefficient is at most ||a||_1 * ||b||_1."""
+    if a is None or b is None or len(a.terms) < 2 or len(b.terms) < 2:
         return
-    if len(a.terms) < 2 or len(b.terms) < 2:
-        return  # a monomial factor shifts the keys of the other
-    terms = min(len(a.terms) * len(b.terms),
-                _monomials(_degree(a) + _degree(b), a, b))
-    if (terms > MAX_POWER_TERMS
-            or terms * (_norm_bits(a) + _norm_bits(b)) > MAX_POWER_SIZE):
+    n = len(a.terms) * len(b.terms)
+    if n <= MAX_POWER_TERMS and n * (
+        _coefficient_bits(a) + _coefficient_bits(b) + 7
+    ) <= MAX_POWER_SIZE:
+        return
+    n = min(n, _monomials(_degree(a) + _degree(b), a, b))
+    if n > MAX_POWER_TERMS or n * (_norm_bits(a) + _norm_bits(b)) > MAX_POWER_SIZE:
         raise ParseError(
             f"product exceeds the limit of {MAX_POWER_TERMS} terms "
             f"or {MAX_POWER_SIZE} coefficient bits in {text!r}"
@@ -794,7 +803,14 @@ def _parts(x) -> tuple:
 
 def _check_operation(v, op: str, w, text: str) -> None:
     """`_check_product` on every product of numerators and denominators
-    that v op w expands; a Fraction only scales the other operand."""
+    that v op w expands; a Fraction only scales the other operand.
+
+    Two Polynomials, the parser's common case, skip the split into parts:
+    their quotient expands no product."""
+    if type(v) is Polynomial and type(w) is Polynomial:
+        if op == "*":
+            _check_product(v, w, text)
+        return
     vn, vd = _parts(v)
     wn, wd = _parts(w)
     if op == "*":
@@ -972,11 +988,7 @@ def parse_scalar(text: str, alphabet: Iterable[str] = ()) -> Scalar:
         while toks.peek() in ("*", "/"):
             op, _ = toks.take()
             w = factor()
-            if type(v) is Polynomial and type(w) is Polynomial:
-                # a quotient of polynomials multiplies nothing out
-                if op == "*" and len(v.terms) * len(w.terms) > MAX_POWER_TERMS:
-                    _check_product(v, w, text)
-            elif not (isinstance(v, Fraction) or isinstance(w, Fraction)):
+            if not (isinstance(v, Fraction) or isinstance(w, Fraction)):
                 _check_operation(v, op, w, text)
             try:
                 v = v * w if op == "*" else divide(v, w)

@@ -570,13 +570,18 @@ def test_polynomial_products_are_bounded_before_expansion():
     assert len(scalars.parse_scalar("(1+a)^64*(1+a)^64*(1+a)^64", apq).num.terms) == 193
     # a monomial factor only shifts the other one
     assert len(scalars.parse_scalar("a*((1+a+p+q)^8)^4", apq).num.terms) == 6545
+    # (X+a)^16, X of 1,000 digits: 17 terms of up to 53,150 bits; two
+    # factors parse to 33 terms of 3.5M bits, a third passes the bits
+    big = "(" + "7" * 1000 + "+a)^16"
+    assert len(scalars.parse_scalar(big + "*" + big, apq).num.terms) == 33
     for text in ("*".join(["(1+a+b+c)^16"] * 4),
                  "1/(" + "*".join([factor] * 12) + ")",
                  "*".join([factor] * 6) + "/(2+a)*" + "*".join([factor] * 6),
                  "/".join(["1", *[factor] * 12]),
                  "+".join(f"1/({k}+a+b+c+d+e+f+g+h)" for k in range(1, 13)),
                  # 3,003 terms of up to 24,000 bits: past the bits
-                 "*".join(["(" + "7" * 1200 + "+a+b+c+d+e+f+g+h)^3"] * 2)):
+                 "*".join(["(" + "7" * 1200 + "+a+b+c+d+e+f+g+h)^3"] * 2),
+                 "*".join([big] * 8)):
         start = time.process_time()
         with pytest.raises(ParseError, match="product exceeds the limit"):
             scalars.parse_scalar(text, letters)
