@@ -16,7 +16,12 @@ from functools import cached_property, lru_cache
 from typing import Iterator, Mapping, Optional, Tuple
 
 from . import liealg, scalars, textio
-from .errors import InternalInconsistency, NotAFibration, ValidationError
+from .errors import (
+    InternalInconsistency,
+    NotAFibration,
+    PoleAtPoint,
+    ValidationError,
+)
 from .exterior import Form, SymTensor2, Vector
 from .g2 import Metric7, compatibility_defect
 from .liealg import BasisChange, LieAlgebra, Subspace
@@ -372,18 +377,34 @@ def substitute_parameters(text: str, substitutions: Mapping[str, str]) -> str:
     return pattern.sub(lambda match: "(" + substitutions[match.group(0)] + ")", text)
 
 
-def sliced_phi(scenario_obj: "Scenario", substitutions: Mapping[str, str]) -> Form:
-    """The structure family on a parameter slice, over the leftover alphabet.
+def restrict_form(form: Form, alphabet: tuple,
+                  substitutions: Mapping[str, str]) -> Form:
+    """`form` on the parameter slice `substitutions`, over the leftover
+    alphabet.
 
-    Substitutions map eliminated parameter names to expressions in the
-    remaining ones (applied textually to the solution relations).
+    The numerator and the denominator of each coefficient are rendered,
+    substituted textually (`substitute_parameters`) and parsed again, so
+    a coefficient restricts exactly where its denominator stays nonzero
+    on the slice; a denominator that vanishes there raises PoleAtPoint
+    naming it.  Denominators are unreduced, so a vanishing one may hold
+    a factor that the numerator cancels: the restriction is then
+    undecided, not proof of a pole.
     """
-    alphabet = tuple(p for p in scenario_obj.alphabet if p not in substitutions)
-    relations = {
-        name: substitute_parameters(expr, substitutions)
-        for name, expr in scenario_obj.expected.solution_relations.items()
-    }
-    return family_combination(scenario_obj.expected.form_family, relations, alphabet)
+    rest = tuple(p for p in alphabet if p not in substitutions)
+
+    def on_slice(x):
+        return scalars.parse_scalar(substitute_parameters(str(x), substitutions),
+                                    rest)
+
+    def restrict(x):
+        if not isinstance(x, scalars.RationalFunction):
+            return on_slice(x)
+        den = on_slice(x.den)
+        if scalars.is_zero(den):
+            raise PoleAtPoint(f"denominator {x.den} vanishes on the slice")
+        return on_slice(x.num) / den
+
+    return form.map_coefficients(restrict)
 
 
 @lru_cache(maxsize=None)

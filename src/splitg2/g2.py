@@ -214,28 +214,42 @@ def _congruence_swap(a, i, j):
         row[i], row[j] = row[j], row[i]
 
 
+def _top_coefficient(low: Form, high: Form):
+    """The coefficient of e^{1...7} in low ^ high, deg low + deg high = 7:
+    each term of `low` paired with the term of `high` at its complement
+    (`_complement`), summed in the order of `low`."""
+    bucket = []
+    for key, x in low.terms.items():
+        rest, sign = _complement(key)
+        y = high.terms.get(rest)
+        if y is not None:
+            bucket.append(x * y if sign > 0 else -(x * y))
+    return fold({_TOP: bucket}).get(_TOP, _F0) if bucket else _F0
+
+
 def compatibility_defect(metric: Metric7, phi: Form) -> SymTensor2:
     """B - 3g, where (e_u -| phi)^(e_v -| phi)^phi = B_uv e^{1...7}.
 
     Zero exactly when the pair satisfies the compatibility normalization
-    with volume e^{1...7} and factor 3.
+    with volume e^{1...7} and factor 3.  B is read off seven wedges, each
+    2-form e_u -| phi against the 5-form (e_v -| phi)^phi.  An unreduced
+    quotient renders by the grouping of its sums, so when phi has a
+    quotient coefficient, each nonzero entry of the defect is summed
+    again as the 4-form (e_u -| phi)^(e_v -| phi) against phi: the
+    grouping whose text the `input.compatibility` record reports.
     """
     _expect(phi, 3)
-    entries = {}
-    hooked = [None] + [interior(Vector.basis(_DIM, m), phi) for m in range(1, 8)]
-    for u in range(1, 8):
-        left = hooked[u]
-        for v in range(u, 8):
-            # the top coefficient of w ^ phi pairs each term of the 4-form
-            # w with the term of phi at its complement, in the order of w
-            bucket = []
-            for key, x in left.wedge(hooked[v]).terms.items():
-                rest, sign = _complement(key)
-                y = phi.terms.get(rest)
-                if y is not None:
-                    bucket.append(x * y if sign > 0 else -(x * y))
-            entries[(u, v)] = (fold({_TOP: bucket}).get(_TOP, _F0)
-                               if bucket else _F0)
+    hooked = [None] + [interior(Vector.basis(_DIM, m), phi) for m in _SINGLES]
+    fives = [None] + [hooked[v].wedge(phi) for v in _SINGLES]
+    entries = {(u, v): _top_coefficient(hooked[u], fives[v])
+               for u in _SINGLES for v in range(u, _DIM + 1)}
+    defect = SymTensor2(_DIM, entries) - metric.tensor * 3
+    if defect.is_zero() or not any(
+            isinstance(c, scalars.RationalFunction) and c.den != 1
+            for c in phi.terms.values()):
+        return defect
+    for u, v in defect.entries:
+        entries[(u, v)] = _top_coefficient(hooked[u].wedge(hooked[v]), phi)
     return SymTensor2(_DIM, entries) - metric.tensor * 3
 
 

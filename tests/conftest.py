@@ -49,6 +49,20 @@ def slice_document(slope: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def sliced_phi(sc, substitutions):
+    """The structure family of `sc` on a parameter slice, over the leftover
+    alphabet: the substitutions, expressions in the remaining parameters,
+    are applied textually to the solution relations.  An independent
+    route to the sliced family, next to `catalog.restrict_form`."""
+    alphabet = tuple(p for p in sc.alphabet if p not in substitutions)
+    relations = {
+        name: catalog.substitute_parameters(expr, substitutions)
+        for name, expr in sc.expected.solution_relations.items()
+    }
+    return catalog.family_combination(sc.expected.form_family, relations,
+                                      alphabet)
+
+
 def random_fraction(rng, height=9, nonzero=False):
     while True:
         value = Fraction(rng.randint(-height, height), rng.randint(1, height))

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 import props
+from conftest import sliced_phi
 from splitg2 import catalog, scalars
 from splitg2.exterior import Form, SymTensor2
 from splitg2.g2 import (
@@ -215,10 +216,16 @@ def test_criterion_07_long_scenario_torsion_symbolic():
                               parse_over(sc, sc.expected.tau0))
         assert form_matches_table(sc, final.tau3, sc.expected.tau3)
 
-        # the p = 2a slice kills tau1
-        sliced = catalog.sliced_phi(sc, {"p": "2*a"})
-        sliced_sol = torsion_solve(sc.algebra, sc.metric, sliced)
-        assert sliced_sol.tau1.is_zero()
+        # the p = 2a slice kills tau1; on it and off it (p = 3a) the
+        # family's torsions restricted to the slice are those of the
+        # sliced family, solved on its own
+        for subs, coclosed in (({"p": "2*a"}, True), ({"p": "3*a"}, False)):
+            sliced_sol = torsion_solve(sc.algebra, sc.metric,
+                                       sliced_phi(sc, subs))
+            assert sliced_sol.tau1.is_zero() == coclosed
+            for got, want in ((base.tau1, sliced_sol.tau1),
+                              (base.tau2, sliced_sol.tau2)):
+                assert catalog.restrict_form(got, sc.alphabet, subs) == want
 
 
 def test_criterion_08_bryant_residual_from_displays():

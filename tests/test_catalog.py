@@ -5,9 +5,12 @@ from fractions import Fraction
 import pytest
 
 from splitg2 import catalog, scalars
+from splitg2.errors import PoleAtPoint
 from splitg2.exterior import Form
 from splitg2.g2 import compatibility_defect
 from splitg2.liealg import ad_invariance_check, sp2_build
+
+from conftest import sliced_phi
 
 
 def test_commutator_table_matches_builder():
@@ -88,7 +91,7 @@ def test_substitute_parameters_whole_words():
 
 def test_sliced_phi_drops_parameter():
     sc = catalog.scenario("Ml")
-    sliced = catalog.sliced_phi(sc, {"p": "2*a"})
+    sliced = sliced_phi(sc, {"p": "2*a"})
     for coeff in sliced.terms.values():
         assert scalars.as_scalar(coeff).alphabet == ("a", "q")
     # the slice is the family at p = 2a: check one coefficient
@@ -100,6 +103,21 @@ def test_sliced_phi_drops_parameter():
             scalars.as_scalar(sc.phi_family.terms[key]), full_point
         )
         assert got == want
+
+
+def test_restrict_form_on_a_slice():
+    sc = catalog.scenario("Ml")
+    for subs in ({"p": "2*a"}, {"q": "a+p"}):
+        restricted = catalog.restrict_form(sc.phi_family, sc.alphabet, subs)
+        assert restricted == sliced_phi(sc, subs)
+    # a slice through every parameter leaves rational coefficients
+    point = catalog.restrict_form(sc.phi_family, sc.alphabet,
+                                  {"a": "1", "p": "2", "q": "3"})
+    assert all(isinstance(c, Fraction) for c in point.terms.values())
+    assert point == sliced_phi(sc, {"a": "1", "p": "2", "q": "3"})
+    # a denominator of the family vanishes on the slice q = 1
+    with pytest.raises(PoleAtPoint, match="vanishes on the slice"):
+        catalog.restrict_form(sc.phi_family, sc.alphabet, {"q": "1"})
 
 
 def test_named_subspaces_shape():

@@ -204,6 +204,82 @@ def test_verify_paper_computes_each_defect_once(capsys, monkeypatch):
     assert len(calls) == len(families) + 2 * cli.SPECIALIZATION_COUNT
 
 
+def test_verify_paper_solves_each_family_once(capsys, monkeypatch):
+    """One symbolic torsion solve per scenario: the coclosed-slice record
+    restricts the family's torsions instead of solving the slice."""
+    from splitg2 import g2
+
+    solved = []
+
+    def spy(algebra, metric, phi, vol_scale=Fraction(1)):
+        solved.append(phi)
+        return real(algebra, metric, phi, vol_scale)
+
+    real = g2.torsion_solve
+    monkeypatch.setattr(g2, "torsion_solve", spy)
+    code, out, _ = run(capsys, "verify-paper", "--seed", "4")
+    assert code == 0
+    assert "[pass] Ml.coclosed-slice" in out
+    families = [catalog.scenario(name).phi_family for name in ("Ml", "Ms")]
+    symbolic = [phi for phi in solved
+                if not all(isinstance(c, Fraction) for c in phi.terms.values())]
+    assert len(symbolic) == 2
+    assert all(a is b for a, b in zip(symbolic, families))
+
+
+def patch_ml_slice(monkeypatch, substitutions):
+    """Serve a catalogue whose Ml scenario carries another coclosed slice."""
+    import dataclasses
+
+    real = catalog.scenario
+    ml = real("Ml")
+    patched = dataclasses.replace(ml, expected=dataclasses.replace(
+        ml.expected, coclosed_slice=substitutions))
+    monkeypatch.setattr(catalog, "scenario",
+                        lambda name: patched if name == "Ml" else real(name))
+    return patched
+
+
+def slice_record(out):
+    lines = out.splitlines()
+    at = next(i for i, line in enumerate(lines) if "Ml.coclosed-slice" in line)
+    return lines[at : at + 3]
+
+
+def test_coclosed_slice_off_the_locus_fails(capsys, monkeypatch):
+    from splitg2 import g2
+
+    ml = patch_ml_slice(monkeypatch, {"p": "3*a"})
+    code, out, err = run(capsys, "verify-paper", "--scenario", "Ml")
+    assert (code, err) == (1, "")
+    torsions = g2.torsion_solve(ml.algebra, ml.metric, ml.phi_family)
+    tau1 = catalog.restrict_form(torsions.tau1, ml.alphabet, {"p": "3*a"})
+    assert not tau1.is_zero()
+    assert slice_record(out) == [
+        "[fail] Ml.coclosed-slice :: vector torsion vanishes on the slice p = 3*a",
+        f"       computed: tau1 = {tau1}, tau2 = 0",
+        "       expected: tau1 = 0, tau2 = 0",
+    ]
+    assert "result: fail" in out
+
+
+@pytest.mark.parametrize("vol", ["1", "3"])
+def test_coclosed_slice_on_a_pole_fails(capsys, monkeypatch, vol):
+    """A denominator of the family's tau1 vanishes at q = 1: the check
+    cannot conclude, so it fails with one computed line instead of
+    passing or escaping."""
+    patch_ml_slice(monkeypatch, {"q": "1"})
+    code, out, err = run(capsys, "verify-paper", "--scenario", "Ml",
+                         "--vol-scale", vol)
+    assert code == 1
+    assert len(err.splitlines()) <= 1 and "Traceback" not in err
+    record = slice_record(out)
+    assert record[0].startswith("[fail] Ml.coclosed-slice ::")
+    assert record[1].startswith("       computed: tau1: denominator ")
+    assert record[1].endswith(" vanishes on the slice, check inconclusive")
+    assert record[2] == "       expected: tau1 = 0, tau2 = 0"
+
+
 @pytest.mark.parametrize("argv, stdin, golden", [
     (("torsion", "--scenario", "Ms"), None, "torsion-Ms.txt"),
     (("torsion", "--scenario", "Ml", "--format", "json"), None, "torsion-Ml.json"),

@@ -15,10 +15,11 @@ from splitg2.errors import (
     ValidationError,
     ZeroReference,
 )
-from splitg2.exterior import Form, SymTensor2, Vector, interior
+from splitg2.exterior import Form, SymTensor2, Vector, fold, interior
 from splitg2.g2 import (
     Metric7,
     TorsionSet,
+    _complement,
     _descended_differential,
     bryant_residual,
     calibrate_vol_scale,
@@ -30,7 +31,7 @@ from splitg2.g2 import (
     torsion_solve,
 )
 
-from conftest import random_fraction, random_scalar, run_python
+from conftest import random_fraction, random_polynomial, random_scalar, run_python
 
 TOP = tuple(range(1, 8))
 
@@ -311,24 +312,60 @@ def wedge_compatibility_defect(metric, phi):
     return SymTensor2(7, entries) - metric.tensor * 3
 
 
+def pairwise_compatibility_defect(metric, phi):
+    """Reference for `compatibility_defect`: B_uv from the 28 wedges
+    (e_u -| phi) ^ (e_v -| phi), u <= v, each 4-form term paired with the
+    term of phi at its complement."""
+    hooked = [None] + [interior(Vector.basis(7, m), phi) for m in range(1, 8)]
+    entries = {}
+    for u in range(1, 8):
+        for v in range(u, 8):
+            bucket = []
+            for key, x in hooked[u].wedge(hooked[v]).terms.items():
+                rest, sign = _complement(key)
+                y = phi.terms.get(rest)
+                if y is not None:
+                    bucket.append(x * y if sign > 0 else -(x * y))
+            entries[(u, v)] = fold({TOP: bucket}).get(TOP, Fraction(0))
+    return SymTensor2(7, entries) - metric.tensor * 3
+
+
 def test_compatibility_defect_matches_the_full_wedge(ml, ms, ms_at_2, rng):
-    cases = [(ml.metric, ml.phi_family), (ms.metric, ms.phi_family), ms_at_2,
-             (ms_at_2[0], ms_at_2[1] + Form.monomial(7, (1, 2, 3)))]
+    """The seven 5-forms (e_v -| phi) ^ phi give the defect of the full
+    wedge and of the 28 pairwise wedges, entry order and text included:
+    on both families, seeded points of them, and seeded nonzero bumps,
+    rational at the points, rational functions and polynomials on the
+    families."""
+    cases = [ms_at_2, (ms_at_2[0], ms_at_2[1] + Form.monomial(7, (1, 2, 3)))]
     for sc in (ml, ms):
-        # failing defects with polynomial and rational-function coefficients
+        cases.append((sc.metric, sc.phi_family))
+        for _ in range(3):
+            point = {name: random_fraction(rng, nonzero=True) + 2
+                     for name in sc.alphabet}
+            phi = specialize_form(sc.phi_family, sc.alphabet, point)
+            keys = rng.sample(list(combinations(TOP, 3)), 3)
+            bump = Form(7, 3, {k: random_fraction(rng, nonzero=True) for k in keys})
+            cases += [(sc.metric, phi), (sc.metric, phi + bump)]
         for _ in range(3):
             keys = rng.sample(list(combinations(TOP, 3)), 3)
             bump = Form(7, 3, {k: random_scalar(rng, sc.alphabet, nonzero=True)
                                for k in keys})
             cases.append((sc.metric, sc.phi_family + bump))
-    failing = 0
+        cases.append((sc.metric, sum(
+            (gen * random_polynomial(rng, sc.alphabet)
+             for _, gen in sc.expected.form_family), Form.zero(7, 3))))
+    failing = []
     for metric, phi in cases:
         got = compatibility_defect(metric, phi)
-        want = wedge_compatibility_defect(metric, phi)
-        assert list(got.entries) == list(want.entries)
-        assert str(got) == str(want)
-        failing += not got.is_zero()
-    assert failing == len(cases) - 3
+        for reference in (wedge_compatibility_defect, pairwise_compatibility_defect):
+            want = reference(metric, phi)
+            assert list(got.entries) == list(want.entries)
+            assert got == want
+            assert str(got) == str(want)
+        if not got.is_zero():
+            failing.append(all(isinstance(c, Fraction) for c in got.entries.values()))
+    # nonzero defects: 7 rational, 8 symbolic
+    assert failing.count(True) == 7 and failing.count(False) == 8
 
 
 # -- the 2-form and 3-form components -------------------------------------------------
