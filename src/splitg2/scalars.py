@@ -889,21 +889,46 @@ def parse_scalar(text: str, alphabet: Iterable[str] = ()) -> Scalar:
     like its numerator, so the numerator and denominator returned are the
     ones an evaluation entirely in RationalFunctions would give.
     """
-    alphabet = _check_alphabet(alphabet)
-    toks = _Tokens(text)
-    literals: dict = {}  # scalars are immutable: build each literal once
-    depth = 0
+    return _Parser(text, _check_alphabet(alphabet)).parse()
 
-    def nested(parse):
-        nonlocal depth
-        if depth == MAX_NESTING:
+
+class _Parser:
+    """Recursive descent for `parse_scalar`, one instance per text.
+
+    Methods rather than nested closures: closures that call each other
+    form a reference cycle per parse, and every parse's tokens and
+    literals would then wait for the cyclic collector, whose full passes
+    land on whichever later request happens to trigger them."""
+
+    def __init__(self, text: str, alphabet: tuple):
+        self.text = text
+        self.alphabet = alphabet
+        self.toks = _Tokens(text)
+        self.literals: dict = {}  # scalars are immutable: build each literal once
+        self.depth = 0
+
+    def parse(self) -> Scalar:
+        alphabet = self.alphabet
+        value = self.expr()
+        if self.toks.peek() is not None:
+            raise ParseError(f"trailing input in {self.text!r}")
+        if not alphabet:
+            return value
+        if isinstance(value, Fraction):
+            return RationalFunction.constant(alphabet, value)
+        if isinstance(value, Polynomial):
+            return RationalFunction(alphabet, value, Polynomial(alphabet, _F1, {0: 1}))
+        return value
+
+    def nested(self, parse):
+        if self.depth == MAX_NESTING:
             raise ParseError(f"nesting exceeds the limit {MAX_NESTING}")
-        depth += 1
+        self.depth += 1
         v = parse()
-        depth -= 1
+        self.depth -= 1
         return v
 
-    def literal(kind, val):
+    def literal(self, kind, val):
         if kind == "int":
             try:
                 return Fraction(int(val))
@@ -911,27 +936,29 @@ def parse_scalar(text: str, alphabet: Iterable[str] = ()) -> Scalar:
                 raise ParseError(
                     f"integer literal of {len(val)} digits is too long"
                 ) from None
-        if val not in alphabet:
-            raise ParseError(f"unknown parameter {val!r} in {text!r}")
-        return Polynomial.variable(alphabet, val)
+        if val not in self.alphabet:
+            raise ParseError(f"unknown parameter {val!r} in {self.text!r}")
+        return Polynomial.variable(self.alphabet, val)
 
-    def atom():
+    def atom(self):
+        toks = self.toks
         kind, val = toks.take() if toks.peek() is not None else (None, None)
         if kind == "int" or kind == "name":
-            v = literals.get(val)
+            v = self.literals.get(val)
             if v is None:
-                v = literals[val] = literal(kind, val)
+                v = self.literals[val] = self.literal(kind, val)
             return v
         if kind == "(":
-            v = nested(expr)
+            v = self.nested(self.expr)
             if toks.peek() != ")":
-                raise ParseError(f"missing ')' in {text!r}")
+                raise ParseError(f"missing ')' in {self.text!r}")
             toks.take()
             return v
-        raise ParseError(f"unexpected token in {text!r}")
+        raise ParseError(f"unexpected token in {self.text!r}")
 
-    def power():
-        v = atom()
+    def power(self):
+        toks, text = self.toks, self.text
+        v = self.atom()
         if toks.peek() == "^":
             toks.take()
             kind, val = toks.take() if toks.peek() is not None else (None, None)
@@ -963,7 +990,7 @@ def parse_scalar(text: str, alphabet: Iterable[str] = ()) -> Scalar:
             v = v**n
         return v
 
-    def divide(v, w):
+    def divide(self, v, w):
         # Fraction and Polynomial have no quotient by a Polynomial: a
         # constant divisor becomes a Fraction, a non-constant one a
         # RationalFunction denominator
@@ -971,51 +998,43 @@ def parse_scalar(text: str, alphabet: Iterable[str] = ()) -> Scalar:
             if w.is_constant():
                 w = w.constant_value()
             elif isinstance(v, Fraction):
-                v = Polynomial.constant(alphabet, v)
+                v = Polynomial.constant(self.alphabet, v)
         return v / w
 
-    def factor():
+    def factor(self):
+        toks = self.toks
         if toks.peek() == "-":
             toks.take()
-            return -nested(factor)
+            return -self.nested(self.factor)
         if toks.peek() == "+":
             toks.take()
-            return nested(factor)
-        return power()
+            return self.nested(self.factor)
+        return self.power()
 
-    def term():
-        v = factor()
+    def term(self):
+        toks, text = self.toks, self.text
+        v = self.factor()
         while toks.peek() in ("*", "/"):
             op, _ = toks.take()
-            w = factor()
+            w = self.factor()
             if not (isinstance(v, Fraction) or isinstance(w, Fraction)):
                 _check_operation(v, op, w, text)
             try:
-                v = v * w if op == "*" else divide(v, w)
+                v = v * w if op == "*" else self.divide(v, w)
             except ZeroDivisionError as exc:
                 raise ParseError(f"division by zero in {text!r}") from exc
         return v
 
-    def expr():
-        v = term()
+    def expr(self):
+        toks, text = self.toks, self.text
+        v = self.term()
         while toks.peek() in ("+", "-"):
             op, _ = toks.take()
-            w = term()
+            w = self.term()
             if isinstance(v, RationalFunction) or isinstance(w, RationalFunction):
                 _check_operation(v, op, w, text)
             v = v + w if op == "+" else v - w
         return v
-
-    value = expr()
-    if toks.peek() is not None:
-        raise ParseError(f"trailing input in {text!r}")
-    if not alphabet:
-        return value
-    if isinstance(value, Fraction):
-        return RationalFunction.constant(alphabet, value)
-    if isinstance(value, Polynomial):
-        return RationalFunction(alphabet, value, Polynomial(alphabet, _F1, {0: 1}))
-    return value
 
 
 def parse_rational(text: str) -> Fraction:

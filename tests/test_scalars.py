@@ -6,6 +6,7 @@ Fraction arithmetic decides the answer independently of the polynomial
 code paths.
 """
 
+import gc
 import random
 import time
 from fractions import Fraction
@@ -544,6 +545,26 @@ def test_typed_parse_matches_rational_function_parse_on_random_expressions():
     # divisions by zero
     assert {(Fraction, False), (RationalFunction, True), ParseError,
             "division by zero"} <= seen
+
+
+def test_parse_leaves_no_reference_cycles():
+    """Reference counting frees every parse, failing ones included: a
+    cycle per parse would leave its tokens and literals to the cyclic
+    collector, whose full passes then stall some later, unrelated call."""
+    gc.collect()
+    gc.disable()
+    try:
+        for text in ("3/4", "-(a - 2*p)^2/(q + 1) + 7", "((a*p - q)/(a + 1))^3"):
+            scalars.parse_scalar(text, A)
+            scalars.parse_scalar("(2 + 3)*5^2", ())
+        for text in ("(a + 1", "1/(a - a)", "z + 1"):
+            try:
+                scalars.parse_scalar(text, A)
+            except ParseError:
+                pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_constant_powers_are_bounded():
