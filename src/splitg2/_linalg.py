@@ -20,7 +20,7 @@ Rows are dicts from column index to nonzero entries.  Columns
 which is how augmented right-hand sides travel through the elimination.
 Two pivot orders exist: `row_reduce` takes the columns in ascending
 order (deterministic echelon forms and kernel bases, used by `rank`,
-`kernel_basis`, `solve_in_span` and rational `solve_unique`), and
+`kernel_basis`, `solve_in_span[_many]` and rational `solve_unique`), and
 `row_reduce_min_fill` follows a Markowitz rule, used only for
 polynomial `solve_unique`, where a fixed order lets entries swell.
 """
@@ -439,6 +439,14 @@ def solve_in_span(span_rows: list, target: list, width: int):
     Both span vectors and the target are coordinate lists of length
     `width` over any one scalar domain.
     """
+    return solve_in_span_many(span_rows, [target], width)[0]
+
+
+def solve_in_span_many(span_rows: list, targets: list, width: int) -> list:
+    """`solve_in_span` for each of several targets, in one elimination:
+    the targets travel as right-hand-side columns, and each solution (or
+    None) is read off the pivot rows."""
+    n = len(span_rows)
     rows = []
     for j in range(width):
         row = {}
@@ -446,21 +454,27 @@ def solve_in_span(span_rows: list, target: list, width: int):
             v = vec[j]
             if v:
                 row[i] = v
-        t = target[j]
-        if t:
-            row[len(span_rows)] = t
+        for k, target in enumerate(targets, n):
+            t = target[j]
+            if t:
+                row[k] = t
         if row:
             rows.append(row)
     domain = detect_domain(rows)
     work = prepare_rows(rows, domain)
-    pivots = row_reduce(work, len(span_rows), domain)
+    pivots = row_reduce(work, n, domain)
     pivot_rows = set(pivots.values())
-    for r, row in enumerate(work):
-        if r not in pivot_rows and row:
-            return None
-    coeffs = [_F0] * len(span_rows)
-    for col, r in pivots.items():
-        row = work[r]
-        b = row.get(len(span_rows))
-        coeffs[col] = domain.div(b, row[col]) if b is not None else _F0
-    return coeffs
+    # after the elimination a row without a pivot holds right-hand sides only
+    outside = {k for r, row in enumerate(work) if r not in pivot_rows for k in row}
+    out = []
+    for k in range(n, n + len(targets)):
+        if k in outside:
+            out.append(None)
+            continue
+        coeffs = [_F0] * n
+        for col, r in pivots.items():
+            row = work[r]
+            b = row.get(k)
+            coeffs[col] = domain.div(b, row[col]) if b is not None else _F0
+        out.append(coeffs)
+    return out

@@ -10,7 +10,6 @@ validated input document takes (`from_document`, `validation`).
 """
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterator, Mapping, Optional, Tuple
@@ -25,6 +24,7 @@ from .errors import (
 from .exterior import Form, SymTensor2, Vector
 from .g2 import Metric7, compatibility_defect
 from .liealg import BasisChange, LieAlgebra, Subspace
+from .report import Frozen
 
 _F1 = Fraction(1)
 _HALF = Fraction(1, 2)
@@ -114,13 +114,14 @@ def mc_form(dim: int, table: Mapping) -> Form:
     return Form(dim, 2, dict(table))
 
 
-@dataclass(frozen=True)
-class DistributionFact:
+class DistributionFact(Frozen):
     """Expected behaviour of one named rank-3 distribution."""
 
-    stabilizer: str
-    integrable: bool
-    claimed_growth: Optional[Tuple[int, ...]]
+    __slots__ = _fields = ("stabilizer", "integrable", "claimed_growth")
+
+    def __init__(self, stabilizer: str, integrable: bool,
+                 claimed_growth: Optional[Tuple[int, ...]]):
+        self._init(stabilizer, integrable, claimed_growth)
 
 
 DISTRIBUTION_FACTS = {
@@ -131,47 +132,69 @@ DISTRIBUTION_FACTS = {
 }
 
 
-@dataclass(frozen=True)
-class Expected:
+class Expected(Frozen):
     """Reference results for one scenario, scalar values as text."""
 
-    dimensions: Mapping[str, int]
-    coframe_differentials: Mapping[int, Mapping]
-    leaf_differentials: Mapping[int, Mapping]
-    killing: SymTensor2
-    metric_family: Tuple[Tuple[str, SymTensor2], ...]
-    form_family: Tuple[Tuple[str, Form], ...]
-    solution_relations: Mapping[str, str]
-    phi_display: Mapping[Tuple[int, int, int], str]
-    metric_det: str
-    tau0: str
-    tau1: Mapping[Tuple[int, ...], str]
-    tau2: Mapping[Tuple[int, ...], str]
-    tau3: Mapping[Tuple[int, ...], str]
-    vol_scale: str
-    tau0_reference_point: Mapping[str, str]
-    tau0_reference_value: str
-    coclosed: bool
-    coclosed_slice: Optional[Mapping[str, str]]
+    __slots__ = _fields = (
+        "dimensions", "coframe_differentials", "leaf_differentials", "killing",
+        "metric_family", "form_family", "solution_relations", "phi_display",
+        "metric_det", "tau0", "tau1", "tau2", "tau3", "vol_scale",
+        "tau0_reference_point", "tau0_reference_value", "coclosed",
+        "coclosed_slice")
+
+    def __init__(
+        self,
+        dimensions: Mapping[str, int],
+        coframe_differentials: Mapping[int, Mapping],
+        leaf_differentials: Mapping[int, Mapping],
+        killing: SymTensor2,
+        metric_family: Tuple[Tuple[str, SymTensor2], ...],
+        form_family: Tuple[Tuple[str, Form], ...],
+        solution_relations: Mapping[str, str],
+        phi_display: Mapping[Tuple[int, int, int], str],
+        metric_det: str,
+        tau0: str,
+        tau1: Mapping[Tuple[int, ...], str],
+        tau2: Mapping[Tuple[int, ...], str],
+        tau3: Mapping[Tuple[int, ...], str],
+        vol_scale: str,
+        tau0_reference_point: Mapping[str, str],
+        tau0_reference_value: str,
+        coclosed: bool,
+        coclosed_slice: Optional[Mapping[str, str]],
+    ):
+        self._init(dimensions, coframe_differentials, leaf_differentials, killing,
+                   metric_family, form_family, solution_relations, phi_display,
+                   metric_det, tau0, tau1, tau2, tau3, vol_scale,
+                   tau0_reference_point, tau0_reference_value, coclosed,
+                   coclosed_slice)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Frozen):
     """One quotient: algebra, split, structure data, and for the builtin
     fixtures the basis change and goldens.  A scenario read from a document
     (`from_document`) has no `basis` or `expected`, and may lack `metric`
     and `phi_family`."""
 
-    name: str
-    alphabet: Tuple[str, ...]
-    algebra: LieAlgebra
-    basis: Optional[BasisChange]
-    horizontal: int
-    verticals: Tuple[int, ...]
-    metric: Optional[Metric7]
-    phi_family: Optional[Form]
-    exclusions: Tuple[Tuple[str, Fraction], ...]
-    expected: Optional[Expected]
+    _fields = ("name", "alphabet", "algebra", "basis", "horizontal", "verticals",
+               "metric", "phi_family", "exclusions", "expected")
+    __slots__ = _fields + ("__dict__",)  # the instance dict holds `defect`
+
+    def __init__(
+        self,
+        name: str,
+        alphabet: Tuple[str, ...],
+        algebra: LieAlgebra,
+        basis: Optional[BasisChange],
+        horizontal: int,
+        verticals: Tuple[int, ...],
+        metric: Optional[Metric7],
+        phi_family: Optional[Form],
+        exclusions: Tuple[Tuple[str, Fraction], ...],
+        expected: Optional[Expected],
+    ):
+        self._init(name, alphabet, algebra, basis, horizontal, verticals, metric,
+                   phi_family, exclusions, expected)
 
     @cached_property
     def defect(self) -> Optional[SymTensor2]:

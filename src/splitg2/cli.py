@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from pathlib import Path
@@ -36,7 +35,7 @@ from .errors import (
 from .exterior import Form
 from .g2 import TorsionSet
 from .liealg import LieAlgebra
-from .report import Report
+from .report import Frozen, Report
 
 SCENARIO_NAMES = ("Ml", "Ms")
 SPECIALIZATION_COUNT = 5
@@ -52,20 +51,21 @@ class UsageError(Exception):
     """Bad flag combination or malformed flag value (exit code 2)."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Frozen):
     """Validated per-run options shared by the command handlers."""
 
-    scenario: Optional[str] = None
-    input_path: Optional[str] = None
-    sets: Optional[Mapping[str, Fraction]] = None
-    vol_scale: Fraction = Fraction(1)
-    fmt: str = "text"
-    seed: int = 0
-    out: Optional[str] = None
-    kind: str = "both"
-    names: Tuple[str, ...] = ()
-    corrupt: Optional[Tuple[int, int, int]] = None
+    __slots__ = _fields = ("scenario", "input_path", "sets", "vol_scale", "fmt",
+                           "seed", "out", "kind", "names", "corrupt")
+
+    def __init__(self, scenario: Optional[str] = None,
+                 input_path: Optional[str] = None,
+                 sets: Optional[Mapping[str, Fraction]] = None,
+                 vol_scale: Fraction = Fraction(1), fmt: str = "text",
+                 seed: int = 0, out: Optional[str] = None, kind: str = "both",
+                 names: Tuple[str, ...] = (),
+                 corrupt: Optional[Tuple[int, int, int]] = None):
+        self._init(scenario, input_path, sets, vol_scale, fmt, seed, out, kind,
+                   names, corrupt)
 
 
 # -- option parsing helpers ---------------------------------------------------

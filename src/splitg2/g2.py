@@ -19,7 +19,6 @@ so no information is lost by the choice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -39,6 +38,7 @@ from .errors import (
 from .exterior import Form, SymTensor2, Vector, fold, interior
 from .invariants import SolutionSpace, kernel_rows
 from .liealg import LieAlgebra
+from .report import Frozen
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -308,14 +308,13 @@ def lambda3_27_check(alpha: Form, phi: Form, star_phi: Form) -> bool:
     return alpha.wedge(phi).is_zero() and alpha.wedge(star_phi).is_zero()
 
 
-@dataclass(frozen=True)
-class TorsionSet:
+class TorsionSet(Frozen):
     """The four torsion forms of a structure, in its own coframe."""
 
-    tau0: object
-    tau1: Form
-    tau2: Form
-    tau3: Form
+    __slots__ = _fields = ("tau0", "tau1", "tau2", "tau3")
+
+    def __init__(self, tau0: object, tau1: Form, tau2: Form, tau3: Form):
+        self._init(tau0, tau1, tau2, tau3)
 
     def rescale(self, s) -> "TorsionSet":
         """Torsions of the same structure at volume scale s*c."""

@@ -16,7 +16,6 @@ everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
@@ -31,6 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .exterior import Form, SymTensor2, Vector, fold, interior
+from .report import Frozen
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -336,11 +336,11 @@ def _defect_size(defect: dict):
         return Fraction(sum(1 for _ in defect))
 
 
-@dataclass(frozen=True)
-class JacobiReport:
-    ok: bool
-    triple: Optional[tuple]
-    defect: Optional[dict]
+class JacobiReport(Frozen):
+    __slots__ = _fields = ("ok", "triple", "defect")
+
+    def __init__(self, ok: bool, triple: Optional[tuple], defect: Optional[dict]):
+        self._init(ok, triple, defect)
 
     def __str__(self) -> str:
         if self.ok:
@@ -439,21 +439,25 @@ def _mat_comm(x, y):
 
 def algebra_from_matrices(matrices: Sequence) -> LieAlgebra:
     """Structure constants of a list of square matrices closed under
-    commutators and linearly independent."""
+    commutators and linearly independent.
+
+    One elimination of the generator entries serves every pair: the
+    commutators ride along as right-hand sides."""
     n = len(matrices)
     size = len(matrices[0])
-    flat = [[m[i][j] for i in range(size) for j in range(size)] for m in matrices]
+    cells = [(i, j) for i in range(size) for j in range(size)]
+    flat = [[m[i][j] for i, j in cells] for m in matrices]
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    comms = [_mat_comm(matrices[a], matrices[b]) for a, b in pairs]
+    solutions = _linalg.solve_in_span_many(
+        flat, [[comm[i][j] for i, j in cells] for comm in comms], size * size)
     brackets = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            comm = _mat_comm(matrices[a], matrices[b])
-            target = [comm[i][j] for i in range(size) for j in range(size)]
-            coords = _linalg.solve_in_span(flat, target, size * size)
-            if coords is None:
-                raise ValidationError(
-                    f"commutator of generators {a + 1},{b + 1} leaves the span"
-                )
-            brackets[(a + 1, b + 1)] = dict(enumerate(coords, 1))
+    for (a, b), coords in zip(pairs, solutions):
+        if coords is None:
+            raise ValidationError(
+                f"commutator of generators {a + 1},{b + 1} leaves the span"
+            )
+        brackets[(a + 1, b + 1)] = dict(enumerate(coords, 1))
     return LieAlgebra(n, brackets)
 
 

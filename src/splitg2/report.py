@@ -5,10 +5,11 @@ short human-readable name, a status, and the computed/expected value
 texts.  Output is byte-stable for a fixed configuration: records are
 sorted by anchor, scalars are rendered canonically, and no timestamps or
 environment details are embedded.
+
+`Frozen` is the base of every small immutable record in the package:
+check records, torsion sets, parsed documents, scenarios, run options.
 """
 
-import json
-from dataclasses import dataclass
 from typing import List, Optional
 
 SCHEMA_VERSION = 1
@@ -16,17 +17,51 @@ SCHEMA_VERSION = 1
 _STATUSES = ("pass", "fail", "info")
 
 
-@dataclass(frozen=True)
-class Record:
-    anchor: str
-    name: str
-    status: str
-    computed: str
-    expected: str
+class Frozen:
+    """Base of the package's immutable records.
 
-    def __post_init__(self):
-        if self.status not in _STATUSES:
-            raise ValueError(f"bad status {self.status!r}")
+    A record names its fields in `_fields` and its `__init__` hands their
+    values, in that order, to `_init`; assigning or deleting an attribute
+    afterwards raises AttributeError.  Records compare and hash by class
+    and field values, and print as a constructor call."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Record(Frozen):
+    __slots__ = _fields = ("anchor", "name", "status", "computed", "expected")
+
+    def __init__(self, anchor: str, name: str, status: str, computed: str,
+                 expected: str):
+        if status not in _STATUSES:
+            raise ValueError(f"bad status {status!r}")
+        self._init(anchor, name, status, computed, expected)
 
 
 class Report:
@@ -87,6 +122,8 @@ class Report:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        import json  # only JSON output needs it; a text run skips the import
+
         doc = {
             "schema_version": SCHEMA_VERSION,
             "command": self.command,

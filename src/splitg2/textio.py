@@ -16,7 +16,6 @@ The paper's documents need dim 10, 30 bracket lines, 3 parameters and
 60 lines.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -24,6 +23,7 @@ from . import scalars
 from .errors import ParseError
 from .exterior import Form, SymTensor2
 from .liealg import LieAlgebra
+from .report import Frozen
 
 ALGEBRA_FORMAT = "splitg2-algebra 1"
 SCENARIO_FORMAT = "splitg2-scenario 1"
@@ -34,29 +34,31 @@ MAX_ALPHABET = 8
 MAX_LINES = 4096
 
 
-@dataclass(frozen=True)
-class AlgebraDocument:
-    algebra: LieAlgebra
-    alphabet: Tuple[str, ...] = ()
-    name: str = ""
+class AlgebraDocument(Frozen):
+    __slots__ = _fields = ("algebra", "alphabet", "name")
+
+    def __init__(self, algebra: LieAlgebra, alphabet: Tuple[str, ...] = (),
+                 name: str = ""):
+        self._init(algebra, alphabet, name)
 
 
-@dataclass(frozen=True)
-class ScenarioDocument:
+class ScenarioDocument(Frozen):
     """Parsed scenario input.
 
     `metric` and `phi` are optional: the growth and invariant-space
     commands only need the algebra and the split.
     """
 
-    algebra: LieAlgebra
-    horizontal: int
-    verticals: Tuple[int, ...]
-    alphabet: Tuple[str, ...] = ()
-    name: str = ""
-    metric: Optional[SymTensor2] = None
-    phi: Optional[Form] = None
-    exclusions: Tuple[Tuple[str, Fraction], ...] = field(default=())
+    __slots__ = _fields = ("algebra", "horizontal", "verticals", "alphabet",
+                           "name", "metric", "phi", "exclusions")
+
+    def __init__(self, algebra: LieAlgebra, horizontal: int,
+                 verticals: Tuple[int, ...], alphabet: Tuple[str, ...] = (),
+                 name: str = "", metric: Optional[SymTensor2] = None,
+                 phi: Optional[Form] = None,
+                 exclusions: Tuple[Tuple[str, Fraction], ...] = ()):
+        self._init(algebra, horizontal, verticals, alphabet, name, metric, phi,
+                   exclusions)
 
 
 # -- parsing ----------------------------------------------------------------

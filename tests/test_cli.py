@@ -229,12 +229,14 @@ def test_verify_paper_solves_each_family_once(capsys, monkeypatch):
 
 def patch_ml_slice(monkeypatch, substitutions):
     """Serve a catalogue whose Ml scenario carries another coclosed slice."""
-    import dataclasses
+
+    def copy(record, **changes):
+        return type(record)(**{name: changes.get(name, getattr(record, name))
+                               for name in record._fields})
 
     real = catalog.scenario
     ml = real("Ml")
-    patched = dataclasses.replace(ml, expected=dataclasses.replace(
-        ml.expected, coclosed_slice=substitutions))
+    patched = copy(ml, expected=copy(ml.expected, coclosed_slice=substitutions))
     monkeypatch.setattr(catalog, "scenario",
                         lambda name: patched if name == "Ml" else real(name))
     return patched
@@ -410,6 +412,33 @@ print(codes, len(calls))
     proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[0] == "[0, 0] 1"
+
+
+# Run one command line in a fresh interpreter, then name the modules of
+# START_COST_MODULES it has loaded.  Importing `dataclasses` pulls in
+# `inspect`, `ast`, `dis` and `tokenize`; `json` is needed only to write
+# JSON output.  sys.modules only grows, so the names present at the end
+# include any the package import loaded.
+START_COST_MODULES = ("dataclasses", "inspect", "json")
+LOADED_PROBE = """
+import sys
+from splitg2 import cli
+code = cli.main(sys.argv[1:])
+print(code, *sorted(set(%r) & set(sys.modules)), file=sys.stderr)
+""" % (START_COST_MODULES,)
+
+
+def loaded_after(*argv):
+    proc = run_python("-c", LOADED_PROBE, *argv)
+    return proc.stderr.split()
+
+
+def test_a_text_run_loads_no_dataclasses_inspect_or_json():
+    assert loaded_after("verify-paper", "--scenario", "Ms") == ["0"]
+
+
+def test_a_json_run_loads_json():
+    assert loaded_after("torsion", "--scenario", "Ms", "--format", "json") == ["0", "json"]
 
 # -- invariants ------------------------------------------------------------------------
 

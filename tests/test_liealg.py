@@ -7,12 +7,13 @@ from itertools import combinations
 
 import pytest
 
-from splitg2 import catalog, kernels, scalars
+from splitg2 import _linalg, catalog, kernels, scalars
 from splitg2.errors import (
     DimensionMismatch,
     NotAFibration,
     NotInvariant,
     SingularMatrix,
+    ValidationError,
 )
 from splitg2.exterior import Form, SymTensor2, Vector, sym_product
 from splitg2.g2 import hodge_star
@@ -21,11 +22,14 @@ from splitg2.liealg import (
     LieAlgebra,
     Subspace,
     _defect_size,
+    _mat_comm,
     _sym_accumulate,
     ad_invariance_check,
+    algebra_from_matrices,
     change_basis,
     growth_vector,
     sp2_build,
+    sp2_matrices,
 )
 
 from conftest import random_fraction, random_polynomial
@@ -648,6 +652,103 @@ def test_sp2_killing_nondegenerate():
 
     k = sp2_build().killing().to_matrix()
     assert mat_det(k) != 0
+
+
+# -- structure constants of matrix sets ------------------------------------------------
+
+
+def per_pair_brackets(matrices):
+    """The bracket table with one `solve_in_span` per pair of generators:
+    the reference for the single elimination of `algebra_from_matrices`."""
+    n, size = len(matrices), len(matrices[0])
+    flat = [[m[i][j] for i in range(size) for j in range(size)] for m in matrices]
+    brackets = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            comm = _mat_comm(matrices[a], matrices[b])
+            target = [comm[i][j] for i in range(size) for j in range(size)]
+            coords = _linalg.solve_in_span(flat, target, size * size)
+            if coords is None:
+                raise ValidationError(
+                    f"commutator of generators {a + 1},{b + 1} leaves the span")
+            brackets[(a + 1, b + 1)] = dict(enumerate(coords, 1))
+    return brackets
+
+
+def unit_matrix(size, i, j, value=1):
+    m = [[Fraction(0)] * size for _ in range(size)]
+    m[i][j] = Fraction(value)
+    return m
+
+
+def matmul(x, y):
+    return [[sum((x[i][k] * y[k][j] for k in range(len(y))), Fraction(0))
+             for j in range(len(y[0]))] for i in range(len(x))]
+
+
+def so3_matrices():
+    return [[[Fraction(v) for v in row] for row in m] for m in (
+        ((0, 0, 0), (0, 0, -1), (0, 1, 0)),
+        ((0, 0, 1), (0, 0, 0), (-1, 0, 0)),
+        ((0, -1, 0), (1, 0, 0), (0, 0, 0)),
+    )]
+
+
+def sl2_matrices():
+    h = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]]
+    return [h, unit_matrix(2, 0, 1), unit_matrix(2, 1, 0)]
+
+
+def upper_triangular_matrices():
+    return [unit_matrix(3, i, j) for i in range(3) for j in range(i, 3)]
+
+
+def conjugated_sp2_matrices():
+    p = [[Fraction(v) for v in row] for row in
+         ((2, 1, 0, 0), (0, Fraction(1, 3), 1, 0), (0, 0, 1, -1), (1, 0, 0, Fraction(5, 2)))]
+    q = _linalg.mat_inverse(p)
+    return [matmul(matmul(p, [list(r) for r in m]), q) for m in sp2_matrices()]
+
+
+def typed_table(brackets):
+    return {pair: {i: (type(c), c) for i, c in comps.items()}
+            for pair, comps in brackets.items()}
+
+
+@pytest.mark.parametrize("build", [sp2_matrices, so3_matrices, sl2_matrices,
+                                   upper_triangular_matrices,
+                                   conjugated_sp2_matrices],
+                         ids=lambda build: build.__name__)
+def test_algebra_from_matrices_matches_per_pair_solves(build):
+    matrices = build()
+    algebra = algebra_from_matrices(matrices)
+    want = LieAlgebra(len(matrices), per_pair_brackets(matrices))
+    assert typed_table(algebra.brackets) == typed_table(want.brackets)
+    assert algebra.jacobi_check().ok
+    # each bracket reassembles its commutator
+    size = len(matrices[0])
+    for (a, b), comps in algebra.brackets.items():
+        acc = [[sum((c * matrices[i - 1][r][s] for i, c in comps.items()), Fraction(0))
+                for s in range(size)] for r in range(size)]
+        comm = _mat_comm(matrices[a - 1], matrices[b - 1])
+        assert acc == [list(row) for row in comm]
+
+
+def test_conjugated_sp2_keeps_the_structure_constants():
+    conjugated = algebra_from_matrices(conjugated_sp2_matrices())
+    assert typed_table(conjugated.brackets) == typed_table(sp2_build().brackets)
+
+
+def test_algebra_from_matrices_names_the_first_pair_leaving_the_span():
+    # [e, f] and [f, g] leave the span; [h, e], [h, f], [h, g], [e, g] stay
+    matrices = [unit_matrix(3, 0, 0), unit_matrix(3, 0, 1), unit_matrix(3, 1, 0),
+                unit_matrix(3, 0, 2)]
+    with pytest.raises(ValidationError) as want:
+        per_pair_brackets(matrices)
+    with pytest.raises(ValidationError) as got:
+        algebra_from_matrices(matrices)
+    assert str(got.value) == str(want.value)
+    assert str(got.value) == "commutator of generators 2,3 leaves the span"
 
 
 # -- fibrations and leaves ----------------------------------------------------------------

@@ -454,6 +454,33 @@ def test_solve_in_span_negative():
     assert solve_in_span(span, target, 3) is None
 
 
+def test_solve_in_span_many_matches_one_target_at_a_time(rng):
+    # several right-hand sides in one elimination give each target the
+    # solution (or None) of its own elimination; spans may be dependent
+    for _ in range(40):
+        width = rng.randint(2, 7)
+        nspan = rng.randint(1, 4)
+        span = [[random_fraction(rng) for _ in range(width)] for _ in range(nspan)]
+        targets = []
+        for _ in range(rng.randint(1, 5)):
+            if rng.random() < 0.5:
+                coeffs = [random_fraction(rng) for _ in range(nspan)]
+                targets.append([sum((coeffs[i] * span[i][j] for i in range(nspan)),
+                                    Fraction(0)) for j in range(width)])
+            else:
+                targets.append([random_fraction(rng) for _ in range(width)])
+        got = _linalg.solve_in_span_many(span, targets, width)
+        want = [solve_in_span(span, target, width) for target in targets]
+        assert [None if v is None else [(type(c), c) for c in v] for v in got] == \
+            [None if v is None else [(type(c), c) for c in v] for v in want]
+        span_rank = dense_rref(span)[0]
+        for target, coeffs in zip(targets, got):
+            assert (coeffs is not None) == (dense_rref(span + [target])[0] == span_rank)
+            if coeffs is not None:
+                assert [sum((coeffs[i] * span[i][j] for i in range(nspan)), Fraction(0))
+                        for j in range(width)] == target
+
+
 # -- integer rows against classical rational elimination ---------------------------
 
 
