@@ -675,9 +675,9 @@ def per_pair_brackets(matrices):
     return brackets
 
 
-def unit_matrix(size, i, j, value=1):
+def unit_matrix(size, i, j):
     m = [[Fraction(0)] * size for _ in range(size)]
-    m[i][j] = Fraction(value)
+    m[i][j] = Fraction(1)
     return m
 
 
