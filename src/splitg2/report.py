@@ -23,7 +23,8 @@ class Frozen:
     A record names its fields in `_fields` and its `__init__` hands their
     values, in that order, to `_init`; assigning or deleting an attribute
     afterwards raises AttributeError.  Records compare and hash by class
-    and field values, and print as a constructor call."""
+    and field values, print as a constructor call, and copy and pickle
+    through the constructor."""
 
     __slots__ = ()
     _fields: tuple = ()
@@ -40,6 +41,11 @@ class Frozen:
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which takes the
+        # fields in `_fields` order; restoring slots would assign them
+        return type(self), self._values()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

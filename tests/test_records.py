@@ -1,6 +1,8 @@
 """The package's small immutable records: fields cannot be reassigned,
 constructors keep their defaults and checks, and cached values stay put."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -90,3 +92,17 @@ def test_records_compare_and_print_by_value():
     assert a != Record("a", "b", "fail", "1", "1")
     assert repr(a) == ("Record(anchor='a', name='b', status='pass', computed='1', "
                        "expected='1')")
+
+
+@pytest.mark.parametrize("name", sorted(records()))
+def test_records_copy_by_value(name):
+    record, _ = records()[name]
+    clone = copy.copy(record)
+    assert type(clone) is type(record)
+    assert repr(clone) == repr(record)
+
+
+def test_records_deepcopy_and_pickle():
+    for record in (Record("a", "b", "info", "x", ""), torsions(), RunConfig(seed=4)):
+        assert copy.deepcopy(record) == record
+        assert pickle.loads(pickle.dumps(record)) == record
