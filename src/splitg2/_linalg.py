@@ -1,6 +1,6 @@
 """Exact linear algebra:
 
-* dense helpers over Fraction (inverse, determinant),
+* a dense determinant over Fraction (`mat_det`),
 * a sparse Gauss-Jordan engine that works over the rationals or over a
   polynomial ring.  Both domains clear denominators first and then
   eliminate fraction free, by cross-multiplication row updates followed
@@ -31,14 +31,14 @@ from fractions import Fraction
 from math import gcd, inf, lcm
 
 from . import kernels, scalars
-from .errors import InconsistentSystem, NonUniqueSolution, SingularMatrix
+from .errors import InconsistentSystem, NonUniqueSolution
 from .scalars import Polynomial, RationalFunction
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-# -- dense Fraction helpers -------------------------------------------------
+# -- dense Fraction determinant ---------------------------------------------
 
 
 def mat_det(rows) -> Fraction:
@@ -65,30 +65,6 @@ def mat_det(rows) -> Fraction:
                 for c in range(col, n):
                     m[r][c] -= f * m[col][c]
     return det
-
-
-def mat_inverse(rows) -> list:
-    """Exact inverse of a dense square Fraction matrix."""
-    n = len(rows)
-    m = [list(map(Fraction, r)) + [_F1 if i == j else _F0 for j in range(n)]
-         for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            raise SingularMatrix("matrix is singular")
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return [row[n:] for row in m]
 
 
 # -- domains for the sparse engine ------------------------------------------

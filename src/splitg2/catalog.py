@@ -567,6 +567,4 @@ def named_subspaces() -> dict:
 
 def algebra_text() -> str:
     """The matrix-basis algebra as a structured-text fixture."""
-    return textio.render_algebra(
-        textio.AlgebraDocument(algebra=liealg.sp2_build(), name="sp2")
-    )
+    return textio.render_algebra(liealg.sp2_build(), "sp2")

@@ -134,12 +134,21 @@ def _config_from(ns: argparse.Namespace) -> RunConfig:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
+    """The document text.  Bytes that are not UTF-8 are a parse error on
+    either route; stdin may hand them over surrogate-escaped."""
     try:
-        return Path(path).read_text()
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            text = Path(path).read_text(encoding="utf-8")
+        text.encode("utf-8")
+    except UnicodeError as exc:
+        line = exc.object.count(b"\n" if isinstance(exc.object, bytes) else "\n",
+                                0, exc.start) + 1
+        raise ParseError(f"line {line}: document is not UTF-8 text") from None
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}")
+    return text
 
 
 def _load_scenario(cfg: RunConfig, rep: Report) -> Optional[catalog.Scenario]:

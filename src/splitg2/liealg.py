@@ -46,8 +46,7 @@ class LieAlgebra:
     differentials d e^K of the monomials met so far are cached lazily.
     """
 
-    __slots__ = ("dim", "brackets", "_rational", "_dcoframe", "_dcolumns",
-                 "_adcolumns")
+    __slots__ = ("dim", "brackets", "_dcoframe", "_dcolumns", "_adcolumns")
 
     def __init__(self, dim: int, brackets: Mapping):
         if dim < 1:
@@ -69,8 +68,6 @@ class LieAlgebra:
                 clean[(j, k)] = inner
         self.dim = dim
         self.brackets = clean
-        self._rational = all(type(c) is Fraction
-                             for comps in clean.values() for c in comps.values())
         self._dcoframe = None
         self._dcolumns = {}
         self._adcolumns = None
@@ -106,37 +103,26 @@ class LieAlgebra:
     def bracket(self, x: Vector, y: Vector) -> Vector:
         """Bracket of two frame vectors, extended bilinearly.
 
-        For rational vectors over rational structure constants, the sum
-        runs over the nonzero components x_a and y_k only and reads each
-        [e_a, e_k] from the cached ad(e_a) columns (`_ad`), so the work
-        follows the nonzeros of x and y, not the whole bracket table; a
-        sum of Fractions has one value in any order.  Any other scalar
-        takes the sum pair by pair over the bracket table, the order in
-        which unreduced quotients were always combined, so they render
-        as before."""
+        The sum runs over the nonzero components x_a and y_k only and
+        reads each [e_a, e_k] from the cached ad(e_a) columns (`_ad`), so
+        the work follows the nonzeros of x and y, not the whole bracket
+        table.  It serves every scalar type; quotients of polynomials stay
+        unreduced, so their representatives follow this order of
+        summation."""
         if x.dim != self.dim or y.dim != self.dim:
             raise DimensionMismatch("vector dimension does not match algebra")
         xs, ys = x.components, y.components
-        if self._rational and all(type(v) is Fraction for v in xs + ys):
-            ad = self._ad_columns()
-            sums: dict = {}
-            for a, xa in enumerate(xs, 1):
-                if xa and a in ad:
-                    for k, col in ad[a].items():
-                        yk = ys[k - 1]
-                        if yk:
-                            w = xa * yk
-                            for i, c in col.items():
-                                sums[i] = sums.get(i, _F0) + w * c
-            return Vector([sums.get(i, _F0) for i in range(1, self.dim + 1)])
-        acc = [_F0] * self.dim
-        for (j, k), comps in self.brackets.items():
-            w = x[j] * y[k] - x[k] * y[j]
-            if scalars.is_zero(w):
-                continue
-            for i, c in comps.items():
-                acc[i - 1] = acc[i - 1] + w * c
-        return Vector(acc)
+        ad = self._ad_columns()
+        sums: dict = {}
+        for a, xa in enumerate(xs, 1):
+            if xa and a in ad:
+                for k, col in ad[a].items():
+                    yk = ys[k - 1]
+                    if yk:
+                        w = xa * yk
+                        for i, c in col.items():
+                            sums[i] = sums.get(i, _F0) + w * c
+        return Vector([sums.get(i, _F0) for i in range(1, self.dim + 1)])
 
     # -- validation -----------------------------------------------------
 
@@ -363,10 +349,11 @@ class BasisChange:
             raise ValueError("basis change matrix must be square")
         self.dim = n
         self.matrix = rows
-        try:
-            self._inverse = _linalg.mat_inverse(rows)
-        except SingularMatrix:
-            raise SingularMatrix("basis change matrix is singular") from None
+        # row c of the inverse expresses the old unit vector e_c over the rows
+        units = [[_F1 if c == d else _F0 for d in range(n)] for c in range(n)]
+        self._inverse = _linalg.solve_in_span_many(rows, units, n)
+        if None in self._inverse:
+            raise SingularMatrix("basis change matrix is singular")
         # the nonzero entries (d, inverse[c][d]) of each row c of the inverse
         self._inverse_rows = tuple(tuple((d, v) for d, v in enumerate(row) if v)
                                    for row in self._inverse)

@@ -1,14 +1,16 @@
 """Line-oriented text format for algebras and scenarios.
 
 Two document kinds share one syntax of `key: value` lines with `#`
-comments.  An algebra document carries a dimension, an optional
-parameter alphabet, and the nonzero structure constants as
-`bracket: J K I coefficient` lines.  A scenario document adds the
-horizontal/vertical split and optional metric and 3-form data, which is
-everything the command-line tools need to run on user-supplied input.
+comments.  An algebra document carries a name, a dimension and the
+nonzero structure constants as `bracket: J K I coefficient` lines; it
+is output only (`describe --scenario sp2`).  A scenario document adds
+an optional parameter alphabet, the horizontal/vertical split and
+optional metric and 3-form data, which is everything the command-line
+tools need to run on user-supplied input.
 
 Rendering is byte-stable: fixed key order, sorted indices, canonical
-scalar text.  `parse_*(render_*(doc))` reproduces the document.
+scalar text.  `parse_scenario(render_scenario(doc))` reproduces the
+document.
 
 Documents are bounded so that no input can run the commands for long:
 past one of the limits below the parser raises a one-line `ParseError`.
@@ -32,14 +34,6 @@ MAX_DIM = 512
 MAX_BRACKETS = 1024
 MAX_ALPHABET = 8
 MAX_LINES = 4096
-
-
-class AlgebraDocument(Frozen):
-    __slots__ = _fields = ("algebra", "alphabet", "name")
-
-    def __init__(self, algebra: LieAlgebra, alphabet: Tuple[str, ...] = (),
-                 name: str = ""):
-        self._init(algebra, alphabet, name)
 
 
 class ScenarioDocument(Frozen):
@@ -102,7 +96,7 @@ def _scalar(lineno: int, text: str, alphabet: tuple):
 
 
 class _Collector:
-    """Shared key handling for both document kinds."""
+    """Key handling for scenario documents."""
 
     def __init__(self):
         self.name = None
@@ -221,7 +215,7 @@ class _Collector:
             raise ParseError(str(exc)) from exc
 
 
-def _parse(text: str, expected_format: str) -> _Collector:
+def _parse(text: str) -> _Collector:
     lines = _lines(text)
     try:
         lineno, key, value = next(lines)
@@ -229,9 +223,9 @@ def _parse(text: str, expected_format: str) -> _Collector:
         raise ParseError("empty document") from None
     if key != "format":
         raise ParseError(f"line {lineno}: first line must declare 'format'")
-    if value != expected_format:
+    if value != SCENARIO_FORMAT:
         raise ParseError(
-            f"line {lineno}: expected format {expected_format!r}, got {value!r}"
+            f"line {lineno}: expected format {SCENARIO_FORMAT!r}, got {value!r}"
         )
     collector = _Collector()
     for lineno, key, value in lines:
@@ -241,16 +235,8 @@ def _parse(text: str, expected_format: str) -> _Collector:
     return collector
 
 
-def parse_algebra(text: str) -> AlgebraDocument:
-    c = _parse(text, ALGEBRA_FORMAT)
-    if c.horizontal is not None or c.metric_entries or c.phi_terms:
-        raise ParseError("algebra documents carry no scenario data")
-    return AlgebraDocument(algebra=c.algebra(), alphabet=c.alphabet or (),
-                           name=c.name or "")
-
-
 def parse_scenario(text: str) -> ScenarioDocument:
-    c = _parse(text, SCENARIO_FORMAT)
+    c = _parse(text)
     algebra = c.algebra()
     if c.horizontal is None:
         raise ParseError("scenario document has no 'horizontal' line")
@@ -303,9 +289,9 @@ def _render_common(out: list, name: str, alphabet: tuple, algebra: LieAlgebra) -
             out.append(f"bracket: {j} {k} {i} {scalars.render_scalar(comps[i])}")
 
 
-def render_algebra(doc: AlgebraDocument) -> str:
+def render_algebra(algebra: LieAlgebra, name: str = "") -> str:
     out = [f"format: {ALGEBRA_FORMAT}"]
-    _render_common(out, doc.name, doc.alphabet, doc.algebra)
+    _render_common(out, name, (), algebra)
     return "\n".join(out) + "\n"
 
 

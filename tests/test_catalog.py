@@ -140,14 +140,6 @@ def test_stabilizers_are_subalgebras():
                 assert s.contains(g.bracket(x, y)), name
 
 
-def test_algebra_text_round_trips():
-    from splitg2 import textio
-
-    text = catalog.algebra_text()
-    doc = textio.parse_algebra(text)
-    assert doc.algebra.brackets == sp2_build().brackets
-
-
 @pytest.mark.parametrize("name", ["Ml", "Ms"])
 def test_expected_tau_tables_parse(name):
     sc = catalog.scenario(name)

@@ -1,5 +1,6 @@
 """Command-line drivers: exit codes, output stability, negative controls."""
 
+import io
 import json
 import random
 import re
@@ -12,6 +13,7 @@ import pytest
 
 from splitg2 import catalog, scalars
 from splitg2.cli import MAX_VALUE_DIGITS, main
+from splitg2.liealg import sp2_build
 
 from conftest import run_python, run_splitg2, slice_document
 
@@ -288,8 +290,6 @@ def test_coclosed_slice_on_a_pole_fails(capsys, monkeypatch, vol):
     (("torsion", "--input", "-"), 3, "torsion-Ml-slice-p3a.txt"),
 ], ids=["Ms", "Ml-json", "Ml-slice"])
 def test_symbolic_torsion_reports_are_pinned(capsys, monkeypatch, argv, stdin, golden):
-    import io
-
     if stdin is not None:
         monkeypatch.setattr(sys, "stdin", io.StringIO(slice_document(stdin)))
     code, out, err = run(capsys, *argv)
@@ -497,12 +497,15 @@ def test_growth_repeated_name_is_usage(capsys):
 
 
 def test_describe_algebra_parses(capsys):
-    from splitg2.textio import parse_algebra
-
+    """The `bracket:` lines of the sp2 document are the structure constants."""
     code, out, _ = run(capsys, "describe", "--scenario", "sp2")
     assert code == 0
-    doc = parse_algebra(out)
-    assert doc.algebra.dim == 10
+    brackets = {}
+    for line in out.splitlines():
+        if line.startswith("bracket:"):
+            j, k, i, c = line.split()[1:]
+            brackets.setdefault((int(j), int(k)), {})[int(i)] = Fraction(c)
+    assert brackets == sp2_build().brackets
 
 
 def test_describe_scenario_round_trip(tmp_path, capsys):
@@ -604,8 +607,6 @@ def test_usage_exit_codes(capsys):
 
 
 def test_stdin_input(tmp_path, capsys, monkeypatch):
-    import io
-
     text = catalog.scenario("Ms").text()
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     code, out, _ = run(capsys, "invariants", "--input", "-")
@@ -616,8 +617,6 @@ def test_stdin_input(tmp_path, capsys, monkeypatch):
 def test_input_wide_abelian_invariants_run_quickly(capsys, monkeypatch):
     # no verticals line: all 505 legs past the horizontal block are vertical,
     # and each Lie derivative must cost the nonzeros it touches, not dim
-    import io
-
     lines = catalog.scenario("Ms").text().replace("dim: 10\n", "dim: 512\n", 1)
     doc = "".join(line for line in lines.splitlines(keepends=True)
                   if not line.startswith(("bracket:", "verticals:")))
@@ -628,6 +627,27 @@ def test_input_wide_abelian_invariants_run_quickly(capsys, monkeypatch):
     assert code == 0
     assert "result: pass" in out
     assert time.process_time() - start < 5
+
+
+@pytest.mark.parametrize("route", ["file", "stdin-strict", "stdin-surrogateescape"])
+@pytest.mark.parametrize("command", ["torsion", "invariants", "describe"])
+def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, monkeypatch,
+                                                 command, route):
+    # a valid document but for one byte in a comment, which is not UTF-8;
+    # stdin decodes strictly, or surrogate-escapes as in the POSIX locale
+    text = catalog.scenario("Ms").text()
+    data = text.replace("\n", "\n# caf\xe9\n", 1).encode("latin-1")
+    if route == "file":
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(data)
+        source = str(path)
+    else:
+        errors = route.partition("-")[2]
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(
+            io.BytesIO(data), encoding="utf-8", errors=errors))
+        source = "-"
+    assert run(capsys, command, "--input", source) == (
+        2, "", "parse error: line 2: document is not UTF-8 text\n")
 
 
 def test_input_bad_parameter_name_is_usage():

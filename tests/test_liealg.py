@@ -125,9 +125,9 @@ def test_sparse_bracket_matches_the_pairwise_sum(name, algebra):
 
 
 def test_symbolic_bracket_keeps_the_pairwise_order():
-    """A quotient of polynomials is kept unreduced, so the order of the sum
-    shows in its rendering: non-rational vectors and structure constants
-    take the table's pair order."""
+    """Non-rational vectors and structure constants give the value of the
+    sum over the table's pairs; quotients stay unreduced, so the value is
+    compared, not the rendering."""
     rng = random.Random(11)
     alphabet = ("a", "p", "q")
     g = sp2_build()
@@ -148,8 +148,8 @@ def test_symbolic_bracket_keeps_the_pairwise_order():
     for algebra, x, y in cases:
         got = algebra.bracket(x, y)
         want = pairwise_bracket(algebra, x, y)
-        assert [scalars.render_scalar(c) for c in got.components] == \
-            [scalars.render_scalar(c) for c in want.components]
+        assert all(scalars.equals(a, b)
+                   for a, b in zip(got.components, want.components))
 
 
 def pairwise_change_basis(algebra, change):
@@ -706,7 +706,7 @@ def upper_triangular_matrices():
 def conjugated_sp2_matrices():
     p = [[Fraction(v) for v in row] for row in
          ((2, 1, 0, 0), (0, Fraction(1, 3), 1, 0), (0, 0, 1, -1), (1, 0, 0, Fraction(5, 2)))]
-    q = _linalg.mat_inverse(p)
+    q = BasisChange(p)._inverse
     return [matmul(matmul(p, [list(r) for r in m]), q) for m in sp2_matrices()]
 
 

@@ -14,7 +14,6 @@ from splitg2._linalg import (
     detect_domain,
     kernel_basis,
     mat_det,
-    mat_inverse,
     prepare_rows,
     rank,
     row_reduce,
@@ -29,7 +28,7 @@ from splitg2.errors import (
     ValidationError,
 )
 from splitg2.exterior import Vector
-from splitg2.liealg import Subspace
+from splitg2.liealg import BasisChange, Subspace
 from splitg2.scalars import Polynomial, RationalFunction
 
 from splitg2.g2 import torsion_linear_system
@@ -96,23 +95,23 @@ def test_det_singular():
 
 
 def test_inverse_round_trip(rng):
-    eye3 = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
-    found = 0
-    while found < 10:
+    """A basis change re-expresses each new vector as its unit vector."""
+    changes = [catalog.scenario(name).basis for name in ("Ml", "Ms")]
+    while len(changes) < 12:
         m = [[random_fraction(rng) for _ in range(3)] for _ in range(3)]
-        if mat_det(m) == 0:
-            continue
-        found += 1
-        inv = mat_inverse(m)
-        product = [[sum(m[i][k] * inv[k][j] for k in range(3)) for j in range(3)]
-                   for i in range(3)]
-        assert product == eye3
+        if mat_det(m) != 0:
+            changes.append(BasisChange(m))
+    for change in changes:
+        n = change.dim
+        assert [change.old_to_new(change.new_vector(i).components)
+                for i in range(1, n + 1)] == [[Fraction(int(i == j)) for j in range(n)]
+                                              for i in range(n)]
 
 
 def test_inverse_rejects_singular():
     m = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]
-    with pytest.raises(SingularMatrix):
-        mat_inverse(m)
+    with pytest.raises(SingularMatrix, match="^basis change matrix is singular$"):
+        BasisChange(m)
 
 
 # -- rank and kernel vs the dense oracle -------------------------------------------

@@ -32,7 +32,6 @@ def records():
         "DistributionFact": (catalog.DISTRIBUTION_FACTS["D_l1"], "integrable"),
         "Expected": (ms.expected, "tau0"),
         "Scenario": (ms, "metric"),
-        "AlgebraDocument": (textio.AlgebraDocument(LieAlgebra(2, {})), "name"),
         "ScenarioDocument": (ms.document(), "phi"),
     }
 
@@ -70,7 +69,6 @@ def test_document_defaults():
     doc = textio.ScenarioDocument(LieAlgebra(2, {}), 1, (2,))
     assert (doc.alphabet, doc.name, doc.metric, doc.phi, doc.exclusions) == (
         (), "", None, None, ())
-    assert textio.AlgebraDocument(LieAlgebra(2, {})).alphabet == ()
 
 
 def test_torsion_rescale():
