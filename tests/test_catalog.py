@@ -140,6 +140,20 @@ def test_stabilizers_are_subalgebras():
                 assert s.contains(g.bracket(x, y)), name
 
 
+def test_algebra_text_round_trips():
+    """Reading back the `dim:` and `bracket:` lines gives the sp2 algebra."""
+    g = sp2_build()
+    dims, brackets = [], {}
+    for line in catalog.algebra_text().splitlines():
+        if line.startswith("dim:"):
+            dims.append(int(line.split()[1]))
+        elif line.startswith("bracket:"):
+            j, k, i, c = line.split()[1:]
+            brackets.setdefault((int(j), int(k)), {})[int(i)] = Fraction(c)
+    assert dims == [g.dim]
+    assert brackets == g.brackets
+
+
 @pytest.mark.parametrize("name", ["Ml", "Ms"])
 def test_expected_tau_tables_parse(name):
     sc = catalog.scenario(name)
