@@ -229,6 +229,51 @@ def test_verify_paper_solves_each_family_once(capsys, monkeypatch):
     assert all(a is b for a, b in zip(symbolic, families))
 
 
+ML_POINT = {"a": Fraction(1), "p": Fraction(2), "q": Fraction(3)}
+
+
+def test_point_record_reports_a_failed_solve(monkeypatch):
+    """tau0 taken out of the structure equations: the solve names it free,
+    and the Bryant rows lose one rank on the membership kernel."""
+    import splitg2.cli as cli
+    from splitg2 import g2
+
+    def without_tau0(*args):
+        system = real(*args)
+        for row in system.rows[: system.bryant_count]:
+            row.pop(0, None)
+        return system
+
+    ml = catalog.scenario("Ml")
+    expected = cli._expected_torsions(ml)
+    real = g2.torsion_linear_system
+    monkeypatch.setattr(g2, "torsion_linear_system", without_tau0)
+    assert cli._point_pipeline(ml, expected, ML_POINT, Fraction(1), "x") == (
+        "x", "pipeline at a=1, p=2, q=3", False,
+        "torsion solve failed: free unknowns at columns [0]; constrained rank 48",
+        "torsion match, constrained rank 49, 14-component dim 14")
+
+
+@pytest.mark.parametrize("index, dimension", [(0, 18), (1, 18), (2, 18), (3, 16)])
+def test_point_record_of_a_non_generic_form_is_wrong_dimension(index, dimension):
+    """An invariant 3-form other than the family's is not generic: more
+    than 14 dimensions of 2-forms wedge to zero with its star."""
+    import splitg2.cli as cli
+    from splitg2 import invariants
+    from splitg2.errors import WrongDimension
+
+    ml = catalog.scenario("Ml")
+    space = invariants.invariant_form3(ml.algebra, ml.verticals, ml.horizontal)
+    fields = {name: getattr(ml, name) for name in ml._fields}
+    fields["phi_family"] = space.basis[index].restrict(ml.horizontal)
+    sc = catalog.Scenario(**fields)
+    with pytest.raises(WrongDimension) as caught:
+        cli._point_pipeline(sc, cli._expected_torsions(ml), ML_POINT,
+                            Fraction(1), "x")
+    assert str(caught.value) == (
+        f"2-form kernel has dimension {dimension}, expected 14")
+
+
 def patch_ml_slice(monkeypatch, substitutions):
     """Serve a catalogue whose Ml scenario carries another coclosed slice."""
 

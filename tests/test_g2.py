@@ -11,6 +11,8 @@ from splitg2.errors import (
     Degenerate,
     DegreeMismatch,
     DimensionMismatch,
+    InconsistentSystem,
+    InternalInconsistency,
     NonUniqueSolution,
     ValidationError,
     ZeroReference,
@@ -436,22 +438,48 @@ def seeded_systems():
     return out
 
 
-def test_block_rank_matches_the_full_kernel():
-    for system in seeded_systems():
+def fresh_copy(system, rows=None, bryant_count=None):
+    """A system over the same context that has not been solved or ranked;
+    over the same rows unless others are given."""
+    from splitg2.g2 import TorsionSystem
+
+    return TorsionSystem(
+        system.rows if rows is None else rows,
+        system.bryant_count if bryant_count is None else bryant_count,
+        system.algebra, system.metric, system.phi, system.vol_scale,
+        system.star_phi)
+
+
+def solve_attempted(system):
+    """A fresh copy of `system` whose torsion solve has run, and succeeded
+    or failed."""
+    tried = fresh_copy(system)
+    try:
+        tried.torsions()
+    except (NonUniqueSolution, InconsistentSystem, InternalInconsistency):
+        pass
+    return tried
+
+
+def test_block_rank_matches_the_full_kernel(ms):
+    """The seeded systems and the symbolic Ms one, ranked as built and
+    after their torsion solve."""
+    symbolic = torsion_linear_system(ms.algebra, ms.metric, ms.phi_family)
+    for system in seeded_systems() + [symbolic]:
         want = full_kernel_rank(system)
         assert want == 49
         assert system.membership_kernel_rank() == want
+        solved = fresh_copy(system)
+        solved.torsions()
+        assert solved.membership_kernel_rank() == want
 
 
 def test_block_rank_matches_the_full_kernel_below_49(ms):
     """Systems made rank-deficient: Bryant rows dropped, an unknown's
     entries dropped from the Bryant rows only, or from every row (then
-    the membership rows no longer constrain it and the kernel grows)."""
-    from splitg2.g2 import TorsionSystem
-
-    def variant(system, rows, bryant_count):
-        return TorsionSystem(rows, bryant_count, system.algebra, system.metric,
-                             system.phi, system.vol_scale, system.star_phi)
+    the membership rows no longer constrain it and the kernel grows).
+    Each is ranked as built and after its torsion solve was attempted."""
+    variant = fresh_copy
 
     def without(rows, cols):
         return [{c: v for c, v in row.items() if c not in cols} for row in rows]
@@ -476,6 +504,7 @@ def test_block_rank_matches_the_full_kernel_below_49(ms):
         for v in variants:
             want = full_kernel_rank(v)
             assert v.membership_kernel_rank() == want
+            assert solve_attempted(v).membership_kernel_rank() == want
             seen.add(want)
     assert min(seen) < 30 and len(seen - {49}) >= 4, seen
 
