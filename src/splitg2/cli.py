@@ -30,6 +30,7 @@ from .errors import (
     PoleAtPoint,
     SplitG2Error,
     ValidationError,
+    WrongDimension,
     ZeroReference,
 )
 from .exterior import Form
@@ -540,11 +541,14 @@ def _point_pipeline(sc: catalog.Scenario, expected: TorsionSet,
     """Full rational pipeline at one admissible point, against the golden
     torsions `expected` at volume scale `vol`; one record.
 
-    The constrained rank is that of the Bryant rows on the kernel of the
-    membership rows (`TorsionSystem.membership_kernel_rank`).  Where the
-    component of 2-forms that `g2.lambda2_14_basis` computes is not
-    14-dimensional, it raises WrongDimension, which ends the command with
-    exit 1, as a non-generic 3-form does elsewhere."""
+    The record takes one elimination of the 71-row torsion system.  The
+    constrained rank, of the Bryant rows on the kernel of the membership
+    rows, is 64 less the membership rank once the solve has succeeded
+    (`TorsionSystem.membership_kernel_rank` gives the rank-nullity route
+    and the other case).  The tau2 membership block gives the component
+    of 2-forms with a ^ star phi = 0; where it is not 14-dimensional,
+    WrongDimension ends the command with exit 1, as a non-generic 3-form
+    does elsewhere."""
     phi = _specialize_form(sc.phi_family, point)
     problems = []
     if not g2.compatibility_defect(sc.metric, phi).is_zero():
@@ -561,7 +565,9 @@ def _point_pipeline(sc: catalog.Scenario, expected: TorsionSet,
     rank = system.membership_kernel_rank()
     if rank != 49:
         problems.append(f"constrained rank {rank}")
-    g2.lambda2_14_basis(phi, system.star_phi)
+    dim = system.membership_kernel_dims()["tau2"]
+    if dim != 14:
+        raise WrongDimension(f"2-form kernel has dimension {dim}, expected 14")
     ok = not problems
     computed = ("torsion match, constrained rank 49, 14-component dim 14"
                 if ok else "; ".join(problems))

@@ -89,16 +89,9 @@ _ROWS_TAU2_STAR = _row_block(56, 6)      # rows 56..62
 _ROWS_TAU3_PHI = _row_block(63, 6)       # rows 63..69
 _ROWS_TAU3_STAR = {_TOP: 70}
 
-# the column range of each torsion form among the unknowns of
-# `TorsionSystem`, {first column: end}, tau3 and tau0 first: their images
-# in the Bryant rows are the sparsest (`membership_kernel_rank`)
-_TAU2_COLUMN = 1 + len(_SINGLES)
-_UNKNOWN_GROUPS = {
-    _TAU2_COLUMN + len(_PAIRS): _TAU2_COLUMN + len(_PAIRS) + len(_TRIPLES),
-    0: 1,
-    1: _TAU2_COLUMN,
-    _TAU2_COLUMN: _TAU2_COLUMN + len(_PAIRS),
-}
+# the columns of each torsion form among the unknowns of `TorsionSystem`
+_COLUMNS = {"tau0": range(1), "tau1": range(1, 8), "tau2": range(8, 29),
+            "tau3": range(29, 64)}
 
 
 class Metric7:
@@ -344,7 +337,7 @@ class TorsionSystem:
     """
 
     __slots__ = ("rows", "bryant_count", "algebra", "metric", "phi",
-                 "vol_scale", "star_phi")
+                 "vol_scale", "star_phi", "_rank", "_kernel_dims")
 
     width = 1 + len(_SINGLES) + len(_PAIRS) + len(_TRIPLES)
 
@@ -357,6 +350,8 @@ class TorsionSystem:
         self.phi = phi
         self.vol_scale = vol_scale
         self.star_phi = star_phi
+        self._rank = None  # of the coefficient matrix, once known
+        self._kernel_dims = None
 
     def torsions(self) -> TorsionSet:
         """Unique exact solution, unpacked into the four torsion forms.
@@ -369,6 +364,7 @@ class TorsionSystem:
         coframe mismatch and is raised, never patched over.
         """
         x = _linalg.solve_unique(self.rows, self.width)
+        self._rank = self.width
         tau1 = Form(_DIM, 1, {(i,): v for i, v in zip(_SINGLES, x[1:8])})
         tau2 = Form(_DIM, 2, dict(zip(_PAIRS, x[8:29])))
         tau3 = Form(_DIM, 3, dict(zip(_TRIPLES, x[29:])))
@@ -385,53 +381,40 @@ class TorsionSystem:
             raise InternalInconsistency("tau3 escapes its 27-dimensional component")
         return torsions
 
-    def membership_kernel_rank(self) -> int:
-        """Rank of the structure-equation block restricted to the
-        subspace cut out by the membership constraints.
-
-        The membership rows are block diagonal in the unknowns: each reads
-        only the tau2 or only the tau3 columns, and tau0 and tau1 are
-        unconstrained.  So the kernel is spanned by the kernels of the
-        column groups (`_UNKNOWN_GROUPS`) taken one at a time, unit
-        vectors for tau0 and tau1.  The kernel vectors stay sparse and are
-        mapped through a column view of the Bryant rows, both scaled free
-        of denominators, which changes no rank.  The rank of the images is
-        that of an exact elimination (`_linalg.rank`), kernel vectors as
-        columns in group order.
-        """
-        width = self.width
-        domain = _linalg.detect_domain(self.rows)
-        # {unknown: [(row, entry)]} of the Bryant rows
-        columns = {}
-        for r, row in enumerate(_linalg.prepare_rows(
-                self.rows[: self.bryant_count], domain)):
-            for c, v in row.items():
-                if c < width:
-                    columns.setdefault(c, []).append((r, v))
-        groups = {lo: [] for lo in _UNKNOWN_GROUPS}
-        for row in self.rows[self.bryant_count :]:
-            if not row:
-                continue
+    def membership_kernel_dims(self) -> dict:
+        """{torsion form: dimension of the kernel of the membership rows on
+        its unknowns (`_COLUMNS`)}, 1, 7, 14 and 27 for a generic 3-form;
+        computed once.  Each membership row reads the unknowns of one form,
+        so each dimension is the form's count of unknowns less the rank of
+        its block, of at most 8 rows.  The tau2 block holds the columns
+        e^{ij} ^ star phi: its kernel is the component of 2-forms that
+        `lambda2_14_basis` spans."""
+        if self._kernel_dims is None:
+            blocks = {name: [] for name in _COLUMNS}
             # the membership rows carry no right-hand side
-            lo = max(lo for lo in _UNKNOWN_GROUPS if lo <= min(row))
-            if max(row) >= _UNKNOWN_GROUPS[lo]:
-                raise InternalInconsistency(
-                    "a membership row mixes torsion components")
-            groups[lo].append({c - lo: v for c, v in row.items()})
-        kernel = []
-        for lo, hi in _UNKNOWN_GROUPS.items():
-            kernel += ({lo + c: v for c, v in enumerate(vec) if v}
-                       for vec in _linalg.kernel_basis(groups[lo], hi - lo))
-        rows = [{} for _ in range(self.bryant_count)]
-        for s, vec in enumerate(_linalg.prepare_rows(kernel, domain)):
-            image = {}
-            for c, x in vec.items():
-                for r, v in columns.get(c, ()):
-                    image[r] = image[r] + x * v if r in image else x * v
-            for r, v in image.items():
-                if v:
-                    rows[r][s] = v
-        return _linalg.rank(rows, len(kernel))
+            for row in filter(None, self.rows[self.bryant_count :]):
+                name = next(n for n, cols in _COLUMNS.items() if min(row) in cols)
+                cols = _COLUMNS[name]
+                if max(row) not in cols:
+                    raise InternalInconsistency(
+                        "a membership row mixes torsion components")
+                blocks[name].append({c - cols.start: v for c, v in row.items()})
+            self._kernel_dims = {
+                name: len(cols) - _linalg.rank(blocks[name], len(cols))
+                for name, cols in _COLUMNS.items()}
+        return self._kernel_dims
+
+    def membership_kernel_rank(self) -> int:
+        """Rank of the Bryant rows B on the kernel of the membership rows M.
+
+        For A = [B; M], ker A is ker B intersected with ker M, so by
+        rank-nullity this is rank A - rank M, rank M read off
+        `membership_kernel_dims`.  rank A is full once `torsions()` has
+        solved the system uniquely, even if a check of the solution then
+        failed; otherwise it is one elimination of the system."""
+        if self._rank is None:
+            self._rank = _linalg.rank(self.rows, self.width)
+        return self._rank - self.width + sum(self.membership_kernel_dims().values())
 
 
 def _expect(form: Form, degree: int) -> None:

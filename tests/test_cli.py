@@ -254,6 +254,34 @@ def test_point_record_reports_a_failed_solve(monkeypatch):
         "torsion match, constrained rank 49, 14-component dim 14")
 
 
+@pytest.mark.parametrize("name", ["Ml", "Ms"])
+def test_point_record_eliminates_the_system_once(monkeypatch, name):
+    """The constrained rank and the 14-component come from the torsion
+    solve and the two membership blocks (7 and 8 rows): no second
+    elimination of the Bryant rows, no 2-form kernel from wedges."""
+    import splitg2.cli as cli
+    from splitg2 import _linalg, g2
+
+    sc = catalog.scenario(name)
+    expected = cli._expected_torsions(sc)
+    point = cli._sample_point(random.Random(f"guard:{name}"), sc)
+    eliminated, wedged = [], []
+
+    def row_reduce(rows, width, domain):
+        eliminated.append(len(rows))
+        return real_reduce(rows, width, domain)
+
+    real_reduce = _linalg.row_reduce
+    monkeypatch.setattr(_linalg, "row_reduce", row_reduce)
+    monkeypatch.setattr(g2, "lambda2_14_basis",
+                        lambda *args: wedged.append(args))
+    record = cli._point_pipeline(sc, expected, point, Fraction(1), "x")
+    assert record[2], record
+    assert eliminated.count(71) == 1
+    assert max((n for n in eliminated if n != 71), default=0) <= 8, eliminated
+    assert wedged == []
+
+
 @pytest.mark.parametrize("index, dimension", [(0, 18), (1, 18), (2, 18), (3, 16)])
 def test_point_record_of_a_non_generic_form_is_wrong_dimension(index, dimension):
     """An invariant 3-form other than the family's is not generic: more
