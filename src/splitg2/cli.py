@@ -103,6 +103,8 @@ def _parse_corrupt(text: str) -> Tuple[int, int, int]:
     if len(parts) != 3:
         raise UsageError("--corrupt needs J,K,I with 1 <= J < K <= 10")
     try:
+        if not text.isascii():  # int() takes the digits of any script
+            raise ValueError
         j, k, i = (int(p) for p in parts)
     except ValueError:
         raise UsageError(f"--corrupt indices must be integers: got {text!r}")

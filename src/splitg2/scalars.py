@@ -836,9 +836,9 @@ class _Tokens:
             if ch.isspace():
                 i += 1
                 continue
-            if ch.isdigit():
+            if "0" <= ch <= "9":  # ASCII only: str.isdigit takes any script
                 j = i
-                while j < n and text[j].isdigit():
+                while j < n and "0" <= text[j] <= "9":
                     j += 1
                 self.items.append(("int", text[i:j]))
                 i = j

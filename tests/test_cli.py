@@ -103,6 +103,9 @@ def test_verify_corrupt_bad_syntax(capsys):
     assert "usage error" in err
     code, _, err = run(capsys, "verify-paper", "--corrupt", "zz")
     assert code == 2
+    # indices take the ASCII digits 0-9 only
+    assert run(capsys, "verify-paper", "--corrupt", "٣,٥,١") == (
+        2, "", "usage error: --corrupt indices must be integers: got '٣,٥,١'\n")
 
 
 def test_verify_rejects_set(capsys):
@@ -418,6 +421,8 @@ def test_torsion_unknown_parameter(capsys):
     ("--scenario", "Ms", "--vol-scale", f"(10^50)^{MAX_VALUE_DIGITS // 50}"),
     ("--scenario", "Ml", "--set", "a=" + "9" * 4000, "--set", "p=1", "--set", "q=2"),
     ("--scenario", "Ms", "--set", "q=((2^64)^64)^64"),
+    ("--scenario", "Ms", "--set", "q=٣"),
+    ("--scenario", "Ml", "--vol-scale", "2²"),
 ])
 def test_torsion_flag_values_outside_the_grammar_or_bound_are_usage(capsys, argv):
     code, out, err = run(capsys, "torsion", *argv)

@@ -317,6 +317,10 @@ def test_parse_rejects_garbage():
     for text in ("", "a +", "(a", "a ** 2", "1/(0)"):
         with pytest.raises((ParseError, ZeroDivisionError)):
             scalars.parse_scalar(text, A)
+    # integer literals take the ASCII digits 0-9 only
+    for text, char in (("2²", "²"), ("٣*a", "٣"), ("1٠", "٠")):
+        with pytest.raises(ParseError, match=f"^unexpected character {char!r} in"):
+            scalars.parse_scalar(text, A)
 
 
 def test_parse_bounds_nesting():
