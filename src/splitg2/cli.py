@@ -752,13 +752,27 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out: Optional[str]) -> None:
-    if not out:
-        sys.stdout.write(text)
+    """Write the report as UTF-8, whatever the locale, to the file `out` or
+    to stdout; argument bytes that the locale did not decode (a path, say)
+    go back out as they came.  A closed stdout, or one that takes only
+    text in an encoding short of the report's characters, is an error."""
+    data = text.encode("utf-8", "surrogateescape")
+    if out:
+        try:
+            Path(out).write_bytes(data)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc.strerror or exc}")
+        return
+    stream = getattr(sys.stdout, "buffer", None)
+    if stream is not None:
+        sys.stdout.flush()
+        stream.write(data)
         return
     try:
-        Path(out).write_text(text)
-    except OSError as exc:
-        raise UsageError(f"cannot write {out}: {exc.strerror or exc}")
+        sys.stdout.write(text)
+    except (AttributeError, UnicodeEncodeError):  # None when closed
+        raise SplitG2Error("standard output cannot take the report; "
+                           "use --out")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -18,14 +18,17 @@ ALPHABET = ("a", "p", "q")
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_python(*argv, stdin=None, timeout=120):
+def run_python(*argv, stdin=None, timeout=120, env=None):
     """`python ARGV` in a child process that imports the package from this
-    checkout's `src`, installed or not."""
-    env = dict(os.environ)
+    checkout's `src`, installed or not, with the variables of `env` set
+    on top of this process's environment.  Text goes in and out as UTF-8,
+    the encoding of the package's reports."""
+    env = {**os.environ, **(env or {})}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC),
                                                       env.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, *argv], input=stdin, env=env,
-                          capture_output=True, text=True, timeout=timeout)
+                          capture_output=True, encoding="utf-8",
+                          timeout=timeout)
 
 
 def run_splitg2(*argv, stdin=None, timeout=120):

@@ -728,6 +728,50 @@ def test_input_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, monkeypatch,
         2, "", "parse error: line 2: document is not UTF-8 text\n")
 
 
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+@pytest.mark.parametrize("route", ["stdout", "out"])
+@pytest.mark.parametrize("edit", [
+    lambda text: text.replace("name: Ms\n", "name: Ms λ-copy\n", 1),
+    lambda text: re.sub(r"\bq\b", "λ", text),
+], ids=["name", "alphabet"])
+def test_reports_are_utf8_under_an_ascii_locale(tmp_path, edit, route):
+    """Non-ASCII text in a valid document is written back as UTF-8 where
+    the locale encoding is ASCII, on stdout and with --out, so that the
+    document reads back."""
+    doc = edit(catalog.scenario("Ms").text())
+    assert "λ" in doc
+    source, target = tmp_path / "doc.txt", tmp_path / "out.txt"
+    source.write_bytes(doc.encode("utf-8"))
+    argv = ["describe", "--input", str(source)]
+    if route == "out":
+        argv += ["--out", str(target)]
+    proc = run_python("-m", "splitg2", *argv, env=ASCII_LOCALE)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    written = proc.stdout if route == "stdout" else target.read_text("utf-8")
+    assert written == doc
+
+
+class AsciiText(io.TextIOBase):
+    """A text-only stream that takes ASCII and nothing else."""
+
+    def write(self, text):
+        text.encode("ascii")
+        return len(text)
+
+
+@pytest.mark.parametrize("stream", [None, AsciiText()], ids=["closed", "ascii"])
+def test_a_stdout_short_of_the_report_is_one_error_line(capsys, monkeypatch,
+                                                        stream):
+    doc = catalog.scenario("Ms").text().replace("name: Ms\n", "name: Ms λ-copy\n", 1)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+    monkeypatch.setattr(sys, "stdout", stream)
+    code = main(["describe", "--input", "-"])
+    assert (code, capsys.readouterr().err) == (
+        1, "error: standard output cannot take the report; use --out\n")
+
+
 def test_input_bad_parameter_name_is_usage():
     doc = catalog.scenario("Ms").text().replace("alphabet: q\n",
                                                 "alphabet: q 1x\n", 1)
