@@ -732,25 +732,30 @@ ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
 
 
 @pytest.mark.parametrize("route", ["stdout", "out"])
-@pytest.mark.parametrize("edit", [
-    lambda text: text.replace("name: Ms\n", "name: Ms λ-copy\n", 1),
-    lambda text: re.sub(r"\bq\b", "λ", text),
-], ids=["name", "alphabet"])
-def test_reports_are_utf8_under_an_ascii_locale(tmp_path, edit, route):
-    """Non-ASCII text in a valid document is written back as UTF-8 where
-    the locale encoding is ASCII, on stdout and with --out, so that the
+@pytest.mark.parametrize("edit, filename, command", [
+    (lambda text: text.replace("name: Ms\n", "name: Ms λ-copy\n", 1), "doc.txt",
+     "describe"),
+    (lambda text: re.sub(r"\bq\b", "λ", text), "doc.txt", "describe"),
+    (lambda text: text, "doc-λ.txt", "invariants"),
+], ids=["name", "alphabet", "path"])
+def test_reports_are_utf8_under_an_ascii_locale(tmp_path, capsys, edit, filename,
+                                                command, route):
+    """Non-ASCII text in a valid document, or in the path a report names,
+    is written as UTF-8 where the locale encoding is ASCII, on stdout and
+    with --out: the bytes of a run under a UTF-8 locale, so a written
     document reads back."""
     doc = edit(catalog.scenario("Ms").text())
-    assert "λ" in doc
-    source, target = tmp_path / "doc.txt", tmp_path / "out.txt"
+    source, target = tmp_path / filename, tmp_path / "out.txt"
     source.write_bytes(doc.encode("utf-8"))
-    argv = ["describe", "--input", str(source)]
+    argv = [command, "--input", str(source)]
+    want = run(capsys, *argv)
+    assert want[0] == 0 and "λ" in want[1]
     if route == "out":
         argv += ["--out", str(target)]
     proc = run_python("-m", "splitg2", *argv, env=ASCII_LOCALE)
     assert (proc.returncode, proc.stderr) == (0, "")
     written = proc.stdout if route == "stdout" else target.read_text("utf-8")
-    assert written == doc
+    assert written == want[1]
 
 
 class AsciiText(io.TextIOBase):
