@@ -543,14 +543,15 @@ def _point_pipeline(sc: catalog.Scenario, expected: TorsionSet,
     """Full rational pipeline at one admissible point, against the golden
     torsions `expected` at volume scale `vol`; one record.
 
-    The record takes one elimination of the 71-row torsion system.  The
-    constrained rank, of the Bryant rows on the kernel of the membership
-    rows, is 64 less the membership rank once the solve has succeeded
-    (`TorsionSystem.membership_kernel_rank` gives the rank-nullity route
-    and the other case).  The tau2 membership block gives the component
-    of 2-forms with a ^ star phi = 0; where it is not 14-dimensional,
-    WrongDimension ends the command with exit 1, as a non-generic 3-form
-    does elsewhere."""
+    The constrained rank, of the Bryant rows on the kernel of the
+    membership rows, is rank A - rank M by rank-nullity, A the whole
+    system and M its membership rows (`TorsionSystem.membership_kernel_rank`).
+    After a unique solve rank A = 64, so the record eliminates the 71 rows
+    once, plus the tau2 and tau3 membership blocks of 7 and 8 rows; a
+    failed solve costs one more elimination for rank A.  The kernel of the
+    tau2 block is the component of 2-forms with a ^ star phi = 0; where
+    it is not 14-dimensional, WrongDimension ends the command with exit
+    1, as a non-generic 3-form does elsewhere."""
     phi = _specialize_form(sc.phi_family, point)
     problems = []
     if not g2.compatibility_defect(sc.metric, phi).is_zero():
