@@ -755,8 +755,9 @@ def _parser() -> argparse.ArgumentParser:
 def _emit(text: str, out: Optional[str]) -> None:
     """Write the report as UTF-8, whatever the locale, to the file `out` or
     to stdout; argument bytes that the locale did not decode (a path, say)
-    go back out as they came.  A closed stdout, or one that takes only
-    text in an encoding short of the report's characters, is an error."""
+    go back out as they came.  A closed stdout, one that takes only text
+    in an encoding short of the report's characters, or a failed write is
+    an error."""
     data = text.encode("utf-8", "surrogateescape")
     if out:
         try:
@@ -765,15 +766,19 @@ def _emit(text: str, out: Optional[str]) -> None:
             raise UsageError(f"cannot write {out}: {exc.strerror or exc}")
         return
     stream = getattr(sys.stdout, "buffer", None)
-    if stream is not None:
-        sys.stdout.flush()
-        stream.write(data)
-        return
     try:
-        sys.stdout.write(text)
+        if stream is None:
+            sys.stdout.write(text)
+        else:
+            sys.stdout.flush()
+            stream.write(data)
+            stream.flush()
     except (AttributeError, UnicodeEncodeError):  # None when closed
         raise SplitG2Error("standard output cannot take the report; "
                            "use --out")
+    except OSError as exc:
+        raise SplitG2Error(f"cannot write to standard output: "
+                           f"{exc.strerror or exc}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -1,7 +1,9 @@
 """Command-line drivers: exit codes, output stability, negative controls."""
 
+import errno
 import io
 import json
+import os
 import random
 import re
 import sys
@@ -766,15 +768,29 @@ class AsciiText(io.TextIOBase):
         return len(text)
 
 
-@pytest.mark.parametrize("stream", [None, AsciiText()], ids=["closed", "ascii"])
+class FullDevice(io.RawIOBase):
+    """A binary stream on a device with no space left."""
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("stream, message", [
+    (None, "standard output cannot take the report; use --out"),
+    (AsciiText(), "standard output cannot take the report; use --out"),
+    (io.TextIOWrapper(FullDevice(), encoding="utf-8"),
+     "cannot write to standard output: No space left on device"),
+], ids=["closed", "ascii", "full"])
 def test_a_stdout_short_of_the_report_is_one_error_line(capsys, monkeypatch,
-                                                        stream):
+                                                        stream, message):
     doc = catalog.scenario("Ms").text().replace("name: Ms\n", "name: Ms λ-copy\n", 1)
     monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
     monkeypatch.setattr(sys, "stdout", stream)
     code = main(["describe", "--input", "-"])
-    assert (code, capsys.readouterr().err) == (
-        1, "error: standard output cannot take the report; use --out\n")
+    assert (code, capsys.readouterr().err) == (1, f"error: {message}\n")
 
 
 def test_input_bad_parameter_name_is_usage():
