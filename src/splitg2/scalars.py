@@ -825,6 +825,10 @@ def _check_operation(v, op: str, w, text: str) -> None:
         _check_product(vd, wd, text)
 
 
+# the digits of an integer literal; str.isdigit takes the digits of any script
+_DIGITS = frozenset("0123456789")
+
+
 class _Tokens:
     def __init__(self, text: str):
         self.text = text
@@ -836,9 +840,9 @@ class _Tokens:
             if ch.isspace():
                 i += 1
                 continue
-            if "0" <= ch <= "9":  # ASCII only: str.isdigit takes any script
+            if ch in _DIGITS:
                 j = i
-                while j < n and "0" <= text[j] <= "9":
+                while j < n and text[j] in _DIGITS:
                     j += 1
                 self.items.append(("int", text[i:j]))
                 i = j
