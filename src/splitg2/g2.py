@@ -411,9 +411,13 @@ class TorsionSystem:
         rank-nullity this is rank A - rank M, rank M read off
         `membership_kernel_dims`.  rank A is full once `torsions()` has
         solved the system uniquely, even if a check of the solution then
-        failed; otherwise it is one elimination of the system."""
+        failed; otherwise it is one elimination of the system, without its
+        right-hand side, which would swell through a symbolic elimination."""
         if self._rank is None:
-            self._rank = _linalg.rank(self.rows, self.width)
+            width = self.width
+            self._rank = _linalg.rank(
+                [{c: v for c, v in row.items() if c < width} for row in self.rows],
+                width)
         return self._rank - self.width + sum(self.membership_kernel_dims().values())
 
 

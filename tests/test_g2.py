@@ -461,11 +461,12 @@ def solve_attempted(system):
     return tried
 
 
-def test_block_rank_matches_the_full_kernel(ms):
-    """The seeded systems and the symbolic Ms one, ranked as built and
-    after their torsion solve."""
-    symbolic = torsion_linear_system(ms.algebra, ms.metric, ms.phi_family)
-    for system in seeded_systems() + [symbolic]:
+def test_block_rank_matches_the_full_kernel(ml, ms):
+    """The seeded systems and the symbolic Ml and Ms ones, ranked as built
+    and after their torsion solve."""
+    symbolic = [torsion_linear_system(sc.algebra, sc.metric, sc.phi_family)
+                for sc in (ml, ms)]
+    for system in seeded_systems() + symbolic:
         want = full_kernel_rank(system)
         assert want == 49
         assert system.membership_kernel_rank() == want
