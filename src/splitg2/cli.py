@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import re
 import sys
 from functools import lru_cache
 from fractions import Fraction
@@ -98,22 +99,38 @@ def _parse_sets(pairs: Sequence[str]) -> dict:
     return sets
 
 
+# An integer flag value: an optional '-' and the ASCII digits 0-9.  int()
+# alone also takes underscores, surrounding spaces, a '+' and the digits of
+# any script.
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _parse_integer(text: str, error: str) -> int:
+    """The value of a flag `text` that matches _INTEGER; UsageError(error)
+    otherwise, and past the interpreter's digit limit for int()."""
+    if _INTEGER.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise UsageError(error)
+
+
 def _parse_corrupt(text: str) -> Tuple[int, int, int]:
     parts = text.split(",")
     if len(parts) != 3:
         raise UsageError("--corrupt needs J,K,I with 1 <= J < K <= 10")
-    try:
-        if not text.isascii():  # int() takes the digits of any script
-            raise ValueError
-        j, k, i = (int(p) for p in parts)
-    except ValueError:
-        raise UsageError(f"--corrupt indices must be integers: got {text!r}")
+    error = f"--corrupt indices must be integers: got {text!r}"
+    j, k, i = (_parse_integer(p, error) for p in parts)
     if not (1 <= j < k <= 10 and 1 <= i <= 10):
         raise UsageError("--corrupt needs J,K,I with 1 <= J < K <= 10")
     return (j, k, i)
 
 
 def _config_from(ns: argparse.Namespace) -> RunConfig:
+    seed = getattr(ns, "seed", None)
+    if seed is not None:
+        seed = _parse_integer(seed, f"--seed must be an integer: got {seed!r}")
     vol = Fraction(1)
     if getattr(ns, "vol_scale", None) is not None:
         vol = _parse_fraction(ns.vol_scale, "--vol-scale")
@@ -125,7 +142,7 @@ def _config_from(ns: argparse.Namespace) -> RunConfig:
         sets=_parse_sets(getattr(ns, "set", None) or []),
         vol_scale=vol,
         fmt=getattr(ns, "format", "text"),
-        seed=getattr(ns, "seed", 0),
+        seed=seed or 0,
         out=getattr(ns, "out", None),
         kind=getattr(ns, "kind", "both"),
         names=tuple(getattr(ns, "names", ()) or ()),
@@ -705,7 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler="cmd_verify_paper")
     p.add_argument("--vol-scale", metavar="FRACTION",
                    help="positive rational volume scale (default 1)")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed",
                    help="seed for the sampled specializations (default 0)")
     p.add_argument("--set", action="append", metavar="NAME=VALUE",
                    help=argparse.SUPPRESS)

@@ -108,6 +108,26 @@ def test_verify_corrupt_bad_syntax(capsys):
     # indices take the ASCII digits 0-9 only
     assert run(capsys, "verify-paper", "--corrupt", "٣,٥,١") == (
         2, "", "usage error: --corrupt indices must be integers: got '٣,٥,١'\n")
+    # int() would read 1_0 as 10 and run the shift (1,5,10)
+    assert run(capsys, "verify-paper", "--corrupt", "1,5,1_0") == (
+        2, "", "usage error: --corrupt indices must be integers: got '1,5,1_0'\n")
+
+
+@pytest.mark.parametrize("seed", ["1_0", "٣", " 7", "+3", "", "abc", "7" * 5000],
+                         ids=["underscore", "arabic-indic", "space", "plus",
+                              "empty", "letters", "past-int-digit-limit"])
+def test_verify_seed_takes_ascii_integers_only(capsys, seed):
+    # int() takes the first four; an integer is an optional '-' and the
+    # ASCII digits 0-9, and anything else is one usage-error line
+    assert run(capsys, "verify-paper", "--scenario", "Ms", "--seed", seed) == (
+        2, "", f"usage error: --seed must be an integer: got {seed!r}\n")
+
+
+def test_verify_seed_may_be_negative_or_zero_padded(capsys):
+    code, out, _ = run(capsys, "verify-paper", "--scenario", "Ms", "--seed", "-3")
+    assert code == 0 and "\nseed: -3\n" in out
+    assert run(capsys, "verify-paper", "--scenario", "Ms", "--seed", "007") == run(
+        capsys, "verify-paper", "--scenario", "Ms", "--seed", "7")
 
 
 def test_verify_rejects_set(capsys):
