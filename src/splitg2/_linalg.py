@@ -201,15 +201,13 @@ def clear_row_denominators(row: dict, alphabet: tuple) -> dict:
     `cleared` is the product of the denominators met so far.
     """
     out = {}
-    cleared = Polynomial.constant(alphabet, 1)
+    cleared = Polynomial(alphabet, _F1, {0: 1})
     for c in sorted(row):
         v = row[c]
-        if isinstance(v, int):
-            v = Fraction(v)
-        if isinstance(v, Fraction):
+        if isinstance(v, (int, Fraction)):
             if not v:
                 continue
-            out[c] = Polynomial.constant(alphabet, v) * cleared
+            out[c] = cleared * v
         elif isinstance(v, Polynomial):
             if v.is_zero():
                 continue

@@ -19,6 +19,12 @@ extraction, cancellation of a common monomial factor, and folding the
 denominator's content into the numerator so denominators are primitive
 with positive leading coefficient.
 
+An int or Fraction operand of a Polynomial or RationalFunction operator
+is never boxed as a constant scalar: a product or quotient scales the
+content of the (numerator) polynomial, and a sum inserts the constant
+term into the term map.  Each result has exactly the content, term map
+and denominator that the constant scalar would have given.
+
 Monomials are ordered lexicographically by exponent vector in the
 declared alphabet order.  Scalars from different alphabets never mix;
 combining them raises AlphabetMismatch.
@@ -248,30 +254,47 @@ class Polynomial:
     # -- arithmetic ----------------------------------------------------
 
     def _coerce(self, other):
+        """`other` if it is a Polynomial over the same alphabet, else None;
+        each operator tests for a rational operand only after this (see
+        `as_scalar`)."""
         if isinstance(other, Polynomial):
             if other.alphabet != self.alphabet:
                 raise AlphabetMismatch(
                     f"alphabets differ: {self.alphabet} vs {other.alphabet}"
                 )
             return other
-        if isinstance(other, (int, Fraction)):
-            return Polynomial.constant(self.alphabet, other)
         return None
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not self.content:
-            return other
-        if not other.content:
-            return self
-        c1, c2 = self.content, other.content
+    def _add_scaled(self, c2, t2) -> "Polynomial":
+        """self + c2*t2 for a nonzero self, a nonzero rational c2 and a
+        primitive term map t2."""
+        c1 = self.content
         g = Fraction(
             gcd(c1.numerator, c2.numerator), lcm(c1.denominator, c2.denominator)
         )
-        t = kernels.poly_axpy(int(c1 / g), self.terms, int(c2 / g), other.terms)
+        t = kernels.poly_axpy(int(c1 / g), self.terms, int(c2 / g), t2)
         return _canon(self.alphabet, g, t)
+
+    def _add_rational(self, k) -> "Polynomial":
+        """self + k for an int or Fraction k: k enters as the term map of
+        the constant 1, scaled, and no constant polynomial is built."""
+        if not k:
+            return self
+        if not self.content:
+            return Polynomial(self.alphabet, Fraction(k), {0: 1})
+        return self._add_scaled(k, _ONE)
+
+    def __add__(self, other):
+        p = self._coerce(other)
+        if p is None:
+            if isinstance(other, (int, Fraction)):
+                return self._add_rational(other)
+            return NotImplemented
+        if not self.content:
+            return p
+        if not p.content:
+            return self
+        return self._add_scaled(p.content, p.terms)
 
     __radd__ = __add__
 
@@ -281,23 +304,27 @@ class Polynomial:
         return Polynomial(self.alphabet, -self.content, self.terms)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        p = self._coerce(other)
+        if p is None:
+            if isinstance(other, (int, Fraction)):
+                return self._add_rational(-other)
             return NotImplemented
-        return self + (-other)
+        return self + (-p)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        if isinstance(other, (int, Fraction)):
+            return (-self)._add_rational(other)
+        return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, RationalFunction):
+        p = self._coerce(other)
+        if p is None:
+            if isinstance(other, (int, Fraction)):
+                if not other or not self.content:
+                    return Polynomial(self.alphabet, _F0, {})
+                return Polynomial(self.alphabet, self.content * other, self.terms)
             return NotImplemented
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        other = p
         if not self.content or not other.content:
             return Polynomial(self.alphabet, _F0, {})
         # Gauss: a product of primitive maps is primitive, and the lex
@@ -320,14 +347,28 @@ class Polynomial:
         return out
 
     def __truediv__(self, other):
+        if isinstance(other, Polynomial):
+            return RationalFunction.make(self, other)
         if isinstance(other, (int, Fraction)):
             other = Fraction(other)
             if not other:
                 raise ZeroDivisionError("division by zero scalar")
             return Polynomial(self.alphabet, self.content / other, self.terms)
-        if isinstance(other, Polynomial):
-            return RationalFunction.make(self, other)
         return NotImplemented
+
+    def __rtruediv__(self, other):
+        """The quotient other / self of a rational `other`, normalized as
+        `RationalFunction.make` would normalize it."""
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if not self.content:
+            raise ZeroDivisionError("division by zero scalar")
+        a = self.alphabet
+        if not other:
+            return RationalFunction(a, Polynomial(a, _F0, {}), _one(a))
+        # the monomial factor of self stays: the numerator's key is 0
+        den = self if self.content == 1 else Polynomial(a, _F1, self.terms)
+        return RationalFunction(a, Polynomial(a, other / self.content, {0: 1}), den)
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
         """Exact value at a rational point covering the whole alphabet."""
@@ -379,17 +420,19 @@ class Polynomial:
     # -- comparison and rendering --------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.alphabet, other)
+        if isinstance(other, Polynomial):
+            return (
+                self.alphabet == other.alphabet
+                and self.content == other.content
+                and self.terms == other.terms
+            )
         if isinstance(other, RationalFunction):
             return other == self
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return (
-            self.alphabet == other.alphabet
-            and self.content == other.content
-            and self.terms == other.terms
-        )
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return not self.content
+            return self.content == other and self.terms == _ONE
+        return NotImplemented
 
     def __hash__(self):
         h = self._hash
@@ -403,20 +446,33 @@ class Polynomial:
             return "0"
         parts = []
         width = len(self.alphabet)
-        for e in sorted(self.terms, reverse=True):
-            coeff = self.content * self.terms[e]
-            mono = "*".join(
-                name if k == 1 else f"{name}^{k}"
-                for name, k in zip(self.alphabet, _unpack(e, width))
-                if k
-            )
+        fields = [(name, _FIELD * (width - 1 - i))
+                  for i, name in enumerate(self.alphabet)]
+        # the coefficient n*t/d of a term t is in lowest terms once n*t and
+        # d are divided by gcd(t, d), content n/d being in lowest terms
+        n, d = self.content.numerator, self.content.denominator
+        terms = self.terms
+        for e in sorted(terms, reverse=True):
+            t = terms[e]
+            num = n * t
+            sign = "+ "
+            if num < 0:
+                sign, num = "- ", -num
+            g = gcd(t, d)
+            coeff = str(num // g) if g == d else f"{num // g}/{d // g}"
+            factors = []
+            for name, shift in fields:
+                k = (e >> shift) & _LOW
+                if k:
+                    factors.append(name if k == 1 else f"{name}^{k}")
+            mono = "*".join(factors)
             if not mono:
-                body = str(abs(coeff))
-            elif abs(coeff) == 1:
+                body = coeff
+            elif num == d:
                 body = mono
             else:
-                body = f"{abs(coeff)}*{mono}"
-            parts.append(("- " if coeff < 0 else "+ ") + body)
+                body = f"{coeff}*{mono}"
+            parts.append(sign + body)
         text = " ".join(parts)
         if text.startswith("+ "):
             text = text[2:]
@@ -426,6 +482,11 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
+
+
+def _one(alphabet: tuple) -> Polynomial:
+    """The constant polynomial 1, the denominator of a quotient over 1."""
+    return Polynomial(alphabet, _F1, {0: 1})
 
 
 def _canon(alphabet: tuple, scale: Fraction, ints: dict) -> Polynomial:
@@ -465,7 +526,7 @@ class RationalFunction:
             raise ZeroDivisionError("division by zero scalar")
         alphabet = num.alphabet
         if num.is_zero():
-            return cls(alphabet, num, Polynomial.constant(alphabet, 1))
+            return cls(alphabet, num, _one(alphabet))
         width = len(alphabet)
         shift = _min_key(den.terms, width)
         if shift:
@@ -481,12 +542,12 @@ class RationalFunction:
     @classmethod
     def constant(cls, alphabet: Iterable[str], value) -> "RationalFunction":
         num = Polynomial.constant(alphabet, value)  # over 1: make() would keep it
-        return cls(num.alphabet, num, Polynomial(num.alphabet, _F1, {0: 1}))
+        return cls(num.alphabet, num, _one(num.alphabet))
 
     @classmethod
     def variable(cls, alphabet: Iterable[str], name: str) -> "RationalFunction":
         num = Polynomial.variable(alphabet, name)  # over 1: make() would keep it
-        return cls(num.alphabet, num, Polynomial(num.alphabet, _F1, {0: 1}))
+        return cls(num.alphabet, num, _one(num.alphabet))
 
     # -- predicates -----------------------------------------------------
 
@@ -505,32 +566,51 @@ class RationalFunction:
     # -- arithmetic -----------------------------------------------------
 
     def _lift(self, other):
+        """`other` as a RationalFunction over the same alphabet if it is one
+        or a Polynomial, else None; as in `Polynomial._coerce`, each
+        operator tests for a rational operand only after this."""
         if isinstance(other, RationalFunction):
             if other.alphabet != self.alphabet:
                 raise AlphabetMismatch(
                     f"alphabets differ: {self.alphabet} vs {other.alphabet}"
                 )
             return other
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction.constant(self.alphabet, other)
         if isinstance(other, Polynomial):
             if other.alphabet != self.alphabet:
                 raise AlphabetMismatch(
                     f"alphabets differ: {self.alphabet} vs {other.alphabet}"
                 )
-            return RationalFunction(
-                self.alphabet, other, Polynomial.constant(self.alphabet, 1)
-            )
+            return RationalFunction(self.alphabet, other, _one(self.alphabet))
         return None
 
+    # A quotient that make() built, or one over 1, is normalized: its
+    # denominator has content 1, and each parameter is missing from some
+    # term of the numerator or of the denominator.  Scaling the numerator
+    # keeps that, and so does adding k times the denominator to it (a
+    # numerator term without a parameter that every denominator term has
+    # cannot cancel), so a rational operand needs neither a constant
+    # quotient nor make().
+
+    def _add_rational(self, k) -> "RationalFunction":
+        """self + k for an int or Fraction k."""
+        if not k:
+            return self
+        num, den = self.num, self.den
+        num = num + k if den.terms == _ONE else num + den * k
+        if not num.content:
+            return RationalFunction(self.alphabet, num, _one(self.alphabet))
+        return RationalFunction(self.alphabet, num, den)
+
     def __add__(self, other):
-        other = self._lift(other)
-        if other is None:
+        q = self._lift(other)
+        if q is None:
+            if isinstance(other, (int, Fraction)):
+                return self._add_rational(other)
             return NotImplemented
-        if self.den == other.den:
-            return RationalFunction.make(self.num + other.num, self.den)
+        if self.den == q.den:
+            return RationalFunction.make(self.num + q.num, self.den)
         return RationalFunction.make(
-            self.num * other.den + other.num * self.den, self.den * other.den
+            self.num * q.den + q.num * self.den, self.den * q.den
         )
 
     __radd__ = __add__
@@ -539,38 +619,55 @@ class RationalFunction:
         return RationalFunction(self.alphabet, -self.num, self.den)
 
     def __sub__(self, other):
-        other = self._lift(other)
-        if other is None:
+        q = self._lift(other)
+        if q is None:
+            if isinstance(other, (int, Fraction)):
+                return self._add_rational(-other)
             return NotImplemented
-        return self + (-other)
+        return self + (-q)
 
     def __rsub__(self, other):
-        other = self._lift(other)
-        if other is None:
+        q = self._lift(other)
+        if q is None:
+            if isinstance(other, (int, Fraction)):
+                return (-self)._add_rational(other)
             return NotImplemented
-        return other + (-self)
+        return q + (-self)
 
     def __mul__(self, other):
-        other = self._lift(other)
-        if other is None:
+        q = self._lift(other)
+        if q is None:
+            if isinstance(other, (int, Fraction)):
+                a = self.alphabet
+                if not other:
+                    return RationalFunction(a, Polynomial(a, _F0, {}), _one(a))
+                return RationalFunction(a, self.num * other, self.den)
             return NotImplemented
-        return RationalFunction.make(self.num * other.num, self.den * other.den)
+        return RationalFunction.make(self.num * q.num, self.den * q.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._lift(other)
-        if other is None:
+        q = self._lift(other)
+        if q is None:
+            if isinstance(other, (int, Fraction)):
+                if not other:
+                    raise ZeroDivisionError("division by zero scalar")
+                return RationalFunction(self.alphabet, self.num / other, self.den)
             return NotImplemented
-        if other.num.is_zero():
+        if q.num.is_zero():
             raise ZeroDivisionError("division by zero scalar")
-        return RationalFunction.make(self.num * other.den, self.den * other.num)
+        return RationalFunction.make(self.num * q.den, self.den * q.num)
 
     def __rtruediv__(self, other):
-        other = self._lift(other)
-        if other is None:
+        q = self._lift(other)
+        if q is None:
+            if isinstance(other, (int, Fraction)):
+                if not self.num.content:
+                    raise ZeroDivisionError("division by zero scalar")
+                return RationalFunction.make(self.den * other, self.num)
             return NotImplemented
-        return other / self
+        return q / self
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -589,15 +686,12 @@ class RationalFunction:
     # -- comparison and rendering ----------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Polynomial)):
-            other = self._lift(other)
-        if not isinstance(other, RationalFunction):
+        q = self._lift(other)
+        if q is None:
+            if isinstance(other, (int, Fraction)):
+                return self.num == self.den * other
             return NotImplemented
-        if other.alphabet != self.alphabet:
-            raise AlphabetMismatch(
-                f"alphabets differ: {self.alphabet} vs {other.alphabet}"
-            )
-        return self.num * other.den == other.num * self.den
+        return self.num * q.den == q.num * self.den
 
     __hash__ = None  # unreduced representatives must not be dict keys
 
@@ -620,9 +714,14 @@ class RationalFunction:
 # -- module-level helpers ------------------------------------------------
 
 
+# The metaclass of Fraction is ABCMeta, so isinstance against Fraction is
+# a Python-level call for any other type: the helpers below, and every
+# operator above, test the polynomial kinds first.
+
+
 def as_scalar(value) -> Scalar:
     """Coerce ints to Fractions; pass every other scalar through unchanged."""
-    if isinstance(value, (Fraction, Polynomial, RationalFunction)):
+    if isinstance(value, (RationalFunction, Polynomial, Fraction)):
         return value
     if isinstance(value, int):
         return Fraction(value)
@@ -630,10 +729,10 @@ def as_scalar(value) -> Scalar:
 
 
 def is_zero(x) -> bool:
+    if isinstance(x, (RationalFunction, Polynomial)):
+        return x.is_zero()
     if isinstance(x, (int, Fraction)):
         return not x
-    if isinstance(x, (Polynomial, RationalFunction)):
-        return x.is_zero()
     raise TypeError(f"not a scalar: {x!r}")
 
 
@@ -674,18 +773,16 @@ def scalar_sum(values):
     groups: dict = {}
     order = []
     for v in values:
-        if isinstance(v, int):
-            v = Fraction(v)
-        if isinstance(v, Fraction):
-            frac_part += v
-        elif isinstance(v, Polynomial):
-            poly_part = v if poly_part is None else poly_part + v
-        elif isinstance(v, RationalFunction):
+        if isinstance(v, RationalFunction):
             if v.den in groups:
                 groups[v.den] = groups[v.den] + v.num
             else:
                 groups[v.den] = v.num
                 order.append(v.den)
+        elif isinstance(v, Polynomial):
+            poly_part = v if poly_part is None else poly_part + v
+        elif isinstance(v, (int, Fraction)):
+            frac_part += v
         else:
             raise TypeError(f"not a scalar: {v!r}")
     total = None
@@ -921,7 +1018,7 @@ class _Parser:
         if isinstance(value, Fraction):
             return RationalFunction.constant(alphabet, value)
         if isinstance(value, Polynomial):
-            return RationalFunction(alphabet, value, Polynomial(alphabet, _F1, {0: 1}))
+            return RationalFunction(alphabet, value, _one(alphabet))
         return value
 
     def nested(self, parse):
@@ -995,14 +1092,10 @@ class _Parser:
         return v
 
     def divide(self, v, w):
-        # Fraction and Polynomial have no quotient by a Polynomial: a
-        # constant divisor becomes a Fraction, a non-constant one a
-        # RationalFunction denominator
-        if isinstance(w, Polynomial):
-            if w.is_constant():
-                w = w.constant_value()
-            elif isinstance(v, Fraction):
-                v = Polynomial.constant(self.alphabet, v)
+        # a constant divisor becomes a Fraction, so that only a
+        # non-constant one makes a RationalFunction denominator
+        if isinstance(w, Polynomial) and w.is_constant():
+            w = w.constant_value()
         return v / w
 
     def factor(self):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from splitg2 import catalog, kernels, scalars
+from splitg2 import catalog, g2, kernels, scalars
 from splitg2.errors import AlphabetMismatch, ParseError, PoleAtPoint, ValidationError
 from splitg2.scalars import Polynomial, RationalFunction
 
@@ -225,6 +225,161 @@ def test_constants_and_variables_are_in_normal_form():
         assert parts(RationalFunction.variable(A, name)) == parts(want)
     with pytest.raises(ValueError):
         RationalFunction.constant(("a", "a"), 1)
+
+
+# -- rational operands ----------------------------------------------------------
+
+
+def num(text):
+    """The polynomial an expression without a quotient parses to."""
+    x = poly(text)
+    assert x.den == 1
+    return x.num
+
+
+def parts(x):
+    """Every stored part of a scalar: content, term map and denominator."""
+    if isinstance(x, RationalFunction):
+        return "quotient", parts(x.num), parts(x.den)
+    assert type(x) is Polynomial and type(x.content) is Fraction
+    return x.alphabet, x.content, x.terms
+
+
+def operand_cases(rng):
+    """Seeded polynomials and quotients (over 1, and over denominators
+    with a monomial factor), each with the rational operands to combine
+    it with: zero, ±1, negative ints and Fractions, and one that cancels
+    its constant term."""
+    monomial = num("a*p^2")
+    polys = [Polynomial.zero(A), Polynomial.constant(A, Fraction(-3, 2)),
+             num("a + 1"), num("-2*a^2*q + 4/3*p"), num("a - p/5 - 1")]
+    polys += [random_polynomial(rng, max_terms=5) for _ in range(40)]
+    one = Polynomial.constant(A, 1)
+    quotients = [RationalFunction.make(x, one) for x in polys[:12]]
+    for _ in range(30):
+        n, d = random_polynomial(rng), random_polynomial(rng, max_terms=3)
+        if d:
+            quotients.append(RationalFunction.make(n, d))
+            quotients.append(RationalFunction.make(n, d * monomial))
+    quotients.append(RationalFunction.make(num("2*p + 2*q"), num("p + q")))
+    for x in polys + quotients:
+        top = x.num if isinstance(x, RationalFunction) else x
+        yield x, [0, 1, -1, 3, -7, Fraction(2, 3), Fraction(-5, 4), Fraction(-2),
+                  random_fraction(rng, nonzero=True), -top.coefficient((0, 0, 0))]
+
+
+def test_rational_operands_keep_the_generic_representation(rng):
+    """Arithmetic with an int or Fraction works on the content.  The
+    reference boxes the operand as a constant, as the operators once did,
+    and every stored part must come out the same, not only the value."""
+    checked = 0
+    for x, ks in operand_cases(rng):
+        for k in ks:
+            if isinstance(x, Polynomial):
+                c = Polynomial.constant(A, k)
+                pairs = [(x * k, x * c), (k * x, c * x)]
+                if x:
+                    pairs.append((k / x, RationalFunction.make(c, x)))
+            else:
+                c = RationalFunction.constant(A, k)
+                pairs = [(x * k, RationalFunction.make(x.num * c.num, x.den)),
+                         (k * x, x * c)]
+                if k:
+                    pairs.append((x / k, x / c))
+                if x:
+                    pairs.append((k / x, c / x))
+            pairs += [(x + k, x + c), (k + x, c + x), (x - k, x - c), (k - x, c - x)]
+            for got, want in pairs:
+                assert parts(got) == parts(want), (x, k)
+            assert (x == k) == (x == c)
+            checked += len(pairs)
+    assert checked > 3000
+
+
+def test_a_zero_rational_divisor_raises():
+    for x in (poly("a"), poly("a/p"), num("a")):
+        for zero in (0, Fraction(0)):
+            with pytest.raises(ZeroDivisionError, match="^division by zero scalar$"):
+                x / zero
+    for x in (Polynomial.zero(A), RationalFunction.constant(A, 0)):
+        with pytest.raises(ZeroDivisionError, match="^division by zero scalar$"):
+            Fraction(3) / x
+    for text in ("(a/p)/0", "a/(p - p)", "(a/p)/(2 - 2)", "3/(a - a)"):
+        with pytest.raises(ParseError) as err:
+            scalars.parse_scalar(text, A)
+        assert str(err.value) == f"division by zero in {text!r}"
+
+
+def test_rational_operands_build_no_constant(monkeypatch):
+    """Guard: arithmetic with a rational operand, and rendering a quotient
+    over 1, box the operand neither as a constant Polynomial nor as a
+    constant RationalFunction."""
+    x = poly("(3*a - p*q)/(7*p)")
+    y = num("2*a^2 - q")
+    over_one = poly("a*q - 1/2")
+    calls = []
+    for cls in (Polynomial, RationalFunction):
+        raw = cls.__dict__["constant"].__func__
+
+        def spy(owner, alphabet, value, raw=raw):
+            calls.append(owner.__name__)
+            return raw(owner, alphabet, value)
+        monkeypatch.setattr(cls, "constant", classmethod(spy))
+    k = Fraction(-5, 3)
+    product = x * k
+    results = [x / k, y * k, y + k, y == 1, x + k, x - k, k - x, k * y,
+               y - k, k - y, over_one + k, 3 / y, x == k]
+    assert str(over_one) == "a*q - 1/2" and str(x) == "(3/7*a - 1/7*p*q)/p"
+    assert calls == []
+    assert str(product) == "(-5/7*a + 5/21*p*q)/p" and results[3] is False
+    # the spies see the boxing of the old route
+    assert product == x * RationalFunction.constant(A, k)
+    assert calls == ["RationalFunction", "Polynomial"]
+
+
+def old_render(x):
+    """Reference for `Polynomial.__str__`: each coefficient rendered from
+    its own Fraction, as before the text was built from integers."""
+    if not x.content:
+        return "0"
+    parts = []
+    width = len(x.alphabet)
+    for e in sorted(x.terms, reverse=True):
+        coeff = x.content * x.terms[e]
+        mono = "*".join(name if k == 1 else f"{name}^{k}"
+                        for name, k in zip(x.alphabet, scalars._unpack(e, width))
+                        if k)
+        if not mono:
+            body = str(abs(coeff))
+        elif abs(coeff) == 1:
+            body = mono
+        else:
+            body = f"{abs(coeff)}*{mono}"
+        parts.append(("- " if coeff < 0 else "+ ") + body)
+    text = " ".join(parts)
+    if text.startswith("+ "):
+        text = text[2:]
+    elif text.startswith("- "):
+        text = "-" + text[2:]
+    return text
+
+
+def test_rendering_matches_the_per_term_fraction_reference(rng):
+    polys = [Polynomial.zero(A), num("1"), num("-1"), num("a - p + q - 1"),
+             num("-a^3*p*q^2 + 1/2"), num("-2/3*a - 4/9"),
+             Polynomial.variable(("a", "b2", "long_name"), "long_name") ** 3]
+    for _ in range(300):
+        x = random_polynomial(rng, max_terms=6, max_exp=4)
+        polys += [x, -x, x * random_fraction(rng, nonzero=True), x + 1, x - 1]
+    sc = catalog.scenario("Ml")
+    for c in (Fraction(1), Fraction(5, 3)):
+        tau = g2.torsion_solve(sc.algebra, sc.metric, sc.phi_family, c)
+        for v in [tau.tau0] + [v for f in (tau.tau1, tau.tau2, tau.tau3)
+                               for v in f.terms.values()]:
+            polys += [v.num, v.den]
+    assert len(polys) > 1500
+    for x in polys:
+        assert str(x) == old_render(x)
 
 
 def test_evaluate_matches_termwise_fractions(rng):
