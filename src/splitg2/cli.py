@@ -146,7 +146,8 @@ def _config_from(ns: argparse.Namespace) -> RunConfig:
         out=getattr(ns, "out", None),
         kind=getattr(ns, "kind", "both"),
         names=tuple(getattr(ns, "names", ()) or ()),
-        corrupt=_parse_corrupt(ns.corrupt) if getattr(ns, "corrupt", None) else None,
+        corrupt=(_parse_corrupt(ns.corrupt)
+                 if getattr(ns, "corrupt", None) is not None else None),
     )
 
 

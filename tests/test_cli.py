@@ -111,6 +111,9 @@ def test_verify_corrupt_bad_syntax(capsys):
     # int() would read 1_0 as 10 and run the shift (1,5,10)
     assert run(capsys, "verify-paper", "--corrupt", "1,5,1_0") == (
         2, "", "usage error: --corrupt indices must be integers: got '1,5,1_0'\n")
+    # an empty value is a usage error, not a run without the shift
+    assert run(capsys, "verify-paper", "--corrupt", "") == (
+        2, "", "usage error: --corrupt needs J,K,I with 1 <= J < K <= 10\n")
 
 
 @pytest.mark.parametrize("seed", ["1_0", "٣", " 7", "+3", "", "abc", "7" * 5000],
