@@ -1,19 +1,16 @@
-"""Exact linear algebra:
-
-* a dense determinant over Fraction (`mat_det`),
-* a sparse Gauss-Jordan engine that works over the rationals or over a
-  polynomial ring.  Both domains clear denominators first and then
-  eliminate fraction free, by cross-multiplication row updates followed
-  by content normalization: rational rows become primitive integer rows
-  (exact gcds, no Fraction arithmetic), polynomial rows become Polynomial
-  entries with integer contents of gcd 1 and no common monomial factor
-  (no polynomial division, no polynomial gcd).  A polynomial row update
-  runs on integer term maps: each entry is its integer content times its
-  packed-key term map, products go through `scalars.mul_terms` and sums
-  through `kernels.poly_axpy`, and one integer normaliser (`_poly_row`)
-  divides the result by the gcd of all its coefficients and by the
-  common monomial.  Quotients appear only when a solution is read off
-  (`div`).
+"""Exact linear algebra: a sparse Gauss-Jordan engine that works over the
+rationals or over a polynomial ring.  Both domains clear denominators
+first and then eliminate fraction free, by cross-multiplication row
+updates followed by content normalization: rational rows become
+primitive integer rows (exact gcds, no Fraction arithmetic), polynomial
+rows become Polynomial entries with integer contents of gcd 1 and no
+common monomial factor (no polynomial division, no polynomial gcd).  A
+polynomial row update runs on integer term maps: each entry is its
+integer content times its packed-key term map, products go through
+`scalars.mul_terms` and sums through `kernels.poly_axpy`, and one
+integer normaliser (`_poly_row`) divides the result by the gcd of all
+its coefficients and by the common monomial.  Quotients appear only when
+a solution is read off (`div`).
 
 Rows are dicts from column index to nonzero entries.  Columns
 0..width-1 are unknowns; any higher column indices are carried along,
@@ -36,35 +33,6 @@ from .scalars import Polynomial, RationalFunction
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-
-
-# -- dense Fraction determinant ---------------------------------------------
-
-
-def mat_det(rows) -> Fraction:
-    """Determinant of a dense square Fraction matrix."""
-    n = len(rows)
-    m = [list(map(Fraction, r)) for r in rows]
-    det = _F1
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            return _F0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
 
 
 # -- domains for the sparse engine ------------------------------------------

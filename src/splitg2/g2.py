@@ -96,10 +96,16 @@ _COLUMNS = {"tau0": range(1), "tau1": range(1, 8), "tau2": range(8, 29),
 
 class Metric7:
     """Nondegenerate symmetric 2-tensor on the 7-dimensional frame with
-    exact rational entries, plus its cached determinant."""
+    exact rational entries.
 
-    __slots__ = ("tensor", "matrix", "det", "_star_columns", "_scale",
-                 "_int_rows", "_minors")
+    Besides the `tensor` it was given, g is held in one form: the integer
+    rows of D g, D the lcm of the denominators of g (`_scale`,
+    `_int_rows`).  Everything derived from g is read off signed minors of
+    D g, each expanded once (`_minor`): the determinant `det`, the
+    inertia (`signature`) and the Hodge-star columns (`_star_column`)."""
+
+    __slots__ = ("tensor", "det", "_star_columns", "_scale", "_int_rows",
+                 "_minors")
 
     def __init__(self, tensor: SymTensor2):
         if tensor.dim != _DIM:
@@ -108,20 +114,27 @@ class Metric7:
             if not isinstance(v, (int, Fraction)):
                 raise ValidationError(f"metric entry {key} is not rational: {v!r}")
         self.tensor = tensor
-        # frozen, because the star columns cached below are derived from it
-        self.matrix = tuple(tuple(row) for row in tensor.to_matrix())
-        self.det = _linalg.mat_det(self.matrix)
+        self._star_columns = {}
+        self._minors = {}
+        # the nonzero entries of D g by row, as (column bit, integer) in
+        # column order; frozen, because the minors and star columns
+        # cached from them must not go stale
+        self._scale = lcm(*(x.denominator for x in tensor.entries.values()))
+        rows = [{} for _ in _SINGLES]
+        for (i, j), x in tensor.entries.items():
+            x = x.numerator * (self._scale // x.denominator)
+            rows[i - 1][1 << (j - 1)] = rows[j - 1][1 << (i - 1)] = x
+        self._int_rows = tuple(tuple(sorted(row.items())) for row in rows)
+        full = _mask(_SINGLES)
+        self.det = Fraction(self._minor(full, full), self._scale ** _DIM)
         if self.det == 0:
             raise Degenerate("metric determinant is zero")
-        self._star_columns = {}
-        # the nonzero entries of D g by row, as (column bit, integer), D the
-        # lcm of the denominators of g: the star columns come from integer
-        # minors of D g (`_minor`)
-        self._scale = lcm(*(x.denominator for row in self.matrix for x in row))
-        self._int_rows = [[(1 << j, x.numerator * (self._scale // x.denominator))
-                           for j, x in enumerate(row) if x]
-                          for row in self.matrix]
-        self._minors = {}
+
+    @property
+    def matrix(self) -> tuple:
+        """g as a tuple of row tuples, built from `tensor` on each access
+        (`perfbench/layers.py` keys repeated calls on it)."""
+        return tuple(tuple(row) for row in self.tensor.to_matrix())
 
     def _star_column(self, key: tuple) -> dict:
         """Unit-scale star of the monomial e^key, {complement key: coefficient},
@@ -165,46 +178,18 @@ class Metric7:
         return m
 
     def signature(self) -> Tuple[int, int]:
-        """Inertia (plus, minus) via exact symmetric congruence reduction."""
-        a = [list(row) for row in self.matrix]
-        n = _DIM
-        plus = minus = 0
-        for i in range(n):
-            if a[i][i] == 0:
-                swap = next(
-                    (j for j in range(i + 1, n) if a[j][j] != 0), None
-                )
-                if swap is not None:
-                    _congruence_swap(a, i, swap)
-                else:
-                    j = next((j for j in range(i + 1, n) if a[i][j] != 0), None)
-                    if j is None:
-                        raise Degenerate("zero row met during inertia reduction")
-                    # a_ii = a_jj = 0, a_ij != 0: adding row+col j makes
-                    # the corner 2*a_ij != 0 in characteristic zero
-                    for k in range(n):
-                        a[i][k] += a[j][k]
-                    for k in range(n):
-                        a[k][i] += a[k][j]
-            pivot = a[i][i]
-            if pivot > 0:
-                plus += 1
-            else:
-                minus += 1
-            for j in range(i + 1, n):
-                f = a[i][j] / pivot
-                if f:
-                    for k in range(i, n):
-                        a[j][k] -= f * a[i][k]
-                    for k in range(i, n):
-                        a[k][j] -= f * a[k][i]
-        return plus, minus
-
-
-def _congruence_swap(a, i, j):
-    a[i], a[j] = a[j], a[i]
-    for row in a:
-        row[i], row[j] = row[j], row[i]
+        """Inertia (plus, minus) by Descartes' rule of signs, which is exact
+        for the real-rooted characteristic polynomial of a symmetric
+        matrix: det(t + D g) = sum of E_k t^(7-k), E_k the sum of the k x k
+        principal minors of D g, so the sign changes of E_0, ..., E_7
+        (zeros skipped) count the negative eigenvalues; det g != 0 makes
+        every other eigenvalue positive."""
+        sums = [0] * (_DIM + 1)
+        for s in range(1 << _DIM):
+            sums[s.bit_count()] += self._minor(s, s)
+        nonzero = [x for x in sums if x]
+        minus = sum(a * b < 0 for a, b in zip(nonzero, nonzero[1:]))
+        return _DIM - minus, minus
 
 
 def _top_coefficient(low: Form, high: Form):

@@ -337,7 +337,7 @@ class Polynomial:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers take nonnegative integers")
-        out = Polynomial.constant(self.alphabet, 1)
+        out = _one(self.alphabet)
         base = self
         while n:
             if n & 1:
@@ -738,13 +738,7 @@ def is_zero(x) -> bool:
 
 def equals(x, y) -> bool:
     """Value equality across scalar kinds, by cross-multiplication."""
-    if isinstance(x, int):
-        x = Fraction(x)
-    if isinstance(y, int):
-        y = Fraction(y)
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return x == y
-    if isinstance(x, Fraction):
+    if isinstance(y, (Polynomial, RationalFunction)):
         return y == x
     return x == y
 

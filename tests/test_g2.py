@@ -88,9 +88,15 @@ def test_metric_inverse_and_det():
 
 
 def test_metric_matrix_is_frozen():
+    # the integer rows of D g, which the cached minors and star columns
+    # are read from, cannot be changed in place
     m = split_diag()
+    assert m._int_rows == tuple(((1 << (i - 1), 1 if i <= 3 else -1),)
+                                for i in TOP)
     with pytest.raises(TypeError):
-        m.matrix[0][0] = Fraction(2)
+        m._int_rows[0] = ()
+    with pytest.raises(TypeError):
+        m._int_rows[0][0] = (1, 2)
     assert m.signature() == (3, 4)
 
 
@@ -105,6 +111,79 @@ def test_signature_hyperbolic_block():
     entries[(1, 2)] = Fraction(1, 2)
     m = Metric7(SymTensor2(7, entries))
     assert m.signature() == (6, 1)
+
+
+def congruent_metric(rng):
+    """(g, det g, inertia) for g = P^T Delta P, Delta diagonal and
+    P = B T Pi: B block diagonal with hyperbolic blocks [[1, 1], [1, -1]]
+    and integer 1 x 1 blocks, T unit upper triangular or the identity, Pi
+    a permutation.  det P = det B * sign(Pi), and by Sylvester's law of
+    inertia g has the inertia of Delta: no elimination is involved.
+
+    A hyperbolic block turns the pair (a, -a) of Delta into
+    [[0, 2a], [2a, 0]], so g has zero diagonal entries when T is the
+    identity, as the anti-diagonal catalogue metrics do; some of those
+    have trace 0, so the sum E_1 of the 1 x 1 principal minors vanishes."""
+    wanted = rng.randint(0, 7)
+    pairs = rng.randint(0, min(3, wanted, 7 - wanted))
+    delta = []
+    for _ in range(pairs):
+        a = random_fraction(rng, nonzero=True)
+        delta += [a, -a]
+    singles = 7 - 2 * pairs
+    negative = set(rng.sample(range(singles), wanted - pairs))
+    ks = [rng.choice((-2, -1, 1, 2, 3)) for _ in range(singles)]
+    delta += [abs(random_fraction(rng, nonzero=True)) * (-1 if i in negative else 1)
+              for i in range(singles)]
+    triangular = rng.random() < 0.5
+    if not triangular and singles > 1 and rng.random() < 0.5:
+        rest = sum(k * k * d for k, d in zip(ks, delta[2 * pairs:-1]))
+        if rest:
+            delta[-1] = -rest / ks[-1] ** 2
+    b = [[0] * 7 for _ in range(7)]
+    for p in range(pairs):
+        b[2 * p][2 * p] = b[2 * p][2 * p + 1] = b[2 * p + 1][2 * p] = 1
+        b[2 * p + 1][2 * p + 1] = -1
+    for i, k in enumerate(ks, 2 * pairs):
+        b[i][i] = k
+    t = [[1 if i == j else rng.randint(-2, 2) if i < j and triangular else 0
+          for j in range(7)] for i in range(7)]
+    perm = list(range(7))
+    rng.shuffle(perm)
+    sign = (-1) ** sum(perm[i] > perm[j] for i, j in combinations(range(7), 2))
+    bt = [[sum(b[i][k] * t[k][j] for k in range(7)) for j in range(7)]
+          for i in range(7)]
+    p = [[bt[i][perm.index(j)] for j in range(7)] for i in range(7)]
+    det_p = (-2) ** pairs * sign
+    for k in ks:
+        det_p *= k
+    det = Fraction(det_p * det_p)
+    for d in delta:
+        det *= d
+    g = [[sum((p[k][i] * delta[k] * p[k][j] for k in range(7)), Fraction(0))
+          for j in range(7)] for i in range(7)]
+    # a trace-0 adjustment above may have changed the sign count
+    minus = sum(d < 0 for d in delta)
+    return g, det, (7 - minus, minus)
+
+
+def test_det_and_signature_by_congruence(rng):
+    """`Metric7.det` and `signature()` on seeded g = P^T Delta P, against
+    det P^2 det Delta and the inertia of Delta."""
+    seen = {"inertia": set(), "zero diagonal": 0, "trace 0": 0,
+            "denominators": 0}
+    for _ in range(160):
+        g, det, inertia = congruent_metric(rng)
+        m = Metric7(SymTensor2(7, {(i, j): g[i - 1][j - 1]
+                                   for i in TOP for j in TOP if i <= j}))
+        assert (m.det, m.signature()) == (det, inertia)
+        seen["inertia"].add(inertia)
+        seen["zero diagonal"] += any(not g[i][i] for i in range(7))
+        seen["trace 0"] += not sum(g[i][i] for i in range(7))
+        seen["denominators"] += m._scale > 1
+    # every inertia, and the cases that separate the rule from its slips
+    assert seen["inertia"] == {(7 - k, k) for k in range(8)}
+    assert min(seen["zero diagonal"], seen["trace 0"], seen["denominators"]) >= 5
 
 
 def test_scenario_metrics(ml, ms):
@@ -133,6 +212,26 @@ def test_star_euclidean_hand_values():
     assert hodge_star(m, Form(7, 0, {(): Fraction(1)})).terms == {top: Fraction(1)}
 
 
+def dense_det(rows):
+    """Determinant of a dense square Fraction matrix by Gaussian
+    elimination; written independently of `Metric7._minor` on purpose."""
+    m = [list(map(Fraction, row)) for row in rows]
+    det = Fraction(1)
+    for col in range(len(m)):
+        piv = next((r for r in range(col, len(m)) if m[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, len(m)):
+            f = m[r][col] / m[col][col]
+            if f:
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    return det
+
+
 def closed_form_star(metric, key, c):
     """(star e^I)_J = sgn(I, I^c) * det g[J, I^c] / c, by determinants."""
     comp = tuple(i for i in TOP if i not in key)
@@ -141,8 +240,8 @@ def closed_form_star(metric, key, c):
     sign = -1 if inversions % 2 else 1
     terms = {}
     for out in combinations(TOP, len(comp)):
-        det = _linalg.mat_det([[metric.matrix[j - 1][k - 1] for k in comp]
-                               for j in out])
+        det = dense_det([[metric.tensor.entry(j, k) for k in comp]
+                         for j in out])
         if det:
             terms[out] = sign * det / c
     return terms
@@ -150,7 +249,7 @@ def closed_form_star(metric, key, c):
 
 def lowered(metric, i):
     """The 1-form g(e_i, .) in coframe components."""
-    return Form(7, 1, {(j,): v for j, v in enumerate(metric.matrix[i - 1], 1)})
+    return Form(7, 1, {(j,): metric.tensor.entry(i, j) for j in TOP})
 
 
 def star_by_identity(metric, lam, c=1):

@@ -13,7 +13,6 @@ from splitg2._linalg import (
     PolyDomain,
     detect_domain,
     kernel_basis,
-    mat_det,
     prepare_rows,
     rank,
     row_reduce,
@@ -22,16 +21,17 @@ from splitg2._linalg import (
     solve_unique,
 )
 from splitg2.errors import (
+    Degenerate,
     InconsistentSystem,
     NonUniqueSolution,
     SingularMatrix,
     ValidationError,
 )
-from splitg2.exterior import Vector
+from splitg2.exterior import SymTensor2, Vector
 from splitg2.liealg import BasisChange, Subspace
 from splitg2.scalars import Polynomial, RationalFunction
 
-from splitg2.g2 import torsion_linear_system
+from splitg2.g2 import Metric7, torsion_linear_system
 
 from conftest import (
     ALPHABET,
@@ -65,7 +65,7 @@ def to_dense(rows, width):
 
 
 def permanent_style_det(m):
-    # Leibniz expansion; fine for n <= 5
+    # Leibniz expansion: 5040 terms at n = 7, about 0.1 s
     n = len(m)
     total = Fraction(0)
     for perm in permutations(range(n)):
@@ -83,15 +83,34 @@ def permanent_style_det(m):
 
 
 def test_det_matches_leibniz(rng):
-    for _ in range(20):
-        n = rng.randint(1, 4)
-        m = [[random_fraction(rng) for _ in range(n)] for _ in range(n)]
-        assert mat_det(m) == permanent_style_det(m)
+    """`Metric7.det`, read off the integer minors, against the Leibniz sum."""
+    for density in (1.0, 0.6, 0.4, 1.0, 0.6, 0.4):
+        m = [[Fraction(0)] * 7 for _ in range(7)]
+        for i in range(7):
+            for j in range(i, 7):
+                if rng.random() < density:
+                    m[i][j] = m[j][i] = random_fraction(rng)
+        want = permanent_style_det(m)
+        tensor = SymTensor2(7, {(i + 1, j + 1): m[i][j]
+                                for i in range(7) for j in range(i, 7)})
+        if want:
+            assert Metric7(tensor).det == want
+        else:
+            with pytest.raises(Degenerate):
+                Metric7(tensor)
 
 
-def test_det_singular():
-    m = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert mat_det(m) == 0
+def test_det_singular(rng):
+    # g = A^T diag(d) A with A of rank 6: dense and singular
+    a = [[rng.randint(-3, 3) for _ in range(7)] for _ in range(6)]
+    d = [random_fraction(rng, nonzero=True) for _ in range(6)]
+    m = [[sum((d[k] * a[k][i] * a[k][j] for k in range(6)), Fraction(0))
+          for j in range(7)] for i in range(7)]
+    assert permanent_style_det(m) == 0
+    tensor = SymTensor2(7, {(i + 1, j + 1): m[i][j]
+                            for i in range(7) for j in range(i, 7)})
+    with pytest.raises(Degenerate, match="^metric determinant is zero$"):
+        Metric7(tensor)
 
 
 def test_inverse_round_trip(rng):
@@ -99,7 +118,7 @@ def test_inverse_round_trip(rng):
     changes = [catalog.scenario(name).basis for name in ("Ml", "Ms")]
     while len(changes) < 12:
         m = [[random_fraction(rng) for _ in range(3)] for _ in range(3)]
-        if mat_det(m) != 0:
+        if rank([dict(enumerate(r)) for r in m], 3) == 3:
             changes.append(BasisChange(m))
     for change in changes:
         n = change.dim
@@ -165,7 +184,7 @@ def test_solve_unique_recovers_solution(rng):
         # build a full-rank square system by rejection
         while True:
             m = [[random_fraction(rng) for _ in range(width)] for _ in range(width)]
-            if mat_det(m) != 0:
+            if rank([dict(enumerate(r)) for r in m], width) == width:
                 break
         x = [random_fraction(rng) for _ in range(width)]
         rhs = [sum((m[i][j] * x[j] for j in range(width)), Fraction(0))
@@ -195,7 +214,7 @@ def test_min_fill_agrees_with_fixed_order(rng):
         width = rng.randint(2, 5)
         while True:
             m = [[random_fraction(rng) for _ in range(width)] for _ in range(width)]
-            if mat_det(m) != 0:
+            if rank([dict(enumerate(r)) for r in m], width) == width:
                 break
         x = [random_fraction(rng) for _ in range(width)]
         rhs = [sum((m[i][j] * x[j] for j in range(width)), Fraction(0))

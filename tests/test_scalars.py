@@ -310,9 +310,9 @@ def test_a_zero_rational_divisor_raises():
 
 
 def test_rational_operands_build_no_constant(monkeypatch):
-    """Guard: arithmetic with a rational operand, and rendering a quotient
-    over 1, box the operand neither as a constant Polynomial nor as a
-    constant RationalFunction."""
+    """Guard: arithmetic with a rational operand, a polynomial power, and
+    rendering a quotient over 1, box the operand neither as a constant
+    Polynomial nor as a constant RationalFunction."""
     x = poly("(3*a - p*q)/(7*p)")
     y = num("2*a^2 - q")
     over_one = poly("a*q - 1/2")
@@ -327,10 +327,11 @@ def test_rational_operands_build_no_constant(monkeypatch):
     k = Fraction(-5, 3)
     product = x * k
     results = [x / k, y * k, y + k, y == 1, x + k, x - k, k - x, k * y,
-               y - k, k - y, over_one + k, 3 / y, x == k]
+               y - k, k - y, over_one + k, 3 / y, x == k, y ** 3]
     assert str(over_one) == "a*q - 1/2" and str(x) == "(3/7*a - 1/7*p*q)/p"
     assert calls == []
     assert str(product) == "(-5/7*a + 5/21*p*q)/p" and results[3] is False
+    assert results[-1] == y * y * y
     # the spies see the boxing of the old route
     assert product == x * RationalFunction.constant(A, k)
     assert calls == ["RationalFunction", "Polynomial"]
