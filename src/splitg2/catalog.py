@@ -23,7 +23,7 @@ from .errors import (
 )
 from .exterior import Form, SymTensor2, Vector
 from .g2 import Metric7, compatibility_defect
-from .liealg import BasisChange, LieAlgebra, Subspace
+from .liealg import BasisChange, Subspace
 from .report import Frozen
 
 _F1 = Fraction(1)
@@ -119,10 +119,6 @@ class DistributionFact(Frozen):
 
     __slots__ = _fields = ("stabilizer", "integrable", "claimed_growth")
 
-    def __init__(self, stabilizer: str, integrable: bool,
-                 claimed_growth: Optional[Tuple[int, ...]]):
-        self._init(stabilizer, integrable, claimed_growth)
-
 
 DISTRIBUTION_FACTS = {
     "D_l1": DistributionFact("sl2_l", False, (2, 3)),
@@ -142,33 +138,6 @@ class Expected(Frozen):
         "tau0_reference_point", "tau0_reference_value", "coclosed",
         "coclosed_slice")
 
-    def __init__(
-        self,
-        dimensions: Mapping[str, int],
-        coframe_differentials: Mapping[int, Mapping],
-        leaf_differentials: Mapping[int, Mapping],
-        killing: SymTensor2,
-        metric_family: Tuple[Tuple[str, SymTensor2], ...],
-        form_family: Tuple[Tuple[str, Form], ...],
-        solution_relations: Mapping[str, str],
-        phi_display: Mapping[Tuple[int, int, int], str],
-        metric_det: str,
-        tau0: str,
-        tau1: Mapping[Tuple[int, ...], str],
-        tau2: Mapping[Tuple[int, ...], str],
-        tau3: Mapping[Tuple[int, ...], str],
-        vol_scale: str,
-        tau0_reference_point: Mapping[str, str],
-        tau0_reference_value: str,
-        coclosed: bool,
-        coclosed_slice: Optional[Mapping[str, str]],
-    ):
-        self._init(dimensions, coframe_differentials, leaf_differentials, killing,
-                   metric_family, form_family, solution_relations, phi_display,
-                   metric_det, tau0, tau1, tau2, tau3, vol_scale,
-                   tau0_reference_point, tau0_reference_value, coclosed,
-                   coclosed_slice)
-
 
 class Scenario(Frozen):
     """One quotient: algebra, split, structure data, and for the builtin
@@ -179,22 +148,6 @@ class Scenario(Frozen):
     _fields = ("name", "alphabet", "algebra", "basis", "horizontal", "verticals",
                "metric", "phi_family", "exclusions", "expected")
     __slots__ = _fields + ("__dict__",)  # the instance dict holds `defect`
-
-    def __init__(
-        self,
-        name: str,
-        alphabet: Tuple[str, ...],
-        algebra: LieAlgebra,
-        basis: Optional[BasisChange],
-        horizontal: int,
-        verticals: Tuple[int, ...],
-        metric: Optional[Metric7],
-        phi_family: Optional[Form],
-        exclusions: Tuple[Tuple[str, Fraction], ...],
-        expected: Optional[Expected],
-    ):
-        self._init(name, alphabet, algebra, basis, horizontal, verticals, metric,
-                   phi_family, exclusions, expected)
 
     @cached_property
     def defect(self) -> Optional[SymTensor2]:

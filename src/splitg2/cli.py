@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import random
-import re
 import sys
 from functools import lru_cache
 from fractions import Fraction
@@ -59,15 +58,9 @@ class RunConfig(Frozen):
     __slots__ = _fields = ("scenario", "input_path", "sets", "vol_scale", "fmt",
                            "seed", "out", "kind", "names", "corrupt")
 
-    def __init__(self, scenario: Optional[str] = None,
-                 input_path: Optional[str] = None,
-                 sets: Optional[Mapping[str, Fraction]] = None,
-                 vol_scale: Fraction = Fraction(1), fmt: str = "text",
-                 seed: int = 0, out: Optional[str] = None, kind: str = "both",
-                 names: Tuple[str, ...] = (),
-                 corrupt: Optional[Tuple[int, int, int]] = None):
-        self._init(scenario, input_path, sets, vol_scale, fmt, seed, out, kind,
-                   names, corrupt)
+    _defaults = {"scenario": None, "input_path": None, "sets": None,
+                 "vol_scale": Fraction(1), "fmt": "text", "seed": 0, "out": None,
+                 "kind": "both", "names": (), "corrupt": None}
 
 
 # -- option parsing helpers ---------------------------------------------------
@@ -99,21 +92,13 @@ def _parse_sets(pairs: Sequence[str]) -> dict:
     return sets
 
 
-# An integer flag value: an optional '-' and the ASCII digits 0-9.  int()
-# alone also takes underscores, surrounding spaces, a '+' and the digits of
-# any script.
-_INTEGER = re.compile(r"-?[0-9]+")
-
-
 def _parse_integer(text: str, error: str) -> int:
-    """The value of a flag `text` that matches _INTEGER; UsageError(error)
-    otherwise, and past the interpreter's digit limit for int()."""
-    if _INTEGER.fullmatch(text):
-        try:
-            return int(text)
-        except ValueError:
-            pass
-    raise UsageError(error)
+    """The value of an integer flag `text` (`scalars.parse_integer`);
+    UsageError(error) if it is not one."""
+    try:
+        return scalars.parse_integer(text)
+    except ParseError:
+        raise UsageError(error) from None
 
 
 def _parse_corrupt(text: str) -> Tuple[int, int, int]:

@@ -98,11 +98,13 @@ class Metric7:
     """Nondegenerate symmetric 2-tensor on the 7-dimensional frame with
     exact rational entries.
 
-    Besides the `tensor` it was given, g is held in one form: the integer
-    rows of D g, D the lcm of the denominators of g (`_scale`,
-    `_int_rows`).  Everything derived from g is read off signed minors of
-    D g, each expanded once (`_minor`): the determinant `det`, the
-    inertia (`signature`) and the Hodge-star columns (`_star_column`)."""
+    Besides `tensor`, a copy of the tensor it was given (so that changing
+    the caller's entries afterwards moves nothing here), g is held in one
+    form: the integer rows of D g, D the lcm of the denominators of g
+    (`_scale`, `_int_rows`).  Everything derived from g is read off
+    signed minors of D g, each expanded once (`_minor`): the determinant
+    `det`, the inertia (`signature`) and the Hodge-star columns
+    (`_star_column`)."""
 
     __slots__ = ("tensor", "det", "_star_columns", "_scale", "_int_rows",
                  "_minors")
@@ -110,6 +112,7 @@ class Metric7:
     def __init__(self, tensor: SymTensor2):
         if tensor.dim != _DIM:
             raise DimensionMismatch(f"metric must live on dimension {_DIM}")
+        tensor = SymTensor2.raw(_DIM, dict(tensor.entries))
         for key, v in tensor.entries.items():
             if not isinstance(v, (int, Fraction)):
                 raise ValidationError(f"metric entry {key} is not rational: {v!r}")
@@ -290,9 +293,6 @@ class TorsionSet(Frozen):
     """The four torsion forms of a structure, in its own coframe."""
 
     __slots__ = _fields = ("tau0", "tau1", "tau2", "tau3")
-
-    def __init__(self, tau0: object, tau1: Form, tau2: Form, tau3: Form):
-        self._init(tau0, tau1, tau2, tau3)
 
     def rescale(self, s) -> "TorsionSet":
         """Torsions of the same structure at volume scale s*c."""

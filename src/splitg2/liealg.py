@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import kernels, scalars, _linalg
 from .errors import (
@@ -324,9 +324,6 @@ def _defect_size(defect: dict):
 
 class JacobiReport(Frozen):
     __slots__ = _fields = ("ok", "triple", "defect")
-
-    def __init__(self, ok: bool, triple: Optional[tuple], defect: Optional[dict]):
-        self._init(ok, triple, defect)
 
     def __str__(self) -> str:
         if self.ok:

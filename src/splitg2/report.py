@@ -8,6 +8,8 @@ environment details are embedded.
 
 `Frozen` is the base of every small immutable record in the package:
 check records, torsion sets, parsed documents, scenarios, run options.
+A record declares its fields once, in `_fields` (and any defaults in
+`_defaults`); `Frozen` supplies the one constructor.
 """
 
 from typing import List, Optional
@@ -20,18 +22,40 @@ _STATUSES = ("pass", "fail", "info")
 class Frozen:
     """Base of the package's immutable records.
 
-    A record names its fields in `_fields` and its `__init__` hands their
-    values, in that order, to `_init`; assigning or deleting an attribute
-    afterwards raises AttributeError.  Records compare and hash by class
-    and field values, print as a constructor call, and copy and pickle
-    through the constructor."""
+    A record names its fields in `_fields` and any default values in
+    `_defaults` (field name -> value); it defines no constructor of its
+    own.  `Frozen(*args, **kwargs)` binds positional arguments to the
+    fields in order and keywords by name, fills a field left out from
+    `_defaults`, and raises TypeError for an extra positional argument,
+    an unknown keyword, a field given twice or a field left out that
+    has no default.  Assigning or deleting an attribute afterwards
+    raises AttributeError.  Records compare and hash by class and field
+    values, print as a constructor call, and copy and pickle through the
+    constructor."""
 
     __slots__ = ()
     _fields: tuple = ()
+    _defaults: dict = {}
 
-    def _init(self, *values) -> None:
-        for name, value in zip(self._fields, values):
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__}() takes {len(fields)} "
+                            f"fields, got {len(args)} positional arguments")
+        for name, value in zip(fields, args):
             object.__setattr__(self, name, value)
+        for name in fields[len(args):]:
+            try:
+                value = kwargs.pop(name) if name in kwargs else self._defaults[name]
+            except KeyError:
+                raise TypeError(f"{type(self).__name__}() is missing field "
+                                f"{name!r}") from None
+            object.__setattr__(self, name, value)
+        if kwargs:  # what is left was given twice or is no field
+            name = next(iter(kwargs))
+            raise TypeError(f"{type(self).__name__}() got field {name!r} twice"
+                            if name in fields else
+                            f"{type(self).__name__}() has no field {name!r}")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -63,11 +87,10 @@ class Frozen:
 class Record(Frozen):
     __slots__ = _fields = ("anchor", "name", "status", "computed", "expected")
 
-    def __init__(self, anchor: str, name: str, status: str, computed: str,
-                 expected: str):
-        if status not in _STATUSES:
-            raise ValueError(f"bad status {status!r}")
-        self._init(anchor, name, status, computed, expected)
+    def __init__(self, *args, **kwargs):
+        Frozen.__init__(self, *args, **kwargs)
+        if self.status not in _STATUSES:
+            raise ValueError(f"bad status {self.status!r}")
 
 
 class Report:
@@ -136,16 +159,7 @@ class Report:
             "scenario": self.scenario,
             "seed": self.seed,
             "notes": self.notes,
-            "records": [
-                {
-                    "anchor": r.anchor,
-                    "name": r.name,
-                    "status": r.status,
-                    "computed": r.computed,
-                    "expected": r.expected,
-                }
-                for r in self._sorted()
-            ],
+            "records": [dict(zip(r._fields, r._values())) for r in self._sorted()],
             "counts": self.counts(),
             "result": "pass" if self.passed() else "fail",
         }

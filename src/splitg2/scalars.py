@@ -46,7 +46,7 @@ unpacks keys, and the public methods take and return exponent tuples.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from math import comb, gcd, lcm, prod
 from operator import or_
 from typing import Iterable, Mapping, Union
@@ -147,13 +147,25 @@ def _min_key(keys, width: int) -> int:
 
 
 def _check_alphabet(alphabet) -> tuple:
+    """The alphabet as a tuple of distinct identifiers, each of which
+    `parse_scalar` reads back as one name; ValueError otherwise."""
     alphabet = tuple(alphabet)
     for name in alphabet:
-        if not isinstance(name, str) or not name.isidentifier():
+        if not (isinstance(name, str) and _is_name(name)):
             raise ValueError(f"bad parameter name {name!r}")
     if len(set(alphabet)) != len(alphabet):
-        raise ValueError("duplicate parameter names")
+        raise ValueError("repeated parameter name")
     return alphabet
+
+
+@lru_cache(maxsize=256)  # every scalar operation checks its alphabet
+def _is_name(name: str) -> bool:
+    # str.isidentifier also takes names the tokenizer stops inside, such
+    # as one with a combining accent or a letter-like symbol
+    try:
+        return name.isidentifier() and _Tokens(name).items == [("name", name)]
+    except ParseError:
+        return False
 
 
 class Polynomial:
@@ -1133,6 +1145,20 @@ def parse_rational(text: str) -> Fraction:
     value = parse_scalar(text, ())
     assert isinstance(value, Fraction)
     return value
+
+
+def parse_integer(text: str) -> int:
+    """Parse an integer written as an optional '-' and the ASCII digits
+    0-9; anything else, and a value past the interpreter's digit limit
+    for int(), is a ParseError.  int() alone also takes underscores,
+    surrounding spaces, a '+' and the digits of any script."""
+    digits = text[1:] if text[:1] == "-" else text
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # beyond the interpreter's digit limit
+            pass
+    raise ParseError(f"bad integer {text!r}")
 
 
 def render_scalar(x) -> str:

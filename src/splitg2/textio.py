@@ -18,9 +18,6 @@ The paper's documents need dim 10, 30 bracket lines, 3 parameters and
 60 lines.
 """
 
-from fractions import Fraction
-from typing import Optional, Tuple
-
 from . import scalars
 from .errors import ParseError
 from .exterior import Form, SymTensor2
@@ -46,13 +43,8 @@ class ScenarioDocument(Frozen):
     __slots__ = _fields = ("algebra", "horizontal", "verticals", "alphabet",
                            "name", "metric", "phi", "exclusions")
 
-    def __init__(self, algebra: LieAlgebra, horizontal: int,
-                 verticals: Tuple[int, ...], alphabet: Tuple[str, ...] = (),
-                 name: str = "", metric: Optional[SymTensor2] = None,
-                 phi: Optional[Form] = None,
-                 exclusions: Tuple[Tuple[str, Fraction], ...] = ()):
-        self._init(algebra, horizontal, verticals, alphabet, name, metric, phi,
-                   exclusions)
+    _defaults = {"alphabet": (), "name": "", "metric": None, "phi": None,
+                 "exclusions": ()}
 
 
 # -- parsing ----------------------------------------------------------------
@@ -76,14 +68,11 @@ def _int_fields(lineno: int, value: str, count: int, what: str) -> list:
     parts = value.split(None, count)
     if len(parts) < count:
         raise ParseError(f"line {lineno}: {what} needs {count}+ fields, got {value!r}")
-    out = []
-    for p in parts[:count]:
-        try:
-            out.append(int(p))
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: bad integer {p!r}") from exc
-    out.append(parts[count] if len(parts) > count else "")
-    return out
+    try:
+        out = [scalars.parse_integer(p) for p in parts[:count]]
+    except ParseError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from exc
+    return out + [parts[count] if len(parts) > count else ""]
 
 
 def _scalar(lineno: int, text: str, alphabet: tuple):
@@ -130,15 +119,13 @@ class _Collector:
             raise ParseError(f"line {lineno}: duplicate 'alphabet' line")
         if self._seen_scalars:
             raise ParseError(f"line {lineno}: 'alphabet' must precede coefficients")
-        names = tuple(value.split())
+        names = value.split()
         if len(names) > MAX_ALPHABET:
             raise ParseError(f"line {lineno}: more than {MAX_ALPHABET} parameters")
-        for name in names:
-            if not name.isidentifier():
-                raise ParseError(f"line {lineno}: bad parameter name {name!r}")
-        if len(set(names)) != len(names):
-            raise ParseError(f"line {lineno}: repeated parameter name")
-        self.alphabet = names
+        try:
+            self.alphabet = scalars._check_alphabet(names)
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from exc
 
     def _key_dim(self, lineno: int, value: str) -> None:
         fields = _int_fields(lineno, value, 1, "dim")
@@ -153,8 +140,8 @@ class _Collector:
 
     def _key_verticals(self, lineno: int, value: str) -> None:
         try:
-            fields = tuple(int(p) for p in value.split())
-        except ValueError as exc:
+            fields = tuple(scalars.parse_integer(p) for p in value.split())
+        except ParseError as exc:
             raise ParseError(f"line {lineno}: verticals must be integers") from exc
         if not fields:
             raise ParseError(f"line {lineno}: empty verticals list")

@@ -827,6 +827,20 @@ def test_input_bad_parameter_name_is_usage():
     assert "line 3" in proc.stderr
 
 
+@pytest.mark.parametrize("old,new,message", [
+    ("horizontal: 7\n", "horizontal: 0_7\n", "bad integer '0_7'"),
+    ("alphabet: q\n", "alphabet: q ℘\n", "bad parameter name '℘'"),
+], ids=["integer", "alphabet"])
+def test_input_document_rejected_by_the_input_rules_is_usage(capsys, monkeypatch,
+                                                              old, new, message):
+    doc = catalog.scenario("Ms").text()
+    assert old in doc
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc.replace(old, new, 1)))
+    code, out, err = run(capsys, "describe", "--input", "-")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and message in err
+
+
 def test_input_huge_exponent_is_usage():
     doc = catalog.scenario("Ms").text().replace("phi: 1 3 6 q\n",
                                                 "phi: 1 3 6 (q+1)^3000\n", 1)

@@ -100,6 +100,22 @@ def test_metric_matrix_is_frozen():
     assert m.signature() == (3, 4)
 
 
+def test_metric_keeps_its_own_copy_of_the_tensor():
+    tensor = SymTensor2(7, {(i, i): 1 for i in TOP})
+    phi = Form(7, 3, {(1, 2, 3): 1, (1, 4, 5): 1, (2, 4, 6): 1})
+    m = Metric7(tensor)
+    defect = compatibility_defect(m, phi)
+    vol6 = Form(7, 6, {TOP[1:]: 1})
+    star = hodge_star(m, vol6)
+    tensor.entries[(1, 1)] = Fraction(5)
+    # g, det g, the inertia, the cached star columns and the defect all
+    # stay on the g the metric was built from
+    assert m.tensor.entry(1, 1) == 1
+    assert (m.det, m.signature()) == (1, (7, 0))
+    assert hodge_star(m, vol6) == star == Form(7, 1, {(1,): 1})
+    assert compatibility_defect(m, phi) == defect
+
+
 def test_signature_diagonal():
     assert euclidean().signature() == (7, 0)
     assert split_diag().signature() == (3, 4)

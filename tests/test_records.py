@@ -2,18 +2,21 @@
 constructors keep their defaults and checks, and cached values stay put."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import splitg2
 from splitg2 import catalog, textio
 from splitg2.cli import RunConfig
 from splitg2.errors import ValidationError
 from splitg2.exterior import Form
 from splitg2.g2 import TorsionSet
 from splitg2.liealg import LieAlgebra
-from splitg2.report import Record
+from splitg2.report import Frozen, Record
 
 
 def torsions():
@@ -45,9 +48,70 @@ def test_fields_cannot_be_assigned(name):
     assert getattr(record, field) is before
 
 
+def package_records():
+    """Every Frozen subclass that a splitg2 module defines."""
+    for info in pkgutil.iter_modules(splitg2.__path__):
+        if info.name != "__main__":
+            importlib.import_module(f"splitg2.{info.name}")
+    found, todo = [], [Frozen]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("splitg2."):
+                found.append(cls)
+    return found
+
+
+def test_every_record_is_tested():
+    # records() feeds the assignment and copy tests; a record left out of
+    # it would skip them
+    assert sorted(cls.__name__ for cls in package_records()) == sorted(records())
+
+
+def test_records_declare_fields_not_constructors():
+    # Frozen binds the fields; only Record adds a check of its own
+    for cls in package_records():
+        assert ("__init__" in vars(cls)) == (cls is Record), cls.__name__
+
+
+def test_fields_bind_by_position_and_keyword():
+    t = torsions()
+    assert TorsionSet(tau3=t.tau3, tau2=t.tau2, tau0=t.tau0, tau1=t.tau1) == t
+    assert TorsionSet(t.tau0, t.tau1, tau3=t.tau3, tau2=t.tau2) == t
+    doc = textio.ScenarioDocument(LieAlgebra(2, {}), 1, (2,), name="x",
+                                  exclusions=(("q", Fraction(0)),))
+    assert (doc.alphabet, doc.name, doc.metric, doc.exclusions) == (
+        (), "x", None, (("q", Fraction(0)),))
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: TorsionSet(1, 2, 3, 4, 5),
+     "TorsionSet() takes 4 fields, got 5 positional arguments"),
+    (lambda: RunConfig(*range(11)), "RunConfig() takes 10 fields, got 11"),
+    (lambda: RunConfig(sed=3), "RunConfig() has no field 'sed'"),
+    (lambda: TorsionSet(1, 2, 3, 4, tau5=1), "TorsionSet() has no field 'tau5'"),
+    (lambda: RunConfig("Ml", scenario="Ms"), "RunConfig() got field 'scenario' twice"),
+    (lambda: TorsionSet(1, 2, 3, 4, tau1=2), "TorsionSet() got field 'tau1' twice"),
+    (lambda: TorsionSet(1, 2), "TorsionSet() is missing field 'tau2'"),
+    (lambda: textio.ScenarioDocument(LieAlgebra(2, {}), verticals=(2,)),
+     "ScenarioDocument() is missing field 'horizontal'"),
+    (lambda: Record("a", "b", "pass", "1"), "Record() is missing field 'expected'"),
+], ids=["extra-positional", "extra-positional-all-defaulted", "unknown-keyword",
+        "unknown-keyword-after-all-fields", "repeated-keyword",
+        "repeated-keyword-after-all-fields", "missing", "missing-before-defaults",
+        "missing-in-record"])
+def test_constructor_rejects_bad_arguments(make, message):
+    with pytest.raises(TypeError) as err:
+        make()
+    assert str(err.value).startswith(message)
+
+
 def test_record_rejects_an_unknown_status():
     with pytest.raises(ValueError, match="bad status 'maybe'"):
         Record("a", "b", "maybe", "", "")
+    with pytest.raises(ValueError, match="bad status 'maybe'"):
+        Record("a", "b", computed="", expected="", status="maybe")
+    assert Record("a", "b", expected="", computed="1", status="info").status == "info"
 
 
 def test_scenario_defect_is_computed_once():

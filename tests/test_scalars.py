@@ -478,6 +478,23 @@ def test_parse_rejects_garbage():
             scalars.parse_scalar(text, A)
 
 
+@pytest.mark.parametrize("text,value", [("0", 0), ("007", 7), ("-12", -12),
+                                        ("9" * 400, int("9" * 400))])
+def test_parse_integer(text, value):
+    assert scalars.parse_integer(text) == value
+
+
+@pytest.mark.parametrize("text", ["", "-", "+3", " 7", "1_0", "٣", "２", "--1", "1e3",
+                                  "7" * 5000],
+                         ids=["empty", "minus", "plus", "space", "underscore",
+                              "arabic-indic", "fullwidth", "double-minus", "float",
+                              "past-int-digit-limit"])
+def test_parse_integer_takes_an_optional_minus_and_ascii_digits(text):
+    with pytest.raises(ParseError) as err:
+        scalars.parse_integer(text)
+    assert str(err.value) == f"bad integer {text!r}"
+
+
 def test_parse_bounds_nesting():
     n = scalars.MAX_NESTING
     # parentheses and unary signs share one depth count

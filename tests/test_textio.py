@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from splitg2 import catalog, textio
+from splitg2 import catalog, scalars, textio
 from splitg2.errors import ParseError
 from splitg2.liealg import LieAlgebra
 from splitg2.textio import (
@@ -142,6 +142,56 @@ def test_scenario_parse_errors(text, fragment):
     with pytest.raises(ParseError) as err:
         parse_scenario(text)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("dim: 5", "dim: ٥", "line 3: bad integer '٥'"),
+    ("dim: 5", "dim: +5", "line 3: bad integer '+5'"),
+    ("bracket: 4 5 2 q", "bracket: 4 5 ２ q", "line 4: bad integer '２'"),
+    ("horizontal: 3", "horizontal: 0_3", "line 5: bad integer '0_3'"),
+    ("horizontal: 3", "horizontal: ٣", "line 5: bad integer '٣'"),
+    ("verticals: 4 5", "verticals: 4 0_5", "line 6: verticals must be integers"),
+    ("verticals: 4 5", "verticals: ٤ 5", "line 6: verticals must be integers"),
+    ("metric: 1 1 1", "metric: 0_1 1 1", "line 7: bad integer '0_1'"),
+    ("phi: 1 2 3 q", "phi: ١ 2 3 q", "line 9: bad integer '١'"),
+], ids=["dim-arabic-indic", "dim-plus", "bracket-fullwidth", "horizontal-underscore",
+        "horizontal-arabic-indic", "verticals-underscore", "verticals-arabic-indic",
+        "metric-underscore", "phi-arabic-indic"])
+def test_document_integers_take_ascii_digits_only(old, new, message):
+    # int() reads each of these as the integer it resembles
+    assert old + "\n" in GOOD_SCENARIO
+    with pytest.raises(ParseError) as err:
+        parse_scenario(GOOD_SCENARIO.replace(old + "\n", new + "\n", 1))
+    assert str(err.value) == message
+
+
+def test_document_integers_may_be_zero_padded():
+    doc = parse_scenario(GOOD_SCENARIO.replace("horizontal: 3", "horizontal: 03")
+                         .replace("verticals: 4 5", "verticals: 04 5"))
+    assert render_scenario(doc) == render_scenario(parse_scenario(GOOD_SCENARIO))
+
+
+@pytest.mark.parametrize("name", ["℘", "Ⅻ", "e\u0301"],
+                         ids=["weierstrass-p", "roman-numeral", "combining-accent"])
+def test_alphabet_names_read_back_as_one_name(name):
+    # str.isidentifier takes each of these, but the expression parser stops
+    # at the symbol or the accent, so no coefficient could use the name
+    assert name.isidentifier()
+    text = GOOD_SCENARIO.replace("alphabet: q\n", f"alphabet: q {name}\n", 1)
+    with pytest.raises(ParseError) as err:
+        parse_scenario(text)
+    assert str(err.value) == f"line 2: bad parameter name {name!r}"
+    with pytest.raises(ValueError, match="bad parameter name"):
+        scalars.Polynomial.variable(("q", name), "q")
+
+
+def test_alphabet_names_beyond_ascii_are_usable():
+    text = GOOD_SCENARIO.replace("alphabet: q\n", "alphabet: q λ aⅫ _r\n", 1)
+    text = text.replace("phi: 1 2 3 q\n", "phi: 1 2 3 q*λ + aⅫ/_r\n", 1)
+    doc = parse_scenario(text)
+    assert doc.alphabet == ("q", "λ", "aⅫ", "_r")
+    text = render_scenario(doc)
+    assert render_scenario(parse_scenario(text)) == text
 
 
 def _at_limit(limit: str, step: int) -> str:
