@@ -5,14 +5,14 @@ replay.
 All expected scalar values are stored as rendered expression strings and
 parsed at comparison time, so the golden data stays human-diffable.  The
 two scenarios are built once, validated (Jacobi, fibration integrability,
-compatibility) and cached immutable.  `Scenario` is also the form a
-validated input document takes (`from_document`, `validation`).
+compatibility) and cached immutable.  They are `textio.Scenario`s, the
+type a parsed input document has too, and `validation` checks either.
 """
 
 import re
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Iterator, Mapping, Optional, Tuple
+from functools import lru_cache
+from typing import Iterator, Mapping, Tuple
 
 from . import liealg, scalars, textio
 from .errors import (
@@ -22,9 +22,10 @@ from .errors import (
     ValidationError,
 )
 from .exterior import Form, SymTensor2, Vector
-from .g2 import Metric7, compatibility_defect
+from .g2 import Metric7
 from .liealg import BasisChange, Subspace
 from .report import Frozen
+from .textio import Scenario
 
 _F1 = Fraction(1)
 _HALF = Fraction(1, 2)
@@ -137,58 +138,6 @@ class Expected(Frozen):
         "metric_det", "tau0", "tau1", "tau2", "tau3", "vol_scale",
         "tau0_reference_point", "tau0_reference_value", "coclosed",
         "coclosed_slice")
-
-
-class Scenario(Frozen):
-    """One quotient: algebra, split, structure data, and for the builtin
-    fixtures the basis change and goldens.  A scenario read from a document
-    (`from_document`) has no `basis` or `expected`, and may lack `metric`
-    and `phi_family`."""
-
-    _fields = ("name", "alphabet", "algebra", "basis", "horizontal", "verticals",
-               "metric", "phi_family", "exclusions", "expected")
-    __slots__ = _fields + ("__dict__",)  # the instance dict holds `defect`
-
-    @cached_property
-    def defect(self) -> Optional[SymTensor2]:
-        """The compatibility defect of `metric` and `phi_family`
-        (`g2.compatibility_defect`), None when either is missing; computed
-        on first use and kept with the scenario, whose fields are frozen."""
-        if self.metric is None or self.phi_family is None:
-            return None
-        return compatibility_defect(self.metric, self.phi_family)
-
-    def scalar(self, text: str):
-        """Parse a scalar over this scenario's alphabet."""
-        return scalars.parse_scalar(text, self.alphabet)
-
-    def form_from_table(self, degree: int, table: Mapping) -> Form:
-        """Build a horizontal form with coefficients given as text."""
-        terms = {key: self.scalar(v) if isinstance(v, str) else v
-                 for key, v in table.items()}
-        return Form(self.horizontal, degree, terms)
-
-    def document(self) -> textio.ScenarioDocument:
-        return textio.ScenarioDocument(
-            algebra=self.algebra,
-            horizontal=self.horizontal,
-            verticals=self.verticals,
-            alphabet=self.alphabet,
-            name=self.name,
-            metric=None if self.metric is None else self.metric.tensor,
-            phi=self.phi_family,
-            exclusions=self.exclusions,
-        )
-
-    def text(self) -> str:
-        return textio.render_scenario(self.document())
-
-
-def from_document(doc: textio.ScenarioDocument) -> Scenario:
-    """The scenario a parsed document declares, not yet validated."""
-    metric = None if doc.metric is None else Metric7(doc.metric)
-    return Scenario(doc.name, doc.alphabet, doc.algebra, None, doc.horizontal,
-                    doc.verticals, metric, doc.phi, doc.exclusions, None)
 
 
 def validation(sc: Scenario) -> Iterator[Tuple[str, str, bool, str, str]]:

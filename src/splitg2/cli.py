@@ -58,10 +58,6 @@ class RunConfig(Frozen):
     __slots__ = _fields = ("scenario", "input_path", "sets", "vol_scale", "fmt",
                            "seed", "out", "kind", "names", "corrupt")
 
-    _defaults = {"scenario": None, "input_path": None, "sets": None,
-                 "vol_scale": Fraction(1), "fmt": "text", "seed": 0, "out": None,
-                 "kind": "both", "names": (), "corrupt": None}
-
 
 # -- option parsing helpers ---------------------------------------------------
 
@@ -157,13 +153,13 @@ def _read_input(path: str) -> str:
     return text
 
 
-def _load_scenario(cfg: RunConfig, rep: Report) -> Optional[catalog.Scenario]:
+def _load_scenario(cfg: RunConfig, rep: Report) -> Optional[textio.Scenario]:
     """The builtin scenario, or the `--input` document validated into one,
     its checks recorded as `input.*`.  None means a check failed: the caller
     stops and renders the report (exit code 1)."""
     if cfg.input_path is None:
         return catalog.scenario(cfg.scenario)
-    sc = catalog.from_document(textio.parse_scenario(_read_input(cfg.input_path)))
+    sc = textio.parse_scenario(_read_input(cfg.input_path))
     for check, claim, ok, computed, expected in catalog.validation(sc):
         rep.add(f"input.{check}", claim, ok, computed, expected)
         if not ok:
@@ -178,7 +174,7 @@ def _point_text(point: Mapping[str, Fraction], alphabet: Sequence[str]) -> str:
     return ", ".join(f"{name}={point[name]}" for name in alphabet)
 
 
-def _validate_point(point: Mapping[str, Fraction], sc: catalog.Scenario) -> None:
+def _validate_point(point: Mapping[str, Fraction], sc: textio.Scenario) -> None:
     """A point must pin every parameter and avoid the excluded values."""
     unknown = sorted(set(point) - set(sc.alphabet))
     if unknown:
@@ -197,7 +193,7 @@ def _specialize_form(form: Form, point: Mapping[str, Fraction]) -> Form:
     return form.map_coefficients(lambda c: scalars.specialize(c, point))
 
 
-def _sample_point(rng: random.Random, sc: catalog.Scenario) -> dict:
+def _sample_point(rng: random.Random, sc: textio.Scenario) -> dict:
     """Small-height rational point avoiding the declared exclusions."""
     excluded: dict = {}
     for name, value in sc.exclusions:
@@ -216,7 +212,7 @@ def _sample_point(rng: random.Random, sc: catalog.Scenario) -> dict:
 # -- expected-value helpers ---------------------------------------------------
 
 
-def _expected_torsions(sc: catalog.Scenario) -> TorsionSet:
+def _expected_torsions(sc: textio.Scenario) -> TorsionSet:
     """Golden torsions parsed from the catalog."""
     exp = sc.expected
     return TorsionSet(sc.scalar(exp.tau0), sc.form_from_table(1, exp.tau1),
@@ -357,7 +353,7 @@ _INVARIANT_TEXT = {
 }
 
 
-def _invariant_space_checks(rep: Report, sc: catalog.Scenario, prefix: str,
+def _invariant_space_checks(rep: Report, sc: textio.Scenario, prefix: str,
                             kinds: Sequence[str], list_basis: bool) -> None:
     exp = sc.expected
     for kind in kinds:
@@ -540,7 +536,7 @@ def _scenario_checks(rep: Report, name: str, cfg: RunConfig) -> None:
         rep.add(*_point_pipeline(sc, expected, point, vol, f"{n}.point{idx}"))
 
 
-def _point_pipeline(sc: catalog.Scenario, expected: TorsionSet,
+def _point_pipeline(sc: textio.Scenario, expected: TorsionSet,
                     point: Mapping[str, Fraction], vol: Fraction,
                     anchor: str) -> tuple:
     """Full rational pipeline at one admissible point, against the golden
@@ -705,7 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="replay every catalogued check for one or both "
                             "scenarios")
     common(p, with_input=False, required=False)
-    p.set_defaults(handler="cmd_verify_paper")
     p.add_argument("--vol-scale", metavar="FRACTION",
                    help="positive rational volume scale (default 1)")
     p.add_argument("--seed",
@@ -720,14 +715,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dimensions and bases of the invariant tensor "
                             "spaces")
     common(p)
-    p.set_defaults(handler="cmd_invariants")
     p.add_argument("--kind", choices=("metric", "3-form", "both"),
                    default="both")
 
     p = sub.add_parser("torsion",
                        help="solve the torsion equations exactly")
     common(p)
-    p.set_defaults(handler="cmd_torsion")
     p.add_argument("--set", action="append", metavar="NAME=VALUE",
                    help="pin one parameter to a rational value (repeatable; "
                         "all parameters or none)")
@@ -736,7 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("growth",
                        help="invariance and growth of the named distributions")
-    p.set_defaults(handler="cmd_growth")
     p.add_argument("names", nargs="*",
                    help="distribution names (default: all four)")
     p.add_argument("--format", choices=("text", "json"), default="text")
@@ -788,8 +780,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command line; returns the exit code.
 
     The argument parser is built on the first call in a process, not at
-    import, and reused.  Handlers are looked up by name when the command
-    runs, so a rebinding of `cmd_torsion` and the like takes effect.
+    import, and reused.  A command's handler is looked up by name
+    (`cmd_` and the command, `-` read as `_`) when the command runs, so
+    a rebinding of `cmd_torsion` and the like takes effect.
     """
     try:
         ns = _parser().parse_args(argv)
@@ -800,7 +793,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if ns.command == "describe":
             text, code = cmd_describe(cfg), 0
         else:
-            report = globals()[ns.handler](cfg)
+            report = globals()["cmd_" + ns.command.replace("-", "_")](cfg)
             text, code = report.render(cfg.fmt), 0 if report.passed() else 1
         _emit(text, cfg.out)
     except UsageError as exc:

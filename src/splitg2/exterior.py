@@ -13,6 +13,7 @@ never stores a zero coefficient.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from . import kernels, scalars
@@ -302,7 +303,11 @@ class Vector:
 
 
 class SymTensor2:
-    """Sparse symmetric 2-tensor; entries(i, j) with i <= j hold g_ij."""
+    """Sparse symmetric 2-tensor; entries(i, j) with i <= j hold g_ij.
+
+    `entries` is a read-only view (`types.MappingProxyType`), so a tensor
+    can be shared without copies; such a view cannot be pickled, and
+    nothing in the package pickles or deep-copies a tensor."""
 
     __slots__ = ("dim", "entries")
 
@@ -321,7 +326,7 @@ class SymTensor2:
                 raise ValueError(f"duplicate entry ({i},{j})")
             clean[(i, j)] = value
         self.dim = dim
-        self.entries = clean
+        self.entries = MappingProxyType(clean)
 
     @classmethod
     def zero(cls, dim: int) -> "SymTensor2":
@@ -336,7 +341,7 @@ class SymTensor2:
     def raw(cls, dim: int, entries: dict) -> "SymTensor2":
         """Unchecked construction: keys (i, j), i <= j, nonzero scalars."""
         t = cls.__new__(cls)
-        t.dim, t.entries = dim, entries
+        t.dim, t.entries = dim, MappingProxyType(entries)
         return t
 
     def _check_compatible(self, other: "SymTensor2"):

@@ -36,7 +36,7 @@ from .errors import (
     ZeroReference,
 )
 from .exterior import Form, SymTensor2, Vector, fold, interior
-from .invariants import SolutionSpace, kernel_rows
+from .invariants import SolutionSpace
 from .liealg import LieAlgebra
 from .report import Frozen
 
@@ -98,13 +98,12 @@ class Metric7:
     """Nondegenerate symmetric 2-tensor on the 7-dimensional frame with
     exact rational entries.
 
-    Besides `tensor`, a copy of the tensor it was given (so that changing
-    the caller's entries afterwards moves nothing here), g is held in one
-    form: the integer rows of D g, D the lcm of the denominators of g
-    (`_scale`, `_int_rows`).  Everything derived from g is read off
-    signed minors of D g, each expanded once (`_minor`): the determinant
-    `det`, the inertia (`signature`) and the Hodge-star columns
-    (`_star_column`)."""
+    Besides `tensor`, the tensor it was given, whose entries are a
+    read-only view, g is held in one form: the integer rows of D g, D the
+    lcm of the denominators of g (`_scale`, `_int_rows`).  Everything
+    derived from g is read off signed minors of D g, each expanded once
+    (`_minor`): the determinant `det`, the inertia (`signature`) and the
+    Hodge-star columns (`_star_column`)."""
 
     __slots__ = ("tensor", "det", "_star_columns", "_scale", "_int_rows",
                  "_minors")
@@ -112,7 +111,6 @@ class Metric7:
     def __init__(self, tensor: SymTensor2):
         if tensor.dim != _DIM:
             raise DimensionMismatch(f"metric must live on dimension {_DIM}")
-        tensor = SymTensor2.raw(_DIM, dict(tensor.entries))
         for key, v in tensor.entries.items():
             if not isinstance(v, (int, Fraction)):
                 raise ValidationError(f"metric entry {key} is not rational: {v!r}")
@@ -265,17 +263,9 @@ def lambda2_14_basis(phi: Form, star_phi: Form) -> SolutionSpace:
     """The 14-dimensional component of 2-forms: kernel of a |-> a ^ star phi."""
     _expect(phi, 3)
     _expect(star_phi, 4)
-    wedges = [Form.monomial(_DIM, pair).wedge(star_phi).terms for pair in _PAIRS]
-
-    def build(vec) -> Form:
-        return Form(_DIM, 2, dict(zip(_PAIRS, vec)))
-
-    def coordinatize(form: Form) -> list:
-        _expect(form, 2)
-        return [form.terms.get(pair, _F0) for pair in _PAIRS]
-
-    kernel = _linalg.kernel_basis(kernel_rows(wedges), len(_PAIRS))
-    space = SolutionSpace(kernel, build, coordinatize)
+    space = SolutionSpace(
+        _PAIRS, [Form.monomial(_DIM, pair).wedge(star_phi).terms for pair in _PAIRS],
+        lambda terms: Form(_DIM, 2, terms))
     if space.dimension != 14:
         raise WrongDimension(
             f"2-form kernel has dimension {space.dimension}, expected 14"

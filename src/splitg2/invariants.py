@@ -4,16 +4,18 @@ A tensor with constant components descends to the quotient by the
 vertical subgroup exactly when its Lie derivative along every vertical
 frame vector vanishes.  That condition is linear in the components, so
 each space of invariant tensors is the exact kernel of a sparse linear
-system over the rationals.  The solvers here build that system, compute
-a deterministic echelon kernel basis and re-verify every basis element
-before returning it.
+system over the rationals.  `SolutionSpace` is that kernel for any
+linear map on tensors, built from the map's columns: a deterministic
+echelon basis, the basis tensors, and one checked reader of tensor
+coordinates.  The invariant solvers here (and `g2.lambda2_14_basis`)
+are calls to it; they re-verify every basis element before returning.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import _linalg, scalars
 from .errors import DimensionMismatch, InternalInconsistency
@@ -24,33 +26,62 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-class SolutionSpace:
-    """Kernel of a linear system, carried both as coordinate vectors and
-    as reconstructed tensor objects.
+def _components(tensor) -> Mapping:
+    """The component map of a form or a symmetric 2-tensor."""
+    return tensor.terms if isinstance(tensor, Form) else tensor.entries
 
-    The basis is the deterministic echelon basis of the kernel; displayed
-    families from the literature are compared by span membership, not by
-    matching this basis element-for-element.
+
+def _kind(tensor) -> tuple:
+    """(type name, frame dimension, degree) of a form or a symmetric 2-tensor."""
+    return type(tensor).__name__, tensor.dim, getattr(tensor, "degree", 2)
+
+
+class SolutionSpace:
+    """Kernel of a linear map on the tensors with components at `keys`,
+    carried both as coordinate vectors over `keys` and as tensors.
+
+    `columns[c]` is the image of the unit tensor at `keys[c]`, a map from
+    row keys to coefficients (`kernel_rows`), and `make` builds a tensor
+    from a {key: value} map.  The basis is the deterministic echelon basis
+    of the kernel; displayed families from the literature are compared by
+    span membership, not by matching this basis element-for-element.
     """
 
-    __slots__ = ("vectors", "basis", "_coordinatize")
+    __slots__ = ("vectors", "basis", "_keys", "_kind")
 
-    def __init__(self, vectors, build, coordinatize):
-        self.vectors = [list(v) for v in vectors]
-        self.basis = [build(v) for v in self.vectors]
-        self._coordinatize = coordinatize
+    def __init__(self, keys: Sequence, columns: Sequence[dict],
+                 make: Callable[[dict], object]):
+        self._keys = tuple(keys)
+        self.vectors = _linalg.kernel_basis(kernel_rows(columns), len(self._keys))
+        self.basis = [make(dict(zip(self._keys, v))) for v in self.vectors]
+        self._kind = _kind(make({}))
 
     @property
     def dimension(self) -> int:
         return len(self.vectors)
 
-    def combination_for(self, obj) -> Optional[list]:
-        """Coefficients expressing obj over the basis, or None."""
-        target = self._coordinatize(obj)
+    def _coordinates(self, tensor) -> list:
+        """The components of `tensor` at `keys`; DimensionMismatch unless
+        it is a tensor of the basis kind, frame dimension and degree with
+        no component off `keys`."""
+        if _kind(tensor) != self._kind:
+            raise DimensionMismatch("expected a {} on dimension {} of degree {}, got a "
+                                    "{} on dimension {} of degree {}".format(
+                                        *self._kind, *_kind(tensor)))
+        comps = _components(tensor)
+        leftover = set(comps).difference(self._keys)
+        if leftover:
+            raise DimensionMismatch(f"components outside the solved block: "
+                                    f"{sorted(leftover)}")
+        return [comps.get(key, _F0) for key in self._keys]
+
+    def combination_for(self, tensor) -> Optional[list]:
+        """Coefficients expressing `tensor` over the basis, or None."""
+        target = self._coordinates(tensor)
         return _linalg.solve_in_span(self.vectors, target, len(target))
 
-    def contains(self, obj) -> bool:
-        return self.combination_for(obj) is not None
+    def contains(self, tensor) -> bool:
+        return self.combination_for(tensor) is not None
 
 
 def kernel_rows(columns: Sequence[dict]) -> list:
@@ -72,79 +103,45 @@ def kernel_rows(columns: Sequence[dict]) -> list:
 # -- invariant tensor solvers -------------------------------------------------
 
 
-def _sym2_unknowns(k: int) -> list:
-    return [(i, j) for i in range(1, k + 1) for j in range(i, k + 1)]
-
-
-def _form3_unknowns(k: int) -> list:
-    return list(combinations(range(1, k + 1), 3))
+def _invariant_space(algebra: LieAlgebra, verticals: Iterable[int], k: int,
+                     keys: Sequence, make, derivative) -> SolutionSpace:
+    """The tensors `make` builds on `keys` that `derivative(a, tensor)`
+    kills for every vertical a.  The derivative may stick out of the
+    horizontal block, so vanishing is imposed on all its components: the
+    rows are keyed (vertical, component), verticals ascending."""
+    _check_split(algebra, verticals, k)
+    verticals = sorted(set(verticals))
+    columns = [{(a, comp): v
+                for a in verticals
+                for comp, v in _components(derivative(a, make({key: _F1}))).items()}
+               for key in keys]
+    space = SolutionSpace(keys, columns, make)
+    for tensor in space.basis:
+        for a in verticals:
+            if not derivative(a, tensor).is_zero():
+                raise InternalInconsistency("solved tensor fails invariance recheck")
+    return space
 
 
 def invariant_sym2(
     algebra: LieAlgebra, verticals: Iterable[int], k: int
 ) -> SolutionSpace:
     """All g = g_{uv} e^u (.) e^v with u,v <= k killed by every vertical
-    Lie derivative.  The derivative may stick out of the horizontal
-    block, so vanishing is imposed on all components."""
-    _check_split(algebra, verticals, k)
-    pairs = _sym2_unknowns(k)
-    rows = []
-    for a in sorted(set(verticals)):
-        rows += kernel_rows([
-            algebra.lie_derivative_sym2(a, SymTensor2(algebra.dim, {p: _F1})).entries
-            for p in pairs
-        ])
-
-    def build(vec) -> SymTensor2:
-        return SymTensor2(algebra.dim, dict(zip(pairs, vec)))
-
-    def coordinatize(tensor: SymTensor2) -> list:
-        if tensor.dim != algebra.dim:
-            raise DimensionMismatch("tensor dimension mismatch")
-        leftover = set(tensor.entries) - set(pairs)
-        if leftover:
-            raise DimensionMismatch(f"entries outside the horizontal block: {leftover}")
-        return [tensor.entries.get(p, _F0) for p in pairs]
-
-    space = SolutionSpace(_linalg.kernel_basis(rows, len(pairs)), build, coordinatize)
-    for tensor in space.basis:
-        for a in sorted(set(verticals)):
-            if not algebra.lie_derivative_sym2(a, tensor).is_zero():
-                raise InternalInconsistency("solved tensor fails invariance recheck")
-    return space
+    Lie derivative."""
+    pairs = [(i, j) for i in range(1, k + 1) for j in range(i, k + 1)]
+    return _invariant_space(algebra, verticals, k, pairs,
+                            lambda entries: SymTensor2(algebra.dim, entries),
+                            algebra.lie_derivative_sym2)
 
 
 def invariant_form3(
     algebra: LieAlgebra, verticals: Iterable[int], k: int
 ) -> SolutionSpace:
     """All horizontal 3-forms killed by every vertical Lie derivative."""
-    _check_split(algebra, verticals, k)
-    keys = _form3_unknowns(k)
-    rows = []
-    for a in sorted(set(verticals)):
-        rows += kernel_rows([
-            algebra.lie_derivative_form(a, Form.monomial(algebra.dim, key)).terms
-            for key in keys
-        ])
-
-    def build(vec) -> Form:
-        return Form(algebra.dim, 3, dict(zip(keys, vec)))
-
-    def coordinatize(form: Form) -> list:
-        if form.degree != 3:
-            raise DimensionMismatch("expected a 3-form")
-        keyset = set(keys)
-        leftover = set(form.terms) - keyset
-        if leftover:
-            raise DimensionMismatch(f"terms outside the horizontal block: {leftover}")
-        return [form.terms.get(key, _F0) for key in keys]
-
-    space = SolutionSpace(_linalg.kernel_basis(rows, len(keys)), build, coordinatize)
-    for form in space.basis:
-        for a in sorted(set(verticals)):
-            if not algebra.lie_derivative_form(a, form).is_zero():
-                raise InternalInconsistency("solved form fails invariance recheck")
-    return space
+    return _invariant_space(algebra, verticals, k,
+                            list(combinations(range(1, k + 1), 3)),
+                            lambda terms: Form(algebra.dim, 3, terms),
+                            algebra.lie_derivative_form)
 
 
 def _check_split(algebra: LieAlgebra, verticals: Iterable[int], k: int) -> None:

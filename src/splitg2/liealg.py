@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from . import kernels, scalars, _linalg
@@ -34,16 +35,19 @@ from .report import Frozen
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-_EMPTY: dict = {}  # shared read-only stand-in for a missing column
+_EMPTY = MappingProxyType({})  # shared stand-in for a missing column
 
 
 class LieAlgebra:
     """Finite-dimensional Lie algebra over exact scalars.
 
     `brackets` maps ordered index pairs (J, K), J < K, to sparse maps
-    I -> c^I_JK.  Instances are immutable after construction; the
-    coframe differentials, the columns of every ad(e_a) and the
-    differentials d e^K of the monomials met so far are cached lazily.
+    I -> c^I_JK; the outer map and each inner map are read-only views
+    (`types.MappingProxyType`), which cannot be pickled, and nothing in
+    the package pickles or deep-copies an algebra.  Instances are
+    immutable after construction; the coframe differentials, the
+    columns of every ad(e_a) and the differentials d e^K of the
+    monomials met so far are cached lazily.
     """
 
     __slots__ = ("dim", "brackets", "_dcoframe", "_dcolumns", "_adcolumns")
@@ -65,21 +69,22 @@ class LieAlgebra:
                 if not scalars.is_zero(c):
                     inner[i] = c
             if inner:
-                clean[(j, k)] = inner
+                clean[(j, k)] = MappingProxyType(inner)
         self.dim = dim
-        self.brackets = clean
+        self.brackets = MappingProxyType(clean)
         self._dcoframe = None
         self._dcolumns = {}
         self._adcolumns = None
 
     # -- brackets -------------------------------------------------------
 
-    def bracket_basis(self, j: int, k: int) -> dict:
-        """[e_j, e_k] as a sparse component map (any index order)."""
+    def bracket_basis(self, j: int, k: int) -> Mapping:
+        """[e_j, e_k] as a sparse component map (any index order); for
+        j < k the bracket table's own read-only map."""
         if j == k:
-            return {}
+            return _EMPTY
         if j < k:
-            return dict(self.brackets.get((j, k), {}))
+            return self.brackets.get((j, k), _EMPTY)
         comps = self.brackets.get((k, j), {})
         return {i: -c for i, c in comps.items()}
 

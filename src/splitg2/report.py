@@ -7,9 +7,8 @@ sorted by anchor, scalars are rendered canonically, and no timestamps or
 environment details are embedded.
 
 `Frozen` is the base of every small immutable record in the package:
-check records, torsion sets, parsed documents, scenarios, run options.
-A record declares its fields once, in `_fields` (and any defaults in
-`_defaults`); `Frozen` supplies the one constructor.
+check records, torsion sets, scenarios, run options.  A record declares
+its fields once, in `_fields`; `Frozen` supplies the one constructor.
 """
 
 from typing import List, Optional
@@ -22,20 +21,17 @@ _STATUSES = ("pass", "fail", "info")
 class Frozen:
     """Base of the package's immutable records.
 
-    A record names its fields in `_fields` and any default values in
-    `_defaults` (field name -> value); it defines no constructor of its
-    own.  `Frozen(*args, **kwargs)` binds positional arguments to the
-    fields in order and keywords by name, fills a field left out from
-    `_defaults`, and raises TypeError for an extra positional argument,
-    an unknown keyword, a field given twice or a field left out that
-    has no default.  Assigning or deleting an attribute afterwards
+    A record names its fields in `_fields`; it defines no constructor of
+    its own.  `Frozen(*args, **kwargs)` binds positional arguments to the
+    fields in order and keywords by name, and raises TypeError for an
+    extra positional argument, an unknown keyword, a field given twice or
+    a field left out.  Assigning or deleting an attribute afterwards
     raises AttributeError.  Records compare and hash by class and field
     values, print as a constructor call, and copy and pickle through the
     constructor."""
 
     __slots__ = ()
     _fields: tuple = ()
-    _defaults: dict = {}
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
@@ -45,12 +41,10 @@ class Frozen:
         for name, value in zip(fields, args):
             object.__setattr__(self, name, value)
         for name in fields[len(args):]:
-            try:
-                value = kwargs.pop(name) if name in kwargs else self._defaults[name]
-            except KeyError:
+            if name not in kwargs:
                 raise TypeError(f"{type(self).__name__}() is missing field "
-                                f"{name!r}") from None
-            object.__setattr__(self, name, value)
+                                f"{name!r}")
+            object.__setattr__(self, name, kwargs.pop(name))
         if kwargs:  # what is left was given twice or is no field
             name = next(iter(kwargs))
             raise TypeError(f"{type(self).__name__}() got field {name!r} twice"

@@ -8,9 +8,11 @@ an optional parameter alphabet, the horizontal/vertical split and
 optional metric and 3-form data, which is everything the command-line
 tools need to run on user-supplied input.
 
-Rendering is byte-stable: fixed key order, sorted indices, canonical
-scalar text.  `parse_scenario(render_scenario(doc))` reproduces the
-document.
+`parse_scenario` reads a scenario document straight into a `Scenario`,
+the one type of a quotient, which the builtin fixtures in `catalog`
+share.  Rendering is byte-stable: fixed key order, sorted indices,
+canonical scalar text.  `parse_scenario(render_scenario(sc))` reproduces
+the scenario's document.
 
 Documents are bounded so that no input can run the commands for long:
 past one of the limits below the parser raises a one-line `ParseError`.
@@ -18,9 +20,13 @@ The paper's documents need dim 10, 30 bracket lines, 3 parameters and
 60 lines.
 """
 
+from functools import cached_property
+from typing import Mapping, Optional
+
 from . import scalars
 from .errors import ParseError
 from .exterior import Form, SymTensor2
+from .g2 import Metric7, compatibility_defect
 from .liealg import LieAlgebra
 from .report import Frozen
 
@@ -33,18 +39,37 @@ MAX_ALPHABET = 8
 MAX_LINES = 4096
 
 
-class ScenarioDocument(Frozen):
-    """Parsed scenario input.
+class Scenario(Frozen):
+    """One quotient: algebra, split, structure data, and for the builtin
+    fixtures (`catalog`) the basis change and goldens.  A scenario parsed
+    from a document has no `basis` or `expected`, and may lack `metric`
+    and `phi_family`."""
 
-    `metric` and `phi` are optional: the growth and invariant-space
-    commands only need the algebra and the split.
-    """
+    _fields = ("name", "alphabet", "algebra", "basis", "horizontal", "verticals",
+               "metric", "phi_family", "exclusions", "expected")
+    __slots__ = _fields + ("__dict__",)  # the instance dict holds `defect`
 
-    __slots__ = _fields = ("algebra", "horizontal", "verticals", "alphabet",
-                           "name", "metric", "phi", "exclusions")
+    @cached_property
+    def defect(self) -> Optional[SymTensor2]:
+        """The compatibility defect of `metric` and `phi_family`
+        (`g2.compatibility_defect`), None when either is missing; computed
+        on first use and kept with the scenario, whose fields are frozen."""
+        if self.metric is None or self.phi_family is None:
+            return None
+        return compatibility_defect(self.metric, self.phi_family)
 
-    _defaults = {"alphabet": (), "name": "", "metric": None, "phi": None,
-                 "exclusions": ()}
+    def scalar(self, text: str):
+        """Parse a scalar over this scenario's alphabet."""
+        return scalars.parse_scalar(text, self.alphabet)
+
+    def form_from_table(self, degree: int, table: Mapping) -> Form:
+        """Build a horizontal form with coefficients given as text."""
+        terms = {key: self.scalar(v) if isinstance(v, str) else v
+                 for key, v in table.items()}
+        return Form(self.horizontal, degree, terms)
+
+    def text(self) -> str:
+        return render_scenario(self)
 
 
 # -- parsing ----------------------------------------------------------------
@@ -222,7 +247,10 @@ def _parse(text: str) -> _Collector:
     return collector
 
 
-def parse_scenario(text: str) -> ScenarioDocument:
+def parse_scenario(text: str) -> Scenario:
+    """The scenario a document declares, not yet validated.  Its metric is
+    built as a `Metric7` once every parse check has passed, so a document
+    with a parse error reports that error before a metric error."""
     c = _parse(text)
     algebra = c.algebra()
     if c.horizontal is None:
@@ -236,28 +264,17 @@ def parse_scenario(text: str) -> ScenarioDocument:
     for a in verticals:
         if not k < a <= algebra.dim:
             raise ParseError(f"vertical index {a} outside {k + 1}..{algebra.dim}")
-    metric = None
-    if c.metric_entries:
-        try:
-            metric = SymTensor2(k, c.metric_entries)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
-    phi = None
-    if c.phi_terms:
-        try:
+    tensor = phi = None
+    try:
+        if c.metric_entries:
+            tensor = SymTensor2(k, c.metric_entries)
+        if c.phi_terms:
             phi = Form(k, 3, c.phi_terms)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
-    return ScenarioDocument(
-        algebra=algebra,
-        horizontal=k,
-        verticals=verticals,
-        alphabet=c.alphabet or (),
-        name=c.name or "",
-        metric=metric,
-        phi=phi,
-        exclusions=tuple(c.exclusions),
-    )
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+    metric = None if tensor is None else Metric7(tensor)
+    return Scenario(c.name or "", c.alphabet or (), algebra, None, k, verticals,
+                    metric, phi, tuple(c.exclusions), None)
 
 
 # -- rendering --------------------------------------------------------------
@@ -282,22 +299,23 @@ def render_algebra(algebra: LieAlgebra, name: str = "") -> str:
     return "\n".join(out) + "\n"
 
 
-def render_scenario(doc: ScenarioDocument) -> str:
+def render_scenario(sc: Scenario) -> str:
     out = [f"format: {SCENARIO_FORMAT}"]
-    _render_common(out, doc.name, doc.alphabet, doc.algebra)
-    out.append(f"horizontal: {doc.horizontal}")
-    out.append("verticals: " + " ".join(str(a) for a in doc.verticals))
-    if doc.metric is not None:
+    _render_common(out, sc.name, sc.alphabet, sc.algebra)
+    out.append(f"horizontal: {sc.horizontal}")
+    out.append("verticals: " + " ".join(str(a) for a in sc.verticals))
+    if sc.metric is not None:
+        entries = sc.metric.tensor.entries
         out.append("# metric: i j value  encodes the symmetric entry g_ij, i <= j")
-        for (i, j) in sorted(doc.metric.entries):
-            out.append(f"metric: {i} {j} {scalars.render_scalar(doc.metric.entries[(i, j)])}")
-    if doc.phi is not None:
+        for (i, j) in sorted(entries):
+            out.append(f"metric: {i} {j} {scalars.render_scalar(entries[(i, j)])}")
+    if sc.phi_family is not None:
         out.append("# phi: i j k coefficient  encodes one increasing 3-form term")
-        for key in sorted(doc.phi.terms):
-            coeff = scalars.render_scalar(doc.phi.terms[key])
+        for key in sorted(sc.phi_family.terms):
+            coeff = scalars.render_scalar(sc.phi_family.terms[key])
             out.append("phi: " + " ".join(str(i) for i in key) + " " + coeff)
-    if doc.exclusions:
+    if sc.exclusions:
         out.append("# exclude: parameter value  marks a rejected specialization value")
-        for pname, value in doc.exclusions:
+        for pname, value in sc.exclusions:
             out.append(f"exclude: {pname} {value}")
     return "\n".join(out) + "\n"

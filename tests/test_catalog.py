@@ -25,6 +25,19 @@ def test_commutator_table_matches_builder():
                 assert g.bracket_basis(j, k) == {}
 
 
+def test_shared_maps_are_read_only():
+    """The scenario's metric tensor and the bracket table are handed out
+    without copies: an assignment into one raises instead of changing the
+    cached fixtures."""
+    entries = catalog.scenario("Ms").metric.tensor.entries
+    brackets = sp2_build().brackets
+    for target, key in ((entries, (1, 1)), (brackets, (1, 2)), (brackets[(1, 5)], 3)):
+        with pytest.raises(TypeError):
+            target[key] = Fraction(5)
+    assert (1, 1) not in entries and (1, 2) not in brackets
+    assert brackets[(1, 5)] == {1: 2}
+
+
 def test_killing_matrix_basis():
     assert (sp2_build().killing() - catalog.KILLING_MATRIX_BASIS).is_zero()
 

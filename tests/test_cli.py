@@ -210,7 +210,7 @@ def test_verify_paper_computes_each_defect_once(capsys, monkeypatch):
     """One compatibility defect per catalogue structure family, built with
     the scenario, plus one per sampled point."""
     import splitg2.cli as cli
-    from splitg2 import g2
+    from splitg2 import g2, textio
 
     calls = []
 
@@ -220,7 +220,7 @@ def test_verify_paper_computes_each_defect_once(capsys, monkeypatch):
 
     real = g2.compatibility_defect
     monkeypatch.setattr(g2, "compatibility_defect", spy)
-    monkeypatch.setattr(catalog, "compatibility_defect", spy)
+    monkeypatch.setattr(textio, "compatibility_defect", spy)
     # scenarios are built once per process: build them again under the spy
     catalog.scenario_Ml.cache_clear()
     catalog.scenario_Ms.cache_clear()
@@ -919,6 +919,20 @@ def test_input_metric_off_dimension_seven_is_one_line(tmp_path, command):
     assert proc.returncode == 1
     assert proc.stderr == "error: metric must live on dimension 7\n"
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("phi, code, err", [
+    ("phi: 1 3 6 q\n", 1, "error: metric determinant is zero\n"),
+    ("phi: 1 3 6 zz\n", 2, "parse error: line 44: unknown parameter 'zz' in 'zz'\n"),
+], ids=["degenerate-metric", "parse-error-first"])
+def test_input_metric_errors_come_after_parse_errors(capsys, monkeypatch,
+                                                     phi, code, err):
+    """A degenerate metric is an error (exit code 1), but a parse error in
+    the same document is the one reported (exit code 2)."""
+    doc = catalog.scenario("Ms").text().replace("metric: 4 4 2\n", "metric: 4 4 0\n", 1)
+    assert "metric: 4 4 0\n" in doc
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc.replace("phi: 1 3 6 q\n", phi, 1)))
+    assert run(capsys, "torsion", "--input", "-") == (code, "", err)
 
 
 def _package_errors():

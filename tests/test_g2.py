@@ -107,9 +107,11 @@ def test_metric_keeps_its_own_copy_of_the_tensor():
     defect = compatibility_defect(m, phi)
     vol6 = Form(7, 6, {TOP[1:]: 1})
     star = hodge_star(m, vol6)
-    tensor.entries[(1, 1)] = Fraction(5)
-    # g, det g, the inertia, the cached star columns and the defect all
-    # stay on the g the metric was built from
+    # the entries are a read-only view, so the metric can hold the
+    # caller's tensor: g, det g, the inertia, the cached star columns and
+    # the defect all stay on the g the metric was built from
+    with pytest.raises(TypeError):
+        tensor.entries[(1, 1)] = Fraction(5)
     assert m.tensor.entry(1, 1) == 1
     assert (m.det, m.signature()) == (1, (7, 0))
     assert hodge_star(m, vol6) == star == Form(7, 1, {(1,): 1})

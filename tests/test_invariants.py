@@ -93,6 +93,13 @@ def test_coordinatize_rejects_nonhorizontal():
         fspace.contains(Form(6, 3, {(1, 2, 6): 1}))
     with pytest.raises(DimensionMismatch):
         fspace.contains(Form(6, 2, {(1, 2): 1}))
+    # a 3-form on the 7-dimensional horizontal coframe, not on the frame of
+    # the algebra, is rejected as the metric reader rejects its metric
+    ml = catalog.scenario("Ml")
+    with pytest.raises(DimensionMismatch):
+        invariant_form3(ml.algebra, ml.verticals, 7).contains(ml.phi_family)
+    with pytest.raises(DimensionMismatch):
+        invariant_sym2(ml.algebra, ml.verticals, 7).contains(ml.metric.tensor)
 
 
 # -- the two quotient scenarios ------------------------------------------------------

@@ -756,7 +756,7 @@ def test_poly_elimination_matches_polynomial_arithmetic(rng):
 
 def ml_slice(slope):
     """The Ml scenario on the slice p = slope*a, from its document."""
-    return catalog.from_document(textio.parse_scenario(slice_document(slope)))
+    return textio.parse_scenario(slice_document(slope))
 
 
 @pytest.mark.parametrize("name, vol_scale", [

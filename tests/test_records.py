@@ -1,5 +1,6 @@
 """The package's small immutable records: fields cannot be reassigned,
-constructors keep their defaults and checks, and cached values stay put."""
+constructors take every field and keep their checks, and cached values
+stay put."""
 
 import copy
 import importlib
@@ -25,17 +26,24 @@ def torsions():
                       Form(7, 3, {(1, 2, 3): Fraction(7)}))
 
 
+def config_fields(**changes) -> dict:
+    """Every field of a RunConfig, as a bare command line sets them,
+    `changes` replacing some."""
+    return {"scenario": "Ms", "input_path": None, "sets": {},
+            "vol_scale": Fraction(1), "fmt": "text", "seed": 0, "out": None,
+            "kind": "both", "names": (), "corrupt": None, **changes}
+
+
 def records():
     ms = catalog.scenario("Ms")
     return {
-        "RunConfig": (RunConfig(), "seed"),
+        "RunConfig": (RunConfig(**config_fields()), "seed"),
         "Record": (Record("a", "b", "pass", "1", "1"), "status"),
         "TorsionSet": (torsions(), "tau0"),
         "JacobiReport": (LieAlgebra(3, {(1, 2): {3: 1}}).jacobi_check(), "ok"),
         "DistributionFact": (catalog.DISTRIBUTION_FACTS["D_l1"], "integrable"),
         "Expected": (ms.expected, "tau0"),
         "Scenario": (ms, "metric"),
-        "ScenarioDocument": (ms.document(), "phi"),
     }
 
 
@@ -78,9 +86,10 @@ def test_fields_bind_by_position_and_keyword():
     t = torsions()
     assert TorsionSet(tau3=t.tau3, tau2=t.tau2, tau0=t.tau0, tau1=t.tau1) == t
     assert TorsionSet(t.tau0, t.tau1, tau3=t.tau3, tau2=t.tau2) == t
-    doc = textio.ScenarioDocument(LieAlgebra(2, {}), 1, (2,), name="x",
-                                  exclusions=(("q", Fraction(0)),))
-    assert (doc.alphabet, doc.name, doc.metric, doc.exclusions) == (
+    sc = textio.Scenario("x", (), LieAlgebra(2, {}), None, 1, (2,),
+                         exclusions=(("q", Fraction(0)),), metric=None,
+                         expected=None, phi_family=None)
+    assert (sc.alphabet, sc.name, sc.metric, sc.exclusions) == (
         (), "x", None, (("q", Fraction(0)),))
 
 
@@ -88,13 +97,14 @@ def test_fields_bind_by_position_and_keyword():
     (lambda: TorsionSet(1, 2, 3, 4, 5),
      "TorsionSet() takes 4 fields, got 5 positional arguments"),
     (lambda: RunConfig(*range(11)), "RunConfig() takes 10 fields, got 11"),
-    (lambda: RunConfig(sed=3), "RunConfig() has no field 'sed'"),
+    (lambda: RunConfig(**config_fields(sed=3)), "RunConfig() has no field 'sed'"),
     (lambda: TorsionSet(1, 2, 3, 4, tau5=1), "TorsionSet() has no field 'tau5'"),
-    (lambda: RunConfig("Ml", scenario="Ms"), "RunConfig() got field 'scenario' twice"),
+    (lambda: RunConfig("Ml", **config_fields()),
+     "RunConfig() got field 'scenario' twice"),
     (lambda: TorsionSet(1, 2, 3, 4, tau1=2), "TorsionSet() got field 'tau1' twice"),
     (lambda: TorsionSet(1, 2), "TorsionSet() is missing field 'tau2'"),
-    (lambda: textio.ScenarioDocument(LieAlgebra(2, {}), verticals=(2,)),
-     "ScenarioDocument() is missing field 'horizontal'"),
+    (lambda: textio.Scenario("x", (), LieAlgebra(2, {}), None, verticals=(2,)),
+     "Scenario() is missing field 'horizontal'"),
     (lambda: Record("a", "b", "pass", "1"), "Record() is missing field 'expected'"),
 ], ids=["extra-positional", "extra-positional-all-defaulted", "unknown-keyword",
         "unknown-keyword-after-all-fields", "repeated-keyword",
@@ -115,24 +125,10 @@ def test_record_rejects_an_unknown_status():
 
 
 def test_scenario_defect_is_computed_once():
-    sc = catalog.from_document(textio.parse_scenario(catalog.scenario("Ms").text()))
+    sc = textio.parse_scenario(catalog.scenario("Ms").text())
     first = sc.defect
     assert first is not None and first.is_zero()
     assert sc.defect is first
-
-
-def test_run_config_defaults():
-    cfg = RunConfig()
-    assert (cfg.scenario, cfg.input_path, cfg.sets, cfg.vol_scale, cfg.fmt,
-            cfg.seed, cfg.out, cfg.kind, cfg.names, cfg.corrupt) == (
-        None, None, None, Fraction(1), "text", 0, None, "both", (), None)
-    assert RunConfig(seed=3, fmt="json").seed == 3
-
-
-def test_document_defaults():
-    doc = textio.ScenarioDocument(LieAlgebra(2, {}), 1, (2,))
-    assert (doc.alphabet, doc.name, doc.metric, doc.phi, doc.exclusions) == (
-        (), "", None, None, ())
 
 
 def test_torsion_rescale():
@@ -165,6 +161,7 @@ def test_records_copy_by_value(name):
 
 
 def test_records_deepcopy_and_pickle():
-    for record in (Record("a", "b", "info", "x", ""), torsions(), RunConfig(seed=4)):
+    for record in (Record("a", "b", "info", "x", ""), torsions(),
+                   RunConfig(**config_fields(seed=4))):
         assert copy.deepcopy(record) == record
         assert pickle.loads(pickle.dumps(record)) == record

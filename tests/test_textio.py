@@ -7,12 +7,7 @@ import pytest
 from splitg2 import catalog, scalars, textio
 from splitg2.errors import ParseError
 from splitg2.liealg import LieAlgebra
-from splitg2.textio import (
-    ScenarioDocument,
-    parse_scenario,
-    render_algebra,
-    render_scenario,
-)
+from splitg2.textio import parse_scenario, render_algebra, render_scenario
 
 GOOD_SCENARIO = """\
 format: splitg2-scenario 1
@@ -21,10 +16,20 @@ dim: 5
 bracket: 4 5 2 q
 horizontal: 3
 verticals: 4 5
-metric: 1 1 1
-metric: 2 2 -2/3
 phi: 1 2 3 q
 exclude: q 0
+"""
+
+# a parsed metric is a Metric7, so it needs a 7-dimensional horizontal
+METRIC_SCENARIO = """\
+format: splitg2-scenario 1
+dim: 8
+horizontal: 7
+metric: 1 1 1
+metric: 2 2 -2/3
+metric: 3 7 1
+metric: 4 6 1
+metric: 5 5 1
 """
 
 
@@ -43,21 +48,21 @@ def test_render_is_byte_stable():
 
 
 def test_scenario_round_trip_byte_identical():
-    doc = parse_scenario(GOOD_SCENARIO)
-    text = render_scenario(doc)
-    again = parse_scenario(text)
-    assert render_scenario(again) == text
-    assert again.exclusions == (("q", Fraction(0)),)
-    assert again.metric.entries == {(1, 1): Fraction(1), (2, 2): Fraction(-2, 3)}
+    for fixture in (GOOD_SCENARIO, METRIC_SCENARIO):
+        text = render_scenario(parse_scenario(fixture))
+        assert render_scenario(parse_scenario(text)) == text
+    assert parse_scenario(GOOD_SCENARIO).exclusions == (("q", Fraction(0)),)
+    assert parse_scenario(METRIC_SCENARIO).metric.tensor.entries == {
+        (1, 1): 1, (2, 2): Fraction(-2, 3), (3, 7): 1, (4, 6): 1, (5, 5): 1}
 
 
 def test_catalog_scenarios_round_trip():
     for name in ("Ml", "Ms"):
-        doc = catalog.scenario(name).document()
-        text = render_scenario(doc)
+        sc = catalog.scenario(name)
+        text = render_scenario(sc)
         again = parse_scenario(text)
         assert render_scenario(again) == text
-        assert again.algebra.brackets == doc.algebra.brackets
+        assert again.algebra.brackets == sc.algebra.brackets
 
 
 def test_comments_and_blanks_ignored():
@@ -152,16 +157,17 @@ def test_scenario_parse_errors(text, fragment):
     ("horizontal: 3", "horizontal: ٣", "line 5: bad integer '٣'"),
     ("verticals: 4 5", "verticals: 4 0_5", "line 6: verticals must be integers"),
     ("verticals: 4 5", "verticals: ٤ 5", "line 6: verticals must be integers"),
-    ("metric: 1 1 1", "metric: 0_1 1 1", "line 7: bad integer '0_1'"),
-    ("phi: 1 2 3 q", "phi: ١ 2 3 q", "line 9: bad integer '١'"),
+    ("metric: 1 1 1", "metric: 0_1 1 1", "line 4: bad integer '0_1'"),
+    ("phi: 1 2 3 q", "phi: ١ 2 3 q", "line 7: bad integer '١'"),
 ], ids=["dim-arabic-indic", "dim-plus", "bracket-fullwidth", "horizontal-underscore",
         "horizontal-arabic-indic", "verticals-underscore", "verticals-arabic-indic",
         "metric-underscore", "phi-arabic-indic"])
 def test_document_integers_take_ascii_digits_only(old, new, message):
     # int() reads each of these as the integer it resembles
-    assert old + "\n" in GOOD_SCENARIO
+    fixture = METRIC_SCENARIO if old.startswith("metric") else GOOD_SCENARIO
+    assert old + "\n" in fixture
     with pytest.raises(ParseError) as err:
-        parse_scenario(GOOD_SCENARIO.replace(old + "\n", new + "\n", 1))
+        parse_scenario(fixture.replace(old + "\n", new + "\n", 1))
     assert str(err.value) == message
 
 
