@@ -328,10 +328,6 @@ class SymTensor2:
         self.dim = dim
         self.entries = MappingProxyType(clean)
 
-    @classmethod
-    def zero(cls, dim: int) -> "SymTensor2":
-        return cls(dim, {})
-
     def entry(self, i: int, j: int):
         if i > j:
             i, j = j, i

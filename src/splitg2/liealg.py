@@ -132,50 +132,46 @@ class LieAlgebra:
     # -- validation -----------------------------------------------------
 
     def jacobi_check(self) -> "JacobiReport":
-        """Exact Jacobi test over the index triples that can fail it.
+        """Exact Jacobi test, read off d(d e^i) = 0 on the coframe.
 
-        The defect of a triple is a sum of double brackets, so it is zero
-        unless one of the triple's three pairs has a nonzero bracket; only
-        those triples are visited, in lexicographic order, one smallest
-        index at a time so that memory stays quadratic in the dimension.
-        Returns a report carrying the maximum-violation triple (largest
-        defect, ties broken lexicographically) when the identity fails.
-        Brackets are read from the cached ad(e_a) columns.
+        d(d e^i) = sum_m d e^m ^ (e_m -| d e^i), and its coefficient on
+        e^{jkl}, j < k < l, is the e_i component of [[e_j, e_k], e_l] +
+        [[e_k, e_l], e_j] + [[e_l, e_j], e_k]: d^2 = 0 on the Maurer-Cartan
+        coframe is the Jacobi identity (Chevalley-Eilenberg).  Each
+        d(d e^i) is summed from the terms of the cached coframe
+        differentials and only its nonzero coefficients are kept, so memory
+        follows the violating triples rather than the square of the
+        dimension.  Returns a report carrying the maximum-violation triple
+        (largest defect, ties broken lexicographically) when the identity
+        fails.
         """
-        n = self.dim
-        ad = self._ad_columns()
-        partners: dict = {}
-        for j, k in self.brackets:
-            partners.setdefault(j, []).append(k)
+        defects: dict = {}
+        for i in range(1, self.dim + 1):
+            for key, c in self._d_squared(i).items():
+                defects.setdefault(key, {})[i] = c
         worst = None
-        for j in range(1, n + 1):
-            # pairs (k, l), j < k < l, with a nonzero bracket among j, k, l
-            pairs = {kl for kl in self.brackets if kl[0] > j}
-            for k in partners.get(j, ()):
-                pairs.update((min(k, l), max(k, l))
-                             for l in range(j + 1, n + 1) if l != k)
-            adj = ad.get(j, _EMPTY)
-            for k, l in sorted(pairs):
-                defect: dict = {}
-                # [[e_j, e_k], e_l] + [[e_k, e_l], e_j] + [[e_l, e_j], e_k]
-                for col, z in ((adj.get(k), l), (ad.get(k, _EMPTY).get(l), j),
-                               (ad.get(l, _EMPTY).get(j), k)):
-                    if col is None:
-                        continue
-                    for m, c in col.items():
-                        for i, c2 in ad.get(m, _EMPTY).get(z, _EMPTY).items():
-                            v = defect.get(i, _F0) + c * c2
-                            if scalars.is_zero(v):
-                                defect.pop(i, None)
-                            else:
-                                defect[i] = v
-                if defect:
-                    size = _defect_size(defect)
-                    if worst is None or size > worst[0]:
-                        worst = (size, (j, k, l), defect)
+        for triple in sorted(defects):
+            size = _defect_size(defects[triple])
+            if worst is None or size > worst[0]:
+                worst = (size, triple)
         if worst is None:
             return JacobiReport(True, None, None)
-        return JacobiReport(False, worst[1], worst[2])
+        return JacobiReport(False, worst[1], defects[worst[1]])
+
+    def _d_squared(self, i: int) -> dict:
+        """The nonzero terms of d(d e^i) = sum_m d e^m ^ (e_m -| d e^i),
+        summed from the cached coframe differentials."""
+        buckets: dict = {}
+        for (a, b), u in self.coframe_differential(i).terms.items():
+            # e_a -| d e^i holds u e^b, e_b -| d e^i holds -u e^a
+            for m, rest, w in ((a, b, u), (b, a, -u)):
+                for pair, v in self.coframe_differential(m).terms.items():
+                    merged = kernels.merge_indices(pair, (rest,))
+                    if merged is not None:
+                        key, sign = merged
+                        buckets.setdefault(key, []).append(
+                            w * v if sign > 0 else -(w * v))
+        return fold(buckets)
 
     # -- invariants of the algebra ---------------------------------------
 
@@ -405,25 +401,10 @@ def change_basis(algebra: LieAlgebra, change: BasisChange) -> LieAlgebra:
 
 
 def _mat_comm(x, y):
-    """The commutator xy - yx of two square matrices, summing only the
-    products of nonzero entries."""
-    n = len(x)
-    out = [[_F0] * n for _ in range(n)]
-    for i in range(n):
-        xi = [(k, v) for k, v in enumerate(x[i]) if v]
-        yi = [(k, v) for k, v in enumerate(y[i]) if v]
-        for j in range(n):
-            s = _F0
-            for k, v in xi:
-                w = y[k][j]
-                if w:
-                    s += v * w
-            for k, v in yi:
-                w = x[k][j]
-                if w:
-                    s -= v * w
-            out[i][j] = s
-    return out
+    """The commutator xy - yx of two square matrices."""
+    n = range(len(x))
+    return [[sum(x[i][k] * y[k][j] - y[i][k] * x[k][j] for k in n) for j in n]
+            for i in n]
 
 
 def algebra_from_matrices(matrices: Sequence) -> LieAlgebra:
@@ -450,7 +431,7 @@ def algebra_from_matrices(matrices: Sequence) -> LieAlgebra:
     return LieAlgebra(n, brackets)
 
 
-def _sp2_parameter_matrix(a: Sequence[Fraction]):
+def _sp2_parameter_matrix(a: Sequence):
     """The defining 4x4 matrix, linear in ten parameters (1-based input)."""
     return (
         (a[5], a[7], a[9], 2 * a[10]),
@@ -461,13 +442,9 @@ def _sp2_parameter_matrix(a: Sequence[Fraction]):
 
 
 def sp2_matrices() -> tuple:
-    """The ten 4x4 generator matrices E_I."""
-    out = []
-    for i in range(1, 11):
-        unit = [_F0] * 11
-        unit[i] = _F1
-        out.append(_sp2_parameter_matrix(unit))
-    return tuple(out)
+    """The ten 4x4 generator matrices E_I, with integer entries."""
+    return tuple(_sp2_parameter_matrix([int(i == j) for j in range(11)])
+                 for i in range(1, 11))
 
 
 @lru_cache(maxsize=None)

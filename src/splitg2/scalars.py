@@ -191,10 +191,6 @@ class Polynomial:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def zero(cls, alphabet: Iterable[str]) -> "Polynomial":
-        return cls(_check_alphabet(alphabet), _F0, {})
-
-    @classmethod
     def constant(cls, alphabet: Iterable[str], value) -> "Polynomial":
         alphabet = _check_alphabet(alphabet)
         value = Fraction(value)
@@ -207,8 +203,7 @@ class Polynomial:
         alphabet = _check_alphabet(alphabet)
         if name not in alphabet:
             raise ValueError(f"{name!r} is not in the alphabet {alphabet}")
-        shift = _FIELD * (len(alphabet) - 1 - alphabet.index(name))
-        return cls(alphabet, _F1, {1 << shift: 1})
+        return _variable(alphabet, name)
 
     @classmethod
     def from_terms(cls, alphabet: Iterable[str], mapping: Mapping) -> "Polynomial":
@@ -404,12 +399,8 @@ class Polynomial:
         den = prod(v.denominator**d for v, d in zip(vals, degs))
         return self.content * Fraction(total, den)
 
-    def monomial_shift(self, shift: tuple) -> "Polynomial":
-        """Divide every term by the monomial with exponent vector `shift`."""
-        return self._divide_monomial(_pack(tuple(shift), len(self.alphabet)))
-
     def _divide_monomial(self, s: int) -> "Polynomial":
-        """`monomial_shift` for the monomial with key `s`."""
+        """Divide every term by the monomial with key `s`."""
         if not s:
             return self
         g = _guard(len(self.alphabet))
@@ -421,13 +412,6 @@ class Polynomial:
                 raise ValueError("monomial does not divide every term")
             terms[e2] = c
         return Polynomial(self.alphabet, self.content, terms)
-
-    def min_exponents(self) -> tuple:
-        """Componentwise minimum exponent vector over all terms."""
-        if not self.terms:
-            raise ValueError("zero polynomial")
-        width = len(self.alphabet)
-        return _unpack(_min_key(self.terms, width), width)
 
     # -- comparison and rendering --------------------------------------
 
@@ -496,6 +480,12 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
+def _variable(alphabet: tuple, name: str) -> Polynomial:
+    """The polynomial `name` over a checked alphabet holding it."""
+    shift = _FIELD * (len(alphabet) - 1 - alphabet.index(name))
+    return Polynomial(alphabet, _F1, {1 << shift: 1})
+
+
 def _one(alphabet: tuple) -> Polynomial:
     """The constant polynomial 1, the denominator of a quotient over 1."""
     return Polynomial(alphabet, _F1, {0: 1})
@@ -554,11 +544,6 @@ class RationalFunction:
     @classmethod
     def constant(cls, alphabet: Iterable[str], value) -> "RationalFunction":
         num = Polynomial.constant(alphabet, value)  # over 1: make() would keep it
-        return cls(num.alphabet, num, _one(num.alphabet))
-
-    @classmethod
-    def variable(cls, alphabet: Iterable[str], name: str) -> "RationalFunction":
-        num = Polynomial.variable(alphabet, name)  # over 1: make() would keep it
         return cls(num.alphabet, num, _one(num.alphabet))
 
     # -- predicates -----------------------------------------------------
@@ -1045,7 +1030,7 @@ class _Parser:
                 ) from None
         if val not in self.alphabet:
             raise ParseError(f"unknown parameter {val!r} in {self.text!r}")
-        return Polynomial.variable(self.alphabet, val)
+        return _variable(self.alphabet, val)
 
     def atom(self):
         toks = self.toks

@@ -68,7 +68,7 @@ def test_zero_space_membership():
     # the so(3) fiber itself admits no invariant horizontal metric except 0
     g = euclidean3()
     space = invariant_sym2(g, (4, 5, 6), 3)
-    zero = SymTensor2.zero(6)
+    zero = SymTensor2(6, {})
     assert space.contains(zero)
 
 

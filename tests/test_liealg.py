@@ -32,7 +32,7 @@ from splitg2.liealg import (
     sp2_matrices,
 )
 
-from conftest import random_fraction, random_polynomial
+from conftest import random_fraction, random_polynomial, random_scalar
 
 
 def so3():
@@ -260,11 +260,21 @@ def dense_jacobi(g):
     return False, worst[1], worst[2]
 
 
+def corrupted_sp2(j, k, i):
+    """The sp2 table with c^i_jk shifted by 1, as `verify-paper --corrupt`."""
+    table = {pair: dict(row) for pair, row in sp2_build().brackets.items()}
+    table.setdefault((j, k), {})[i] = table.get((j, k), {}).get(i, 0) + 1
+    return LieAlgebra(10, table)
+
+
 def test_jacobi_matches_dense_reference(rng):
     sp2 = sp2_build()
     algebras = [so3(), heisenberg3(), sp2,
                 catalog.scenario("Ml").algebra, catalog.scenario("Ms").algebra,
                 LieAlgebra(16, sp2.brackets)]
+    # every --corrupt shift of the sp2 table
+    algebras += [corrupted_sp2(j, k, i) for j, k in combinations(range(1, 11), 2)
+                 for i in range(1, 11)]
     for _ in range(12):
         # shift one structure constant, possibly on a pair sp2 leaves zero
         table = {pair: dict(row) for pair, row in sp2.brackets.items()}
@@ -275,17 +285,27 @@ def test_jacobi_matches_dense_reference(rng):
         algebras.append(LieAlgebra(rng.choice((10, 13)), table))
     for _ in range(8):
         algebras.append(LieAlgebra(6, random_table(rng, 6, density=0.15)))
+    # quotient coefficients stay unreduced; == compares them by value
+    scale = scalars.parse_scalar("(a - 1)/(p^2 + q)", ("a", "p", "q"))
+    algebras += [LieAlgebra(10, {pair: {i: c * scale for i, c in row.items()}
+                                 for pair, row in sp2.brackets.items()}),
+                 LieAlgebra(3, {(1, 2): {3: scale}})]
+    for _ in range(30):
+        algebras.append(LieAlgebra(5, {
+            pair: {rng.randint(1, 5): random_scalar(rng, nonzero=True)}
+            for pair in combinations(range(1, 6), 2) if rng.random() < 0.3}))
     failures = 0
     for g in algebras:
         report = g.jacobi_check()
         assert (report.ok, report.triple, report.defect) == dense_jacobi(g)
         failures += not report.ok
-    assert failures >= 10
+    assert failures >= 460
 
 
-def test_jacobi_reads_cached_ad_columns(monkeypatch, rng):
-    # no bracket_basis call: every bracket comes from the ad(e_a) columns,
-    # without a copied or negated component map per visited triple
+def test_jacobi_reads_the_coframe_differential(monkeypatch, rng):
+    # no bracket_basis call: every structure constant is read from the
+    # cached coframe differentials, without a copied or negated component
+    # map per triple
     calls = []
     original = LieAlgebra.bracket_basis
 
@@ -306,9 +326,10 @@ def test_jacobi_reads_cached_ad_columns(monkeypatch, rng):
     assert not got[0].ok
 
 
-def test_jacobi_memory_stays_quadratic():
-    # a bracket on every consecutive pair makes about dim^2 / 2 candidate
-    # triples; only those of one smallest index are held at a time
+def test_jacobi_memory_stays_small_on_a_bracket_chain():
+    # a bracket on every consecutive pair, all landing on e_1: about dim^2 / 2
+    # triples have a nonzero bracket among their pairs, but only about dim
+    # of them violate the identity, and only those are held
     n = 120
     g = LieAlgebra(n, {(j, j + 1): {1: Fraction(1)} for j in range(1, n)})
     tracemalloc.start()
@@ -319,6 +340,33 @@ def test_jacobi_memory_stays_quadratic():
         tracemalloc.stop()
     assert report.triple == (2, 3, 4)
     assert peak < 500_000
+
+
+def hub_table(n):
+    """[e_2, e_k] = e_1 and [e_1, e_k'] = e_3 for k and k' on the two halves
+    of 10..n, and again with hubs 5 -> 4 -> 6: every triple (2, k, k') and
+    (5, k, k') violates the Jacobi identity by one unit."""
+    rest = list(range(10, n + 1))
+    low, high = rest[:len(rest) // 2], rest[len(rest) // 2:]
+    table = {}
+    for hub, mid, top in ((2, 1, 3), (5, 4, 6)):
+        table.update({(hub, k): {mid: 1} for k in low})
+        table.update({(mid, k): {top: 1} for k in high})
+    return table
+
+
+def test_jacobi_memory_follows_the_violating_triples():
+    g = LieAlgebra(128, hub_table(128))
+    assert len(g.brackets) == 238
+    tracemalloc.start()
+    try:
+        report = g.jacobi_check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 2 * 59 * 60 violating triples, all of defect size 1: the first wins
+    assert (report.ok, report.triple, report.defect) == (False, (2, 10, 69), {3: 1})
+    assert peak < 8_000_000
 
 
 # -- Killing form -------------------------------------------------------------------

@@ -658,7 +658,8 @@ def reference_normalize_row(row, alphabet):
         c = entry.content
         num_gcd = gcd(num_gcd, c.numerator)
         den_lcm = lcm(den_lcm, c.denominator)
-        e = entry.min_exponents()
+        e = [min(column) for column in zip(*(scalars._unpack(key, len(alphabet))
+                                             for key in entry.terms))]
         lo = list(e) if lo is None else [min(x, y) for x, y in zip(lo, e)]
     scale = Fraction(num_gcd, den_lcm)
     shift = tuple(lo)
@@ -668,7 +669,7 @@ def reference_normalize_row(row, alphabet):
     for c, entry in row.items():
         entry = Polynomial(alphabet, entry.content / scale, entry.terms)
         if any(shift):
-            entry = entry.monomial_shift(shift)
+            entry = entry._divide_monomial(scalars._pack(shift, len(alphabet)))
         out[c] = entry
     return out
 
