@@ -466,7 +466,8 @@ def _scenario_checks(rep: Report, name: str, cfg: RunConfig) -> None:
             else f"defect {defect}", "defect 0")
 
     vol = cfg.vol_scale
-    torsions = g2.torsion_solve(sc.algebra, sc.metric, sc.phi_family, vol)
+    torsions = g2.check_torsions(sc.algebra, sc.metric, sc.phi_family,
+                                 sc.unit_torsions.rescale(vol), vol)
     golden = _expected_torsions(sc)
     expected = golden.rescale(vol)
     _torsion_records(rep, f"{n}.torsion", torsions, expected)
@@ -492,7 +493,7 @@ def _scenario_checks(rep: Report, name: str, cfg: RunConfig) -> None:
             "scalar torsion at " + _point_text(ref_point, sc.alphabet),
             tau0_at_ref == ref_value, str(tau0_at_ref), str(ref_value))
 
-    # torsion_solve substituted the solution into both structure equations
+    # check_torsions substituted the torsions into both structure equations
     # and raises InternalInconsistency when either residual is nonzero
     rep.add(f"{n}.torsion.residual",
             "direct substitution into both structure equations",
@@ -628,22 +629,27 @@ def cmd_torsion(cfg: RunConfig) -> Report:
         _validate_point(cfg.sets, sc)
         phi = _specialize_form(phi, cfg.sets)
         rep.note("specialized at " + _point_text(cfg.sets, sc.alphabet))
-    if cfg.vol_scale != 1:
-        rep.note(f"volume scale {cfg.vol_scale}")
-    torsions = g2.torsion_solve(sc.algebra, sc.metric, phi, cfg.vol_scale)
+    vol = cfg.vol_scale
+    if vol != 1:
+        rep.note(f"volume scale {vol}")
+    if cfg.sets:
+        torsions = g2.torsion_solve(sc.algebra, sc.metric, phi, vol)
+    else:
+        torsions = g2.check_torsions(sc.algebra, sc.metric, phi,
+                                     sc.unit_torsions.rescale(vol), vol)
     expected = None
     if sc.expected is not None:
         expected = _expected_torsions(sc)
         if cfg.sets:
             expected = _specialize_torsions(expected, cfg.sets)
-        expected = expected.rescale(cfg.vol_scale)
+        expected = expected.rescale(vol)
     _torsion_records(rep, "torsion", torsions, expected)
     rep.add("torsion.verified",
             "solution re-checked against both structure equations "
             "and both component memberships",
             True, "exact", "exact")
     if cfg.fmt == "json":  # text reports never read the payload
-        rep.payload["torsion"] = _torsion_payload(torsions, cfg.vol_scale)
+        rep.payload["torsion"] = _torsion_payload(torsions, vol)
     return rep
 
 

@@ -285,7 +285,15 @@ class TorsionSet(Frozen):
     __slots__ = _fields = ("tau0", "tau1", "tau2", "tau3")
 
     def rescale(self, s) -> "TorsionSet":
-        """Torsions of the same structure at volume scale s*c."""
+        """Torsions of the same structure at volume scale s*c.
+
+        Scaling the volume form by s divides the Hodge star by s, so the
+        structure equations hold with (s tau0, tau1, tau2 / s, s tau3).
+        The law is exact on representatives too: the torsion system at
+        scale s*c is the one at c with rows and columns scaled by nonzero
+        constants, so the elimination takes the same pivots, and each
+        solved quotient keeps its denominator while its numerator scales
+        by the constant.  The result holds the same tau1 object."""
         s = Fraction(s)
         if s <= 0:
             raise ValidationError("scale factor must be a positive rational")
@@ -328,33 +336,23 @@ class TorsionSystem:
         self._rank = None  # of the coefficient matrix, once known
         self._kernel_dims = None
 
-    def torsions(self) -> TorsionSet:
-        """Unique exact solution, unpacked into the four torsion forms.
-
-        Before returning, the solution is confirmed by `bryant_residual`,
-        which substitutes it into both structure equations through the
-        public operations and shares no state with these rows, and by the
-        tau2 and tau3 component memberships.  Non-uniqueness or
-        inconsistency of the system signals a non-generic 3-form or a
-        coframe mismatch and is raised, never patched over.
-        """
+    def solution(self) -> TorsionSet:
+        """Unique exact solution, unpacked into the four torsion forms and
+        not yet checked.  Non-uniqueness or inconsistency of the system
+        signals a non-generic 3-form or a coframe mismatch and is raised,
+        never patched over."""
         x = _linalg.solve_unique(self.rows, self.width)
         self._rank = self.width
         tau1 = Form(_DIM, 1, {(i,): v for i, v in zip(_SINGLES, x[1:8])})
         tau2 = Form(_DIM, 2, dict(zip(_PAIRS, x[8:29])))
         tau3 = Form(_DIM, 3, dict(zip(_TRIPLES, x[29:])))
-        torsions = TorsionSet(x[0], tau1, tau2, tau3)
+        return TorsionSet(x[0], tau1, tau2, tau3)
 
-        metric, phi, c = self.metric, self.phi, self.vol_scale
-        res1, res2 = bryant_residual(self.algebra, metric, phi, torsions, c)
-        if not (res1.is_zero() and res2.is_zero()):
-            raise InternalInconsistency("solved torsions fail the structure equations")
-        star_phi = hodge_star(metric, phi, c)
-        if not tau2.wedge(star_phi).is_zero():
-            raise InternalInconsistency("tau2 escapes its 14-dimensional component")
-        if not lambda3_27_check(tau3, phi, star_phi):
-            raise InternalInconsistency("tau3 escapes its 27-dimensional component")
-        return torsions
+    def torsions(self) -> TorsionSet:
+        """`solution()`, confirmed by `check_torsions` before it is
+        returned."""
+        return check_torsions(self.algebra, self.metric, self.phi,
+                              self.solution(), self.vol_scale)
 
     def membership_kernel_dims(self) -> dict:
         """{torsion form: dimension of the kernel of the membership rows on
@@ -478,8 +476,8 @@ def torsion_linear_system(
 def torsion_solve(
     algebra: LieAlgebra, metric: Metric7, phi: Form, vol_scale=_F1
 ) -> TorsionSet:
-    """Unique exact solution of the torsion equations, checked as
-    described in `TorsionSystem.torsions`."""
+    """Unique exact solution of the torsion equations, checked by
+    `check_torsions`."""
     return torsion_linear_system(algebra, metric, phi, vol_scale).torsions()
 
 
@@ -506,6 +504,24 @@ def bryant_residual(
         torsions.tau1.wedge(star_phi) * 4 + torsions.tau2.wedge(phi)
     )
     return res1, res2
+
+
+def check_torsions(algebra: LieAlgebra, metric: Metric7, phi: Form,
+                   torsions: TorsionSet, vol_scale) -> TorsionSet:
+    """`torsions`, once confirmed at volume scale `vol_scale`: by
+    `bryant_residual`, which substitutes them into both structure
+    equations through the public operations and shares no state with the
+    rows of a `TorsionSystem`, and by the tau2 and tau3 component
+    memberships.  A failed check raises InternalInconsistency."""
+    res1, res2 = bryant_residual(algebra, metric, phi, torsions, vol_scale)
+    if not (res1.is_zero() and res2.is_zero()):
+        raise InternalInconsistency("solved torsions fail the structure equations")
+    star_phi = hodge_star(metric, phi, vol_scale)
+    if not torsions.tau2.wedge(star_phi).is_zero():
+        raise InternalInconsistency("tau2 escapes its 14-dimensional component")
+    if not lambda3_27_check(torsions.tau3, phi, star_phi):
+        raise InternalInconsistency("tau3 escapes its 27-dimensional component")
+    return torsions
 
 
 def calibrate_vol_scale(reference_tau0, torsions_at_unit_scale: TorsionSet) -> Fraction:

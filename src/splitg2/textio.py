@@ -26,7 +26,7 @@ from typing import Mapping, Optional
 from . import scalars
 from .errors import ParseError
 from .exterior import Form, SymTensor2
-from .g2 import Metric7, compatibility_defect
+from .g2 import Metric7, TorsionSet, compatibility_defect, torsion_linear_system
 from .liealg import LieAlgebra
 from .report import Frozen
 
@@ -43,11 +43,13 @@ class Scenario(Frozen):
     """One quotient: algebra, split, structure data, and for the builtin
     fixtures (`catalog`) the basis change and goldens.  A scenario parsed
     from a document has no `basis` or `expected`, and may lack `metric`
-    and `phi_family`."""
+    and `phi_family`.  Two values derived from the frozen fields are kept
+    with the scenario once computed: the compatibility `defect` and the
+    `unit_torsions`."""
 
     _fields = ("name", "alphabet", "algebra", "basis", "horizontal", "verticals",
                "metric", "phi_family", "exclusions", "expected")
-    __slots__ = _fields + ("__dict__",)  # the instance dict holds `defect`
+    __slots__ = _fields + ("__dict__",)  # for the two cached values
 
     @cached_property
     def defect(self) -> Optional[SymTensor2]:
@@ -57,6 +59,19 @@ class Scenario(Frozen):
         if self.metric is None or self.phi_family is None:
             return None
         return compatibility_defect(self.metric, self.phi_family)
+
+    @cached_property
+    def unit_torsions(self) -> Optional[TorsionSet]:
+        """The torsions of `phi_family` at volume scale 1, eliminated on
+        first use and not checked (`g2.TorsionSystem.solution`); None when
+        the metric or phi is missing.  `TorsionSet.rescale(c)` takes them
+        to volume scale c, where `g2.check_torsions` checks them in each
+        request.  Every later request shares them and the forms they hold,
+        so never mutate either."""
+        if self.metric is None or self.phi_family is None:
+            return None
+        return torsion_linear_system(self.algebra, self.metric,
+                                     self.phi_family).solution()
 
     def scalar(self, text: str):
         """Parse a scalar over this scenario's alphabet."""

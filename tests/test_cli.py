@@ -235,18 +235,21 @@ def test_verify_paper_computes_each_defect_once(capsys, monkeypatch):
 
 
 def test_verify_paper_solves_each_family_once(capsys, monkeypatch):
-    """One symbolic torsion solve per scenario: the coclosed-slice record
-    restricts the family's torsions instead of solving the slice."""
+    """One symbolic torsion elimination per scenario: the coclosed-slice
+    record restricts the family's torsions instead of solving the slice."""
     from splitg2 import g2
 
     solved = []
 
-    def spy(algebra, metric, phi, vol_scale=Fraction(1)):
-        solved.append(phi)
-        return real(algebra, metric, phi, vol_scale)
+    def spy(system):
+        solved.append(system.phi)
+        return real(system)
 
-    real = g2.torsion_solve
-    monkeypatch.setattr(g2, "torsion_solve", spy)
+    real = g2.TorsionSystem.solution
+    monkeypatch.setattr(g2.TorsionSystem, "solution", spy)
+    # scenarios keep their unit-scale elimination: build them again
+    catalog.scenario_Ml.cache_clear()
+    catalog.scenario_Ms.cache_clear()
     code, out, _ = run(capsys, "verify-paper", "--seed", "4")
     assert code == 0
     assert "[pass] Ml.coclosed-slice" in out
@@ -255,6 +258,64 @@ def test_verify_paper_solves_each_family_once(capsys, monkeypatch):
                 if not all(isinstance(c, Fraction) for c in phi.terms.values())]
     assert len(symbolic) == 2
     assert all(a is b for a, b in zip(symbolic, families))
+
+
+def test_torsion_requests_count_their_eliminations(capsys, monkeypatch):
+    """Work counted, not timed: a builtin scenario is eliminated once, at
+    unit scale, for all its --vol-scale requests; every request checks its
+    own torsions by one residual; an --input document is eliminated once
+    per request, and a point at the point."""
+    from splitg2 import _linalg, g2
+
+    counts = {"solve": 0, "residual": 0}
+
+    def counted(key, real):
+        def spy(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(_linalg, "solve_unique",
+                        counted("solve", _linalg.solve_unique))
+    monkeypatch.setattr(g2, "bryant_residual",
+                        counted("residual", g2.bryant_residual))
+
+    def work(*argv, stdin=None):
+        if stdin is not None:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        before = dict(counts)
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        return counts["solve"] - before["solve"], counts["residual"] - before["residual"]
+
+    document = catalog.scenario("Ml").text()
+    catalog.scenario_Ml.cache_clear()
+    assert [work("torsion", "--scenario", "Ml", "--vol-scale", c)
+            for c in ("2", "7/3", "13")] == [(1, 1), (0, 1), (0, 1)]
+    assert [work("torsion", "--input", "-", stdin=document)
+            for _ in range(2)] == [(1, 1), (1, 1)]
+    point = ("--set", "a=1", "--set", "p=2", "--set", "q=3")
+    assert [work("torsion", "--scenario", "Ml", *point, "--vol-scale", c)
+            for c in ("1", "5/2")] == [(1, 1), (1, 1)]
+
+
+def test_torsion_requests_leave_the_unit_torsions_unchanged(capsys):
+    """Every report shares the scenario's cached unit-scale torsions (tau1
+    by identity): a text and a JSON request leave them as they were."""
+    ml = catalog.scenario("Ml")
+
+    def text():
+        return [str(getattr(ml.unit_torsions, field))
+                for field in ("tau0", "tau1", "tau2", "tau3")]
+
+    before = text()
+    for argv in (("torsion", "--scenario", "Ml"),
+                 ("torsion", "--scenario", "Ml", "--vol-scale", "7/3",
+                  "--format", "json")):
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+    assert catalog.scenario("Ml") is ml
+    assert text() == before
 
 
 ML_POINT = {"a": Fraction(1), "p": Fraction(2), "q": Fraction(3)}

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from splitg2 import _linalg, catalog, scalars
+from splitg2 import _linalg, catalog, cli, scalars, textio
 from splitg2.errors import (
     Degenerate,
     DegreeMismatch,
@@ -25,6 +25,7 @@ from splitg2.g2 import (
     _descended_differential,
     bryant_residual,
     calibrate_vol_scale,
+    check_torsions,
     compatibility_defect,
     hodge_star,
     lambda2_14_basis,
@@ -32,8 +33,15 @@ from splitg2.g2 import (
     torsion_linear_system,
     torsion_solve,
 )
+from splitg2.report import Report
 
-from conftest import random_fraction, random_polynomial, random_scalar, run_python
+from conftest import (
+    random_fraction,
+    random_polynomial,
+    random_scalar,
+    run_python,
+    slice_document,
+)
 
 TOP = tuple(range(1, 8))
 
@@ -744,6 +752,94 @@ def test_torsion_scaling_law(ms_at_2, ms, rng):
         assert (scaled.tau1 - want.tau1).is_zero()
         assert (scaled.tau2 - want.tau2).is_zero()
         assert (scaled.tau3 - want.tau3).is_zero()
+
+
+# A two-step nilpotent algebra with the standard 3-form and the metric
+# 2 delta that the form induces: unlike the catalogue families, whose tau2
+# vanishes, all four of its torsions are nonzero.
+TWO_STEP = """\
+format: splitg2-scenario 1
+alphabet: a b
+dim: 7
+bracket: 1 2 7 a
+bracket: 1 3 6 1
+bracket: 3 4 7 b
+horizontal: 7
+""" + "".join(f"metric: {i} {i} 2\n" for i in range(1, 8)) + """\
+phi: 1 2 3 1
+phi: 1 4 5 1
+phi: 1 6 7 1
+phi: 2 4 6 1
+phi: 2 5 7 -1
+phi: 3 4 7 -1
+phi: 3 5 6 -1
+"""
+
+SLICE_SLOPES = tuple(random.Random(2323).sample([k for k in range(-6, 7) if k], 2))
+SCALE_CASES = ("Ml", "Ms", *(f"slice-p{k}a" for k in SLICE_SLOPES), "two-step")
+
+
+def scale_law_case(case):
+    if case in ("Ml", "Ms"):
+        return catalog.scenario(case)
+    if case == "two-step":
+        return textio.parse_scenario(TWO_STEP)
+    return textio.parse_scenario(slice_document(int(case[len("slice-p"):-1])))
+
+
+def seeded_scales():
+    """2, 7/3, 1/5 and 13, and four seeded scales besides 1 and these."""
+    scales = [Fraction(2), Fraction(7, 3), Fraction(1, 5), Fraction(13)]
+    rng = random.Random(23)
+    while len(scales) < 8:
+        c = Fraction(rng.randint(1, 40), rng.randint(1, 12))
+        if c != 1 and c not in scales:
+            scales.append(c)
+    return scales
+
+
+def rendered(torsions, vol):
+    """The text and JSON reports of `torsion` on these torsions."""
+    rep = Report("torsion", "case")
+    cli._torsion_records(rep, "torsion", torsions, None)
+    rep.payload["torsion"] = cli._torsion_payload(torsions, vol)
+    return rep.render("text"), rep.render("json")
+
+
+@pytest.mark.parametrize("case", SCALE_CASES)
+def test_rescaled_unit_torsions_render_as_a_direct_elimination(case):
+    """The unit-scale elimination taken to scale c by the scaling law
+    renders byte for byte as the elimination at c, in text and JSON."""
+    sc = scale_law_case(case)
+    unit = sc.unit_torsions
+    for c in seeded_scales():
+        got = check_torsions(sc.algebra, sc.metric, sc.phi_family,
+                             unit.rescale(c), c)
+        want = torsion_linear_system(sc.algebra, sc.metric, sc.phi_family,
+                                     c).torsions()
+        assert rendered(got, c) == rendered(want, c), c
+
+
+@pytest.mark.parametrize("case", SCALE_CASES)
+def test_check_torsions_rejects_a_broken_scaling_law(case):
+    """At c = 2: tau0 left unscaled, or tau2 times c instead of over c,
+    fails the check.  tau2 vanishes on the catalogue families and their
+    slices, where the second control cannot bite."""
+    sc = scale_law_case(case)
+    args = sc.algebra, sc.metric, sc.phi_family
+    c = Fraction(2)
+    unit = sc.unit_torsions
+    law = unit.rescale(c)
+    assert check_torsions(*args, law, c) is law
+    with pytest.raises(InternalInconsistency):
+        check_torsions(*args, TorsionSet(unit.tau0, law.tau1, law.tau2, law.tau3), c)
+    wrong_tau2 = TorsionSet(law.tau0, law.tau1, unit.tau2 * c, law.tau3)
+    assert unit.tau2.is_zero() == (case != "two-step")
+    if unit.tau2.is_zero():
+        assert check_torsions(*args, wrong_tau2, c) is wrong_tau2
+    else:
+        with pytest.raises(InternalInconsistency):
+            check_torsions(*args, wrong_tau2, c)
 
 
 def test_rescale_guards():
