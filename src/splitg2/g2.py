@@ -304,6 +304,18 @@ class TorsionSet(Frozen):
             tau3=self.tau3 * s,
         )
 
+    def lowest_terms(self) -> "TorsionSet":
+        """The same torsions with each coefficient in lowest terms
+        (`scalars.lowest_terms`).  `rescale` only scales contents, so it
+        commutes with this reduction."""
+        low = scalars.lowest_terms
+        return TorsionSet(
+            tau0=low(self.tau0),
+            tau1=self.tau1.map_coefficients(low),
+            tau2=self.tau2.map_coefficients(low),
+            tau3=self.tau3.map_coefficients(low),
+        )
+
 
 class TorsionSystem:
     """The assembled linear system for the torsion unknowns, and the

@@ -20,9 +20,16 @@ are multiplied once, and the slots of the product are read back
 (R. Fateman, "Can you save time in multiplying polynomials by encoding
 them as integers?", 2010; D. Harvey, "Faster polynomial multiplication
 via multipoint Kronecker substitution", J. Symb. Comp. 44, 2009).
+
+`poly_gcd` is the heuristic gcd (B. Char, K. Geddes, G. Gonnet,
+"GCDHEU: heuristic polynomial GCD algorithm based on integer GCD
+computation", J. Symb. Comp. 7, 1989) on the same packing: both maps are
+evaluated at one large power of two, the integer gcd of the two images
+is read back as a candidate, and the candidate is kept only once it
+divides both maps exactly.
 """
 
-from math import gcd
+from math import gcd, prod
 
 FIELD = 16  # bits per exponent field of a packed key
 _MASK = (1 << FIELD) - 1
@@ -38,6 +45,19 @@ _MASK = (1 << FIELD) - 1
 DENSE_MIN_TERMS = 16
 DENSE_MAX_BYTES = 1
 DENSE_MAX_BOX = 1 << 16
+
+# `poly_gcd` evaluates at xi = 2^(8W) for a slot width of W bytes, first
+# with 2^(8W) > 2 max(|a|, |b|) + 2, above the GCDHEU bound
+# 2 min(|a|, |b|) + 2 and wide enough for every coefficient to fill one
+# slot, then up to GCD_TRIES - 1 more times one byte wider.  It gives up,
+# taking no integer gcd, once an image would exceed GCD_MAX_BOX bytes:
+# CPython's integer gcd is quadratic in the operand size (seeded 16 KB
+# operands take 19 ms on a 2-vCPU x86 host, 64 KB ones 0.39 s), and the
+# quotients of a document whose coefficients swell would pack into
+# megabytes.  The Ml torsion quotients, the largest the catalogue makes,
+# pack into at most 153 cells of 3 bytes.
+GCD_TRIES = 3
+GCD_MAX_BOX = 1 << 14
 
 
 def backend_name() -> str:
@@ -138,14 +158,15 @@ def _dense_mul(a, b):
     }
 
 
-def _pack(m, cols, radix, width, size):
+def _pack(m, cols, radix, width, size, relative=True):
     """One int holding coefficient c of `m` in slot t of `width` bytes, t
-    the mixed-radix cell of its exponents relative to the map's lowest."""
+    the mixed-radix cell of its exponents, relative to the map's lowest
+    unless `relative` is false."""
     cells = [0] * len(m)
     place = 1
     for col, d in zip(cols, radix):
         if d > 1:
-            lo = min(col)
+            lo = min(col) if relative else 0
             cells = [t + (e - lo) * place for t, e in zip(cells, col)]
             place *= d
     empty = bytes(width)
@@ -162,6 +183,108 @@ def _pack(m, cols, radix, width, size):
     if neg is not None:
         v -= int.from_bytes(b"".join(neg), "little")
     return v
+
+
+def poly_gcd(a, b):
+    """(g, a / g, b / g) for a common divisor g of two nonzero primitive
+    integer term maps, g primitive with positive leading coefficient and
+    free of monomial factors, g = {0: 1} when the heuristic finds the maps
+    coprime; None when it misses or the images would exceed GCD_MAX_BOX
+    bytes.  Every divisor it returns was confirmed by `poly_mul`."""
+    top = max(max(a), max(b)).bit_length()
+    shifts = range(0, top or 1, FIELD)
+    cols_a = [[(k >> s) & _MASK for k in a] for s in shifts]
+    cols_b = [[(k >> s) & _MASK for k in b] for s in shifts]
+    # every divisor and quotient of a map lies in the box of both
+    radix = [max(max(ca), max(cb)) + 1 for ca, cb in zip(cols_a, cols_b)]
+    size = prod(radix)
+    norm = max(max(map(abs, a.values())), max(map(abs, b.values())))
+    width = (2 * norm + 2).bit_length() // 8 + 1
+    for _ in range(GCD_TRIES):
+        if size * width > GCD_MAX_BOX:
+            return None
+        out = _gcd_at(a, b, cols_a, cols_b, shifts, radix, width)
+        if out is not None:
+            return out
+        width += 1
+    return None
+
+
+def _gcd_at(a, b, cols_a, cols_b, shifts, radix, width):
+    """One GCDHEU step of `poly_gcd` at xi = 2^(8 width): the candidate
+    read off the integer gcd of the two images, with both quotients, or
+    None when it fails to divide either map."""
+    size = prod(radix)
+    img_a = _pack(a, cols_a, radix, width, size, False)
+    img_b = _pack(b, cols_b, radix, width, size, False)
+    g = _unpack_digits(gcd(img_a, img_b), width, shifts, radix, True)
+    if g is None:
+        return None
+    if g == {0: 1}:
+        return g, a, b
+    img_g = _pack(g, [[(k >> s) & _MASK for k in g] for s in shifts],
+                  radix, width, size, False)
+    qa = _exact_quotient(a, img_a, g, img_g, width, shifts, radix)
+    if qa is None:
+        return None
+    qb = _exact_quotient(b, img_b, g, img_g, width, shifts, radix)
+    if qb is None:
+        return None
+    return g, qa, qb
+
+
+def _exact_quotient(m, img_m, g, img_g, width, shifts, radix):
+    """m / g when the image of g divides the image of m, the quotient's
+    digits read back, and its product with g is m; else None."""
+    q, r = divmod(img_m, img_g)
+    if r:
+        return None
+    q = _unpack_digits(q, width, shifts, radix, False)
+    if q is None or poly_mul(q, g) != m:
+        return None
+    return q
+
+
+def _unpack_digits(n, width, shifts, radix, divisor):
+    """The term map whose image at 2^(8 width) is `n`, read off the
+    balanced digits of `n` through the mixed-radix box `radix`; None when
+    a digit falls outside the box.  As a `divisor` the map is made
+    primitive with positive leading coefficient and cleared of its
+    monomial content: monomials in different variables map to powers of
+    the same 2^(8 width), so the integer gcd picks up spurious powers of
+    it, which read back as monomial factors."""
+    n_slots = (abs(n).bit_length() + 8 * width) // (8 * width) + 1
+    zero = bytes(width - 1) + b"\x80"
+    half = 1 << (8 * width - 1)
+    raw = (n + int.from_bytes(zero * n_slots, "little")).to_bytes(
+        width * n_slots, "little"
+    )
+    frm = int.from_bytes
+    digits = {
+        t: frm(c, "little") - half
+        for t, c in enumerate(raw[o : o + width] for o in range(0, len(raw), width))
+        if c != zero
+    }
+    if not digits or max(digits) >= prod(radix):
+        return None
+    exps = []
+    for t in digits:
+        e = []
+        for d in radix:
+            t, x = divmod(t, d)
+            e.append(x)
+        exps.append(e)
+    lows = [0] * len(radix)
+    content = 1
+    if divisor:
+        lows = [min(col) for col in zip(*exps)]
+        content = term_gcd(digits)
+        if digits[max(digits)] < 0:
+            content = -content
+    out = {}
+    for e, c in zip(exps, digits.values()):
+        out[sum((x - lo) << s for x, lo, s in zip(e, lows, shifts))] = c // content
+    return out
 
 
 def poly_axpy(ma, a, mb, b):

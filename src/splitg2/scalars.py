@@ -11,13 +11,16 @@ Three scalar kinds appear throughout the package:
 * `RationalFunction`, an unreduced numerator/denominator pair of
   polynomials.
 
-Rational functions are never brought to lowest terms: no multivariate
-gcd is ever computed.  Equality is decided by cross-multiplication,
-which is exact because polynomials are canonical.  The only
-normalizations applied are value preserving and cheap: rational content
-extraction, cancellation of a common monomial factor, and folding the
-denominator's content into the numerator so denominators are primitive
-with positive leading coefficient.
+Arithmetic never brings a rational function to lowest terms, so every
+rendered value is the representative the arithmetic produced.  Equality
+is decided by cross-multiplication, which is exact because polynomials
+are canonical.  The only normalizations arithmetic applies are value
+preserving and cheap: rational content extraction, cancellation of a
+common monomial factor, and folding the denominator's content into the
+numerator so denominators are primitive with positive leading
+coefficient.  A multivariate gcd is computed in one place only:
+`lowest_terms` divides out a heuristic gcd, verified by exact division,
+from a copy that checks read and reports never render.
 
 An int or Fraction operand of a Polynomial or RationalFunction operator
 is never boxed as a constant scalar: a product or quotient scales the
@@ -505,9 +508,10 @@ class RationalFunction:
     The denominator is never the zero polynomial and is normalized to be
     primitive with positive leading coefficient (its content is folded
     into the numerator); a common monomial factor of numerator and
-    denominator is cancelled.  No gcd reduction ever happens, so
-    structurally different representatives of the same value are normal;
-    `==` compares values by cross-multiplication.
+    denominator is cancelled.  Arithmetic takes no gcd, so structurally
+    different representatives of the same value are normal; `==`
+    compares values by cross-multiplication.  Only `lowest_terms` divides
+    out a common factor, on copies that checks read.
     """
 
     __slots__ = ("alphabet", "num", "den")
@@ -785,6 +789,22 @@ def scalar_sum(values):
     if total is None:
         return frac_part
     return total if not frac_part else total + frac_part
+
+
+def lowest_terms(x):
+    """`x` with numerator and denominator divided by a verified common
+    divisor (`kernels.poly_gcd`), the same value; `x` itself when it is
+    a Fraction, a Polynomial or a quotient over a constant, or when the
+    heuristic finds no divisor."""
+    if not isinstance(x, RationalFunction) or x.den.terms == _ONE:
+        return x
+    found = kernels.poly_gcd(x.num.terms, x.den.terms)
+    if found is None or found[0] == _ONE:
+        return x
+    _, num, den = found
+    a = x.alphabet
+    return RationalFunction.make(Polynomial(a, x.num.content, num),
+                                 Polynomial(a, x.den.content, den))
 
 
 # -- scalar expression parsing --------------------------------------------

@@ -43,13 +43,14 @@ class Scenario(Frozen):
     """One quotient: algebra, split, structure data, and for the builtin
     fixtures (`catalog`) the basis change and goldens.  A scenario parsed
     from a document has no `basis` or `expected`, and may lack `metric`
-    and `phi_family`.  Two values derived from the frozen fields are kept
-    with the scenario once computed: the compatibility `defect` and the
-    `unit_torsions`."""
+    and `phi_family`.  Three values derived from the frozen fields are
+    kept with the scenario once computed: the compatibility `defect`, the
+    `unit_torsions` that reports render, and their lowest-terms copy
+    `checked_torsions` that the torsion checks read."""
 
     _fields = ("name", "alphabet", "algebra", "basis", "horizontal", "verticals",
                "metric", "phi_family", "exclusions", "expected")
-    __slots__ = _fields + ("__dict__",)  # for the two cached values
+    __slots__ = _fields + ("__dict__",)  # for the three cached values
 
     @cached_property
     def defect(self) -> Optional[SymTensor2]:
@@ -72,6 +73,16 @@ class Scenario(Frozen):
             return None
         return torsion_linear_system(self.algebra, self.metric,
                                      self.phi_family).solution()
+
+    @cached_property
+    def checked_torsions(self) -> Optional[TorsionSet]:
+        """`unit_torsions` with each coefficient in lowest terms
+        (`TorsionSet.lowest_terms`), None when they are None: the same
+        values in fewer terms, so `g2.check_torsions` multiplies less.
+        Reports keep rendering `unit_torsions`; never mutate this copy
+        either."""
+        unit = self.unit_torsions
+        return None if unit is None else unit.lowest_terms()
 
     def scalar(self, text: str):
         """Parse a scalar over this scenario's alphabet."""

@@ -180,6 +180,45 @@ def test_point_torsion_repeats_the_reference_bytes(capsys):
     assert second == first == (REF / "torsion-Ml-point.txt").read_text()
 
 
+def test_symbolic_requests_check_the_lowest_terms_copy(capsys, monkeypatch):
+    """`torsion` and `verify-paper` check the scenario's lowest-terms copy
+    of the family's torsions, while the report renders the elimination's
+    own representatives."""
+    from splitg2 import g2
+
+    checked = []
+    real = g2.check_torsions
+    monkeypatch.setattr(g2, "check_torsions",
+                        lambda *args: checked.append(args[3]) or real(*args))
+    for argv in (("torsion", "--scenario", "Ml", "--vol-scale", "2"),
+                 ("verify-paper", "--scenario", "Ml", "--vol-scale", "2")):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+    ml = catalog.scenario("Ml")
+    low = str(ml.checked_torsions.rescale(2).tau0)
+    unreduced = str(ml.unit_torsions.rescale(2).tau0)
+    assert low != unreduced and unreduced in out
+    assert [str(t.tau0) for t in checked
+            if isinstance(t.tau0, scalars.RationalFunction)] == [low, low]
+
+
+def test_point_torsion_never_reduces_to_lowest_terms(capsys, monkeypatch):
+    """A --set request solves at its point and never enters the gcd: with
+    `scalars.lowest_terms` made to raise, on a freshly built catalogue
+    whose Ml scenario holds no cached copy, it still prints the bytes of
+    the benchmark's point reference."""
+    def refuse(x):
+        raise AssertionError("a point request reduced a scalar")
+
+    monkeypatch.setattr(scalars, "lowest_terms", refuse)
+    catalog.scenario_Ml.cache_clear()
+    code, out, err = run(capsys, "torsion", "--scenario", "Ml", "--set", "a=1",
+                         "--set", "p=2", "--set", "q=3")
+    assert (code, err) == (0, "")
+    assert out == (REF / "torsion-Ml-point.txt").read_text()
+    assert "checked_torsions" not in vars(catalog.scenario("Ml"))
+
+
 @pytest.mark.parametrize("argv, ref", [
     (("verify-paper", "--seed", "0"), "verify-paper-seed0.txt"),
     (("torsion", "--scenario", "Ml", "--vol-scale", "2"), "torsion-Ml-vol2.txt"),

@@ -842,6 +842,64 @@ def test_check_torsions_rejects_a_broken_scaling_law(case):
             check_torsions(*args, wrong_tau2, c)
 
 
+def torsion_coefficients(torsions):
+    """(key, coefficient) pairs: tau0, then the terms of each form."""
+    out = [(("tau0",), torsions.tau0)]
+    for name in ("tau1", "tau2", "tau3"):
+        out += [((name, k), v) for k, v in getattr(torsions, name).terms.items()]
+    return out
+
+
+def torsion_terms(torsions):
+    """Numerator plus denominator terms over every coefficient."""
+    return sum(len(v.num.terms) + len(v.den.terms)
+               if isinstance(v, scalars.RationalFunction) else 1
+               for _, v in torsion_coefficients(torsions))
+
+
+@pytest.mark.parametrize("case", ("Ml", "Ms", *(f"slice-p{k}a" for k in SLICE_SLOPES)))
+def test_checked_torsions_keep_every_value(case):
+    """The lowest-terms copy that the checks read holds the values of the
+    rendered unit torsions, coefficient by coefficient, in no more terms;
+    on Ml it needs 145 terms instead of 812, as many as the goldens."""
+    sc = scale_law_case(case)
+    unit, low = sc.unit_torsions, sc.checked_torsions
+    before, after = torsion_coefficients(unit), torsion_coefficients(low)
+    assert len(before) == len(after)
+    for (key, v), (key2, w) in zip(before, after):
+        assert key == key2 and scalars.equals(v, w), key
+    assert torsion_terms(low) <= torsion_terms(unit)
+    if case == "Ml":
+        assert (torsion_terms(unit), torsion_terms(low)) == (812, 145)
+
+
+@pytest.mark.parametrize("case", ("Ml", f"slice-p{SLICE_SLOPES[0]}a", "two-step"))
+def test_check_torsions_rejects_tampered_lowest_terms(case):
+    """Negative controls on the lowest-terms copy at c = 2: one tau3
+    coefficient plus 1, or tau0 twice over, fails the check, and so does
+    tau2 times c instead of over c where tau2 is nonzero (the two-step
+    document; tau2 vanishes on Ml and its slices)."""
+    sc = scale_law_case(case)
+    args = sc.algebra, sc.metric, sc.phi_family
+    c = Fraction(2)
+    law = sc.checked_torsions.rescale(c)
+    assert check_torsions(*args, law, c) is law
+    key, coeff = next(iter(law.tau3.terms.items()))
+    tau3 = law.tau3 + Form(7, 3, {key: Fraction(1)})
+    assert tau3.terms[key] == coeff + 1
+    with pytest.raises(InternalInconsistency):
+        check_torsions(*args, TorsionSet(law.tau0, law.tau1, law.tau2, tau3), c)
+    with pytest.raises(InternalInconsistency):
+        check_torsions(*args, TorsionSet(law.tau0 * 2, law.tau1, law.tau2, law.tau3), c)
+    wrong_tau2 = TorsionSet(law.tau0, law.tau1, sc.checked_torsions.tau2 * c, law.tau3)
+    if law.tau2.is_zero():
+        assert case != "two-step"
+        assert check_torsions(*args, wrong_tau2, c) is wrong_tau2
+    else:
+        with pytest.raises(InternalInconsistency):
+            check_torsions(*args, wrong_tau2, c)
+
+
 def test_rescale_guards():
     t = TorsionSet(Fraction(1), Form.zero(7, 1), Form.zero(7, 2), Form.zero(7, 3))
     with pytest.raises(ValidationError):

@@ -820,3 +820,74 @@ def test_polynomial_powers_are_bounded_before_expansion():
         with pytest.raises(ParseError, match="power exceeds the limit of 16384 terms"):
             scalars.parse_scalar(text, apq)
         assert time.process_time() - start < 1.0
+
+
+# -- lowest terms ------------------------------------------------------------
+
+
+def terms_of(x):
+    """Numerator plus denominator terms of a scalar."""
+    if isinstance(x, RationalFunction):
+        return len(x.num.terms) + len(x.den.terms)
+    return len(x.terms) if isinstance(x, Polynomial) else 1
+
+
+def test_lowest_terms_keeps_the_value_of_seeded_common_factors(rng):
+    """(G*A)/(G*B) over (a, p, q) comes back as the same value in no more
+    terms, and on all 200 seeded triples in at most the terms of A/B: the
+    heuristic misses none of them."""
+    def nonconstant():
+        while True:
+            p = random_polynomial(rng, max_terms=4, max_exp=2)
+            if not p.is_constant():
+                return p
+
+    reduced = shrunk = 0
+    for _ in range(200):
+        g, a, b = nonconstant(), nonconstant(), nonconstant()
+        x = RationalFunction.make(g * a, g * b)
+        y = scalars.lowest_terms(x)
+        assert y == x
+        assert terms_of(y) <= terms_of(x)
+        reduced += terms_of(y) <= terms_of(RationalFunction.make(a, b))
+        shrunk += terms_of(y) < terms_of(x)
+    assert reduced == 200
+    assert shrunk > 150  # a monomial G cancels in make() already
+
+
+def test_lowest_terms_returns_its_argument_when_nothing_divides():
+    apq = ("a", "p", "q")
+    a_plus_p = Polynomial.variable(apq, "a") + Polynomial.variable(apq, "p")
+    over_three = RationalFunction.make(a_plus_p, Polynomial.constant(apq, 3))
+    assert over_three.den == 1
+    for x in (Fraction(-3, 7), a_plus_p, over_three,
+              scalars.parse_scalar("(a + p)/(q + 1)", apq),
+              # the images of both share 2^(8W) - 1, which divides neither
+              scalars.parse_scalar("(q - p)/(p*q - 1)", apq)):
+        assert scalars.lowest_terms(x) is x
+    x = scalars.parse_scalar("(a^2 - 1)/(a*q - q)", apq)
+    y = scalars.lowest_terms(x)
+    assert (str(y), y == x) == ("(a + 1)/q", True)
+
+
+def test_lowest_terms_past_the_size_bound_takes_no_gcd(monkeypatch):
+    """Work counted, not timed: a quotient whose packed image would exceed
+    kernels.GCD_MAX_BOX bytes comes back without a single heuristic step;
+    the same shape inside the box is reduced."""
+    steps = []
+    gcd_at = kernels._gcd_at
+    monkeypatch.setattr(kernels, "_gcd_at",
+                        lambda *args: steps.append(1) or gcd_at(*args))
+    apq = ("a", "p", "q")
+
+    def quotient(n):
+        return scalars.parse_scalar(
+            f"((a^{n} + 1)*(p^{n} + q))/((a^{n} + 1)*(q^{n} + 2))", apq)
+
+    small = quotient(4)
+    assert str(scalars.lowest_terms(small)) == "(p^4 + q)/(q^4 + 2)"
+    assert steps == [1]
+    big = quotient(40)  # 41^3 cells of one byte
+    assert 41 ** 3 > kernels.GCD_MAX_BOX
+    assert scalars.lowest_terms(big) is big
+    assert steps == [1]
