@@ -213,7 +213,9 @@ def poly_gcd(a, b):
 def _gcd_at(a, b, cols_a, cols_b, shifts, radix, width):
     """One GCDHEU step of `poly_gcd` at xi = 2^(8 width): the candidate
     read off the integer gcd of the two images, with both quotients, or
-    None when it fails to divide either map."""
+    None unless, for each map, the candidate's image divides the map's,
+    the quotient reads back from its digits, and times the candidate it
+    gives the map."""
     size = prod(radix)
     img_a = _pack(a, cols_a, radix, width, size, False)
     img_b = _pack(b, cols_b, radix, width, size, False)
@@ -224,25 +226,14 @@ def _gcd_at(a, b, cols_a, cols_b, shifts, radix, width):
         return g, a, b
     img_g = _pack(g, [[(k >> s) & _MASK for k in g] for s in shifts],
                   radix, width, size, False)
-    qa = _exact_quotient(a, img_a, g, img_g, width, shifts, radix)
-    if qa is None:
-        return None
-    qb = _exact_quotient(b, img_b, g, img_g, width, shifts, radix)
-    if qb is None:
-        return None
-    return g, qa, qb
-
-
-def _exact_quotient(m, img_m, g, img_g, width, shifts, radix):
-    """m / g when the image of g divides the image of m, the quotient's
-    digits read back, and its product with g is m; else None."""
-    q, r = divmod(img_m, img_g)
-    if r:
-        return None
-    q = _unpack_digits(q, width, shifts, radix, False)
-    if q is None or poly_mul(q, g) != m:
-        return None
-    return q
+    quotients = []
+    for m, img_m in ((a, img_a), (b, img_b)):
+        q, r = divmod(img_m, img_g)
+        q = None if r else _unpack_digits(q, width, shifts, radix, False)
+        if q is None or poly_mul(q, g) != m:
+            return None
+        quotients.append(q)
+    return (g, *quotients)
 
 
 def _unpack_digits(n, width, shifts, radix, divisor):
