@@ -20,6 +20,11 @@ order (deterministic echelon forms and kernel bases, used by `rank`,
 `kernel_basis`, `solve_in_span[_many]` and rational `solve_unique`), and
 `row_reduce_min_fill` follows a Markowitz rule, used only for
 polynomial `solve_unique`, where a fixed order lets entries swell.
+
+Every solver eliminates through `_eliminate`, which detects the domain,
+prepares the rows and pivots them.  `rank` counts the pivots; the other
+solvers read each solution, one per right-hand-side column (or per free
+column for a kernel basis), off the pivot rows with `_read_off`.
 """
 
 from __future__ import annotations
@@ -309,10 +314,30 @@ def prepare_rows(rows, domain):
     return [_integer_row(row) for row in rows]
 
 
-def rank(rows, width: int) -> int:
+def _eliminate(rows, width: int, poly_reduce):
+    """(domain, work, pivots): the domain of `rows`, their prepared copy
+    eliminated in place, and its pivots.  Polynomial rows are pivoted by
+    `poly_reduce`, rational rows always by `row_reduce`."""
     domain = detect_domain(rows)
     work = prepare_rows(rows, domain)
-    return len(row_reduce(work, width, domain))
+    reduce = poly_reduce if isinstance(domain, PolyDomain) else row_reduce
+    return domain, work, reduce(work, width, domain)
+
+
+def _read_off(domain, work, pivots, k, width):
+    """The solution held in column k of the eliminated rows: its entry in
+    each pivot row over that row's pivot, zero where it has none."""
+    x = [_F0] * width
+    for col, r in pivots.items():
+        row = work[r]
+        b = row.get(k)
+        if b is not None:
+            x[col] = domain.div(b, row[col])
+    return x
+
+
+def rank(rows, width: int) -> int:
+    return len(_eliminate(rows, width, row_reduce)[2])
 
 
 def kernel_basis(rows, width: int) -> list:
@@ -321,20 +346,14 @@ def kernel_basis(rows, width: int) -> list:
     The basis is deterministic: free columns in ascending order, each
     basis vector has 1 at its free column.
     """
-    domain = detect_domain(rows)
-    work = prepare_rows(rows, domain)
-    pivots = row_reduce(work, width, domain)
-    free = [c for c in range(width) if c not in pivots]
+    domain, work, pivots = _eliminate(rows, width, row_reduce)
     basis = []
-    for fc in free:
-        vec = [_F0] * width
-        vec[fc] = _F1
-        for col, r in pivots.items():
-            row = work[r]
-            a = row.get(fc)
-            if a is not None:
-                vec[col] = domain.div(-a, row[col])
-        basis.append(vec)
+    for fc in range(width):
+        if fc not in pivots:
+            # x_fc = 1 moves column fc, negated, to the right-hand side
+            vec = [-v for v in _read_off(domain, work, pivots, fc, width)]
+            vec[fc] = _F1
+            basis.append(vec)
     return basis
 
 
@@ -351,12 +370,7 @@ def solve_unique(rows, width: int) -> list:
     order also fixes the representatives that get printed.  The order
     decides which columns a `NonUniqueSolution` names as free.
     """
-    domain = detect_domain(rows)
-    work = prepare_rows(rows, domain)
-    if isinstance(domain, PolyDomain):
-        pivots = row_reduce_min_fill(work, width, domain)
-    else:
-        pivots = row_reduce(work, width, domain)
+    domain, work, pivots = _eliminate(rows, width, row_reduce_min_fill)
     if len(pivots) < width:
         free = [c for c in range(width) if c not in pivots]
         raise NonUniqueSolution(f"free unknowns at columns {free}")
@@ -364,15 +378,7 @@ def solve_unique(rows, width: int) -> list:
     for r, row in enumerate(work):
         if r not in pivot_rows and row:
             raise InconsistentSystem("zero row with nonzero right-hand side")
-    x = [_F0] * width
-    for col, r in pivots.items():
-        row = work[r]
-        b = row.get(width)
-        if b is None:
-            x[col] = _F0
-        else:
-            x[col] = domain.div(b, row[col])
-    return x
+    return _read_off(domain, work, pivots, width, width)
 
 
 def solve_in_span(span_rows: list, target: list, width: int):
@@ -402,21 +408,9 @@ def solve_in_span_many(span_rows: list, targets: list, width: int) -> list:
                 row[k] = t
         if row:
             rows.append(row)
-    domain = detect_domain(rows)
-    work = prepare_rows(rows, domain)
-    pivots = row_reduce(work, n, domain)
+    domain, work, pivots = _eliminate(rows, n, row_reduce)
     pivot_rows = set(pivots.values())
     # after the elimination a row without a pivot holds right-hand sides only
     outside = {k for r, row in enumerate(work) if r not in pivot_rows for k in row}
-    out = []
-    for k in range(n, n + len(targets)):
-        if k in outside:
-            out.append(None)
-            continue
-        coeffs = [_F0] * n
-        for col, r in pivots.items():
-            row = work[r]
-            b = row.get(k)
-            coeffs[col] = domain.div(b, row[col]) if b is not None else _F0
-        out.append(coeffs)
-    return out
+    return [None if k in outside else _read_off(domain, work, pivots, k, n)
+            for k in range(n, n + len(targets))]

@@ -468,11 +468,7 @@ def _scenario_checks(rep: Report, name: str, cfg: RunConfig) -> None:
             else f"defect {defect}", "defect 0")
 
     vol = cfg.vol_scale
-    # the lowest-terms copy holds the same values as the rendered set, and
-    # rescale only scales contents, so checking it checks what is rendered
-    g2.check_torsions(sc.algebra, sc.metric, sc.phi_family,
-                      sc.checked_torsions.rescale(vol), vol)
-    torsions = sc.unit_torsions.rescale(vol)
+    torsions = sc.torsions(vol)
     golden = _expected_torsions(sc)
     expected = golden.rescale(vol)
     _torsion_records(rep, f"{n}.torsion", torsions, expected)
@@ -498,7 +494,8 @@ def _scenario_checks(rep: Report, name: str, cfg: RunConfig) -> None:
             "scalar torsion at " + _point_text(ref_point, sc.alphabet),
             tau0_at_ref == ref_value, str(tau0_at_ref), str(ref_value))
 
-    # check_torsions substituted the torsions into both structure equations
+    # `sc.torsions` (`g2.check_torsions`) substituted the torsions into both
+    # structure equations
     # and raises InternalInconsistency when either residual is nonzero
     rep.add(f"{n}.torsion.residual",
             "direct substitution into both structure equations",
@@ -640,11 +637,7 @@ def cmd_torsion(cfg: RunConfig) -> Report:
     if cfg.sets:
         torsions = g2.torsion_solve(sc.algebra, sc.metric, phi, vol)
     else:
-        # the same values as the rendered set, in fewer terms (see
-        # `_scenario_checks`)
-        g2.check_torsions(sc.algebra, sc.metric, phi,
-                          sc.checked_torsions.rescale(vol), vol)
-        torsions = sc.unit_torsions.rescale(vol)
+        torsions = sc.torsions(vol)
     expected = None
     if sc.expected is not None:
         expected = _expected_torsions(sc)

@@ -14,12 +14,12 @@ term by term and never looks inside a key.  Otherwise it reads the keys:
 it takes the per-field exponent ranges of both maps and, when the
 product's exponent box packs into at most DENSE_MAX_BYTES bytes per term
 product of the convolution and DENSE_MAX_BOX bytes in all, multiplies
-by Kronecker substitution: each
-map becomes one int with a fixed-width slot per box cell, the two ints
-are multiplied once, and the slots of the product are read back
-(R. Fateman, "Can you save time in multiplying polynomials by encoding
-them as integers?", 2010; D. Harvey, "Faster polynomial multiplication
-via multipoint Kronecker substitution", J. Symb. Comp. 44, 2009).
+by Kronecker substitution: each map becomes one int with a fixed-width
+slot per box cell, the two ints are multiplied once, and the slots of
+the product are read back (R. Fateman, "Can you save time in
+multiplying polynomials by encoding them as integers?", 2010; D.
+Harvey, "Faster polynomial multiplication via multipoint Kronecker
+substitution", J. Symb. Comp. 44, 2009).
 
 `poly_gcd` is the heuristic gcd (B. Char, K. Geddes, G. Gonnet,
 "GCDHEU: heuristic polynomial GCD algorithm based on integer GCD
@@ -27,6 +27,12 @@ computation", J. Symb. Comp. 7, 1989) on the same packing: both maps are
 evaluated at one large power of two, the integer gcd of the two images
 is read back as a candidate, and the candidate is kept only once it
 divides both maps exactly.
+
+The product and the gcd share one Kronecker codec: `_columns` reads the
+exponent fields of keys, `_pack` writes a map into slots, `_slots` reads
+balanced slots back, and `_cell_keys` gives the key of each slot.  This
+module reads key fields only through `_columns` and builds keys only
+through `_cell_keys`.
 """
 
 from math import gcd, prod
@@ -109,80 +115,98 @@ def _dense_mul(a, b):
 
     Field i of the product spans lo_i .. lo_i + D_i - 1, with lo_i the sum
     of the operands' lowest exponents and D_i the sum of their exponent
-    ranges plus one; cell t of the box is the mixed-radix number with
-    digit e_i - lo_i in radix D_i, field 0 least significant, so cell
-    order is key order.  A slot of W bytes holds |coefficient| <
-    min(len)·max|a|·max|b| < 2^(8W-2).  Negative coefficients are packed
-    into a second int that is subtracted, and adding 2^(8W-1) to every
-    slot of the product leaves no borrow between slots, so each slot reads
-    back as one unsigned W-byte value; a slot equal to the bias is zero.
+    ranges plus one.  Each operand is packed relative to its own lowest
+    exponents, so the product of the two ints holds the product's
+    coefficient of cell t in slot t, and a slot of W bytes holds
+    |coefficient| < min(len)·max|a|·max|b| < 2^(8W-2).
     """
     top = max(max(a), max(b)).bit_length()
     shifts = range(0, top or 1, FIELD)
-    cols_a = [[(k >> s) & _MASK for k in a] for s in shifts]
-    cols_b = [[(k >> s) & _MASK for k in b] for s in shifts]
-    radix = []
-    size = 1
-    base = 0  # key of the lowest cell
-    for s, ca, cb in zip(shifts, cols_a, cols_b):
-        lo_a = min(ca)
-        lo_b = min(cb)
-        d = max(ca) - lo_a + max(cb) - lo_b + 1
-        radix.append(d)
-        size *= d
-        base += (lo_a + lo_b) << s
+    cols_a = _columns(a, shifts)
+    cols_b = _columns(b, shifts)
+    lows_a = [min(col) for col in cols_a]
+    lows_b = [min(col) for col in cols_b]
+    radix = [max(ca) - la + max(cb) - lb + 1
+             for ca, cb, la, lb in zip(cols_a, cols_b, lows_a, lows_b)]
     bits = (
         max(map(abs, a.values())).bit_length()
         + max(map(abs, b.values())).bit_length()
         + len(a).bit_length()
     )
     width = (bits + 9) // 8  # bits + 2, rounded up to whole bytes
-    box = size * width
+    box = prod(radix) * width
     if box > DENSE_MAX_BOX or box > DENSE_MAX_BYTES * len(a) * len(b):
         return None
-    prod = _pack(a, cols_a, radix, width, size) * _pack(b, cols_b, radix, width, size)
-    zero = bytes(width - 1) + b"\x80"
-    half = 1 << (8 * width - 1)
-    raw = (prod + int.from_bytes(zero * size, "little")).to_bytes(
-        width * size, "little"
-    )
-    keys = [base]
-    for s, d in zip(shifts, radix):
-        if d > 1:
-            keys = [k + (e << s) for e in range(d) for k in keys]
-    frm = int.from_bytes
-    return {
-        k: frm(c, "little") - half
-        for k, c in zip(keys, [raw[o : o + width] for o in range(0, len(raw), width)])
-        if c != zero
-    }
+    base = sum((la + lb) << s for la, lb, s in zip(lows_a, lows_b, shifts))
+    product = (_pack(a, cols_a, lows_a, radix, width)
+               * _pack(b, cols_b, lows_b, radix, width))
+    return _slots(product, width, _cell_keys(base, shifts, radix))
 
 
-def _pack(m, cols, radix, width, size, relative=True):
+def _columns(m, shifts):
+    """The exponent field at each shift of every key of `m`, in key order:
+    the only place this module reads a key's fields."""
+    return [[(k >> s) & _MASK for k in m] for s in shifts]
+
+
+def _pack(m, cols, lows, radix, width):
     """One int holding coefficient c of `m` in slot t of `width` bytes, t
-    the mixed-radix cell of its exponents, relative to the map's lowest
-    unless `relative` is false."""
+    the mixed-radix cell of its exponents less `lows` (field 0 least
+    significant, so cell order is key order); `cols` are the exponent
+    fields of `m` (`_columns`).  Negative coefficients are packed into a
+    second int that is subtracted."""
     cells = [0] * len(m)
     place = 1
-    for col, d in zip(cols, radix):
+    for col, lo, d in zip(cols, lows, radix):
         if d > 1:
-            lo = min(col) if relative else 0
             cells = [t + (e - lo) * place for t, e in zip(cells, col)]
             place *= d
     empty = bytes(width)
-    pos = [empty] * size
+    pos = [empty] * place
     neg = None
     for t, c in zip(cells, m.values()):
         if c > 0:
             pos[t] = c.to_bytes(width, "little")
         else:
             if neg is None:
-                neg = [empty] * size
+                neg = [empty] * place
             neg[t] = (-c).to_bytes(width, "little")
     v = int.from_bytes(b"".join(pos), "little")
     if neg is not None:
         v -= int.from_bytes(b"".join(neg), "little")
     return v
+
+
+def _cell_keys(base, shifts, radix):
+    """The key of every cell of the mixed-radix box `radix` whose lowest
+    cell has key `base`, in cell order: the only place this module builds
+    keys."""
+    keys = [base]
+    for s, d in zip(shifts, radix):
+        if d > 1:
+            keys = [k + (e << s) for e in range(d) for k in keys]
+    return keys
+
+
+def _slots(n, width, keys):
+    """The term map whose image at 2^(8 width) is `n`, read off the
+    balanced digits of `n` in len(keys) slots of `width` bytes, slot t
+    the coefficient of keys[t]; None when `n` needs more slots.  Adding
+    the bias 2^(8W-1) to every slot leaves no borrow between slots, so
+    each slot reads back as one unsigned W-byte value; a slot equal to
+    the bias is zero."""
+    zero = bytes(width - 1) + b"\x80"
+    n += int.from_bytes(zero * len(keys), "little")
+    if n < 0 or n.bit_length() > 8 * width * len(keys):
+        return None
+    raw = n.to_bytes(width * len(keys), "little")
+    half = 1 << (8 * width - 1)
+    frm = int.from_bytes
+    return {
+        k: frm(c, "little") - half
+        for k, c in zip(keys, [raw[o : o + width] for o in range(0, len(raw), width)])
+        if c != zero
+    }
 
 
 def poly_gcd(a, b):
@@ -193,20 +217,19 @@ def poly_gcd(a, b):
     bytes.  Every divisor it returns was confirmed by `poly_mul`."""
     top = max(max(a), max(b)).bit_length()
     shifts = range(0, top or 1, FIELD)
-    cols_a = [[(k >> s) & _MASK for k in a] for s in shifts]
-    cols_b = [[(k >> s) & _MASK for k in b] for s in shifts]
+    cols_a = _columns(a, shifts)
+    cols_b = _columns(b, shifts)
     # every divisor and quotient of a map lies in the box of both
     radix = [max(max(ca), max(cb)) + 1 for ca, cb in zip(cols_a, cols_b)]
     size = prod(radix)
     norm = max(max(map(abs, a.values())), max(map(abs, b.values())))
-    width = (2 * norm + 2).bit_length() // 8 + 1
-    for _ in range(GCD_TRIES):
+    first = (2 * norm + 2).bit_length() // 8 + 1
+    for width in range(first, first + GCD_TRIES):
         if size * width > GCD_MAX_BOX:
             return None
         out = _gcd_at(a, b, cols_a, cols_b, shifts, radix, width)
         if out is not None:
             return out
-        width += 1
     return None
 
 
@@ -215,67 +238,36 @@ def _gcd_at(a, b, cols_a, cols_b, shifts, radix, width):
     read off the integer gcd of the two images, with both quotients, or
     None unless, for each map, the candidate's image divides the map's,
     the quotient reads back from its digits, and times the candidate it
-    gives the map."""
-    size = prod(radix)
-    img_a = _pack(a, cols_a, radix, width, size, False)
-    img_b = _pack(b, cols_b, radix, width, size, False)
-    g = _unpack_digits(gcd(img_a, img_b), width, shifts, radix, True)
+    gives the map.
+
+    The candidate is made primitive and cleared of its monomial content:
+    monomials in different variables map to powers of the same xi, so the
+    integer gcd picks up spurious powers of xi, which read back as
+    monomial factors.  Its leading coefficient is the top balanced digit
+    of a positive integer, so it is positive already."""
+    zeros = [0] * len(radix)
+    keys = _cell_keys(0, shifts, radix)
+    img_a = _pack(a, cols_a, zeros, radix, width)
+    img_b = _pack(b, cols_b, zeros, radix, width)
+    g = _slots(gcd(img_a, img_b), width, keys)
     if g is None:
         return None
+    cols = _columns(g, shifts)
+    lows = [min(col) for col in cols]
+    monomial = sum(lo << s for lo, s in zip(lows, shifts))
+    content = term_gcd(g)
+    g = {k - monomial: c // content for k, c in g.items()}
     if g == {0: 1}:
         return g, a, b
-    img_g = _pack(g, [[(k >> s) & _MASK for k in g] for s in shifts],
-                  radix, width, size, False)
+    img_g = _pack(g, cols, lows, radix, width)
     quotients = []
     for m, img_m in ((a, img_a), (b, img_b)):
         q, r = divmod(img_m, img_g)
-        q = None if r else _unpack_digits(q, width, shifts, radix, False)
+        q = None if r else _slots(q, width, keys)
         if q is None or poly_mul(q, g) != m:
             return None
         quotients.append(q)
     return (g, *quotients)
-
-
-def _unpack_digits(n, width, shifts, radix, divisor):
-    """The term map whose image at 2^(8 width) is `n`, read off the
-    balanced digits of `n` through the mixed-radix box `radix`; None when
-    a digit falls outside the box.  As a `divisor` the map is made
-    primitive with positive leading coefficient and cleared of its
-    monomial content: monomials in different variables map to powers of
-    the same 2^(8 width), so the integer gcd picks up spurious powers of
-    it, which read back as monomial factors."""
-    n_slots = (abs(n).bit_length() + 8 * width) // (8 * width) + 1
-    zero = bytes(width - 1) + b"\x80"
-    half = 1 << (8 * width - 1)
-    raw = (n + int.from_bytes(zero * n_slots, "little")).to_bytes(
-        width * n_slots, "little"
-    )
-    frm = int.from_bytes
-    digits = {
-        t: frm(c, "little") - half
-        for t, c in enumerate(raw[o : o + width] for o in range(0, len(raw), width))
-        if c != zero
-    }
-    if not digits or max(digits) >= prod(radix):
-        return None
-    exps = []
-    for t in digits:
-        e = []
-        for d in radix:
-            t, x = divmod(t, d)
-            e.append(x)
-        exps.append(e)
-    lows = [0] * len(radix)
-    content = 1
-    if divisor:
-        lows = [min(col) for col in zip(*exps)]
-        content = term_gcd(digits)
-        if digits[max(digits)] < 0:
-            content = -content
-    out = {}
-    for e, c in zip(exps, digits.values()):
-        out[sum((x - lo) << s for x, lo, s in zip(e, lows, shifts))] = c // content
-    return out
 
 
 def poly_axpy(ma, a, mb, b):

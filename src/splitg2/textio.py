@@ -23,7 +23,7 @@ The paper's documents need dim 10, 30 bracket lines, 3 parameters and
 from functools import cached_property
 from typing import Mapping, Optional
 
-from . import scalars
+from . import g2, scalars
 from .errors import ParseError
 from .exterior import Form, SymTensor2
 from .g2 import Metric7, TorsionSet, compatibility_defect, torsion_linear_system
@@ -46,7 +46,8 @@ class Scenario(Frozen):
     and `phi_family`.  Three values derived from the frozen fields are
     kept with the scenario once computed: the compatibility `defect`, the
     `unit_torsions` that reports render, and their lowest-terms copy
-    `checked_torsions` that the torsion checks read."""
+    `checked_torsions` that the torsion checks read; `torsions(vol)`
+    checks the copy and returns the rendered set at volume scale vol."""
 
     _fields = ("name", "alphabet", "algebra", "basis", "horizontal", "verticals",
                "metric", "phi_family", "exclusions", "expected")
@@ -83,6 +84,15 @@ class Scenario(Frozen):
         either."""
         unit = self.unit_torsions
         return None if unit is None else unit.lowest_terms()
+
+    def torsions(self, vol) -> TorsionSet:
+        """`unit_torsions` at volume scale `vol`, checked there by
+        `g2.check_torsions` on `checked_torsions`: the lowest-terms copy
+        holds the same values, and rescale only scales contents, so
+        checking it checks what is rendered."""
+        g2.check_torsions(self.algebra, self.metric, self.phi_family,
+                          self.checked_torsions.rescale(vol), vol)
+        return self.unit_torsions.rescale(vol)
 
     def scalar(self, text: str):
         """Parse a scalar over this scenario's alphabet."""

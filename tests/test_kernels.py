@@ -6,7 +6,7 @@ from itertools import combinations
 from math import gcd
 
 from splitg2 import kernels
-from splitg2.scalars import _pack
+from splitg2.scalars import _pack, _unpack
 
 WIDTH = 3
 
@@ -243,3 +243,60 @@ def test_large_boxes_keep_the_convolution(rng, monkeypatch):
     c, d = spread(100, 180), spread(100, 180)
     assert kernels.poly_mul(c, d) == convolution(c, d)
     assert calls == [100]
+
+
+# -- the heuristic gcd ----------------------------------------------------------
+
+
+def primitive(m):
+    g = kernels.term_gcd(m)
+    return {e: c // g for e, c in m.items()}
+
+
+def test_poly_gcd_contract(rng):
+    """On seeded (G*A, G*B) in 1-3 fields, with mixed signs and monomial
+    factors on A and B, a returned divisor is primitive, leads with a
+    positive coefficient, carries no monomial factor, and times each
+    quotient gives back its map."""
+    found = nontrivial = 0
+    for _ in range(150):
+        width = rng.randint(1, 3)
+
+        def seeded(nterms):
+            return {_pack(tuple(rng.randint(0, 2) for _ in range(width)), width):
+                    rng.choice((-1, 1)) * rng.randint(1, 30)
+                    for _ in range(nterms)}
+
+        def monomial():
+            return {_pack(tuple(rng.randint(0, 2) for _ in range(width)), width):
+                    rng.choice((-1, 1))}
+
+        g0 = seeded(rng.randint(2, 4))
+        a = primitive(kernels.poly_mul(g0, kernels.poly_mul(seeded(3), monomial())))
+        b = primitive(kernels.poly_mul(g0, kernels.poly_mul(seeded(3), monomial())))
+        if not a or not b:
+            continue
+        out = kernels.poly_gcd(a, b)
+        if out is None:
+            continue
+        found += 1
+        g, qa, qb = out
+        assert kernels.term_gcd(g) == 1
+        assert g[max(g)] > 0
+        exps = [_unpack(e, width) for e in g]
+        assert all(min(col) == 0 for col in zip(*exps))
+        assert kernels.poly_mul(qa, g) == a
+        assert kernels.poly_mul(qb, g) == b
+        nontrivial += g != {0: 1}
+    assert found >= 140 and nontrivial >= 120, (found, nontrivial)
+
+
+def test_poly_gcd_of_coprime_maps_and_a_miss():
+    """A coprime pair comes back whole under {0: 1}.  (q - p) and
+    (p q - 1) both vanish at p = q = 1, so their images share the factor
+    xi - 1, which divides neither map: the heuristic misses them."""
+    p, q = _pack((1, 0), 2), _pack((0, 1), 2)
+    a = {p: 1, 0: 1}
+    b = {q: 2, 0: -1}
+    assert kernels.poly_gcd(a, b) == ({0: 1}, a, b)
+    assert kernels.poly_gcd({q: 1, p: -1}, {p + q: 1, 0: -1}) is None
