@@ -683,8 +683,18 @@ def cmd_describe(cfg: RunConfig) -> str:
 # -- argument parser ----------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that rejects a bad command line by raising
+    UsageError, which `main` reports in one line, instead of printing its
+    usage and exiting; `add_subparsers` builds the subcommands' parsers
+    from the same class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="splitg2",
         description="Exact checks for invariant split-G2 structures on a "
                     "rank-two split symplectic quotient.")
@@ -792,10 +802,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     a rebinding of `cmd_torsion` and the like takes effect.
     """
     try:
-        ns = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        try:
+            ns = _parser().parse_args(argv)
+        except SystemExit as exc:  # --help, printed to stdout
+            return int(exc.code or 0)
         cfg = _config_from(ns)
         if ns.command == "describe":
             text, code = cmd_describe(cfg), 0

@@ -1,13 +1,16 @@
 """Sparse exterior algebra over an n-dimensional coframe.
 
-A `Form` of degree p stores a map from strictly increasing 1-based index
-tuples of length p to nonzero scalar coefficients; a degree-0 form has
-the single key ().  A `Vector` holds n scalar components against the
-dual frame.  `SymTensor2` is a sparse symmetric 2-tensor storing matrix
-entries g_ij at keys (i, j) with i <= j.
+`Form` and `SymTensor2` share one core, `Tensor`: a frame dimension, a
+degree and `terms`, a map from 1-based index keys to nonzero scalar
+coefficients, with one linear structure over it.  A `Form` of degree p
+keys its terms by strictly increasing index tuples of length p; a
+degree-0 form has the single key ().  A `SymTensor2` has degree 2 and
+keys the matrix entry g_ij at (i, j) with i <= j.  A `Vector` holds n
+scalar components against the dual frame.
 
-All values are immutable; every operation returns fresh objects and
-never stores a zero coefficient.
+All values are immutable, and `terms` enforces it: it is a read-only
+view, so an assignment into it raises TypeError.  Every operation
+returns fresh objects and never stores a zero coefficient.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ def fold(buckets: Mapping) -> dict:
 
 def _sum_maps(a: Mapping, b: Mapping, sign: int = 1) -> dict:
     """a + sign * b for sign +-1, zero sums dropped."""
-    out = dict(a)
+    out = a.copy()
     for key, coeff in b.items():
         if sign < 0:
             coeff = -coeff
@@ -101,10 +104,93 @@ def _term_text(coeff, basis: str) -> str:
     return f"{c}*{basis}"
 
 
-class Form:
-    """Alternating form with exact scalar coefficients."""
+class Tensor:
+    """The sparse core that `Form` and `SymTensor2` share: a frame
+    dimension, a degree and `terms`, a read-only view
+    (`types.MappingProxyType`) of index keys to nonzero scalars, so a
+    tensor can be cached and handed out without copies.  A view cannot
+    be pickled: copies, deep copies and pickles go through `raw` with a
+    fresh dict."""
 
     __slots__ = ("dim", "degree", "terms")
+
+    @classmethod
+    def raw(cls, dim: int, degree: int, terms: dict):
+        """Unchecked construction: keys valid for the class and `degree`,
+        nonzero scalars, in a dict that nothing else writes."""
+        t = cls.__new__(cls)
+        t.dim, t.degree, t.terms = dim, degree, MappingProxyType(terms)
+        return t
+
+    def __reduce__(self):
+        return self.raw, (self.dim, self.degree, self.terms.copy())
+
+    # -- linear structure ------------------------------------------------
+
+    def _check_compatible(self, other: "Tensor"):
+        if type(other) is not type(self):
+            raise TypeError(f"not a {type(self).__name__}: {other!r}")
+        if self.dim != other.dim:
+            raise DimensionMismatch(f"dimensions {self.dim} != {other.dim}")
+        if self.degree != other.degree:
+            raise DegreeMismatch(f"degrees {self.degree} != {other.degree}")
+
+    def __add__(self, other):
+        self._check_compatible(other)
+        return self.raw(self.dim, self.degree, _sum_maps(self.terms, other.terms))
+
+    def __sub__(self, other):
+        self._check_compatible(other)
+        return self.raw(self.dim, self.degree, _sum_maps(self.terms, other.terms, -1))
+
+    def __neg__(self):
+        return self.raw(self.dim, self.degree, _sum_maps({}, self.terms, -1))
+
+    def __mul__(self, scalar):
+        return self.raw(self.dim, self.degree, _scaled(self.terms, scalar))
+
+    __rmul__ = __mul__
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.dim == other.dim and self.degree == other.degree
+                and _equal_maps(self.terms, other.terms))
+
+    __hash__ = None
+
+    # -- change of frame -----------------------------------------------------
+
+    def restrict(self, dim: int):
+        """Reinterpret over the first `dim` frame legs.
+
+        Every stored index must already lie in 1..dim.
+        """
+        for key in self.terms:
+            if key and key[-1] > dim:
+                raise DimensionMismatch(f"component {key} sticks out of 1..{dim}")
+        return self.raw(dim, self.degree, self.terms.copy())
+
+    def extend(self, dim: int):
+        """Reinterpret over a larger frame."""
+        if dim < self.dim:
+            raise DimensionMismatch(f"cannot extend dimension {self.dim} to {dim}")
+        return self.raw(dim, self.degree, self.terms.copy())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class Form(Tensor):
+    """Alternating form with exact scalar coefficients."""
+
+    __slots__ = ()
 
     def __init__(self, dim: int, degree: int, terms: Mapping):
         if not 0 <= degree <= dim:
@@ -120,9 +206,7 @@ class Form:
             if key in clean:
                 raise ValueError(f"duplicate key {key}")
             clean[key] = coeff
-        self.dim = dim
-        self.degree = degree
-        self.terms = clean
+        self.dim, self.degree, self.terms = dim, degree, MappingProxyType(clean)
 
     @classmethod
     def zero(cls, dim: int, degree: int) -> "Form":
@@ -132,53 +216,6 @@ class Form:
     def monomial(cls, dim: int, indices: Iterable[int], coeff=1) -> "Form":
         indices = tuple(indices)
         return cls(dim, len(indices), {indices: coeff})
-
-    @classmethod
-    def raw(cls, dim: int, degree: int, terms: dict) -> "Form":
-        """Unchecked construction: valid keys of `degree`, nonzero scalars."""
-        f = cls.__new__(cls)
-        f.dim, f.degree, f.terms = dim, degree, terms
-        return f
-
-    # -- linear structure ------------------------------------------------
-
-    def _check_compatible(self, other: "Form"):
-        if not isinstance(other, Form):
-            raise TypeError(f"not a form: {other!r}")
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"dimensions {self.dim} != {other.dim}")
-        if self.degree != other.degree:
-            raise DegreeMismatch(f"degrees {self.degree} != {other.degree}")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        return Form.raw(self.dim, self.degree, _sum_maps(self.terms, other.terms))
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        return Form.raw(self.dim, self.degree, _sum_maps(self.terms, other.terms, -1))
-
-    def __neg__(self):
-        return Form.raw(self.dim, self.degree, _sum_maps({}, self.terms, -1))
-
-    def __mul__(self, scalar):
-        return Form.raw(self.dim, self.degree, _scaled(self.terms, scalar))
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, Form):
-            return NotImplemented
-        return (self.dim == other.dim and self.degree == other.degree
-                and _equal_maps(self.terms, other.terms))
-
-    __hash__ = None
 
     # -- exterior operations ----------------------------------------------
 
@@ -213,32 +250,11 @@ class Form:
                 out[k] = v
         return Form.raw(self.dim, self.degree, out)
 
-    def restrict(self, dim: int) -> "Form":
-        """Reinterpret over the first `dim` coframe legs.
-
-        Every stored index must already lie in 1..dim.
-        """
-        for key in self.terms:
-            if key and key[-1] > dim:
-                raise DimensionMismatch(
-                    f"term e^{{{ ' '.join(map(str, key)) }}} sticks out of 1..{dim}"
-                )
-        return Form(dim, self.degree, self.terms)
-
-    def extend(self, dim: int) -> "Form":
-        """Reinterpret over a larger coframe."""
-        if dim < self.dim:
-            raise DimensionMismatch(f"cannot extend dimension {self.dim} to {dim}")
-        return Form(dim, self.degree, self.terms)
-
     def __str__(self) -> str:
         return " + ".join(
             _term_text(self.terms[k], "e^{" + " ".join(map(str, k)) + "}" if k else "")
             for k in sorted(self.terms)
         ) or "0"
-
-    def __repr__(self) -> str:
-        return f"Form({self})"
 
 
 class Vector:
@@ -302,14 +318,11 @@ class Vector:
         return f"Vector({self})"
 
 
-class SymTensor2:
-    """Sparse symmetric 2-tensor; entries(i, j) with i <= j hold g_ij.
+class SymTensor2(Tensor):
+    """Sparse symmetric 2-tensor of degree 2; `terms` (i, j) with i <= j
+    holds g_ij."""
 
-    `entries` is a read-only view (`types.MappingProxyType`), so a tensor
-    can be shared without copies; such a view cannot be pickled, and
-    nothing in the package pickles or deep-copies a tensor."""
-
-    __slots__ = ("dim", "entries")
+    __slots__ = ()
 
     def __init__(self, dim: int, entries: Mapping):
         clean = {}
@@ -325,85 +338,29 @@ class SymTensor2:
             if (i, j) in clean:
                 raise ValueError(f"duplicate entry ({i},{j})")
             clean[(i, j)] = value
-        self.dim = dim
-        self.entries = MappingProxyType(clean)
+        self.dim, self.degree, self.terms = dim, 2, MappingProxyType(clean)
 
     def entry(self, i: int, j: int):
         if i > j:
             i, j = j, i
-        return self.entries.get((i, j), _F0)
-
-    @classmethod
-    def raw(cls, dim: int, entries: dict) -> "SymTensor2":
-        """Unchecked construction: keys (i, j), i <= j, nonzero scalars."""
-        t = cls.__new__(cls)
-        t.dim, t.entries = dim, MappingProxyType(entries)
-        return t
-
-    def _check_compatible(self, other: "SymTensor2"):
-        if not isinstance(other, SymTensor2):
-            raise TypeError(f"not a symmetric tensor: {other!r}")
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"dimensions {self.dim} != {other.dim}")
-
-    def __add__(self, other):
-        self._check_compatible(other)
-        return SymTensor2.raw(self.dim, _sum_maps(self.entries, other.entries))
-
-    def __sub__(self, other):
-        self._check_compatible(other)
-        return SymTensor2.raw(self.dim, _sum_maps(self.entries, other.entries, -1))
-
-    def __neg__(self):
-        return SymTensor2.raw(self.dim, _sum_maps({}, self.entries, -1))
-
-    def __mul__(self, scalar):
-        return SymTensor2.raw(self.dim, _scaled(self.entries, scalar))
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __eq__(self, other):
-        if not isinstance(other, SymTensor2):
-            return NotImplemented
-        return self.dim == other.dim and _equal_maps(self.entries, other.entries)
-
-    __hash__ = None
+        return self.terms.get((i, j), _F0)
 
     def to_matrix(self) -> list:
         """Dense dim x dim matrix of entries."""
         n = self.dim
         m = [[_F0] * n for _ in range(n)]
-        for (i, j), v in self.entries.items():
+        for (i, j), v in self.terms.items():
             m[i - 1][j - 1] = v
             if i != j:
                 m[j - 1][i - 1] = v
         return m
 
-    def restrict(self, dim: int) -> "SymTensor2":
-        """Same tensor on a smaller frame; entries must not stick out."""
-        for (i, j) in self.entries:
-            if j > dim:
-                raise DimensionMismatch(f"entry ({i},{j}) outside 1..{dim}")
-        return SymTensor2(dim, self.entries)
-
-    def extend(self, dim: int) -> "SymTensor2":
-        """Same tensor on a larger frame."""
-        if dim < self.dim:
-            raise DimensionMismatch(f"cannot extend dim {self.dim} to {dim}")
-        return SymTensor2(dim, self.entries)
-
     def __str__(self) -> str:
         return " + ".join(
             _term_text(v, f"(e^{i})^2") if i == j
             else _term_text(v * 2, f"e^{i}(.)e^{j}")
-            for (i, j), v in sorted(self.entries.items())
+            for (i, j), v in sorted(self.terms.items())
         ) or "0"
-
-    def __repr__(self) -> str:
-        return f"SymTensor2({self})"
 
 
 # -- operations ------------------------------------------------------------

@@ -98,7 +98,7 @@ class Metric7:
     """Nondegenerate symmetric 2-tensor on the 7-dimensional frame with
     exact rational entries.
 
-    Besides `tensor`, the tensor it was given, whose entries are a
+    Besides `tensor`, the tensor it was given, whose `terms` are a
     read-only view, g is held in one form: the integer rows of D g, D the
     lcm of the denominators of g (`_scale`, `_int_rows`).  Everything
     derived from g is read off signed minors of D g, each expanded once
@@ -111,7 +111,7 @@ class Metric7:
     def __init__(self, tensor: SymTensor2):
         if tensor.dim != _DIM:
             raise DimensionMismatch(f"metric must live on dimension {_DIM}")
-        for key, v in tensor.entries.items():
+        for key, v in tensor.terms.items():
             if not isinstance(v, (int, Fraction)):
                 raise ValidationError(f"metric entry {key} is not rational: {v!r}")
         self.tensor = tensor
@@ -120,9 +120,9 @@ class Metric7:
         # the nonzero entries of D g by row, as (column bit, integer) in
         # column order; frozen, because the minors and star columns
         # cached from them must not go stale
-        self._scale = lcm(*(x.denominator for x in tensor.entries.values()))
+        self._scale = lcm(*(x.denominator for x in tensor.terms.values()))
         rows = [{} for _ in _SINGLES]
-        for (i, j), x in tensor.entries.items():
+        for (i, j), x in tensor.terms.items():
             x = x.numerator * (self._scale // x.denominator)
             rows[i - 1][1 << (j - 1)] = rows[j - 1][1 << (i - 1)] = x
         self._int_rows = tuple(tuple(sorted(row.items())) for row in rows)
@@ -227,7 +227,7 @@ def compatibility_defect(metric: Metric7, phi: Form) -> SymTensor2:
             isinstance(c, scalars.RationalFunction) and c.den != 1
             for c in phi.terms.values()):
         return defect
-    for u, v in defect.entries:
+    for u, v in defect.terms:
         entries[(u, v)] = _top_coefficient(hooked[u].wedge(hooked[v]), phi)
     return SymTensor2(_DIM, entries) - metric.tensor * 3
 
@@ -293,7 +293,8 @@ class TorsionSet(Frozen):
         scale s*c is the one at c with rows and columns scaled by nonzero
         constants, so the elimination takes the same pivots, and each
         solved quotient keeps its denominator while its numerator scales
-        by the constant.  The result holds the same tau1 object."""
+        by the constant.  The result holds the same tau1 object, which is
+        safe to share: a form's `terms` refuse assignment."""
         s = Fraction(s)
         if s <= 0:
             raise ValidationError("scale factor must be a positive rational")

@@ -7,15 +7,18 @@ each space of invariant tensors is the exact kernel of a sparse linear
 system over the rationals.  `SolutionSpace` is that kernel for any
 linear map on tensors, built from the map's columns: a deterministic
 echelon basis, the basis tensors, and one checked reader of tensor
-coordinates.  The invariant solvers here (and `g2.lambda2_14_basis`)
-are calls to it; they re-verify every basis element before returning.
+coordinates.  Forms and symmetric 2-tensors are read alike, through the
+`terms` map of their shared core (`exterior.Tensor`); only their kind,
+(type name, frame dimension, degree), tells the spaces apart.  The
+invariant solvers here (and `g2.lambda2_14_basis`) are calls to it; they
+re-verify every basis element before returning.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import _linalg, scalars
 from .errors import DimensionMismatch, InternalInconsistency
@@ -26,14 +29,9 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-def _components(tensor) -> Mapping:
-    """The component map of a form or a symmetric 2-tensor."""
-    return tensor.terms if isinstance(tensor, Form) else tensor.entries
-
-
 def _kind(tensor) -> tuple:
     """(type name, frame dimension, degree) of a form or a symmetric 2-tensor."""
-    return type(tensor).__name__, tensor.dim, getattr(tensor, "degree", 2)
+    return type(tensor).__name__, tensor.dim, tensor.degree
 
 
 class SolutionSpace:
@@ -68,7 +66,7 @@ class SolutionSpace:
             raise DimensionMismatch("expected a {} on dimension {} of degree {}, got a "
                                     "{} on dimension {} of degree {}".format(
                                         *self._kind, *_kind(tensor)))
-        comps = _components(tensor)
+        comps = tensor.terms
         leftover = set(comps).difference(self._keys)
         if leftover:
             raise DimensionMismatch(f"components outside the solved block: "
@@ -113,7 +111,7 @@ def _invariant_space(algebra: LieAlgebra, verticals: Iterable[int], k: int,
     verticals = sorted(set(verticals))
     columns = [{(a, comp): v
                 for a in verticals
-                for comp, v in _components(derivative(a, make({key: _F1}))).items()}
+                for comp, v in derivative(a, make({key: _F1})).terms.items()}
                for key in keys]
     space = SolutionSpace(keys, columns, make)
     for tensor in space.basis:

@@ -292,7 +292,7 @@ def _sym_accumulate(algebra: LieAlgebra, a: int, tensor: SymTensor2) -> dict:
     dimension."""
     cols = algebra._ad(a)
     g: dict = {}
-    for (i, j), v in tensor.entries.items():
+    for (i, j), v in tensor.terms.items():
         g.setdefault(i, {})[j] = v
         g.setdefault(j, {})[i] = v
     reached = set()

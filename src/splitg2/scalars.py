@@ -182,6 +182,16 @@ class Polynomial:
     leading coefficient is positive; the sign and scale live in
     `content`.  The zero polynomial has content 0 and no terms.
     Instances are immutable.
+
+    Unlike `exterior.Tensor.terms`, `terms` stays a plain dict, which
+    nothing may write into once it is wrapped: the polynomial kernels
+    pay for a read-only view.  A warm slice-document request builds
+    about 5,500 polynomials and calls `mul_terms` about 106,000 times,
+    each comparing maps against {0: 1}.  With `terms` wrapped in
+    `types.MappingProxyType`, the benchmark's symbolic-solves workload
+    took 33.4-34.8 ms CPU per request against 31.5-33.2 ms with dicts,
+    worse in each of four alternating 10 s pairs (2-vCPU x86 host,
+    CPython 3.11).
     """
 
     __slots__ = ("alphabet", "content", "terms", "_hash")

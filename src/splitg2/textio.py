@@ -68,8 +68,9 @@ class Scenario(Frozen):
         first use and not checked (`g2.TorsionSystem.solution`); None when
         the metric or phi is missing.  `TorsionSet.rescale(c)` takes them
         to volume scale c, where `g2.check_torsions` checks them in each
-        request.  Every later request shares them and the forms they hold,
-        so never mutate either."""
+        request.  Every later request shares them and the forms they hold;
+        both refuse assignment (a `TorsionSet` is frozen, and each form's
+        `terms` is a read-only view)."""
         if self.metric is None or self.phi_family is None:
             return None
         return torsion_linear_system(self.algebra, self.metric,
@@ -80,8 +81,8 @@ class Scenario(Frozen):
         """`unit_torsions` with each coefficient in lowest terms
         (`TorsionSet.lowest_terms`), None when they are None: the same
         values in fewer terms, so `g2.check_torsions` multiplies less.
-        Reports keep rendering `unit_torsions`; never mutate this copy
-        either."""
+        Reports keep rendering `unit_torsions`; this copy refuses
+        assignment too."""
         unit = self.unit_torsions
         return None if unit is None else unit.lowest_terms()
 
@@ -341,10 +342,10 @@ def render_scenario(sc: Scenario) -> str:
     out.append(f"horizontal: {sc.horizontal}")
     out.append("verticals: " + " ".join(str(a) for a in sc.verticals))
     if sc.metric is not None:
-        entries = sc.metric.tensor.entries
+        terms = sc.metric.tensor.terms
         out.append("# metric: i j value  encodes the symmetric entry g_ij, i <= j")
-        for (i, j) in sorted(entries):
-            out.append(f"metric: {i} {j} {scalars.render_scalar(entries[(i, j)])}")
+        for (i, j) in sorted(terms):
+            out.append(f"metric: {i} {j} {scalars.render_scalar(terms[(i, j)])}")
     if sc.phi_family is not None:
         out.append("# phi: i j k coefficient  encodes one increasing 3-form term")
         for key in sorted(sc.phi_family.terms):

@@ -28,14 +28,27 @@ def test_commutator_table_matches_builder():
 def test_shared_maps_are_read_only():
     """The scenario's metric tensor and the bracket table are handed out
     without copies: an assignment into one raises instead of changing the
-    cached fixtures."""
-    entries = catalog.scenario("Ms").metric.tensor.entries
+    cached fixtures.  So are the values that every later request shares:
+    the unit and lowest-terms torsion forms, the cached coframe
+    differentials and the compatibility defect."""
+    entries = catalog.scenario("Ms").metric.tensor.terms
     brackets = sp2_build().brackets
     for target, key in ((entries, (1, 1)), (brackets, (1, 2)), (brackets[(1, 5)], 3)):
         with pytest.raises(TypeError):
             target[key] = Fraction(5)
     assert (1, 1) not in entries and (1, 2) not in brackets
     assert brackets[(1, 5)] == {1: 2}
+    sc = catalog.scenario("Ms")
+    shared = [sc.unit_torsions.tau1, sc.unit_torsions.tau3,
+              sc.checked_torsions.tau1, sc.checked_torsions.tau3,
+              sc.algebra.coframe_differential(1), sc.defect]
+    assert sc.algebra.coframe_differential(1) is shared[4]
+    for tensor in shared:
+        before = tensor.terms.copy()
+        for key in (next(iter(before), (1,)), (9, 10)):
+            with pytest.raises(TypeError):
+                tensor.terms[key] = Fraction(5)
+        assert tensor.terms == before
 
 
 def test_killing_matrix_basis():

@@ -1058,3 +1058,26 @@ def test_every_package_error_maps_to_an_exit_code(capsys, monkeypatch, cls):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert "injected failure" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("bogus",),
+    ("torsion",),
+    ("torsion", "--scenario", "Zz"),
+    ("torsion", "--kind", "x"),
+    ("verify-paper", "--input", "x"),
+], ids=["unknown-command", "no-scenario", "unknown-scenario", "unknown-flag",
+        "verify-paper-input"])
+def test_argument_parser_rejections_are_one_line(capsys, argv):
+    """What the argument parser itself rejects is reported like every other
+    bad flag: exit code 2, nothing on stdout, one `usage error:` line."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.endswith("\n")
+    assert err.startswith("usage error: ")
+
+
+def test_help_still_goes_to_stdout(capsys):
+    code, out, err = run(capsys, "torsion", "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: splitg2 torsion")

@@ -1,6 +1,8 @@
 """Sparse exterior algebra: wedge, interior product, symmetric tensors."""
 
 import ast
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -186,8 +188,8 @@ def test_sym_product_polarization():
     e2 = Form.monomial(3, (2,))
     t = sym_product(e1, e2)
     # off-diagonal entries store half the displayed coefficient
-    assert t.entries == {(1, 2): Fraction(1, 2)}
-    assert sym_product(e1, e1).entries == {(1, 1): Fraction(1)}
+    assert t.terms == {(1, 2): Fraction(1, 2)}
+    assert sym_product(e1, e1).terms == {(1, 1): Fraction(1)}
 
 
 def test_sym_product_symmetric(rng):
@@ -211,7 +213,7 @@ def test_symtensor_matrix_round_trip():
 
 def test_symtensor_key_normalization():
     t = SymTensor2(3, {(3, 1): 4})
-    assert t.entries == {(1, 3): Fraction(4)}
+    assert t.terms == {(1, 3): Fraction(4)}
 
 
 # -- extension and restriction ----------------------------------------------------
@@ -284,6 +286,23 @@ def test_raw_construction_stays_in_exterior():
                     (".Form", ".SymTensor2")):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert offenders == []
+
+
+def test_copies_and_pickles_keep_value_representation_and_read_only_terms():
+    """A view cannot be pickled: copies, deep copies and pickles rebuild
+    through the unchecked constructor, with equal terms in the same order
+    and the same unreduced representatives, still read-only."""
+    c = scalars.parse_scalar("(a^2 - 1)/(a - 1)", ("a",))
+    for obj in (Form(4, 2, {(1, 2): c, (3, 4): Fraction(-2, 3)}),
+                SymTensor2(4, {(2, 3): 5, (1, 1): c})):
+        for clone in (copy.copy(obj), copy.deepcopy(obj),
+                      pickle.loads(pickle.dumps(obj))):
+            assert type(clone) is type(obj) and clone is not obj
+            assert (clone.dim, clone.degree) == (obj.dim, obj.degree)
+            assert clone == obj and str(clone) == str(obj)
+            assert list(clone.terms) == list(obj.terms)
+            with pytest.raises(TypeError):
+                clone.terms[(1, 2)] = Fraction(1)
 
 
 def test_str_is_deterministic(rng):

@@ -119,7 +119,7 @@ def test_metric_keeps_its_own_copy_of_the_tensor():
     # caller's tensor: g, det g, the inertia, the cached star columns and
     # the defect all stay on the g the metric was built from
     with pytest.raises(TypeError):
-        tensor.entries[(1, 1)] = Fraction(5)
+        tensor.terms[(1, 1)] = Fraction(5)
     assert m.tensor.entry(1, 1) == 1
     assert (m.det, m.signature()) == (1, (7, 0))
     assert hodge_star(m, vol6) == star == Form(7, 1, {(1,): 1})
@@ -486,11 +486,11 @@ def test_compatibility_defect_matches_the_full_wedge(ml, ms, ms_at_2, rng):
         got = compatibility_defect(metric, phi)
         for reference in (wedge_compatibility_defect, pairwise_compatibility_defect):
             want = reference(metric, phi)
-            assert list(got.entries) == list(want.entries)
+            assert list(got.terms) == list(want.terms)
             assert got == want
             assert str(got) == str(want)
         if not got.is_zero():
-            failing.append(all(isinstance(c, Fraction) for c in got.entries.values()))
+            failing.append(all(isinstance(c, Fraction) for c in got.terms.values()))
     # nonzero defects: 7 rational, 8 symbolic
     assert failing.count(True) == 7 and failing.count(False) == 8
 

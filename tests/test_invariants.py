@@ -7,7 +7,7 @@ import pytest
 from splitg2 import catalog
 from splitg2.errors import DimensionMismatch
 from splitg2.exterior import Form, SymTensor2
-from splitg2.invariants import invariant_form3, invariant_sym2
+from splitg2.invariants import SolutionSpace, invariant_form3, invariant_sym2
 from splitg2.liealg import LieAlgebra
 
 
@@ -100,6 +100,21 @@ def test_coordinatize_rejects_nonhorizontal():
         invariant_form3(ml.algebra, ml.verticals, 7).contains(ml.phi_family)
     with pytest.raises(DimensionMismatch):
         invariant_sym2(ml.algebra, ml.verticals, 7).contains(ml.metric.tensor)
+
+
+def test_forms_and_tensors_are_told_apart_by_type():
+    """A 2-form and a symmetric 2-tensor on the same frame, with the same
+    key and degree, differ only in type: each is rejected by the space of
+    the other kind."""
+    sym = invariant_sym2(trivial_action(), (3, 4, 5), 2)
+    forms = SolutionSpace([(1, 2)], [{}], lambda terms: Form(5, 2, terms))
+    two_form, tensor = Form(5, 2, {(1, 2): 1}), SymTensor2(5, {(1, 2): 1})
+    assert (two_form.dim, two_form.degree) == (tensor.dim, tensor.degree)
+    assert forms.contains(two_form) and sym.contains(tensor)
+    with pytest.raises(DimensionMismatch):
+        sym.contains(two_form)
+    with pytest.raises(DimensionMismatch):
+        forms.contains(tensor)
 
 
 # -- the two quotient scenarios ------------------------------------------------------

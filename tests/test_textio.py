@@ -52,7 +52,7 @@ def test_scenario_round_trip_byte_identical():
         text = render_scenario(parse_scenario(fixture))
         assert render_scenario(parse_scenario(text)) == text
     assert parse_scenario(GOOD_SCENARIO).exclusions == (("q", Fraction(0)),)
-    assert parse_scenario(METRIC_SCENARIO).metric.tensor.entries == {
+    assert parse_scenario(METRIC_SCENARIO).metric.tensor.terms == {
         (1, 1): 1, (2, 2): Fraction(-2, 3), (3, 7): 1, (4, 6): 1, (5, 5): 1}
 
 
