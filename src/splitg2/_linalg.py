@@ -17,14 +17,19 @@ Rows are dicts from column index to nonzero entries.  Columns
 which is how augmented right-hand sides travel through the elimination.
 Two pivot orders exist: `row_reduce` takes the columns in ascending
 order (deterministic echelon forms and kernel bases, used by `rank`,
-`kernel_basis`, `solve_in_span[_many]` and rational `solve_unique`), and
+`independent`, `kernel_basis`, `solve_in_span[_many]` and rational
+`solve_unique`), and
 `row_reduce_min_fill` follows a Markowitz rule, used only for
 polynomial `solve_unique`, where a fixed order lets entries swell.
 
 Every solver eliminates through `_eliminate`, which detects the domain,
-prepares the rows and pivots them.  `rank` counts the pivots; the other
-solvers read each solution, one per right-hand-side column (or per free
-column for a kernel basis), off the pivot rows with `_read_off`.
+prepares the rows and pivots them.  `rank` counts the pivots and
+`independent` reads them as the indices of the first maximal linearly
+independent subset of a list of vectors; the other solvers read each
+solution, one per right-hand-side column (or per free column for a
+kernel basis), off the pivot rows with `_read_off`.  Systems given by
+columns (vectors, spans with their targets, the images of unit tensors)
+become sparse rows through one `transpose`.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from fractions import Fraction
 from math import gcd, inf, lcm
 
 from . import kernels, scalars
-from .errors import InconsistentSystem, NonUniqueSolution
+from .errors import DimensionMismatch, InconsistentSystem, NonUniqueSolution
 from .scalars import Polynomial, RationalFunction
 
 _F0 = Fraction(0)
@@ -336,8 +341,30 @@ def _read_off(domain, work, pivots, k, width):
     return x
 
 
+def transpose(columns) -> list:
+    """The sparse rows of the matrix whose column c is `columns[c]`, a map
+    from row key to value (a list enters as `dict(enumerate(v))`): one
+    row per key, keys sorted, zeros and empty rows skipped, each row's
+    entries in column order."""
+    rows: dict = {}
+    for c, column in enumerate(columns):
+        for key, v in column.items():
+            if v:
+                rows.setdefault(key, {})[c] = v
+    return [rows[key] for key in sorted(rows)]
+
+
 def rank(rows, width: int) -> int:
     return len(_eliminate(rows, width, row_reduce)[2])
+
+
+def independent(vectors) -> list:
+    """Ascending indices of the first maximal linearly independent subset
+    of `vectors`: each vector that is not in the span of those before it.
+    With the vectors as columns, those are the pivot columns of one
+    elimination in ascending column order."""
+    rows = transpose([dict(enumerate(v)) for v in vectors])
+    return sorted(_eliminate(rows, len(vectors), row_reduce)[2])
 
 
 def kernel_basis(rows, width: int) -> list:
@@ -385,7 +412,8 @@ def solve_in_span(span_rows: list, target: list, width: int):
     """Coefficients expressing `target` over `span_rows`, or None.
 
     Both span vectors and the target are coordinate lists of length
-    `width` over any one scalar domain.
+    `width` over any one scalar domain; any other length raises
+    DimensionMismatch.
     """
     return solve_in_span_many(span_rows, [target], width)[0]
 
@@ -394,21 +422,12 @@ def solve_in_span_many(span_rows: list, targets: list, width: int) -> list:
     """`solve_in_span` for each of several targets, in one elimination:
     the targets travel as right-hand-side columns, and each solution (or
     None) is read off the pivot rows."""
+    vectors = [*span_rows, *targets]
+    if any(len(v) != width for v in vectors):
+        raise DimensionMismatch(f"span vectors and targets must have length {width}")
     n = len(span_rows)
-    rows = []
-    for j in range(width):
-        row = {}
-        for i, vec in enumerate(span_rows):
-            v = vec[j]
-            if v:
-                row[i] = v
-        for k, target in enumerate(targets, n):
-            t = target[j]
-            if t:
-                row[k] = t
-        if row:
-            rows.append(row)
-    domain, work, pivots = _eliminate(rows, n, row_reduce)
+    domain, work, pivots = _eliminate(
+        transpose([dict(enumerate(v)) for v in vectors]), n, row_reduce)
     pivot_rows = set(pivots.values())
     # after the elimination a row without a pivot holds right-hand sides only
     outside = {k for r, row in enumerate(work) if r not in pivot_rows for k in row}

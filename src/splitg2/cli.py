@@ -256,12 +256,11 @@ TORSION_NAMES = {"tau0": "scalar torsion", "tau1": "vector torsion",
 
 
 def _compare_torsions(computed: TorsionSet, expected: TorsionSet):
-    """(field, computed, expected, equal) for each of the four torsions."""
+    """(field, computed, expected, equal) for each of the four torsions,
+    compared by value: `scalars.equals`, which is `Tensor.__eq__` on forms."""
     for field in TORSION_NAMES:
         got, want = getattr(computed, field), getattr(expected, field)
-        same = (scalars.equals(got, want) if field == "tau0"
-                else (got - want).is_zero())
-        yield field, got, want, same
+        yield field, got, want, scalars.equals(got, want)
 
 
 def _torsion_records(rep: Report, prefix: str, computed: TorsionSet,

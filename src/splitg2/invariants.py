@@ -5,7 +5,8 @@ vertical subgroup exactly when its Lie derivative along every vertical
 frame vector vanishes.  That condition is linear in the components, so
 each space of invariant tensors is the exact kernel of a sparse linear
 system over the rationals.  `SolutionSpace` is that kernel for any
-linear map on tensors, built from the map's columns: a deterministic
+linear map on tensors, built from the map's columns, which
+`_linalg.transpose` turns into the rows of the system: a deterministic
 echelon basis, the basis tensors, and one checked reader of tensor
 coordinates.  Forms and symmetric 2-tensors are read alike, through the
 `terms` map of their shared core (`exterior.Tensor`); only their kind,
@@ -20,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence
 
-from . import _linalg, scalars
+from . import _linalg
 from .errors import DimensionMismatch, InternalInconsistency
 from .exterior import Form, SymTensor2
 from .liealg import LieAlgebra
@@ -39,7 +40,8 @@ class SolutionSpace:
     carried both as coordinate vectors over `keys` and as tensors.
 
     `columns[c]` is the image of the unit tensor at `keys[c]`, a map from
-    row keys to coefficients (`kernel_rows`), and `make` builds a tensor
+    row keys to coefficients (`_linalg.transpose` turns the columns into
+    the rows of the kernel system), and `make` builds a tensor
     from a {key: value} map.  The basis is the deterministic echelon basis
     of the kernel; displayed families from the literature are compared by
     span membership, not by matching this basis element-for-element.
@@ -50,7 +52,8 @@ class SolutionSpace:
     def __init__(self, keys: Sequence, columns: Sequence[dict],
                  make: Callable[[dict], object]):
         self._keys = tuple(keys)
-        self.vectors = _linalg.kernel_basis(kernel_rows(columns), len(self._keys))
+        self.vectors = _linalg.kernel_basis(_linalg.transpose(columns),
+                                             len(self._keys))
         self.basis = [make(dict(zip(self._keys, v))) for v in self.vectors]
         self._kind = _kind(make({}))
 
@@ -80,22 +83,6 @@ class SolutionSpace:
 
     def contains(self, tensor) -> bool:
         return self.combination_for(tensor) is not None
-
-
-def kernel_rows(columns: Sequence[dict]) -> list:
-    """Rows of sum_c x_c * columns[c] = 0, where each column maps a
-    component key to its coefficient: one row per component key, in
-    sorted key order, with zero entries and empty rows skipped."""
-    rows = []
-    for comp in sorted(set().union(*columns)):
-        row = {}
-        for col, column in enumerate(columns):
-            v = column.get(comp)
-            if v is not None and not scalars.is_zero(v):
-                row[col] = v
-        if row:
-            rows.append(row)
-    return rows
 
 
 # -- invariant tensor solvers -------------------------------------------------

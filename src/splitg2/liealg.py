@@ -138,16 +138,17 @@ class LieAlgebra:
         e^{jkl}, j < k < l, is the e_i component of [[e_j, e_k], e_l] +
         [[e_k, e_l], e_j] + [[e_l, e_j], e_k]: d^2 = 0 on the Maurer-Cartan
         coframe is the Jacobi identity (Chevalley-Eilenberg).  Each
-        d(d e^i) is summed from the terms of the cached coframe
-        differentials and only its nonzero coefficients are kept, so memory
-        follows the violating triples rather than the square of the
-        dimension.  Returns a report carrying the maximum-violation triple
-        (largest defect, ties broken lexicographically) when the identity
-        fails.
+        d(d e^i) is `mc_differential` of the coframe differential d e^i,
+        the expression the d-squared records of the commands evaluate, and
+        only its nonzero coefficients are kept, so memory follows the
+        violating triples rather than the square of the dimension.
+        Returns a report carrying the maximum-violation triple (largest
+        defect, ties broken lexicographically) when the identity fails.
         """
         defects: dict = {}
         for i in range(1, self.dim + 1):
-            for key, c in self._d_squared(i).items():
+            dd = self.mc_differential(self.coframe_differential(i))
+            for key, c in dd.terms.items():
                 defects.setdefault(key, {})[i] = c
         worst = None
         for triple in sorted(defects):
@@ -157,21 +158,6 @@ class LieAlgebra:
         if worst is None:
             return JacobiReport(True, None, None)
         return JacobiReport(False, worst[1], defects[worst[1]])
-
-    def _d_squared(self, i: int) -> dict:
-        """The nonzero terms of d(d e^i) = sum_m d e^m ^ (e_m -| d e^i),
-        summed from the cached coframe differentials."""
-        buckets: dict = {}
-        for (a, b), u in self.coframe_differential(i).terms.items():
-            # e_a -| d e^i holds u e^b, e_b -| d e^i holds -u e^a
-            for m, rest, w in ((a, b, u), (b, a, -u)):
-                for pair, v in self.coframe_differential(m).terms.items():
-                    merged = kernels.merge_indices(pair, (rest,))
-                    if merged is not None:
-                        key, sign = merged
-                        buckets.setdefault(key, []).append(
-                            w * v if sign > 0 else -(w * v))
-        return fold(buckets)
 
     # -- invariants of the algebra ---------------------------------------
 
@@ -472,32 +458,19 @@ def sp2_build() -> LieAlgebra:
 
 
 class Subspace:
-    """Subspace of the frame space with a deterministic echelon basis."""
+    """Subspace of the frame space.  Its basis is the first maximal
+    linearly independent subset of its generators, in their order: each
+    generator not in the span of those before it (`_linalg.independent`)."""
 
     __slots__ = ("dim", "basis")
 
     def __init__(self, dim: int, generators: Iterable[Vector]):
-        rows = []
-        for g in generators:
-            if g.dim != dim:
-                raise DimensionMismatch("generator dimension mismatch")
-            row = {i: c for i, c in enumerate(g.components)
-                   if not scalars.is_zero(c)}
-            if row:
-                rows.append(row)
-        domain = _linalg.FractionDomain()
-        work = _linalg.prepare_rows(rows, domain)
-        pivots = _linalg.row_reduce(work, dim, domain)
-        basis = []
-        for col in sorted(pivots):
-            row = work[pivots[col]]
-            p = row[col]
-            comps = [_F0] * dim
-            for c, v in row.items():
-                comps[c] = domain.div(v, p)
-            basis.append(Vector(comps))
+        generators = list(generators)
+        if any(g.dim != dim for g in generators):
+            raise DimensionMismatch("generator dimension mismatch")
+        picked = _linalg.independent([g.components for g in generators])
         self.dim = dim
-        self.basis = tuple(basis)
+        self.basis = tuple(generators[i] for i in picked)
 
     @classmethod
     def span(cls, dim: int, *vectors) -> "Subspace":
@@ -508,7 +481,7 @@ class Subspace:
         return len(self.basis)
 
     def contains(self, v: Vector) -> bool:
-        if v.is_zero():
+        if v.is_zero() and v.dim == self.dim:
             return True
         coords = _linalg.solve_in_span(
             [list(b.components) for b in self.basis], list(v.components), self.dim

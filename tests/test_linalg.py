@@ -1,5 +1,6 @@
 """Sparse exact linear algebra against a dense Gaussian oracle."""
 
+import ast
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -22,6 +23,7 @@ from splitg2._linalg import (
 )
 from splitg2.errors import (
     Degenerate,
+    DimensionMismatch,
     InconsistentSystem,
     NonUniqueSolution,
     SingularMatrix,
@@ -35,6 +37,7 @@ from splitg2.g2 import Metric7, torsion_linear_system
 
 from conftest import (
     ALPHABET,
+    SRC,
     dense_kernel,
     dense_rref,
     random_fraction,
@@ -499,6 +502,145 @@ def test_solve_in_span_many_matches_one_target_at_a_time(rng):
                         for j in range(width)] == target
 
 
+
+def test_span_solvers_check_vector_lengths():
+    # a longer vector was silently truncated, a shorter one raised IndexError
+    s = Subspace.span(3, [1, 0, 0])
+    for v in ([1, 0, 0, 5], [1, 0], [0, 0, 0, 0]):
+        with pytest.raises(DimensionMismatch):
+            s.contains(Vector(v))
+    with pytest.raises(DimensionMismatch):
+        solve_in_span([[1, 0]], [1, 0, 0], 3)
+    with pytest.raises(DimensionMismatch):
+        _linalg.solve_in_span_many([[1, 0, 0]], [[1, 0, 0], [1, 0, 0, 0]], 3)
+
+
+# -- independent subsets and the transpose ------------------------------------------
+
+
+def echelon_reference(vectors, width):
+    """The reduced echelon basis of the span of `vectors`, as `Subspace`
+    built it before it kept a subset of its generators: one ascending
+    elimination of the vectors as rows, each pivot row over its pivot."""
+    rows = [{i: c for i, c in enumerate(v) if not scalars.is_zero(c)}
+            for v in vectors]
+    rows = [row for row in rows if row]
+    domain = detect_domain(rows)
+    work = prepare_rows(rows, domain)
+    pivots = row_reduce(work, width, domain)
+    basis = []
+    for col in sorted(pivots):
+        row = work[pivots[col]]
+        comps = [Fraction(0)] * width
+        for c, v in row.items():
+            comps[c] = domain.div(v, row[col])
+        basis.append(comps)
+    return basis
+
+
+def kernel_rows_reference(columns):
+    """The rows `SolutionSpace` built from its columns before the transpose."""
+    rows = []
+    for comp in sorted(set().union(*columns)):
+        row = {}
+        for col, column in enumerate(columns):
+            v = column.get(comp)
+            if v is not None and not scalars.is_zero(v):
+                row[col] = v
+        if row:
+            rows.append(row)
+    return rows
+
+
+def span_rows_reference(span_rows, targets, width):
+    """The rows `solve_in_span_many` built before the transpose."""
+    n = len(span_rows)
+    rows = []
+    for j in range(width):
+        row = {}
+        for i, vec in enumerate(span_rows):
+            if vec[j]:
+                row[i] = vec[j]
+        for k, target in enumerate(targets, n):
+            if target[j]:
+                row[k] = target[j]
+        if row:
+            rows.append(row)
+    return rows
+
+
+def mixed_vectors(rng, count, width, symbolic):
+    """Sparse vectors over Q or Q(a, p, q), with zero vectors, zero
+    polynomial entries and combinations of earlier vectors among them."""
+    zero = Polynomial.constant(("a", "p", "q"), 0)
+    out = []
+    for _ in range(count):
+        roll = rng.random()
+        if roll < 0.15:
+            out.append([zero if symbolic and rng.random() < 0.5 else Fraction(0)
+                        for _ in range(width)])
+        elif roll < 0.45 and out:
+            k1 = random_scalar(rng) if symbolic else random_fraction(rng)
+            k2 = random_fraction(rng)
+            u, w = rng.choice(out), rng.choice(out)
+            out.append([k1 * x + k2 * y for x, y in zip(u, w)])
+        else:
+            out.append([(random_scalar(rng) if symbolic and rng.random() < 0.4
+                         else random_fraction(rng)) if rng.random() < 0.6
+                        else zero if symbolic else Fraction(0)
+                        for _ in range(width)])
+    return out
+
+
+def test_independent_subset_matches_the_echelon_reference(rng):
+    dependent = 0
+    for case in range(60):
+        width = rng.randint(1, 5)
+        vectors = mixed_vectors(rng, rng.randint(0, 6), width, case % 3 == 2)
+        picked = _linalg.independent(vectors)
+        ref = echelon_reference(vectors, width)
+        assert picked == sorted(set(picked))
+        assert len(picked) == len(ref) == rank(
+            [dict(enumerate(v)) for v in vectors], width)
+        dependent += len(picked) < len(vectors)
+        # each vector is picked exactly when it leaves the span of those before it
+        for i, v in enumerate(vectors):
+            before = [vectors[j] for j in picked if j < i]
+            assert (i in picked) == (solve_in_span(before, v, width) is None)
+        # the picked vectors are independent and span the reference's space
+        chosen = [vectors[j] for j in picked]
+        assert len(echelon_reference(chosen, width)) == len(chosen)
+        assert all(solve_in_span(chosen, b, width) is not None for b in ref)
+        assert all(solve_in_span(ref, c, width) is not None for c in chosen)
+        # Subspace keeps those generators, and agrees with the reference
+        gens = [Vector(v) for v in vectors]
+        space = Subspace(width, gens)
+        assert [id(b) for b in space.basis] == [id(gens[j]) for j in picked]
+        assert space.rank == len(ref)
+        for t in mixed_vectors(rng, 3, width, case % 3 == 2) + vectors[:2]:
+            inside = len(echelon_reference(ref + [t], width)) == len(ref)
+            assert space.contains(Vector(t)) == inside
+    assert dependent > 20
+
+
+def test_transpose_builds_the_rows_of_both_former_readers(rng):
+    for case in range(60):
+        width = rng.randint(1, 5)
+        symbolic = case % 3 == 2
+        span = mixed_vectors(rng, rng.randint(0, 4), width, symbolic)
+        targets = mixed_vectors(rng, rng.randint(1, 3), width, symbolic)
+        got = _linalg.transpose([dict(enumerate(v)) for v in span + targets])
+        assert got == span_rows_reference(span, targets, width)
+        # columns keyed by tuples, as the invariant-tensor systems have them
+        columns = [{(rng.randint(1, 3), (rng.randint(1, 4),)): c
+                    for c in v} for v in span + targets]
+        for column in columns:
+            column[(9, (9,))] = Fraction(0)
+        rows = _linalg.transpose(columns)
+        assert rows == kernel_rows_reference(columns)
+        assert all(list(row) == sorted(row) for row in rows)
+
+
 # -- integer rows against classical rational elimination ---------------------------
 
 
@@ -781,3 +923,26 @@ def test_field_overflow_in_the_eliminator_raises():
     for entry in (lambda: rank(rows, 2), lambda: solve_unique(rows, 1)):
         with pytest.raises(ValidationError, match="exceeds the limit"):
             entry()
+
+
+ENGINE = {"FractionDomain", "PolyDomain", "prepare_rows", "row_reduce",
+          "row_reduce_min_fill", "detect_domain", "clear_row_denominators",
+          "_eliminate", "_read_off"}
+
+
+def test_no_module_but_linalg_names_the_elimination_engine():
+    # domains and pivots stay inside _linalg: every other module solves
+    # through its public readers
+    for path in sorted((SRC / "splitg2").glob("*.py")):
+        if path.name == "_linalg.py":
+            continue
+        named = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+        assert not named & ENGINE, f"{path.name} names {sorted(named & ENGINE)}"
+
