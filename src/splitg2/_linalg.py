@@ -4,13 +4,15 @@ first and then eliminate fraction free, by cross-multiplication row
 updates followed by content normalization: rational rows become
 primitive integer rows (exact gcds, no Fraction arithmetic), polynomial
 rows become Polynomial entries with integer contents of gcd 1 and no
-common monomial factor (no polynomial division, no polynomial gcd).  A
-polynomial row update runs on integer term maps: each entry is its
-integer content times its packed-key term map, products go through
-`scalars.mul_terms` and sums through `kernels.poly_axpy`, and one
-integer normaliser (`_poly_row`) divides the result by the gcd of all
-its coefficients and by the common monomial.  Quotients appear only when
-a solution is read off (`div`).
+common monomial factor (no polynomial division, no polynomial gcd).
+Both row updates add through `kernels.poly_axpy`.  A rational row is an
+integer map keyed by column, so its update is one `poly_axpy` of the two
+rows followed by the division by their content.  A polynomial row
+update runs on integer term maps: each entry is its integer content
+times its packed-key term map, products go through `scalars.mul_terms`
+and sums through `poly_axpy`, and one integer normaliser (`_poly_row`)
+divides the result by the gcd of all its coefficients and by the common
+monomial.  Quotients appear only when a solution is read off (`div`).
 
 Rows are dicts from column index to nonzero entries.  Columns
 0..width-1 are unknowns; any higher column indices are carried along,
@@ -50,7 +52,8 @@ _F1 = Fraction(1)
 
 class FractionDomain:
     """Rational rows held as primitive integer rows (see `prepare_rows`);
-    cross-multiplication elimination.
+    cross-multiplication elimination, each update one `kernels.poly_axpy`
+    of two rows keyed by column.
 
     A row and its integer multiple have the same solution set and the
     same nonzero pattern, so pivots, solutions and kernel bases are those
@@ -60,29 +63,12 @@ class FractionDomain:
         return 1
 
     def combine(self, p, row, f, prow, col):
-        """p'*row - f'*prow with p' = p/g, f' = f/g, g = gcd(p, f), col
-        removed, divided by its content."""
+        """p'*row - f'*prow with p' = p/g, f' = f/g, g = gcd(p, f), divided
+        by its content: one `kernels.poly_axpy` on the integer rows.  The
+        two entries at col cancel (p'f - f'p = 0) and drop out, and the
+        other keys keep the order row's first, then prow's new ones."""
         g = gcd(p, f)
-        if g != 1:
-            p //= g
-            f //= g
-        out = {}
-        for c, v in row.items():
-            if c != col:
-                out[c] = p * v
-        for c, v in prow.items():
-            if c == col:
-                continue
-            cur = out.get(c)
-            if cur is None:
-                out[c] = -f * v
-            else:
-                cur -= f * v
-                if cur:
-                    out[c] = cur
-                else:
-                    del out[c]
-        return _primitive(out)
+        return _primitive(kernels.poly_axpy(p // g, row, -(f // g), prow))
 
     def div(self, a, b):
         return Fraction(a, b)

@@ -4,9 +4,11 @@ replay.
 
 All expected scalar values are stored as rendered expression strings and
 parsed at comparison time, so the golden data stays human-diffable.  The
-two scenarios are built once, validated (Jacobi, fibration integrability,
-compatibility) and cached immutable.  They are `textio.Scenario`s, the
-type a parsed input document has too, and `validation` checks either.
+two scenarios are built once each by the one builder `_fixture`, from
+their own basis, metric, 3-form family and goldens, validated (Jacobi,
+fibration integrability, compatibility) and cached immutable.  They are
+`textio.Scenario`s, the type a parsed input document has too, and
+`validation` checks either.
 """
 
 import re
@@ -332,80 +334,82 @@ def restrict_form(form: Form, alphabet: tuple,
     return form.map_coefficients(restrict)
 
 
+def _fixture(name, alphabet, basis, metric, generators, relations, exclusions,
+             **expected) -> Scenario:
+    """The validated quotient `name` of sp(2, R), in the basis `basis`.
+
+    The algebra is the matrix-basis algebra in `basis`, the metric is
+    `metric` on the seven horizontal legs, and phi is the family
+    combination of the 3-form `generators` under `relations`; the
+    verticals are 8, 9 and 10.  The `Expected` record takes the
+    generators and relations as its form family and solution relations,
+    volume scale 1 and the remaining fields from `expected`."""
+    return _validate(Scenario(
+        name=name,
+        alphabet=alphabet,
+        algebra=liealg.change_basis(liealg.sp2_build(), basis),
+        basis=basis,
+        horizontal=7, verticals=(8, 9, 10),
+        metric=Metric7(metric),
+        phi_family=family_combination(generators, relations, alphabet),
+        exclusions=exclusions,
+        expected=Expected(form_family=generators, solution_relations=relations,
+                          vol_scale="1", **expected),
+    ))
+
+
 @lru_cache(maxsize=None)
 def scenario_Ml() -> Scenario:
     """Quotient by the long-root subalgebra, 3-parameter structure family."""
-    alphabet = ("a", "p", "q")
-    base = liealg.sp2_build()
-    basis = BasisChange.permutation((2, 3, 4, 6, 7, 8, 9, 1, 5, 10))
-    algebra = liealg.change_basis(base, basis)
-    metric = Metric7(SymTensor2(7, {(4, 4): 1, (3, 5): -1, (2, 6): _HALF, (1, 7): 1}))
-    phi = family_combination(_form_generators_long(), _ML_RELATIONS, alphabet)
-    expected = Expected(
+    return _fixture(
+        "Ml", ("a", "p", "q"),
+        BasisChange.permutation((2, 3, 4, 6, 7, 8, 9, 1, 5, 10)),
+        SymTensor2(7, {(4, 4): 1, (3, 5): -1, (2, 6): _HALF, (1, 7): 1}),
+        _form_generators_long(), _ML_RELATIONS,
+        (("a", Fraction(0)), ("p", Fraction(0)), ("q", Fraction(1))),
         dimensions={"invariant-metrics": 7, "invariant-3-forms": 10},
         coframe_differentials=MC_LONG,
         leaf_differentials=LEAF_LONG,
         killing=KILLING_LONG_BASIS,
         metric_family=_metric_generators_long(),
-        form_family=_form_generators_long(),
-        solution_relations=_ML_RELATIONS,
         phi_display=_ML_PHI_DISPLAY,
         metric_det="-1/4",
         tau0="6/7*((2*a-p)^2*q-(2*a+p)^2)/(a*p)",
         tau1=_ML_TAU1,
         tau2={},
         tau3=_ML_TAU3,
-        vol_scale="1",
         tau0_reference_point={"a": "1", "p": "1", "q": "0"},
         tau0_reference_value="-54/7",
         coclosed=False,
         coclosed_slice={"p": "2*a"},
-    )
-    return _validate(
-        Scenario(
-            name="Ml",
-            alphabet=alphabet,
-            algebra=algebra,
-            basis=basis,
-            horizontal=7,
-            verticals=(8, 9, 10),
-            metric=metric,
-            phi_family=phi,
-            exclusions=(("a", Fraction(0)), ("p", Fraction(0)), ("q", Fraction(1))),
-            expected=expected,
-        )
     )
 
 
 @lru_cache(maxsize=None)
 def scenario_Ms() -> Scenario:
     """Quotient by the short-root subalgebra, 1-parameter structure family."""
-    alphabet = ("q",)
-    base = liealg.sp2_build()
-    rows = [
-        [1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-        [0, 0, 1, 0, 0, 0, 0, 0, 0, 0],
-        [0, 0, 0, 1, 0, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, -1, 1, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 0, 1, 0, 0, 0],
-        [0, 0, 0, 0, 0, 0, 0, 1, 0, 0],
-        [0, 0, 0, 0, 0, 0, 0, 0, 0, 1],
-        [0, 1, 0, 0, 0, 0, 0, 0, 0, 0],
-        [0, 0, 0, 0, 1, 1, 0, 0, 0, 0],
-        [0, 0, 0, 0, 0, 0, 0, 0, 1, 0],
-    ]
-    basis = BasisChange(rows)
-    algebra = liealg.change_basis(base, basis)
-    metric = Metric7(SymTensor2(7, {(4, 4): 2, (3, 5): -1, (2, 6): _HALF, (1, 7): -2}))
-    phi = family_combination(_form_generators_short(), _MS_RELATIONS, alphabet)
-    expected = Expected(
+    return _fixture(
+        "Ms", ("q",),
+        BasisChange([
+            [1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            [0, 0, 1, 0, 0, 0, 0, 0, 0, 0],
+            [0, 0, 0, 1, 0, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, -1, 1, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0, 1, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0, 0, 1, 0, 0],
+            [0, 0, 0, 0, 0, 0, 0, 0, 0, 1],
+            [0, 1, 0, 0, 0, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 1, 1, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0, 0, 0, 1, 0],
+        ]),
+        SymTensor2(7, {(4, 4): 2, (3, 5): -1, (2, 6): _HALF, (1, 7): -2}),
+        _form_generators_short(), _MS_RELATIONS,
+        (("q", Fraction(0)),),
         dimensions={"invariant-metrics": 4, "invariant-3-forms": 5},
         coframe_differentials=MC_SHORT,
         leaf_differentials=LEAF_SHORT,
         killing=KILLING_SHORT_BASIS,
         metric_family=_metric_generators_short(),
-        form_family=_form_generators_short(),
-        solution_relations=_MS_RELATIONS,
         phi_display=_MS_PHI_DISPLAY,
         metric_det="-2",
         tau0="-18/7",
@@ -418,25 +422,10 @@ def scenario_Ms() -> Scenario:
             (1, 3, 6): "-3/7*q",
             (2, 5, 7): "-3/(7*q)",
         },
-        vol_scale="1",
         tau0_reference_point={"q": "1"},
         tau0_reference_value="-18/7",
         coclosed=True,
         coclosed_slice=None,
-    )
-    return _validate(
-        Scenario(
-            name="Ms",
-            alphabet=alphabet,
-            algebra=algebra,
-            basis=basis,
-            horizontal=7,
-            verticals=(8, 9, 10),
-            metric=metric,
-            phi_family=phi,
-            exclusions=(("q", Fraction(0)),),
-            expected=expected,
-        )
     )
 
 

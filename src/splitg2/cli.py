@@ -222,10 +222,7 @@ def _expected_torsions(sc: textio.Scenario) -> TorsionSet:
 
 def _specialize_torsions(torsions: TorsionSet,
                          point: Mapping[str, Fraction]) -> TorsionSet:
-    return TorsionSet(scalars.specialize(torsions.tau0, point),
-                      _specialize_form(torsions.tau1, point),
-                      _specialize_form(torsions.tau2, point),
-                      _specialize_form(torsions.tau3, point))
+    return torsions.map_coefficients(lambda c: scalars.specialize(c, point))
 
 
 def _render(value) -> str:

@@ -305,17 +305,19 @@ class TorsionSet(Frozen):
             tau3=self.tau3 * s,
         )
 
+    def map_coefficients(self, fn) -> "TorsionSet":
+        """The torsions with `fn` applied to tau0 and to every coefficient
+        of tau1, tau2 and tau3 (`Form.map_coefficients`, which drops the
+        coefficients `fn` sends to zero)."""
+        return TorsionSet(fn(self.tau0), self.tau1.map_coefficients(fn),
+                          self.tau2.map_coefficients(fn),
+                          self.tau3.map_coefficients(fn))
+
     def lowest_terms(self) -> "TorsionSet":
         """The same torsions with each coefficient in lowest terms
         (`scalars.lowest_terms`).  `rescale` only scales contents, so it
         commutes with this reduction."""
-        low = scalars.lowest_terms
-        return TorsionSet(
-            tau0=low(self.tau0),
-            tau1=self.tau1.map_coefficients(low),
-            tau2=self.tau2.map_coefficients(low),
-            tau3=self.tau3.map_coefficients(low),
-        )
+        return self.map_coefficients(scalars.lowest_terms)
 
 
 class TorsionSystem:

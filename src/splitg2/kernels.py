@@ -33,6 +33,12 @@ exponent fields of keys, `_pack` writes a map into slots, `_slots` reads
 balanced slots back, and `_cell_keys` gives the key of each slot.  This
 module reads key fields only through `_columns` and builds keys only
 through `_cell_keys`.
+
+`poly_axpy` adds multiples of two maps of nonzero ints whatever their
+keys, so it is also the rational row update of `_linalg`, whose rows
+are integer maps keyed by column.  `merge_indices` takes the sign of a
+wedge merge as the parity of the inversions between two index tuples,
+and `wedge_terms` and `wedge_collect` merge whole index maps with it.
 """
 
 from math import gcd, prod
@@ -271,7 +277,13 @@ def _gcd_at(a, b, cols_a, cols_b, shifts, radix, width):
 
 
 def poly_axpy(ma, a, mb, b):
-    """ma*a + mb*b for integer term maps and nonzero int multipliers."""
+    """ma*a + mb*b for integer term maps and nonzero int multipliers.
+
+    Any dict of nonzero ints combines this way, whatever its keys: the
+    rational row update of `_linalg.FractionDomain` passes primitive
+    integer rows keyed by column.  Keys of `a` come first, in their
+    order, then the new keys of `b`; a key whose sum is zero is
+    dropped."""
     out = {}
     for e, c in a.items():
         out[e] = ma * c
@@ -291,38 +303,19 @@ def poly_axpy(ma, a, mb, b):
 def merge_indices(i, j):
     """Merge two strictly increasing index tuples.
 
-    Returns (merged, sign) where sign is the parity of the shuffle, or
-    None when the tuples share an index.
+    Returns (merged, sign), or None when the tuples share an index.
+    merged is sorted(i + j), and sign is (-1)^k for the k inversions of
+    the concatenation i + j, the pairs a in i, b in j with a > b: the
+    parity of the shuffle that sorts e^i ^ e^j.
     """
-    if not i:
-        return j, 1
-    if not j:
-        return i, 1
-    out = []
-    swaps = 0
-    x = 0
-    y = 0
-    ni = len(i)
-    nj = len(j)
-    while x < ni and y < nj:
-        u = i[x]
-        v = j[y]
-        if u == v:
-            return None
-        if u < v:
-            out.append(u)
-            x += 1
-        else:
-            out.append(v)
-            y += 1
-            swaps += ni - x
-    while x < ni:
-        out.append(i[x])
-        x += 1
-    while y < nj:
-        out.append(j[y])
-        y += 1
-    return tuple(out), (1 if swaps % 2 == 0 else -1)
+    k = 0
+    for a in i:
+        for b in j:
+            if a > b:
+                k += 1
+            elif a == b:
+                return None
+    return tuple(sorted(i + j)), -1 if k & 1 else 1
 
 
 def wedge_terms(a, b):

@@ -14,6 +14,9 @@ share.  Rendering is byte-stable: fixed key order, sorted indices,
 canonical scalar text.  `parse_scenario(render_scenario(sc))` reproduces
 the scenario's document.
 
+A `dim` or `horizontal` line holds exactly one integer, and a
+`verticals` line holds no index twice.
+
 Documents are bounded so that no input can run the commands for long:
 past one of the limits below the parser raises a one-line `ParseError`.
 The paper's documents need dim 10, 30 bracket lines, 3 parameters and
@@ -137,6 +140,13 @@ def _int_fields(lineno: int, value: str, count: int, what: str) -> list:
     return out + [parts[count] if len(parts) > count else ""]
 
 
+def _one_int(lineno: int, value: str, what: str) -> int:
+    n, rest = _int_fields(lineno, value, 1, what)
+    if rest:
+        raise ParseError(f"line {lineno}: {what} takes one integer, got {value!r}")
+    return n
+
+
 def _scalar(lineno: int, text: str, alphabet: tuple):
     if not text:
         raise ParseError(f"line {lineno}: missing coefficient")
@@ -190,15 +200,13 @@ class _Collector:
             raise ParseError(f"line {lineno}: {exc}") from exc
 
     def _key_dim(self, lineno: int, value: str) -> None:
-        fields = _int_fields(lineno, value, 1, "dim")
-        if fields[0] > MAX_DIM:
-            raise ParseError(f"line {lineno}: dim {fields[0]} exceeds the limit "
-                             f"{MAX_DIM}")
-        self._once(lineno, "dim", fields[0])
+        dim = _one_int(lineno, value, "dim")
+        if dim > MAX_DIM:
+            raise ParseError(f"line {lineno}: dim {dim} exceeds the limit {MAX_DIM}")
+        self._once(lineno, "dim", dim)
 
     def _key_horizontal(self, lineno: int, value: str) -> None:
-        fields = _int_fields(lineno, value, 1, "horizontal")
-        self._once(lineno, "horizontal", fields[0])
+        self._once(lineno, "horizontal", _one_int(lineno, value, "horizontal"))
 
     def _key_verticals(self, lineno: int, value: str) -> None:
         try:
@@ -207,6 +215,8 @@ class _Collector:
             raise ParseError(f"line {lineno}: verticals must be integers") from exc
         if not fields:
             raise ParseError(f"line {lineno}: empty verticals list")
+        if len(set(fields)) < len(fields):
+            raise ParseError(f"line {lineno}: repeated vertical index in {value!r}")
         self._once(lineno, "verticals", fields)
 
     def _key_bracket(self, lineno: int, value: str) -> None:

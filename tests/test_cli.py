@@ -930,7 +930,13 @@ def test_input_bad_parameter_name_is_usage():
 @pytest.mark.parametrize("old,new,message", [
     ("horizontal: 7\n", "horizontal: 0_7\n", "bad integer '0_7'"),
     ("alphabet: q\n", "alphabet: q ℘\n", "bad parameter name '℘'"),
-], ids=["integer", "alphabet"])
+    ("dim: 10\n", "dim: 10 junk\n", "dim takes one integer, got '10 junk'"),
+    ("horizontal: 7\n", "horizontal: 7 eight\n",
+     "horizontal takes one integer, got '7 eight'"),
+    ("verticals: 8 9 10\n", "verticals: 8 8 9 10\n",
+     "repeated vertical index in '8 8 9 10'"),
+], ids=["integer", "alphabet", "dim-fields", "horizontal-fields",
+        "repeated-vertical"])
 def test_input_document_rejected_by_the_input_rules_is_usage(capsys, monkeypatch,
                                                               old, new, message):
     doc = catalog.scenario("Ms").text()

@@ -59,6 +59,35 @@ def test_term_gcd_oracle(rng):
     assert kernels.term_gcd({}) == 0
 
 
+def reference_merge_indices(i, j):
+    """`merge_indices` as a two-pointer merge that counts, for each index
+    of j taken, the indices of i still ahead of it: the form it had before
+    the sign was read as an inversion count."""
+    if not i:
+        return j, 1
+    if not j:
+        return i, 1
+    out = []
+    swaps = x = y = 0
+    while x < len(i) and y < len(j):
+        if i[x] == j[y]:
+            return None
+        if i[x] < j[y]:
+            out.append(i[x])
+            x += 1
+        else:
+            out.append(j[y])
+            y += 1
+            swaps += len(i) - x
+    out.extend(i[x:])
+    out.extend(j[y:])
+    return tuple(out), (1 if swaps % 2 == 0 else -1)
+
+
+def increasing_tuples(top):
+    return [t for n in range(top + 1) for t in combinations(range(1, top + 1), n)]
+
+
 def test_merge_indices_sign_is_shuffle_parity(rng):
     for _ in range(60):
         n = rng.randint(0, 4)
@@ -71,6 +100,20 @@ def test_merge_indices_sign_is_shuffle_parity(rng):
         merged, sign = got
         assert merged == tuple(sorted(i + j))
         assert sign == inversion_sign(i + j)
+    # every pair of increasing tuples over 1..7, collisions included
+    tuples = increasing_tuples(7)
+    collisions = 0
+    for i in tuples:
+        for j in tuples:
+            want = reference_merge_indices(i, j)
+            assert kernels.merge_indices(i, j) == want
+            collisions += want is None
+    assert 0 < collisions < len(tuples) ** 2
+    # and a seeded sample over 1..10
+    tuples = increasing_tuples(10)
+    for _ in range(3000):
+        i, j = rng.choice(tuples), rng.choice(tuples)
+        assert kernels.merge_indices(i, j) == reference_merge_indices(i, j)
 
 
 def test_merge_indices_collision():

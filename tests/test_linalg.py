@@ -747,6 +747,73 @@ def test_prepared_rational_rows_are_primitive_integer_rows(rng):
                 assert all(v == scale * row[c] for c, v in prepared.items())
 
 
+def reference_fraction_update(p, row, f, prow, col):
+    """`FractionDomain.combine` before its division by the content, as
+    the hand loop it was before it went through `kernels.poly_axpy`."""
+    g = gcd(p, f)
+    if g != 1:
+        p //= g
+        f //= g
+    out = {}
+    for c, v in row.items():
+        if c != col:
+            out[c] = p * v
+    for c, v in prow.items():
+        if c == col:
+            continue
+        cur = out.get(c)
+        if cur is None:
+            out[c] = -f * v
+        else:
+            cur -= f * v
+            if cur:
+                out[c] = cur
+            else:
+                del out[c]
+    return out
+
+
+def integer_row_through(rng, col, others):
+    """A nonzero integer row on `col` and `others`, col at a random
+    position, with small entries so that updates often cancel."""
+    cols = list(others)
+    cols.insert(rng.randint(0, len(cols)), col)
+    return {c: rng.choice((-3, -2, -1, 1, 2, 3, 4, 6)) for c in cols}
+
+
+def test_fraction_combine_matches_the_reference_loop(rng):
+    """Equal entries and equal key order, since the key order steers the
+    pivot choice of later steps."""
+    domain = FractionDomain()
+    shapes = set()
+    for _ in range(2000):
+        width = rng.randint(1, 9)
+        col = rng.randrange(width)
+        others = [c for c in range(width) if c != col]
+        rng.shuffle(others)
+        row = integer_row_through(rng, col, others[:rng.randint(0, len(others))])
+        prow = integer_row_through(rng, col,
+                                   rng.sample(others, rng.randint(0, len(others))))
+        args = (prow[col], row, row[col], prow, col)
+        raw = reference_fraction_update(*args)
+        want = _linalg._primitive(raw)
+        got = domain.combine(*args)
+        assert got == want
+        assert list(got) == list(want)
+        shared = (row.keys() & prow.keys()) - {col}
+        if len(row) == 1 or len(prow) == 1:
+            shapes.add("single")
+        elif shared:
+            shapes.add("shared")
+        else:
+            shapes.add("disjoint")
+        if len(raw) < len((row.keys() | prow.keys()) - {col}):
+            shapes.add("cancelled")
+        if raw != want:
+            shapes.add("content")
+    assert shapes == {"single", "disjoint", "shared", "cancelled", "content"}
+
+
 # -- polynomial domain ---------------------------------------------------------------
 
 

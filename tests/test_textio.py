@@ -104,6 +104,8 @@ def test_defaulted_verticals():
     ("format: splitg2-algebra 1\nalphabet:\nalphabet: q\ndim: 2\n", "duplicate 'alphabet'"),
     ("format: splitg2-algebra 1\ndim: 3\nbracket: 1 2 3 1\nalphabet: q\n",
      "must precede coefficients"),
+    ("format: splitg2-algebra 1\ndim: 10 junk\n",
+     "line 2: dim takes one integer, got '10 junk'"),
 ])
 def test_algebra_parse_errors(text, fragment):
     """Errors in the algebra lines of a scenario document.  Each case is
@@ -142,6 +144,10 @@ def test_algebra_parse_errors(text, fragment):
      "plain rationals"),
     ("format: splitg2-scenario 1\ndim: 3\nhorizontal: 2\nmetric: 1 7 1\n",
      "out of range"),
+    ("format: splitg2-scenario 1\ndim: 10\nhorizontal: 7 eight\n",
+     "line 3: horizontal takes one integer, got '7 eight'"),
+    ("format: splitg2-scenario 1\ndim: 3\nhorizontal: 1\nverticals: 2 2 3\n",
+     "line 4: repeated vertical index in '2 2 3'"),
 ])
 def test_scenario_parse_errors(text, fragment):
     with pytest.raises(ParseError) as err:

@@ -1,0 +1,175 @@
+"""Print a digest line for each command of a fixed list, to check that
+two trees give byte-identical output.
+
+    python3 tools/output_matrix.py [ROOT]
+
+runs every command of `commands()` through `splitg2.cli.main` of the
+package under ROOT/src (default: this checkout), in order and in one
+process, so that later requests read the eliminations earlier ones
+cached.  For each it prints one line: the exit code, the sha256 of
+stdout, the sha256 of stderr and the argv, followed by `< label` when
+the command reads a document on stdin.  Run it on two trees and diff
+the output: equal lines mean equal bytes.
+
+The list covers every subcommand: torsion solves of both builtin
+scenarios at a range of volume scales and at points, in text and JSON;
+verify-paper at several seeds and scales and with corrupted structure
+constants; invariants, growth and describe; torsion on scenario
+documents (the describe documents, an incompatible metric, seeded
+slices p = k*a of Ml, and Ml documents with one bracket shifted by a
+rational or symbolic amount); and four rejected command lines.  The
+documents are built here from the tree's own `describe` output.
+Standard library only.
+"""
+
+import contextlib
+import hashlib
+import io
+import random
+import re
+import shlex
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+SCALES = (None, "1", "2", "7/3", "1/5", "9/2", "3/8", "11/7", "13", "5/3", "1/4")
+
+
+def run(argv, stdin=None):
+    """(exit code, stdout, stderr) of one command line through `cli.main`
+    in this process, with `stdin` as standard input."""
+    from splitg2 import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin or "")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(argv))
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def line(command) -> str:
+    """The digest line of one (argv, label, stdin) command."""
+    argv, label, stdin = command
+    code, out, err = run(argv, stdin)
+    digest = [hashlib.sha256(s.encode("utf-8", "surrogateescape")).hexdigest()
+              for s in (out, err)]
+    text = f"{code} {digest[0]} {digest[1]} {shlex.join(argv)}"
+    return text + (f" < {label}" if label else "")
+
+
+def slice_document(ml: str, slope: Fraction) -> str:
+    """The Ml document `ml` restricted to the slice p = slope*a."""
+    lines = []
+    for text in ml.splitlines():
+        if text.startswith("name:"):
+            text = f"name: Ml slice p = {slope}*a"
+        elif text.startswith("alphabet:"):
+            text = "alphabet: a q"
+        elif text.startswith("exclude: p "):
+            continue
+        elif text.startswith("phi:"):
+            text = re.sub(r"\bp\b", f"({slope}*a)", text)
+        lines.append(text)
+    return "\n".join(lines) + "\n"
+
+
+def shift_bracket(doc: str, n: int, shift: str) -> str:
+    """`doc` with the coefficient of its n-th bracket line (from 1)
+    shifted by `shift`."""
+    lines = doc.splitlines()
+    at = [i for i, text in enumerate(lines) if text.startswith("bracket:")][n - 1]
+    head, coeff = lines[at].rsplit(" ", 1)
+    lines[at] = f"{head} ({coeff})+({shift})"
+    return "\n".join(lines) + "\n"
+
+
+def _scaled(argv, scale, fmt):
+    argv = list(argv)
+    if scale is not None:
+        argv += ["--vol-scale", scale]
+    return argv + (["--format", "json"] if fmt == "json" else [])
+
+
+def commands() -> list:
+    """The fixed command list, as (argv, label, stdin) triples."""
+    out = []
+
+    def add(*argv, label=None, stdin=None):
+        out.append((list(argv), label, stdin))
+
+    formats = ("text", "json")
+    for name in ("Ml", "Ms"):
+        for scale in SCALES:
+            for fmt in formats:
+                add(*_scaled(["torsion", "--scenario", name], scale, fmt))
+    for fmt in formats:
+        add(*_scaled(["torsion", "--scenario", "Ml", "--set", "a=1", "--set", "p=2",
+                      "--set", "q=3"], "5/2", fmt))
+        add(*_scaled(["torsion", "--scenario", "Ms", "--set", "q=2"], "5/2", fmt))
+    for seed in ("0", "1", "5"):
+        add("verify-paper", "--seed", seed)
+    for fmt in formats:
+        add(*_scaled(["verify-paper", "--seed", "2"], "3", fmt))
+    add("verify-paper", "--scenario", "Ms", "--vol-scale", "1/4")
+    add("verify-paper", "--scenario", "Ml", "--vol-scale", "7/3", "--seed", "11",
+        "--format", "json")
+    docs = {name: run(["describe", "--scenario", name])[1] for name in ("Ml", "Ms")}
+    for name, doc in docs.items():
+        for scale in ("1", "2", "5/3"):
+            for fmt in formats:
+                add(*_scaled(["torsion", "--input", "-"], scale, fmt),
+                    label=f"describe {name}", stdin=doc)
+    incompatible = docs["Ml"].replace("metric: 4 4 1\n", "metric: 4 4 2\n", 1)
+    for scale in ("1", "2"):
+        add("torsion", "--input", "-", "--vol-scale", scale,
+            label="Ml with metric: 4 4 2", stdin=incompatible)
+    rng = random.Random(23)
+    for _ in range(4):
+        slope = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+        scale = str(Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        for fmt in formats:
+            add(*_scaled(["torsion", "--input", "-"], scale, fmt),
+                label=f"Ml slice p = {slope}*a", stdin=slice_document(docs["Ml"], slope))
+    for scale in ("2", "13", "1"):
+        add("torsion", "--scenario", "Ml", "--vol-scale", scale)
+    add("verify-paper", "--seed", "9")
+    for corrupt in ("1,5,1", "1,3,8", "2,9,5", "4,10,9"):
+        add("verify-paper", "--corrupt", corrupt)
+    for name in ("Ml", "Ms"):
+        for fmt in formats:
+            add(*_scaled(["invariants", "--scenario", name], None, fmt))
+    add("invariants", "--scenario", "Ml", "--kind", "3-form")
+    add("growth")
+    add("growth", "--format", "json")
+    add("growth", "D_l1", "D_s2")
+    for name in ("Ml", "Ms", "sp2"):
+        add("describe", "--scenario", name)
+    add("describe", "--input", "-", label="describe Ml", stdin=docs["Ml"])
+    for n in (1, 8):
+        for shift in ("1", "-3/2", "a", "(a+1)/(q-2)"):
+            doc = shift_bracket(docs["Ml"], n, shift)
+            for command in ("torsion", "invariants", "describe"):
+                add(command, "--input", "-", stdin=doc,
+                    label=f"Ml with bracket line {n} shifted by {shift}")
+    add("torsion", "--scenario", "Mx")
+    add("verify-paper", "--seed", "1_0")
+    add("invariants", "--scenario", "Ml", "--format", "yaml")
+    add("describe", "--input", "-", label="bad header",
+        stdin="format: splitg2-scenario 9\n")
+    return out
+
+
+def main(argv) -> int:
+    root = Path(argv[1] if len(argv) > 1 else Path(__file__).resolve().parents[1])
+    sys.path.insert(0, str(root / "src"))
+    for command in commands():
+        print(line(command))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
