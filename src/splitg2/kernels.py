@@ -277,13 +277,10 @@ def _gcd_at(a, b, cols_a, cols_b, shifts, radix, width):
 
 
 def poly_axpy(ma, a, mb, b):
-    """ma*a + mb*b for integer term maps and nonzero int multipliers.
-
-    Any dict of nonzero ints combines this way, whatever its keys: the
-    rational row update of `_linalg.FractionDomain` passes primitive
-    integer rows keyed by column.  Keys of `a` come first, in their
-    order, then the new keys of `b`; a key whose sum is zero is
-    dropped."""
+    """ma*a + mb*b for maps of nonzero ints (term maps, or the integer
+    rows of `_linalg.FractionDomain`) and nonzero int multipliers.  The
+    keys of `a` come first, in their order, then the new keys of `b`; a
+    zero sum is dropped."""
     out = {}
     for e, c in a.items():
         out[e] = ma * c
