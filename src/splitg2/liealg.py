@@ -46,11 +46,15 @@ class LieAlgebra:
     (`types.MappingProxyType`), which cannot be pickled, and nothing in
     the package pickles or deep-copies an algebra.  Instances are
     immutable after construction; the coframe differentials, the
-    columns of every ad(e_a) and the differentials d e^K of the
-    monomials met so far are cached lazily.
+    columns of every ad(e_a), the differentials d e^K of the monomials
+    met so far and the Jacobi report are cached lazily.  So one instance
+    serves every document of the same table: `textio` hands the algebra
+    it built last to the next document with the same alphabet, dimension
+    and bracket lines, and keeps no other.
     """
 
-    __slots__ = ("dim", "brackets", "_dcoframe", "_dcolumns", "_adcolumns")
+    __slots__ = ("dim", "brackets", "_dcoframe", "_dcolumns", "_adcolumns",
+                 "_jacobi", "__weakref__")
 
     def __init__(self, dim: int, brackets: Mapping):
         if dim < 1:
@@ -75,6 +79,7 @@ class LieAlgebra:
         self._dcoframe = None
         self._dcolumns = {}
         self._adcolumns = None
+        self._jacobi = None
 
     # -- brackets -------------------------------------------------------
 
@@ -143,8 +148,11 @@ class LieAlgebra:
         only its nonzero coefficients are kept, so memory follows the
         violating triples rather than the square of the dimension.
         Returns a report carrying the maximum-violation triple (largest
-        defect, ties broken lexicographically) when the identity fails.
+        defect, ties broken lexicographically) when the identity fails;
+        computed on first call and kept with the algebra.
         """
+        if self._jacobi is not None:
+            return self._jacobi
         defects: dict = {}
         for i in range(1, self.dim + 1):
             dd = self.mc_differential(self.coframe_differential(i))
@@ -156,8 +164,10 @@ class LieAlgebra:
             if worst is None or size > worst[0]:
                 worst = (size, triple)
         if worst is None:
-            return JacobiReport(True, None, None)
-        return JacobiReport(False, worst[1], defects[worst[1]])
+            self._jacobi = JacobiReport(True, None, None)
+        else:
+            self._jacobi = JacobiReport(False, worst[1], defects[worst[1]])
+        return self._jacobi
 
     # -- invariants of the algebra ---------------------------------------
 

@@ -522,7 +522,8 @@ class RationalFunction:
     into the numerator); a common monomial factor of numerator and
     denominator is cancelled.  Arithmetic takes no gcd, so structurally
     different representatives of the same value are normal; `==`
-    compares values by cross-multiplication.  Only `lowest_terms` divides
+    compares values by cross-multiplication, after a check that needs no
+    product for two equal representatives.  Only `lowest_terms` divides
     out a common factor, on copies that checks read.
     """
 
@@ -704,6 +705,8 @@ class RationalFunction:
             if isinstance(other, (int, Fraction)):
                 return self.num == self.den * other
             return NotImplemented
+        if self.num == q.num and self.den == q.den:
+            return True
         return self.num * q.den == q.num * self.den
 
     __hash__ = None  # unreduced representatives must not be dict keys

@@ -17,6 +17,17 @@ the scenario's document.
 A `dim` or `horizontal` line holds exactly one integer, and a
 `verticals` line holds no index twice.
 
+Documents on one quotient repeat its structure constants, and the
+slices of one family repeat its metric, so the parser interns both: a
+document whose alphabet, dimension and bracket lines (their indices and
+coefficient text, in order) match those of the last algebra parsed gets
+that same `LieAlgebra`, and one whose horizontal count and metric
+entries match the last metric gets that same `Metric7`.  Both are
+immutable, so the Jacobi report, the d e^K and ad(e_a) columns, the
+minors and the star columns they cache serve every such document.  At
+most one algebra and one metric are kept, the last ones built; a
+document with other data replaces them.
+
 Documents are bounded so that no input can run the commands for long:
 past one of the limits below the parser raises a one-line `ParseError`.
 The paper's documents need dim 10, 30 bracket lines, 3 parameters and
@@ -40,6 +51,24 @@ MAX_DIM = 512
 MAX_BRACKETS = 1024
 MAX_ALPHABET = 8
 MAX_LINES = 4096
+
+# kind -> (key, instance): the last algebra and the last metric built
+_interned: dict = {}
+
+
+def _intern(kind: str, key: tuple, build):
+    """The instance of `kind` held for `key`, else `build()`, which then
+    replaces the one held; keys hold only ints, strings and Fractions.
+    The old instance is let go before the build, so the two never
+    coexist here, and a build that raises leaves none held."""
+    held = _interned.pop(kind, None)
+    if held is not None and held[0] == key:
+        value = held[1]
+    else:
+        del held
+        value = build()
+    _interned[kind] = (key, value)
+    return value
 
 
 class Scenario(Frozen):
@@ -164,7 +193,7 @@ class _Collector:
         self.alphabet = None
         self.dim = None
         self.brackets: dict = {}
-        self.bracket_lines = 0
+        self.bracket_text: list = []  # (J, K, I, coefficient text) by line
         self.horizontal = None
         self.verticals = None
         self.metric_entries: dict = {}
@@ -220,8 +249,7 @@ class _Collector:
         self._once(lineno, "verticals", fields)
 
     def _key_bracket(self, lineno: int, value: str) -> None:
-        self.bracket_lines += 1
-        if self.bracket_lines > MAX_BRACKETS:
+        if len(self.bracket_text) >= MAX_BRACKETS:
             raise ParseError(f"line {lineno}: more than {MAX_BRACKETS} bracket lines")
         j, k, i, rest = _int_fields(lineno, value, 3, "bracket")
         coeff = _scalar(lineno, rest, self.alphabet or ())
@@ -232,6 +260,7 @@ class _Collector:
         if i in slot:
             raise ParseError(f"line {lineno}: duplicate bracket triple {j} {k} {i}")
         slot[i] = coeff
+        self.bracket_text.append((j, k, i, rest))
 
     def _key_metric(self, lineno: int, value: str) -> None:
         i, j, rest = _int_fields(lineno, value, 2, "metric")
@@ -268,8 +297,9 @@ class _Collector:
     def algebra(self) -> LieAlgebra:
         if self.dim is None:
             raise ParseError("document has no 'dim' line")
+        key = (self.alphabet or (), self.dim, tuple(self.bracket_text))
         try:
-            return LieAlgebra(self.dim, self.brackets)
+            return _intern("algebra", key, lambda: LieAlgebra(self.dim, self.brackets))
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
 
@@ -319,7 +349,8 @@ def parse_scenario(text: str) -> Scenario:
             phi = Form(k, 3, c.phi_terms)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    metric = None if tensor is None else Metric7(tensor)
+    metric = None if tensor is None else _intern(
+        "metric", (k, tuple(c.metric_entries.items())), lambda: Metric7(tensor))
     return Scenario(c.name or "", c.alphabet or (), algebra, None, k, verticals,
                     metric, phi, tuple(c.exclusions), None)
 

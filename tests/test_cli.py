@@ -754,6 +754,29 @@ def test_input_jacobi_violation_fails(tmp_path, capsys):
     assert "violation at (1, 2, 3)" in out
 
 
+def test_a_shifted_table_gets_its_own_algebra_and_verdict(tmp_path, capsys):
+    from splitg2.textio import parse_scenario
+
+    doc = catalog.scenario("Ml").text()
+    lines = doc.splitlines(keepends=True)
+    at = next(i for i, text in enumerate(lines) if text.startswith("bracket:"))
+    lines[at] = lines[at].rstrip("\n") + "+1\n"
+    shifted = "".join(lines)
+    paths = {}
+    for name, text in (("ml", doc), ("shifted", shifted)):
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(text)
+    held = parse_scenario(doc).algebra
+    before = run(capsys, "torsion", "--input", str(paths["ml"]), "--vol-scale", "2")
+    assert before[0] == 0 and "[pass] input.jacobi" in before[1]
+    assert parse_scenario(shifted).algebra is not held
+    code, out, _ = run(capsys, "torsion", "--input", str(paths["shifted"]))
+    assert code == 1
+    assert "[fail] input.jacobi" in out
+    after = run(capsys, "torsion", "--input", str(paths["ml"]), "--vol-scale", "2")
+    assert after == before
+
+
 def test_input_wide_algebra_runs_quickly(tmp_path, capsys):
     # C(400, 3) index triples, but only those with a nonzero bracket can
     # fail the Jacobi identity

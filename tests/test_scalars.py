@@ -891,3 +891,17 @@ def test_lowest_terms_past_the_size_bound_takes_no_gcd(monkeypatch):
     assert 41 ** 3 > kernels.GCD_MAX_BOX
     assert scalars.lowest_terms(big) is big
     assert steps == [1]
+
+
+def test_equal_representatives_compare_without_a_product(monkeypatch):
+    alphabet = ("a", "q")
+    x, y = (scalars.parse_scalar("(a+1)/(a-q)", alphabet) for _ in range(2))
+    z = scalars.parse_scalar("(a+1)*(a+2)/((a-q)*(a+2))", alphabet)
+    assert (x.num, x.den) == (y.num, y.den) != (z.num, z.den)
+    calls = []
+    real = kernels.poly_mul
+    monkeypatch.setattr(kernels, "poly_mul", lambda p, q: calls.append(1) or real(p, q))
+    assert x == y
+    assert calls == []
+    assert x == z and z == x
+    assert calls

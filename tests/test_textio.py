@@ -1,5 +1,6 @@
 """Structured-text documents: every parse branch plus round-trips."""
 
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from splitg2 import catalog, scalars, textio
 from splitg2.errors import ParseError
 from splitg2.liealg import LieAlgebra
 from splitg2.textio import parse_scenario, render_algebra, render_scenario
+
+from conftest import slice_document
 
 GOOD_SCENARIO = """\
 format: splitg2-scenario 1
@@ -244,3 +247,35 @@ def test_error_lines_carry_line_numbers():
 def test_render_algebra_header_comment_present():
     text = render_algebra(LieAlgebra(2, {}))
     assert "# bracket: J K I coefficient" in text
+
+
+# -- interning -------------------------------------------------------------
+
+
+def test_slice_documents_share_one_algebra_and_one_metric():
+    first, second = (parse_scenario(slice_document(k)) for k in (2, -3))
+    assert render_scenario(first) != render_scenario(second)
+    assert first.algebra is second.algebra
+    assert first.metric is second.metric
+    assert first.algebra.jacobi_check() is second.algebra.jacobi_check()
+
+
+def test_the_same_bracket_text_under_two_alphabets_gives_two_algebras():
+    ml = parse_scenario(catalog.scenario("Ml").text())
+    sliced = parse_scenario(slice_document(2))
+    assert (ml.alphabet, sliced.alphabet) == (("a", "p", "q"), ("a", "q"))
+    assert ml.algebra is not sliced.algebra
+    coeffs = {c.alphabet for comps in sliced.algebra.brackets.values()
+              for c in comps.values()}
+    assert coeffs == {("a", "q")}
+    assert ml.metric is sliced.metric
+
+
+def test_a_new_table_releases_the_last_one():
+    first = parse_scenario(GOOD_SCENARIO)
+    ref = weakref.ref(first.algebra)
+    del first
+    assert ref() is not None
+    assert parse_scenario(GOOD_SCENARIO).algebra is ref()
+    parse_scenario(METRIC_SCENARIO)
+    assert ref() is None
