@@ -321,33 +321,24 @@ class TorsionSet(Frozen):
 
 
 class TorsionSystem:
-    """The assembled linear system for the torsion unknowns, and the
-    context it was built in.
+    """The assembled linear system for the torsion unknowns.
 
     Unknown order: tau0; tau1 components 1..7; tau2 components over
     index pairs in lexicographic order; tau3 components over triples.
     Rows 0..55 are the two structure equations (35 + 21 component rows);
     rows 56..70 are the membership constraints (7 + 7 + 1).  The
-    right-hand side sits at column `width`.  The system keeps the
-    algebra, metric, 3-form and volume scale it was built from, so that
-    `torsions()` can check its solution against them, and the star phi
-    that the build computed.
+    right-hand side sits at column `width`.  The system holds no
+    context: `check_torsions` takes the algebra, metric, 3-form and
+    volume scale from the caller.
     """
 
-    __slots__ = ("rows", "bryant_count", "algebra", "metric", "phi",
-                 "vol_scale", "star_phi", "_rank", "_kernel_dims")
+    __slots__ = ("rows", "bryant_count", "_rank", "_kernel_dims")
 
     width = 1 + len(_SINGLES) + len(_PAIRS) + len(_TRIPLES)
 
-    def __init__(self, rows, bryant_count, algebra, metric, phi, vol_scale,
-                 star_phi):
+    def __init__(self, rows, bryant_count):
         self.rows = rows
         self.bryant_count = bryant_count
-        self.algebra = algebra
-        self.metric = metric
-        self.phi = phi
-        self.vol_scale = vol_scale
-        self.star_phi = star_phi
         self._rank = None  # of the coefficient matrix, once known
         self._kernel_dims = None
 
@@ -362,12 +353,6 @@ class TorsionSystem:
         tau2 = Form(_DIM, 2, dict(zip(_PAIRS, x[8:29])))
         tau3 = Form(_DIM, 3, dict(zip(_TRIPLES, x[29:])))
         return TorsionSet(x[0], tau1, tau2, tau3)
-
-    def torsions(self) -> TorsionSet:
-        """`solution()`, confirmed by `check_torsions` before it is
-        returned."""
-        return check_torsions(self.algebra, self.metric, self.phi,
-                              self.solution(), self.vol_scale)
 
     def membership_kernel_dims(self) -> dict:
         """{torsion form: dimension of the kernel of the membership rows on
@@ -397,7 +382,7 @@ class TorsionSystem:
 
         For A = [B; M], ker A is ker B intersected with ker M, so by
         rank-nullity this is rank A - rank M, rank M read off
-        `membership_kernel_dims`.  rank A is full once `torsions()` has
+        `membership_kernel_dims`.  rank A is full once `solution()` has
         solved the system uniquely, even if a check of the solution then
         failed; otherwise it is one elimination of the system, without its
         right-hand side, which would swell through a symbolic elimination."""
@@ -484,8 +469,7 @@ def torsion_linear_system(
     scatter_wedges(_ROWS_TAU3_PHI, 29, _TRIPLES, phi)
     scatter_wedges(_ROWS_TAU3_STAR, 29, _TRIPLES, star_phi)
 
-    return TorsionSystem(rows, 56, algebra, metric, phi, vol_scale,
-                         star_phi)
+    return TorsionSystem(rows, 56)
 
 
 def torsion_solve(
@@ -493,7 +477,8 @@ def torsion_solve(
 ) -> TorsionSet:
     """Unique exact solution of the torsion equations, checked by
     `check_torsions`."""
-    return torsion_linear_system(algebra, metric, phi, vol_scale).torsions()
+    system = torsion_linear_system(algebra, metric, phi, vol_scale)
+    return check_torsions(algebra, metric, phi, system.solution(), vol_scale)
 
 
 def bryant_residual(
@@ -559,8 +544,6 @@ def calibrate_vol_scale(reference_tau0, torsions_at_unit_scale: TorsionSet) -> F
 
 def _constant_quotient(ref, t0):
     """ref / t0 as a Fraction when the quotient is constant, else None."""
-    if isinstance(ref, Fraction) and isinstance(t0, Fraction):
-        return ref / t0
     ratio = ref / t0
     if isinstance(ratio, Fraction):
         return ratio

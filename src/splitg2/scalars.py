@@ -326,17 +326,10 @@ class Polynomial:
         return Polynomial(self.alphabet, -self.content, self.terms)
 
     def __sub__(self, other):
-        p = self._coerce(other)
-        if p is None:
-            if isinstance(other, (int, Fraction)):
-                return self._add_rational(-other)
-            return NotImplemented
-        return self + (-p)
+        return self + (-other)
 
     def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return (-self)._add_rational(other)
-        return NotImplemented
+        return (-self) + other
 
     def __mul__(self, other):
         p = self._coerce(other)
@@ -633,20 +626,10 @@ class RationalFunction:
         return RationalFunction(self.alphabet, -self.num, self.den)
 
     def __sub__(self, other):
-        q = self._lift(other)
-        if q is None:
-            if isinstance(other, (int, Fraction)):
-                return self._add_rational(-other)
-            return NotImplemented
-        return self + (-q)
+        return self + (-other)
 
     def __rsub__(self, other):
-        q = self._lift(other)
-        if q is None:
-            if isinstance(other, (int, Fraction)):
-                return (-self)._add_rational(other)
-            return NotImplemented
-        return q + (-self)
+        return (-self) + other
 
     def __mul__(self, other):
         q = self._lift(other)

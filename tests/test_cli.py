@@ -13,9 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from splitg2 import catalog, scalars
+from splitg2 import catalog, scalars, textio
 from splitg2.cli import MAX_VALUE_DIGITS, main
-from splitg2.liealg import sp2_build
+from splitg2.liealg import LieAlgebra, sp2_build
 
 from conftest import run_python, run_splitg2, slice_document
 
@@ -138,6 +138,8 @@ def test_verify_rejects_set(capsys):
                        "--set", "q=2")
     assert code == 2
     assert "usage error" in err
+    # verify-paper has no --set option: the argument parser names the flag
+    assert err == "usage error: splitg2: unrecognized arguments: --set q=2\n"
 
 
 def test_verify_negative_vol_scale(capsys):
@@ -278,14 +280,21 @@ def test_verify_paper_solves_each_family_once(capsys, monkeypatch):
     record restricts the family's torsions instead of solving the slice."""
     from splitg2 import g2
 
-    solved = []
+    built, solved = [], []
 
-    def spy(system):
-        solved.append(system.phi)
-        return real(system)
+    def build(algebra, metric, phi, *rest):
+        system = real_build(algebra, metric, phi, *rest)
+        built.append((system, phi))
+        return system
 
-    real = g2.TorsionSystem.solution
-    monkeypatch.setattr(g2.TorsionSystem, "solution", spy)
+    def solve(system):
+        solved.append(next(phi for s, phi in built if s is system))
+        return real_solve(system)
+
+    real_build, real_solve = g2.torsion_linear_system, g2.TorsionSystem.solution
+    monkeypatch.setattr(g2, "torsion_linear_system", build)
+    monkeypatch.setattr(textio, "torsion_linear_system", build)
+    monkeypatch.setattr(g2.TorsionSystem, "solution", solve)
     # scenarios keep their unit-scale elimination: build them again
     catalog.scenario_Ml.cache_clear()
     catalog.scenario_Ms.cache_clear()
@@ -777,18 +786,39 @@ def test_a_shifted_table_gets_its_own_algebra_and_verdict(tmp_path, capsys):
     assert after == before
 
 
-def test_input_wide_algebra_runs_quickly(tmp_path, capsys):
+def test_input_wide_algebra_runs_quickly(tmp_path, capsys, monkeypatch):
     # C(400, 3) index triples, but only those with a nonzero bracket can
     # fail the Jacobi identity
     doc = catalog.scenario("Ms").text().replace("dim: 10\n", "dim: 400\n", 1)
     assert "dim: 400\n" in doc
     path = tmp_path / "wide.txt"
     path.write_text(doc)
+    parsed, pairs = [], []
+
+    def parse(text):
+        parsed.append(real_parse(text))
+        return parsed[-1]
+
+    def bracket_basis(algebra, j, k):
+        pairs.append((j, k))
+        return real_bracket(algebra, j, k)
+
+    real_parse, real_bracket = textio.parse_scenario, LieAlgebra.bracket_basis
+    monkeypatch.setattr(textio, "parse_scenario", parse)
+    monkeypatch.setattr(LieAlgebra, "bracket_basis", bracket_basis)
     start = time.process_time()
     code, out, _ = run(capsys, "torsion", "--input", str(path))
     assert code == 0
     assert "result: pass" in out
     assert time.process_time() - start < 5
+    # the work follows the nonzeros, not the dimension: d e^K columns
+    # only for the keys of the forms differentiated (28 pairs of the
+    # coframe differentials, 5 of phi, 5 of star phi), and no bracket
+    # looked up by index pair
+    [sc] = parsed
+    assert len(sc.algebra.brackets) == 28
+    assert len(sc.algebra._dcolumns) == 38
+    assert pairs == []
 
 
 def test_input_malformed_is_usage(tmp_path, capsys):
@@ -1095,8 +1125,9 @@ def test_every_package_error_maps_to_an_exit_code(capsys, monkeypatch, cls):
     ("torsion", "--scenario", "Zz"),
     ("torsion", "--kind", "x"),
     ("verify-paper", "--input", "x"),
+    ("verify-paper", "--set", "a=1"),
 ], ids=["unknown-command", "no-scenario", "unknown-scenario", "unknown-flag",
-        "verify-paper-input"])
+        "verify-paper-input", "verify-paper-set"])
 def test_argument_parser_rejections_are_one_line(capsys, argv):
     """What the argument parser itself rejects is reported like every other
     bad flag: exit code 2, nothing on stdout, one `usage error:` line."""

@@ -522,7 +522,9 @@ def test_torsion_system_shape(ms_at_2):
     assert system.width == 64
     assert system.bryant_count == 56
     assert len(system.rows) == 71
-    assert (system.star_phi - hodge_star(metric, phi)).is_zero()
+    # the tau2 membership block holds the columns e^{ij} ^ star phi
+    assert (system.membership_kernel_dims()["tau2"]
+            == lambda2_14_basis(phi, hodge_star(metric, phi)).dimension)
     assert system.membership_kernel_rank() == 49
 
 
@@ -546,8 +548,9 @@ def full_kernel_rank(system):
 
 
 def seeded_systems():
-    """Torsion systems at two seeded points of each scenario for each
-    volume scale 1, 3 and 7/3."""
+    """(context, system) at two seeded points of each scenario for each
+    volume scale 1, 3 and 7/3: the torsion system and the (algebra,
+    metric, phi, volume scale) it was built from."""
     from splitg2.cli import _sample_point
 
     out = []
@@ -558,29 +561,40 @@ def seeded_systems():
             for _ in range(2):
                 phi = specialize_form(sc.phi_family, sc.alphabet,
                                       _sample_point(rng, sc))
-                out.append(torsion_linear_system(
-                    sc.algebra, sc.metric, phi, c))
+                context = (sc.algebra, sc.metric, phi, c)
+                out.append((context, torsion_linear_system(*context)))
     return out
 
 
+def symbolic_system(sc):
+    """(context, system) of the scenario's family at volume scale 1."""
+    context = (sc.algebra, sc.metric, sc.phi_family, Fraction(1))
+    return context, torsion_linear_system(*context)
+
+
 def fresh_copy(system, rows=None, bryant_count=None):
-    """A system over the same context that has not been solved or ranked;
-    over the same rows unless others are given."""
+    """A system that has not been solved or ranked; over the same rows
+    unless others are given."""
     from splitg2.g2 import TorsionSystem
 
     return TorsionSystem(
         system.rows if rows is None else rows,
-        system.bryant_count if bryant_count is None else bryant_count,
-        system.algebra, system.metric, system.phi, system.vol_scale,
-        system.star_phi)
+        system.bryant_count if bryant_count is None else bryant_count)
 
 
-def solve_attempted(system):
-    """A fresh copy of `system` whose torsion solve has run, and succeeded
-    or failed."""
+def checked_solution(context, system):
+    """The solution of `system`, checked by `check_torsions` in the
+    context it was built in."""
+    algebra, metric, phi, c = context
+    return check_torsions(algebra, metric, phi, system.solution(), c)
+
+
+def solve_attempted(context, system):
+    """A fresh copy of `system` whose checked torsion solve has run, and
+    succeeded or failed."""
     tried = fresh_copy(system)
     try:
-        tried.torsions()
+        checked_solution(context, tried)
     except (NonUniqueSolution, InconsistentSystem, InternalInconsistency):
         pass
     return tried
@@ -589,14 +603,13 @@ def solve_attempted(system):
 def test_block_rank_matches_the_full_kernel(ml, ms):
     """The seeded systems and the symbolic Ml and Ms ones, ranked as built
     and after their torsion solve."""
-    symbolic = [torsion_linear_system(sc.algebra, sc.metric, sc.phi_family)
-                for sc in (ml, ms)]
-    for system in seeded_systems() + symbolic:
+    symbolic = [symbolic_system(sc) for sc in (ml, ms)]
+    for context, system in seeded_systems() + symbolic:
         want = full_kernel_rank(system)
         assert want == 49
         assert system.membership_kernel_rank() == want
         solved = fresh_copy(system)
-        solved.torsions()
+        checked_solution(context, solved)
         assert solved.membership_kernel_rank() == want
 
 
@@ -611,9 +624,8 @@ def test_block_rank_matches_the_full_kernel_below_49(ms):
         return [{c: v for c, v in row.items() if c not in cols} for row in rows]
 
     seen = set()
-    systems = seeded_systems()[::3] + [
-        torsion_linear_system(ms.algebra, ms.metric, ms.phi_family)]
-    for system in systems:
+    systems = seeded_systems()[::3] + [symbolic_system(ms)]
+    for context, system in systems:
         rows, n = system.rows, system.bryant_count
         variants = [
             variant(system, rows[1:], n - 1),
@@ -630,7 +642,7 @@ def test_block_rank_matches_the_full_kernel_below_49(ms):
         for v in variants:
             want = full_kernel_rank(v)
             assert v.membership_kernel_rank() == want
-            assert solve_attempted(v).membership_kernel_rank() == want
+            assert solve_attempted(context, v).membership_kernel_rank() == want
             seen.add(want)
     assert min(seen) < 30 and len(seen - {49}) >= 4, seen
 
@@ -815,8 +827,7 @@ def test_rescaled_unit_torsions_render_as_a_direct_elimination(case):
     for c in seeded_scales():
         got = check_torsions(sc.algebra, sc.metric, sc.phi_family,
                              unit.rescale(c), c)
-        want = torsion_linear_system(sc.algebra, sc.metric, sc.phi_family,
-                                     c).torsions()
+        want = torsion_solve(sc.algebra, sc.metric, sc.phi_family, c)
         assert rendered(got, c) == rendered(want, c), c
 
 

@@ -8,6 +8,7 @@ code paths.
 
 import gc
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ import pytest
 
 from splitg2 import catalog, g2, kernels, scalars
 from splitg2.errors import AlphabetMismatch, ParseError, PoleAtPoint, ValidationError
+from splitg2.exterior import Form
 from splitg2.scalars import Polynomial, RationalFunction
 
 from conftest import ALPHABET, random_fraction, random_polynomial, random_scalar
@@ -294,6 +296,92 @@ def test_rational_operands_keep_the_generic_representation(rng):
             assert (x == k) == (x == c)
             checked += len(pairs)
     assert checked > 3000
+
+
+def reference_poly_sub(self, other):
+    """`Polynomial.__sub__` as it once was, with its own operand dispatch:
+    the reference for subtraction as addition of the negation."""
+    p = self._coerce(other)
+    if p is None:
+        if isinstance(other, (int, Fraction)):
+            return self._add_rational(-other)
+        return NotImplemented
+    return self + (-p)
+
+
+def reference_poly_rsub(self, other):
+    if isinstance(other, (int, Fraction)):
+        return (-self)._add_rational(other)
+    return NotImplemented
+
+
+def reference_ratfunc_sub(self, other):
+    q = self._lift(other)
+    if q is None:
+        if isinstance(other, (int, Fraction)):
+            return self._add_rational(-other)
+        return NotImplemented
+    return self + (-q)
+
+
+def reference_ratfunc_rsub(self, other):
+    q = self._lift(other)
+    if q is None:
+        if isinstance(other, (int, Fraction)):
+            return (-self)._add_rational(other)
+        return NotImplemented
+    return q + (-self)
+
+
+REFERENCE_SUB = {Polynomial: (reference_poly_sub, reference_poly_rsub),
+                 RationalFunction: (reference_ratfunc_sub, reference_ratfunc_rsub)}
+
+
+def reference_difference(x, y):
+    """x - y through the reference bodies, dispatched as the interpreter
+    does for unrelated types: x's __sub__, then y's __rsub__."""
+    got = NotImplemented
+    if type(x) in REFERENCE_SUB:
+        got = REFERENCE_SUB[type(x)][0](x, y)
+    if got is NotImplemented and type(y) in REFERENCE_SUB:
+        got = REFERENCE_SUB[type(y)][1](y, x)
+    if got is NotImplemented:
+        raise TypeError(f"unsupported operand types for -: {type(x)}, {type(y)}")
+    return got
+
+
+def test_subtraction_adds_the_negation_as_the_reference_subtracts(rng):
+    """Every stored part of a difference, in both orders, equals what the
+    subtraction bodies with their own dispatch gave: scalars against
+    ints and Fractions, and scalars against scalars."""
+    cases = list(operand_cases(rng))
+    items = [x for x, _ in cases]
+    pairs = [(x, k) for x, ks in cases for k in ks]
+    for shift in (0, 1, 7, 29):
+        pairs += zip(items, items[shift:] + items[:shift])
+    for x, y in pairs:
+        for left, right in ((x, y), (y, x)):
+            assert parts(left - right) == parts(reference_difference(left, right)), (
+                left, right)
+    assert len(pairs) > 1000
+    # a mismatched alphabet: the same error, with the same message
+    other = ("a", "p")
+    narrow = [Polynomial.variable(other, "a"), scalars.parse_scalar("a/(p + 1)", other)]
+    for x in (num("a + q"), poly("a/(p*q - 1)")):
+        for y in narrow:
+            for left, right in ((x, y), (y, x)):
+                with pytest.raises(AlphabetMismatch) as want:
+                    reference_difference(left, right)
+                with pytest.raises(AlphabetMismatch, match=re.escape(str(want.value))):
+                    left - right
+    # an unsupported operand is a TypeError either way round
+    for x in (num("a + q"), poly("a/(p*q - 1)")):
+        for bad in (None, Form.monomial(7, (1, 2, 3))):
+            for left, right in ((x, bad), (bad, x)):
+                with pytest.raises(TypeError):
+                    reference_difference(left, right)
+                with pytest.raises(TypeError):
+                    left - right
 
 
 def test_a_zero_rational_divisor_raises():
@@ -754,15 +842,29 @@ def test_constant_powers_are_bounded():
         scalars.parse_scalar("a * ((2^64)^64)^64", A)
 
 
-def test_polynomial_products_are_bounded_before_expansion():
+def test_polynomial_products_are_bounded_before_expansion(monkeypatch):
     letters = tuple("abcdefgh")
     factor = "(1+a+b+c+d+e+f+g+h)"
+    products = []
+
+    def count(a, b):
+        products.append(len(a) * len(b))
+        return real(a, b)
+
+    real = kernels.poly_mul
+    monkeypatch.setattr(kernels, "poly_mul", count)
     # eight factors have 12,870 terms; the ninth would pass 16,384
     assert len(scalars.parse_scalar("*".join([factor] * 8), letters).num.terms) == 12870
+    eight = (len(products), sum(products))
+    assert eight == (7, 102951)
+    products.clear()
     start = time.process_time()
     with pytest.raises(ParseError, match="product exceeds the limit of 16384 terms"):
         scalars.parse_scalar("*".join([factor] * 12), letters)
-    assert time.process_time() - start < 0.1
+    elapsed = time.process_time() - start
+    # the work of the eight-factor product: the ninth is never expanded
+    assert (len(products), sum(products)) == eight
+    assert elapsed < 0.1
     apq = ("a", "p", "q")
     # a product is bounded as the equal power is
     assert len(scalars.parse_scalar("*".join(["(1+a+p+q)^8"] * 4), apq).num.terms) == 6545

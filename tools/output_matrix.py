@@ -18,7 +18,7 @@ constants; invariants, growth and describe; torsion on scenario
 documents (the describe documents, an incompatible metric, seeded
 slices p = k*a of Ml, Ml documents with one bracket shifted by a
 rational or symbolic amount, and after those the unshifted Ml document
-and a slice again); and four rejected command lines.  The
+and a slice again); and five rejected command lines.  The
 documents are built here from the tree's own `describe` output.
 Standard library only.
 """
@@ -166,6 +166,7 @@ def commands() -> list:
         label="Ml slice p = -2/3*a", stdin=slice_document(docs["Ml"], Fraction(-2, 3)))
     add("torsion", "--scenario", "Mx")
     add("verify-paper", "--seed", "1_0")
+    add("verify-paper", "--set", "a=1")
     add("invariants", "--scenario", "Ml", "--format", "yaml")
     add("describe", "--input", "-", label="bad header",
         stdin="format: splitg2-scenario 9\n")
