@@ -244,7 +244,9 @@ def hodge_star(metric: Metric7, lam: Form, vol_scale=_F1) -> Form:
     minors and caches it per metric.  The star is linear,
     so star lam is the sum of lam_I * star e^I, divided by vol_scale; the
     contributions to each output coefficient go through `exterior.fold`,
-    as those of `Form.wedge` do."""
+    as those of `Form.wedge` do.  At unit scale, the case of every point
+    request and of `verify-paper`, the sums are the result as they stand
+    and no coefficient is divided."""
     c = Fraction(vol_scale)
     if c == 0:
         raise Degenerate("volume scale must be nonzero")
@@ -256,7 +258,9 @@ def hodge_star(metric: Metric7, lam: Form, vol_scale=_F1) -> Form:
             buckets.setdefault(out, []).append(coeff * v)
     # lexicographic keys, the order in which downstream sums meet the terms
     out = fold({key: buckets[key] for key in sorted(buckets)})
-    return Form.raw(_DIM, _DIM - lam.degree, {k: v / c for k, v in out.items()})
+    if c != 1:
+        out = {k: v / c for k, v in out.items()}
+    return Form.raw(_DIM, _DIM - lam.degree, out)
 
 
 def lambda2_14_basis(phi: Form, star_phi: Form) -> SolutionSpace:

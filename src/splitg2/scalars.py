@@ -22,6 +22,15 @@ coefficient.  A multivariate gcd is computed in one place only:
 `lowest_terms` divides out a heuristic gcd, verified by exact division,
 from a copy that checks read and reports never render.
 
+A polynomial's content is always a `Fraction`, but the arithmetic on
+contents runs on their integer numerators and denominators, and each
+result builds one `Fraction`, its content or value: a sum scales both
+term maps by integers (`Polynomial._add_scaled`), a product of two
+integral contents is built from the product of the ints (`_product`),
+and a value at a point is one integer quotient (`Polynomial._value`).
+Python's `Fraction` operators normalise every intermediate step, which
+is where most of the time goes when the contents are integers.
+
 An int or Fraction operand of a Polynomial or RationalFunction operator
 is never boxed as a constant scalar: a product or quotient scales the
 content of the (numerator) polynomial, and a sum inserts the constant
@@ -183,6 +192,10 @@ class Polynomial:
     `content`.  The zero polynomial has content 0 and no terms.
     Instances are immutable.
 
+    `content` is a `Fraction`.  Arithmetic computes it through integers
+    and builds one `Fraction` per result, never one per step (see the
+    module docstring).
+
     Unlike `exterior.Tensor.terms`, `terms` stays a plain dict, which
     nothing may write into once it is wrapped: the polynomial kernels
     pay for a read-only view.  A warm slice-document request builds
@@ -241,8 +254,8 @@ class Polynomial:
         den = 1
         for c in acc.values():
             den = lcm(den, c.denominator)
-        ints = {e: int(c * den) for e, c in acc.items()}
-        return _canon(alphabet, Fraction(1, den), ints)
+        ints = {e: c.numerator * (den // c.denominator) for e, c in acc.items()}
+        return _canon(alphabet, 1, den, ints)
 
     # -- predicates and accessors -------------------------------------
 
@@ -289,13 +302,15 @@ class Polynomial:
 
     def _add_scaled(self, c2, t2) -> "Polynomial":
         """self + c2*t2 for a nonzero self, a nonzero rational c2 and a
-        primitive term map t2."""
+        primitive term map t2.  Both contents are multiples of
+        g = gcd(n1, n2)/lcm(d1, d2), by the integers (n1/gcd)(lcm/d1) and
+        (n2/gcd)(lcm/d2), so the sum is g times an integer map."""
         c1 = self.content
-        g = Fraction(
-            gcd(c1.numerator, c2.numerator), lcm(c1.denominator, c2.denominator)
-        )
-        t = kernels.poly_axpy(int(c1 / g), self.terms, int(c2 / g), t2)
-        return _canon(self.alphabet, g, t)
+        n1, d1, n2, d2 = c1.numerator, c1.denominator, c2.numerator, c2.denominator
+        gn, gd = gcd(n1, n2), lcm(d1, d2)
+        t = kernels.poly_axpy((n1 // gn) * (gd // d1), self.terms,
+                              (n2 // gn) * (gd // d2), t2)
+        return _canon(self.alphabet, gn, gd, t)
 
     def _add_rational(self, k) -> "Polynomial":
         """self + k for an int or Fraction k: k enters as the term map of
@@ -337,7 +352,8 @@ class Polynomial:
             if isinstance(other, (int, Fraction)):
                 if not other or not self.content:
                     return Polynomial(self.alphabet, _F0, {})
-                return Polynomial(self.alphabet, self.content * other, self.terms)
+                return Polynomial(self.alphabet, _product(self.content, other),
+                                  self.terms)
             return NotImplemented
         other = p
         if not self.content or not other.content:
@@ -345,7 +361,7 @@ class Polynomial:
         # Gauss: a product of primitive maps is primitive, and the lex
         # leading coefficient stays positive, so no renormalization.
         t = mul_terms(self.terms, other.terms, len(self.alphabet))
-        return Polynomial(self.alphabet, self.content * other.content, t)
+        return Polynomial(self.alphabet, _product(self.content, other.content), t)
 
     __rmul__ = __mul__
 
@@ -387,11 +403,18 @@ class Polynomial:
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
         """Exact value at a rational point covering the whole alphabet."""
+        num, den = self._value(point)
+        return Fraction(num, den)
+
+    def _value(self, point: Mapping[str, Fraction]) -> tuple:
+        """(num, den), two ints with den > 0, whose quotient is the value
+        at `point`, summed over integers."""
         vals = []
         for name in self.alphabet:
             if name not in point:
                 raise ValueError(f"no value for parameter {name!r}")
-            vals.append(Fraction(point[name]))
+            v = point[name]
+            vals.append(v if type(v) is Fraction else Fraction(v))
         # over the denominator prod d_i^D_i (D_i: degree in i) terms are ints
         width = len(vals)
         exps = [_unpack(e, width) for e in self.terms]
@@ -405,7 +428,7 @@ class Polynomial:
                     c *= v.denominator ** (d - k)
             total += c
         den = prod(v.denominator**d for v, d in zip(vals, degs))
-        return self.content * Fraction(total, den)
+        return self.content.numerator * total, self.content.denominator * den
 
     def _divide_monomial(self, s: int) -> "Polynomial":
         """Divide every term by the monomial with key `s`."""
@@ -499,12 +522,22 @@ def _one(alphabet: tuple) -> Polynomial:
     return Polynomial(alphabet, _F1, {0: 1})
 
 
-def _canon(alphabet: tuple, scale: Fraction, ints: dict) -> Polynomial:
-    """Canonical polynomial from a rational scale and an integer map."""
-    if not ints or not scale:
+def _canon(alphabet: tuple, num: int, den: int, ints: dict) -> Polynomial:
+    """Canonical polynomial (num/den) * ints from two nonzero ints,
+    den > 0, and an integer map; the content is the one Fraction built."""
+    if not ints:
         return Polynomial(alphabet, _F0, {})
     g, ints = canonical_terms(ints)
-    return Polynomial(alphabet, scale * g, ints)
+    return Polynomial(alphabet, Fraction(num * g) if den == 1 else
+                      Fraction(num * g, den), ints)
+
+
+def _product(x, y) -> Fraction:
+    """x * y for a Fraction x and an int or Fraction y; an integral
+    product is built from its int, without a normalising gcd."""
+    if x.denominator == 1 == y.denominator:
+        return Fraction(x.numerator * y.numerator)
+    return x * y
 
 
 class RationalFunction:
@@ -675,10 +708,11 @@ class RationalFunction:
 
     def specialize(self, point: Mapping[str, Fraction]) -> Fraction:
         """Exact value at a rational point; PoleAtPoint on a zero denominator."""
-        d = self.den.evaluate(point)
-        if not d:
+        dn, dd = self.den._value(point)
+        if not dn:
             raise PoleAtPoint(f"denominator {self.den} vanishes at {dict(point)}")
-        return self.num.evaluate(point) / d
+        nn, nd = self.num._value(point)
+        return Fraction(nn * dd, nd * dn)
 
     # -- comparison and rendering ----------------------------------------
 

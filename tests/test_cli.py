@@ -877,12 +877,33 @@ def test_input_wide_abelian_invariants_run_quickly(capsys, monkeypatch):
     doc = "".join(line for line in lines.splitlines(keepends=True)
                   if not line.startswith(("bracket:", "verticals:")))
     assert "dim: 512\n" in doc
+    parsed, reads = [], []
+
+    def parse(text):
+        parsed.append(real_parse(text))
+        return parsed[-1]
+
+    def ad(algebra, a):
+        reads.append(a)
+        return real_ad(algebra, a)
+
+    real_parse, real_ad = textio.parse_scenario, LieAlgebra._ad
+    monkeypatch.setattr(textio, "parse_scenario", parse)
+    monkeypatch.setattr(LieAlgebra, "_ad", ad)
     monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
     start = time.process_time()
     code, out, _ = run(capsys, "invariants", "--input", "-")
     assert code == 0
     assert "result: pass" in out
     assert time.process_time() - start < 5
+    # the work follows the verticals and the horizontal keys, not the
+    # dimension: d e^K columns only for the 35 horizontal 3-form keys,
+    # and one ad(e_a) column map read per vertical a for each of the 28
+    # unit metrics of the system and each of the 28 basis metrics rechecked
+    [sc] = parsed
+    assert len(sc.algebra._dcolumns) == 35
+    assert len(reads) == 2 * 28 * 505
+    assert sorted(set(reads)) == list(range(8, 513))
 
 
 @pytest.mark.parametrize("route", ["file", "stdin-strict", "stdin-surrogateescape"])

@@ -1,0 +1,92 @@
+"""Frame independence: a builtin scenario re-framed on its horizontal legs
+gives the same torsion, pulled back.
+
+The new frame vectors are e'_i = sum_j A_ij e_j for i, j <= 7, the
+verticals 8..10 stay, and A is a seeded unimodular integer matrix.  The
+structure constants go through `liealg.change_basis`; phi, g and the
+torsions pull back by A, e^j = sum_i A_ij e'^i.  det A = 1 keeps the
+volume form e^{1...7}, so tau0 is unchanged and tau1, tau2 and tau3 are
+the pullbacks of the old ones.  No result is compared as pinned bytes."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from splitg2 import catalog, scalars
+from splitg2.exterior import Form, SymTensor2
+from splitg2.g2 import Metric7, compatibility_defect, torsion_solve
+from splitg2.liealg import BasisChange, change_basis
+
+DIM = 7
+
+
+def unimodular(seed, steps=6):
+    """A seeded integer matrix of determinant 1: the identity after
+    `steps` row operations row_i += k * row_j, k in {-2, -1, 1, 2}."""
+    rng = random.Random(seed)
+    rows = [[int(i == j) for j in range(DIM)] for i in range(DIM)]
+    for _ in range(steps):
+        i, j = rng.sample(range(DIM), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def pull_back(form, a):
+    """The form in the coframe e'^i, substituting e^j = sum_i a_ij e'^i."""
+    legs = [None] + [Form(DIM, 1, {(i + 1,): a[i][j] for i in range(DIM) if a[i][j]})
+                     for j in range(DIM)]
+    out = Form(DIM, form.degree, {})
+    for key, coeff in form.terms.items():
+        term = legs[key[0]]
+        for j in key[1:]:
+            term = term.wedge(legs[j])
+        out = out + term * coeff
+    return out
+
+
+def pull_back_metric(metric, a):
+    """g'_ij = sum_kl a_ik a_jl g_kl for i <= j."""
+    g = [[0] * DIM for _ in range(DIM)]
+    for (i, j), v in metric.tensor.terms.items():
+        g[i - 1][j - 1] = g[j - 1][i - 1] = v
+    entries = {(i + 1, j + 1): sum(a[i][k] * g[k][l] * a[j][l]
+                                   for k in range(DIM) for l in range(DIM))
+               for i in range(DIM) for j in range(i, DIM)}
+    return Metric7(SymTensor2(DIM, {k: v for k, v in entries.items() if v}))
+
+
+def reframe(sc, a, phi):
+    """(algebra, metric, phi) of the scenario `sc` with the 3-form `phi`,
+    in the frame e'_i = sum_j a_ij e_j of its horizontal legs."""
+    n = sc.algebra.dim
+    full = [[Fraction(a[i][j]) if i < DIM and j < DIM else Fraction(int(i == j))
+             for j in range(n)] for i in range(n)]
+    return (change_basis(sc.algebra, BasisChange(full)),
+            pull_back_metric(sc.metric, a), pull_back(phi, a))
+
+
+@pytest.mark.parametrize("name, point, seed", [
+    ("Ml", {"a": Fraction(2), "p": Fraction(1), "q": Fraction(5)}, 19),
+    ("Ms", {"q": Fraction(3)}, 23),
+])
+def test_torsions_are_frame_independent(name, point, seed):
+    sc = catalog.scenario(name)
+    a = unimodular(seed)
+    assert a != transpose(a)
+    phi = sc.phi_family.map_coefficients(lambda c: scalars.specialize(c, point))
+    old = torsion_solve(sc.algebra, sc.metric, phi)
+    algebra, metric, phi2 = reframe(sc, a, phi)
+    assert compatibility_defect(metric, phi2).is_zero()
+    new = torsion_solve(algebra, metric, phi2)
+    assert new.tau0 == old.tau0
+    for field in ("tau1", "tau2", "tau3"):
+        assert getattr(new, field) == pull_back(getattr(old, field), a), field
+    # the control: pulled back by the transpose, the torsions differ
+    assert any(getattr(new, field) != pull_back(getattr(old, field), transpose(a))
+               for field in ("tau1", "tau3"))

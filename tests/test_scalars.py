@@ -11,12 +11,13 @@ import random
 import re
 import time
 from fractions import Fraction
+from math import gcd, lcm, prod
 
 import pytest
 
 from splitg2 import catalog, g2, kernels, scalars
 from splitg2.errors import AlphabetMismatch, ParseError, PoleAtPoint, ValidationError
-from splitg2.exterior import Form
+from splitg2.exterior import Form, fold
 from splitg2.scalars import Polynomial, RationalFunction
 
 from conftest import ALPHABET, random_fraction, random_polynomial, random_scalar
@@ -1007,3 +1008,169 @@ def test_equal_representatives_compare_without_a_product(monkeypatch):
     assert calls == []
     assert x == z and z == x
     assert calls
+
+
+# -- integer-first content arithmetic against the Fraction formulas ----------
+
+# The reference computes every content step in Fractions, as the rules did
+# before they went through integers; the terms come from the same kernels.
+
+
+def reference_canon(scale, ints):
+    if not ints or not scale:
+        return Polynomial(A, Fraction(0), {})
+    g, ints = scalars.canonical_terms(ints)
+    return Polynomial(A, scale * g, ints)
+
+
+def reference_add_scaled(x, c2, t2):
+    c1 = x.content
+    g = Fraction(gcd(c1.numerator, c2.numerator), lcm(c1.denominator, c2.denominator))
+    return reference_canon(g, kernels.poly_axpy(int(c1 / g), x.terms, int(c2 / g), t2))
+
+
+def reference_sum(x, y):
+    """x + y for a Polynomial x and a Polynomial, int or Fraction y."""
+    if isinstance(y, Polynomial):
+        if not x.content:
+            return y
+        if not y.content:
+            return x
+        return reference_add_scaled(x, y.content, y.terms)
+    if not y:
+        return x
+    if not x.content:
+        return Polynomial(A, Fraction(y), {0: 1})
+    return reference_add_scaled(x, y, {0: 1})
+
+
+def reference_negation(y):
+    if isinstance(y, Polynomial):
+        return Polynomial(A, -y.content, y.terms) if y.content else y
+    return -y
+
+
+def reference_product(x, y):
+    """x * y for a Polynomial x and a Polynomial, int or Fraction y."""
+    if isinstance(y, Polynomial):
+        if not x.content or not y.content:
+            return Polynomial(A, Fraction(0), {})
+        return Polynomial(A, x.content * y.content,
+                          scalars.mul_terms(x.terms, y.terms, len(A)))
+    if not y or not x.content:
+        return Polynomial(A, Fraction(0), {})
+    return Polynomial(A, x.content * y, x.terms)
+
+
+def reference_value(x, point):
+    vals = [Fraction(point[name]) for name in A]
+    exps = [scalars._unpack(e, len(A)) for e in x.terms]
+    degs = [max(col) for col in zip(*exps)]
+    total = 0
+    for exp, c in zip(exps, x.terms.values()):
+        for v, k, d in zip(vals, exp, degs):
+            c *= v.numerator**k * v.denominator ** (d - k)
+        total += c
+    return x.content * Fraction(total, prod(v.denominator**d for v, d in zip(vals, degs)))
+
+
+def reference_specialize(x, point):
+    d = reference_value(x.den, point)
+    if not d:
+        raise PoleAtPoint("pole")
+    return reference_value(x.num, point) / d
+
+
+def content_cases(rng):
+    """Seeded polynomials with integral, non-integral, negative and zero
+    contents, and the rational operands to combine them with."""
+    polys = [Polynomial.constant(A, 0), Polynomial.constant(A, 5),
+             Polynomial.constant(A, Fraction(-3, 2)), num("a + 1"),
+             num("6*a - 4*q"), num("-2*a^2*q + 4/3*p")]
+    for _ in range(40):
+        x = random_polynomial(rng, max_terms=5)
+        polys += [x, -x, x * x.content.denominator, x * -3 * x.content.denominator]
+    rationals = [0, 1, -1, 6, -7, Fraction(2, 3), Fraction(-5, 4), Fraction(-4),
+                 random_fraction(rng, nonzero=True)]
+    return polys, rationals
+
+
+def same_polynomial(got, want):
+    return (type(got.content) is Fraction and parts(got) == parts(want)
+            and str(got) == str(want))
+
+
+def test_integer_first_content_rules_match_the_fraction_formulas(rng):
+    polys, rationals = content_cases(rng)
+    assert {x.content.denominator == 1 for x in polys} == {True, False}
+    assert any(x.content < 0 for x in polys) and any(not x for x in polys)
+    pairs = [(x, y) for x in polys for y in polys[::7]]
+    pairs += [(x, k) for x in polys for k in rationals]
+    for x, y in pairs:
+        assert same_polynomial(x + y, reference_sum(x, y)), (x, y)
+        assert same_polynomial(x - y, reference_sum(x, reference_negation(y))), (x, y)
+        assert same_polynomial(x * y, reference_product(x, y)), (x, y)
+    assert len(pairs) > 3000
+    for _ in range(200):
+        ints = {rng.randrange(1 << 20): rng.choice((-1, 1)) * rng.randint(1, 60)
+                for _ in range(rng.randint(0, 5))}
+        for num_, den in ((rng.choice((-1, 1)) * rng.randint(1, 20), rng.randint(1, 12)),
+                          (7, 1), (-1, 1)):
+            got = scalars._canon(A, num_, den, dict(ints))
+            assert same_polynomial(got, reference_canon(Fraction(num_, den), dict(ints)))
+
+
+def test_integer_first_values_match_the_fraction_formulas(rng):
+    polys, _ = content_cases(rng)
+    points = [sample_point(rng) for _ in range(6)]
+    points += [{"a": 1, "p": -2, "q": 0}, {"a": Fraction(0), "p": Fraction(3, 7),
+                                           "q": Fraction(-1, 2)}]
+    for x in polys:
+        for point in points:
+            got = x.evaluate(point)
+            assert type(got) is Fraction and got == reference_value(x, point)
+    quotients = [RationalFunction.make(x, y) for x, y in zip(polys, polys[7:]) if y]
+    quotients.append(poly("(a - p)^2/(a - p)"))
+    poles = 0
+    for x in quotients:
+        for point in points + [{"a": 2, "p": 2, "q": 5}]:
+            try:
+                want = reference_specialize(x, point)
+            except PoleAtPoint:
+                poles += 1
+                with pytest.raises(PoleAtPoint):
+                    x.specialize(point)
+                continue
+            got = x.specialize(point)
+            assert type(got) is Fraction and got == want and str(got) == str(want)
+    assert len(quotients) > 100 and poles
+
+
+def reference_star(metric, lam, c):
+    """The Hodge star with every coefficient divided by the scale c."""
+    buckets = {}
+    for key, coeff in lam.terms.items():
+        for out, v in metric._star_column(key).items():
+            buckets.setdefault(out, []).append(coeff * v)
+    out = fold({key: buckets[key] for key in sorted(buckets)})
+    return Form.raw(7, 7 - lam.degree, {k: v / Fraction(c) for k, v in out.items()})
+
+
+@pytest.mark.parametrize("name", ["Ml", "Ms"])
+def test_unit_scale_star_matches_the_division_route(name):
+    sc = catalog.scenario(name)
+    phi = sc.phi_family
+    point = {n: Fraction(k + 2, 3) for k, n in enumerate(sc.alphabet)}
+    forms = {"quotient": phi, "polynomial": phi.map_coefficients(lambda c: c.num),
+             "fraction": phi.map_coefficients(lambda c: scalars.specialize(c, point))}
+    kinds = {"quotient": RationalFunction, "polynomial": Polynomial,
+             "fraction": Fraction}
+    for kind, lam in forms.items():
+        assert {type(c) for c in lam.terms.values()} == {kinds[kind]}
+        for form in (lam, g2.hodge_star(sc.metric, lam)):
+            for c in (1, Fraction(1), 2):
+                got, want = g2.hodge_star(sc.metric, form, c), reference_star(
+                    sc.metric, form, c)
+                assert str(got) == str(want), (kind, c)
+                assert [(k, type(v)) for k, v in got.terms.items()] == [
+                    (k, type(v)) for k, v in want.terms.items()]

@@ -2,14 +2,20 @@
 two trees give byte-identical output.
 
     python3 tools/output_matrix.py [ROOT]
+    python3 tools/output_matrix.py --against OTHER_ROOT [ROOT]
 
 runs every command of `commands()` through `splitg2.cli.main` of the
 package under ROOT/src (default: this checkout), in order and in one
 process, so that later requests read the eliminations earlier ones
 cached.  For each it prints one line: the exit code, the sha256 of
 stdout, the sha256 of stderr and the argv, followed by `< label` when
-the command reads a document on stdin.  Run it on two trees and diff
-the output: equal lines mean equal bytes.
+the command reads a document on stdin.  Equal lines mean equal bytes.
+
+With --against, it runs the matrix of each tree in its own interpreter
+and prints only the lines that differ, each as a pair: `-` and the line
+of OTHER_ROOT, then `+` and the line of ROOT.  It exits 1 when any line
+differs, 0 when none does and 2 when a matrix cannot be run; a summary
+goes to stderr.
 
 The list covers every subcommand: torsion solves of both builtin
 scenarios at a range of volume scales and at points, in text and JSON;
@@ -23,12 +29,14 @@ documents are built here from the tree's own `describe` output.
 Standard library only.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
 import random
 import re
 import shlex
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -173,12 +181,50 @@ def commands() -> list:
     return out
 
 
+def differing(ours: list, theirs: list) -> list:
+    """The `-`/`+` pairs of the positions at which two matrices differ,
+    `theirs` first; a position one matrix lacks reads as `(missing)`."""
+    out = []
+    for at in range(max(len(ours), len(theirs))):
+        mine = ours[at] if at < len(ours) else "(missing)"
+        other = theirs[at] if at < len(theirs) else "(missing)"
+        if mine != other:
+            out += [f"- {other}", f"+ {mine}"]
+    return out
+
+
+def matrix_of(root: Path) -> list:
+    """The matrix lines of the tree at `root`, from a fresh interpreter
+    running this file on it."""
+    done = subprocess.run([sys.executable, __file__, str(root)],
+                          capture_output=True, text=True)
+    if done.returncode:
+        print(f"output_matrix.py: the matrix of {root} failed "
+              f"(exit {done.returncode}):\n{done.stderr}", end="", file=sys.stderr)
+        raise SystemExit(2)
+    return done.stdout.splitlines()
+
+
 def main(argv) -> int:
-    root = Path(argv[1] if len(argv) > 1 else Path(__file__).resolve().parents[1])
-    sys.path.insert(0, str(root / "src"))
-    for command in commands():
-        print(line(command))
-    return 0
+    parser = argparse.ArgumentParser(prog="output_matrix.py")
+    parser.add_argument("root", nargs="?", type=Path,
+                        default=Path(__file__).resolve().parents[1])
+    parser.add_argument("--against", type=Path, metavar="OTHER_ROOT")
+    args = parser.parse_args(argv[1:])
+    if not (args.root / "src" / "splitg2").is_dir():
+        parser.error(f"no package sources under {args.root / 'src'}")
+    if args.against is None:
+        sys.path.insert(0, str(args.root / "src"))
+        for command in commands():
+            print(line(command))
+        return 0
+    ours, theirs = matrix_of(args.root), matrix_of(args.against)
+    diff = differing(ours, theirs)
+    for text in diff:
+        print(text)
+    print(f"{len(diff) // 2} of {max(len(ours), len(theirs))} lines differ",
+          file=sys.stderr)
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
