@@ -12,7 +12,12 @@ update runs on integer term maps: each entry is its integer content
 times its packed-key term map, products go through `scalars.mul_terms`
 and sums through `poly_axpy`, and one integer normaliser (`_poly_row`)
 divides the result by the gcd of all its coefficients and by the common
-monomial.  Quotients appear only when a solution is read off (`div`).
+monomial.  A polynomial pivot row that holds only its pivot forces its
+unknown to zero, so its update drops the column from the other rows and
+multiplies none of them by the pivot: fraction-free elimination scales
+rows by factors it does not need (E. H. Bareiss, Math. Comp. 22, 1968),
+and the Ml torsion system has 11 such rows.  Quotients appear only when
+a solution is read off (`div`).
 
 Rows are dicts from column index to nonzero entries.  Columns
 0..width-1 are unknowns; any higher column indices are carried along,
@@ -107,7 +112,16 @@ class PolyDomain:
         monomial content.  Each entry is carried as an integer multiplier
         times a primitive term map: a product is the product of the
         multipliers times `scalars.mul_terms` of the maps, and only an
-        entry present in both rows needs `kernels.poly_axpy` and a gcd."""
+        entry present in both rows needs `kernels.poly_axpy` and a gcd.
+
+        A pivot row that holds only its pivot says p*x = 0, so x = 0 over
+        the field of rational functions: the update drops col from row
+        and renormalizes it, with no product by p.  The row then lacks
+        the factor p that the cross-multiplication puts in, which can move
+        later pivots and so the printed representatives, never the values."""
+        if len(prow) == 1:
+            return _poly_row({c: (v.content.numerator, v.terms)
+                              for c, v in row.items() if c != col}, self.alphabet)
         width = len(self.alphabet)
         mul = scalars.mul_terms
         cp, tp = p.content.numerator, p.terms
@@ -379,9 +393,11 @@ def solve_unique(rows, width: int) -> list:
     Fractions, so the order cannot change it, and the ascending scan is
     the cheaper one.  Polynomial systems take the fill-minimizing order
     (`row_reduce_min_fill`): a fixed column order can make intermediate
-    rows explode there, and since quotients stay unreduced the pivot
-    order also fixes the representatives that get printed.  The order
-    decides which columns a `NonUniqueSolution` names as free.
+    rows explode there.  Since quotients stay unreduced, the pivot order
+    and the update rule of `PolyDomain.combine` (a pivot alone in its row
+    drops its column unscaled) also fix the representatives that get
+    printed.  The order decides which columns a `NonUniqueSolution` names
+    as free.
     """
     domain, work, pivots = _eliminate(rows, width, row_reduce_min_fill)
     if len(pivots) < width:

@@ -53,7 +53,8 @@ _MASK = (1 << FIELD) - 1
 # so the packed product's cost grows faster than its size: at 0.9 bytes
 # per product, seeded one-variable maps with 100-bit coefficients lose
 # to the convolution from a box of about 180 KB (8-bit ones already at
-# 56 KB), while the largest box the torsion solves pack takes 25 KB.
+# 56 KB), while the largest box the torsion solves pack takes 488 bytes
+# (`verify-paper` and the 110 slices p = k*a of height at most 9).
 DENSE_MIN_TERMS = 16
 DENSE_MAX_BYTES = 1
 DENSE_MAX_BOX = 1 << 16

@@ -498,7 +498,9 @@ def test_coclosed_slice_on_a_pole_fails(capsys, monkeypatch, vol):
     (("torsion", "--scenario", "Ms"), None, "torsion-Ms.txt"),
     (("torsion", "--scenario", "Ml", "--format", "json"), None, "torsion-Ml.json"),
     (("torsion", "--input", "-"), 3, "torsion-Ml-slice-p3a.txt"),
-], ids=["Ms", "Ml-json", "Ml-slice"])
+    # the coclosed slice, where tau1 and tau2 vanish
+    (("torsion", "--input", "-"), 2, "torsion-Ml-slice-p2a.txt"),
+], ids=["Ms", "Ml-json", "Ml-slice", "Ml-slice-p2a"])
 def test_symbolic_torsion_reports_are_pinned(capsys, monkeypatch, argv, stdin, golden):
     if stdin is not None:
         monkeypatch.setattr(sys, "stdin", io.StringIO(slice_document(stdin)))

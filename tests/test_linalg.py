@@ -8,7 +8,7 @@ from math import gcd, lcm
 
 import pytest
 
-from splitg2 import _linalg, catalog, scalars, textio
+from splitg2 import _linalg, catalog, kernels, scalars, textio
 from splitg2._linalg import (
     FractionDomain,
     PolyDomain,
@@ -906,10 +906,11 @@ def reference_clear_row(row, alphabet):
     return reference_normalize_row(out, alphabet)
 
 
-class PolynomialRowDomain(PolyDomain):
-    """Reference for `PolyDomain.combine`: the update p*row - f*prow in
-    Polynomial arithmetic, as polynomial rows were eliminated before they
-    were held as integer term maps."""
+class ScaledPolynomialRowDomain(PolyDomain):
+    """The update p*row - f*prow in Polynomial arithmetic for every pivot
+    row, as polynomial rows were eliminated before a pivot row holding
+    only its pivot dropped its column instead: a value reference for the
+    rule, not a layout one."""
 
     def combine(self, p, row, f, prow, col):
         out = {c: p * v for c, v in row.items() if c != col}
@@ -923,6 +924,18 @@ class PolynomialRowDomain(PolyDomain):
             else:
                 out[c] = nxt
         return reference_normalize_row(out, self.alphabet)
+
+
+class PolynomialRowDomain(ScaledPolynomialRowDomain):
+    """Reference for `PolyDomain.combine`: a pivot row holding only its
+    pivot drops its column from the row, any other updates the row by
+    p*row - f*prow, both in Polynomial arithmetic."""
+
+    def combine(self, p, row, f, prow, col):
+        if len(prow) == 1:
+            return reference_normalize_row(
+                {c: v for c, v in row.items() if c != col}, self.alphabet)
+        return super().combine(p, row, f, prow, col)
 
 
 def layout(rows):
@@ -979,6 +992,138 @@ def test_poly_elimination_matches_polynomial_arithmetic_on_torsion_rows(
     pivots = assert_poly_elimination_parity(system.rows, system.width,
                                             row_reduce_min_fill)
     assert len(pivots) == system.width
+
+
+# -- a pivot row holding only its pivot ---------------------------------------------
+
+
+def poly_outcome(rows, width):
+    """The solution of `solve_unique`, or the class of the exception raised."""
+    try:
+        return solve_unique(rows, width)
+    except (NonUniqueSolution, InconsistentSystem) as exc:
+        return type(exc)
+
+
+def scaled_outcome(monkeypatch, rows, width):
+    """`poly_outcome` with every polynomial update scaling the row by its
+    pivot (`ScaledPolynomialRowDomain`)."""
+    detect = _linalg.detect_domain
+
+    def scaled(rows):
+        domain = detect(rows)
+        if isinstance(domain, PolyDomain):
+            return ScaledPolynomialRowDomain(domain.alphabet)
+        return domain
+
+    with monkeypatch.context() as m:
+        m.setattr(_linalg, "detect_domain", scaled)
+        return poly_outcome(rows, width)
+
+
+def torsion_system(name, vol_scale=1):
+    """The torsion system of a builtin scenario, or of the Ml slice p =
+    k*a when `name` is the slope k."""
+    sc = catalog.scenario(name) if isinstance(name, str) else ml_slice(name)
+    return torsion_linear_system(sc.algebra, sc.metric, sc.phi_family, vol_scale)
+
+
+@pytest.mark.parametrize("name, vol_scale, same_text", [
+    ("Ml", 1, True), ("Ml", Fraction(7, 3), False), ("Ms", 1, True),
+    (2, 1, False), (-2, 1, False), (3, 1, True), (Fraction(-7, 9), 1, True)])
+def test_dropping_a_forced_zero_column_keeps_the_torsion_values(
+        monkeypatch, name, vol_scale, same_text):
+    system = torsion_system(name, vol_scale)
+    got = poly_outcome(system.rows, system.width)
+    want = scaled_outcome(monkeypatch, system.rows, system.width)
+    assert len(got) == len(want) == system.width
+    assert all(scalars.equals(x, y) for x, y in zip(got, want))
+    if same_text:
+        assert [str(x) for x in got] == [str(y) for y in want]
+
+
+def forced_zero_systems(rng, cases):
+    """(rows, width) of seeded polynomial systems in which one or two
+    unknowns have a row of their own, so that they are forced to zero,
+    and also appear in the other rows."""
+    for _ in range(cases):
+        width = rng.randint(2, 5)
+        forced = rng.sample(range(width), rng.randint(1, 2))
+        rows = []
+        for _ in range(width - len(forced) + rng.choice((-1, 0, 0, 0, 1))):
+            row = {c: random_polynomial(rng, max_terms=3, max_exp=2)
+                   for c in range(width + 1) if rng.random() < 0.8}
+            row.update({c: random_polynomial(rng, max_terms=2, max_exp=2)
+                        for c in forced})
+            rows.append({c: v for c, v in row.items() if not v.is_zero()})
+        for c in forced:
+            v = random_polynomial(rng, max_terms=2, max_exp=2)
+            if v.is_zero():
+                v = Polynomial.variable(ALPHABET, "q")
+            rows.insert(rng.randint(0, len(rows)), {c: v})
+        yield rows, width
+
+
+def test_dropping_a_forced_zero_column_keeps_seeded_solutions(monkeypatch):
+    outcomes = []
+    for rows, width in forced_zero_systems(random.Random(3203), 60):
+        got = poly_outcome(rows, width)
+        want = scaled_outcome(monkeypatch, rows, width)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert all(scalars.equals(x, y) for x, y in zip(got, want))
+        outcomes.append(got)
+    # the sample reaches every outcome
+    assert sum(isinstance(x, list) for x in outcomes) >= 30
+    assert {x for x in outcomes if isinstance(x, type)} == {NonUniqueSolution,
+                                                           InconsistentSystem}
+
+
+def counting_poly_mul(monkeypatch):
+    """A list that gets len(a)*len(b) for each `kernels.poly_mul` call."""
+    products = []
+    real = kernels.poly_mul
+
+    def count(a, b):
+        products.append(len(a) * len(b))
+        return real(a, b)
+
+    monkeypatch.setattr(kernels, "poly_mul", count)
+    return products
+
+
+@pytest.mark.parametrize("name, work", [
+    ("Ml", (1917, 44589)), (Fraction(-7, 9), (1643, 39271))])
+def test_forced_zero_pivots_are_not_multiplied_in(monkeypatch, name, work):
+    system = torsion_system(name)
+    products = counting_poly_mul(monkeypatch)
+    solve_unique(system.rows, system.width)
+    # 1,412 and 1,052 of the products clear denominators; scaling rows by
+    # a pivot that is alone in its row took 244,785 and 239,463
+    assert (len(products), sum(products)) == work
+
+
+def test_a_pivot_alone_in_its_row_is_dropped_without_a_product(monkeypatch, rng):
+    domain = PolyDomain(ALPHABET)
+    a, q = Polynomial.variable(ALPHABET, "a"), Polynomial.variable(ALPHABET, "q")
+    products = counting_poly_mul(monkeypatch)
+    for _ in range(20):
+        # exponents of random_polynomial stay below 4, so no entry cancels
+        row = {c: random_polynomial(rng, max_terms=3) for c in range(4)}
+        row[1] = row[1] + q ** 4
+        row[3] = row[3] * a ** 4 + 2 * a
+        (row,) = prepare_rows([row], domain)
+        p = random_polynomial(rng, max_terms=3) + a ** 4 * q
+        products.clear()
+        got = domain.combine(p, row, row[1], {1: p}, 1)
+        assert products == []
+        assert layout([got]) == layout(prepare_rows(
+            [{c: v for c, v in row.items() if c != 1}], domain))
+        # the scaled update is the same row times p, up to its content
+        want = ScaledPolynomialRowDomain(ALPHABET).combine(p, row, row[1], {1: p}, 1)
+        assert list(want) == list(got)
+        assert all(want[c] * got[3] == got[c] * want[3] for c in got)
 
 
 def test_field_overflow_in_the_eliminator_raises():

@@ -22,11 +22,11 @@ scenarios at a range of volume scales and at points, in text and JSON;
 verify-paper at several seeds and scales and with corrupted structure
 constants; invariants, growth and describe; torsion on scenario
 documents (the describe documents, an incompatible metric, seeded
-slices p = k*a of Ml, Ml documents with one bracket shifted by a
-rational or symbolic amount, and after those the unshifted Ml document
-and a slice again); and five rejected command lines.  The
-documents are built here from the tree's own `describe` output.
-Standard library only.
+slices p = k*a of Ml and the slice p = -2*a, on which tau1 and tau2
+vanish, Ml documents with one bracket shifted by a rational or
+symbolic amount, and after those the unshifted Ml document and a slice
+again); and five rejected command lines.  The documents are built here
+from the tree's own `describe` output.  Standard library only.
 """
 
 import argparse
@@ -143,6 +143,9 @@ def commands() -> list:
         for fmt in formats:
             add(*_scaled(["torsion", "--input", "-"], scale, fmt),
                 label=f"Ml slice p = {slope}*a", stdin=slice_document(docs["Ml"], slope))
+    for fmt in formats:
+        add(*_scaled(["torsion", "--input", "-"], None, fmt),
+            label="Ml slice p = -2*a", stdin=slice_document(docs["Ml"], Fraction(-2)))
     for scale in ("2", "13", "1"):
         add("torsion", "--scenario", "Ml", "--vol-scale", scale)
     add("verify-paper", "--seed", "9")
