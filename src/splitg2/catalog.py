@@ -12,6 +12,7 @@ fibration integrability, compatibility) and cached immutable.  They are
 """
 
 import re
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Mapping, Tuple
@@ -26,7 +27,6 @@ from .errors import (
 from .exterior import Form, SymTensor2, Vector
 from .g2 import Metric7
 from .liealg import BasisChange, Subspace
-from .report import Frozen
 from .textio import Scenario
 
 _F1 = Fraction(1)
@@ -117,10 +117,9 @@ def mc_form(dim: int, table: Mapping) -> Form:
     return Form(dim, 2, dict(table))
 
 
-class DistributionFact(Frozen):
-    """Expected behaviour of one named rank-3 distribution."""
-
-    __slots__ = _fields = ("stabilizer", "integrable", "claimed_growth")
+# Expected behaviour of one named rank-3 distribution.
+DistributionFact = namedtuple("DistributionFact",
+                              ("stabilizer", "integrable", "claimed_growth"))
 
 
 DISTRIBUTION_FACTS = {
@@ -131,15 +130,13 @@ DISTRIBUTION_FACTS = {
 }
 
 
-class Expected(Frozen):
-    """Reference results for one scenario, scalar values as text."""
-
-    __slots__ = _fields = (
-        "dimensions", "coframe_differentials", "leaf_differentials", "killing",
-        "metric_family", "form_family", "solution_relations", "phi_display",
-        "metric_det", "tau0", "tau1", "tau2", "tau3", "vol_scale",
-        "tau0_reference_point", "tau0_reference_value", "coclosed",
-        "coclosed_slice")
+# Reference results for one scenario, scalar values as text.
+Expected = namedtuple("Expected", (
+    "dimensions", "coframe_differentials", "leaf_differentials", "killing",
+    "metric_family", "form_family", "solution_relations", "phi_display",
+    "metric_det", "tau0", "tau1", "tau2", "tau3", "vol_scale",
+    "tau0_reference_point", "tau0_reference_value", "coclosed",
+    "coclosed_slice"))
 
 
 def validation(sc: Scenario) -> Iterator[Tuple[str, str, bool, str, str]]:

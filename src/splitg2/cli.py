@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from collections import namedtuple
 from functools import lru_cache
 from fractions import Fraction
 from pathlib import Path
@@ -36,7 +37,7 @@ from .errors import (
 from .exterior import Form
 from .g2 import TorsionSet
 from .liealg import LieAlgebra
-from .report import Frozen, Report
+from .report import Report
 
 SCENARIO_NAMES = ("Ml", "Ms")
 SPECIALIZATION_COUNT = 5
@@ -52,11 +53,9 @@ class UsageError(Exception):
     """Bad flag combination or malformed flag value (exit code 2)."""
 
 
-class RunConfig(Frozen):
-    """Validated per-run options shared by the command handlers."""
-
-    __slots__ = _fields = ("scenario", "input_path", "sets", "vol_scale", "fmt",
-                           "seed", "out", "kind", "names", "corrupt")
+# Validated per-run options shared by the command handlers.
+RunConfig = namedtuple("RunConfig", ("scenario", "input_path", "sets", "vol_scale",
+                                     "fmt", "seed", "out", "kind", "names", "corrupt"))
 
 
 # -- option parsing helpers ---------------------------------------------------

@@ -19,6 +19,7 @@ so no information is lost by the choice.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -38,7 +39,6 @@ from .errors import (
 from .exterior import Form, SymTensor2, Vector, fold, interior
 from .invariants import SolutionSpace
 from .liealg import LieAlgebra
-from .report import Frozen
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -283,10 +283,10 @@ def lambda3_27_check(alpha: Form, phi: Form, star_phi: Form) -> bool:
     return alpha.wedge(phi).is_zero() and alpha.wedge(star_phi).is_zero()
 
 
-class TorsionSet(Frozen):
+class TorsionSet(namedtuple("TorsionSet", ("tau0", "tau1", "tau2", "tau3"))):
     """The four torsion forms of a structure, in its own coframe."""
 
-    __slots__ = _fields = ("tau0", "tau1", "tau2", "tau3")
+    __slots__ = ()
 
     def rescale(self, s) -> "TorsionSet":
         """Torsions of the same structure at volume scale s*c.

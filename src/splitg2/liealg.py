@@ -16,6 +16,7 @@ everywhere.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -31,7 +32,6 @@ from .errors import (
     ValidationError,
 )
 from .exterior import Form, SymTensor2, Vector, fold, interior
-from .report import Frozen
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -319,8 +319,8 @@ def _defect_size(defect: dict):
         return Fraction(sum(1 for _ in defect))
 
 
-class JacobiReport(Frozen):
-    __slots__ = _fields = ("ok", "triple", "defect")
+class JacobiReport(namedtuple("JacobiReport", ("ok", "triple", "defect"))):
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.ok:

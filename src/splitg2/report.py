@@ -6,11 +6,18 @@ texts.  Output is byte-stable for a fixed configuration: records are
 sorted by anchor, scalars are rendered canonically, and no timestamps or
 environment details are embedded.
 
-`Frozen` is the base of every small immutable record in the package:
-check records, torsion sets, scenarios, run options.  A record declares
-its fields once, in `_fields`; `Frozen` supplies the one constructor.
+Every small immutable record of the package (check records, torsion
+sets, scenarios, run options) is a `collections.namedtuple`: its fields
+are declared once, bind by position or keyword, refuse assignment, and
+compare, hash, print, copy and pickle by value.  A record with methods
+subclasses its namedtuple with `__slots__ = ()`, except `textio.Scenario`,
+whose instance `__dict__` holds its cached values and which refuses every
+assignment itself.  `Record` checks its status in `__new__`; `_make` and
+`_replace` skip that check, and the package calls neither.  Callers read
+records by attribute only: none indexes, iterates or unpacks one.
 """
 
+from collections import namedtuple
 from typing import List, Optional
 
 SCHEMA_VERSION = 1
@@ -18,73 +25,15 @@ SCHEMA_VERSION = 1
 _STATUSES = ("pass", "fail", "info")
 
 
-class Frozen:
-    """Base of the package's immutable records.
-
-    A record names its fields in `_fields`; it defines no constructor of
-    its own.  `Frozen(*args, **kwargs)` binds positional arguments to the
-    fields in order and keywords by name, and raises TypeError for an
-    extra positional argument, an unknown keyword, a field given twice or
-    a field left out.  Assigning or deleting an attribute afterwards
-    raises AttributeError.  Records compare and hash by class and field
-    values, print as a constructor call, and copy and pickle through the
-    constructor."""
-
+class Record(namedtuple("Record", ("anchor", "name", "status", "computed",
+                                   "expected"))):
     __slots__ = ()
-    _fields: tuple = ()
 
-    def __init__(self, *args, **kwargs):
-        fields = self._fields
-        if len(args) > len(fields):
-            raise TypeError(f"{type(self).__name__}() takes {len(fields)} "
-                            f"fields, got {len(args)} positional arguments")
-        for name, value in zip(fields, args):
-            object.__setattr__(self, name, value)
-        for name in fields[len(args):]:
-            if name not in kwargs:
-                raise TypeError(f"{type(self).__name__}() is missing field "
-                                f"{name!r}")
-            object.__setattr__(self, name, kwargs.pop(name))
-        if kwargs:  # what is left was given twice or is no field
-            name = next(iter(kwargs))
-            raise TypeError(f"{type(self).__name__}() got field {name!r} twice"
-                            if name in fields else
-                            f"{type(self).__name__}() has no field {name!r}")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __reduce__(self):
-        # copy and pickle rebuild through the constructor, which takes the
-        # fields in `_fields` order; restoring slots would assign them
-        return type(self), self._values()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-
-class Record(Frozen):
-    __slots__ = _fields = ("anchor", "name", "status", "computed", "expected")
-
-    def __init__(self, *args, **kwargs):
-        Frozen.__init__(self, *args, **kwargs)
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.status not in _STATUSES:
             raise ValueError(f"bad status {self.status!r}")
+        return self
 
 
 class Report:
@@ -153,7 +102,7 @@ class Report:
             "scenario": self.scenario,
             "seed": self.seed,
             "notes": self.notes,
-            "records": [dict(zip(r._fields, r._values())) for r in self._sorted()],
+            "records": [r._asdict() for r in self._sorted()],
             "counts": self.counts(),
             "result": "pass" if self.passed() else "fail",
         }

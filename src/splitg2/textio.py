@@ -34,6 +34,7 @@ The paper's documents need dim 10, 30 bracket lines, 3 parameters and
 60 lines.
 """
 
+from collections import namedtuple
 from functools import cached_property
 from typing import Mapping, Optional
 
@@ -42,7 +43,6 @@ from .errors import ParseError
 from .exterior import Form, SymTensor2
 from .g2 import Metric7, TorsionSet, compatibility_defect, torsion_linear_system
 from .liealg import LieAlgebra
-from .report import Frozen
 
 ALGEBRA_FORMAT = "splitg2-algebra 1"
 SCENARIO_FORMAT = "splitg2-scenario 1"
@@ -71,7 +71,9 @@ def _intern(kind: str, key: tuple, build):
     return value
 
 
-class Scenario(Frozen):
+class Scenario(namedtuple("Scenario", (
+        "name", "alphabet", "algebra", "basis", "horizontal", "verticals",
+        "metric", "phi_family", "exclusions", "expected"))):
     """One quotient: algebra, split, structure data, and for the builtin
     fixtures (`catalog`) the basis change and goldens.  A scenario parsed
     from a document has no `basis` or `expected`, and may lack `metric`
@@ -81,9 +83,15 @@ class Scenario(Frozen):
     `checked_torsions` that the torsion checks read; `torsions(vol)`
     checks the copy and returns the rendered set at volume scale vol."""
 
-    _fields = ("name", "alphabet", "algebra", "basis", "horizontal", "verticals",
-               "metric", "phi_family", "exclusions", "expected")
-    __slots__ = _fields + ("__dict__",)  # for the three cached values
+    # no __slots__: the instance __dict__ holds the three cached values,
+    # which `cached_property` writes there directly; every assignment and
+    # deletion through the instance is refused
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}")
 
     @cached_property
     def defect(self) -> Optional[SymTensor2]:

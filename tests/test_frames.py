@@ -6,7 +6,14 @@ verticals 8..10 stay, and A is a seeded unimodular integer matrix.  The
 structure constants go through `liealg.change_basis`; phi, g and the
 torsions pull back by A, e^j = sum_i A_ij e'^i.  det A = 1 keeps the
 volume form e^{1...7}, so tau0 is unchanged and tau1, tau2 and tau3 are
-the pullbacks of the old ones.  No result is compared as pinned bytes."""
+the pullbacks of the old ones.  No result is compared as pinned bytes.
+
+The volume law: scaling row 1 of A by d gives det A = d, and then
+e^{1...7} = d e'^{1...7}.  The pulled-back metric A g A^T is no longer
+compatible with the pulled-back phi, d A g A^T is, and the torsions are
+those of the old frame, pulled back, at volume scale d^5: the stars of
+3-forms under d A g A^T with vol = d^5 e'^{1...7} are the stars under
+A g A^T with vol = d e'^{1...7}."""
 
 import random
 from fractions import Fraction
@@ -71,10 +78,13 @@ def reframe(sc, a, phi):
             pull_back_metric(sc.metric, a), pull_back(phi, a))
 
 
-@pytest.mark.parametrize("name, point, seed", [
+CASES = [
     ("Ml", {"a": Fraction(2), "p": Fraction(1), "q": Fraction(5)}, 19),
     ("Ms", {"q": Fraction(3)}, 23),
-])
+]
+
+
+@pytest.mark.parametrize("name, point, seed", CASES)
 def test_torsions_are_frame_independent(name, point, seed):
     sc = catalog.scenario(name)
     a = unimodular(seed)
@@ -88,5 +98,30 @@ def test_torsions_are_frame_independent(name, point, seed):
     for field in ("tau1", "tau2", "tau3"):
         assert getattr(new, field) == pull_back(getattr(old, field), a), field
     # the control: pulled back by the transpose, the torsions differ
+    assert any(getattr(new, field) != pull_back(getattr(old, field), transpose(a))
+               for field in ("tau1", "tau3"))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("name, point, seed", CASES)
+def test_torsions_follow_the_volume_law(name, point, seed, d):
+    """A frame of determinant d: the metric d A g A^T is the compatible
+    one, and at volume scale d^5 tau0 is unchanged and tau1, tau2, tau3
+    are the A-pullbacks.  tau2 is zero on both families, so the 1/c
+    scaling of tau2 (`TorsionSet.rescale`) is not exercised here."""
+    sc = catalog.scenario(name)
+    a = unimodular(seed)
+    a[0] = [d * x for x in a[0]]
+    phi = sc.phi_family.map_coefficients(lambda c: scalars.specialize(c, point))
+    old = torsion_solve(sc.algebra, sc.metric, phi)
+    assert old.tau2.is_zero()
+    algebra, pulled, phi2 = reframe(sc, a, phi)
+    assert not compatibility_defect(pulled, phi2).is_zero()
+    metric = Metric7(pulled.tensor * d)
+    assert compatibility_defect(metric, phi2).is_zero()
+    new = torsion_solve(algebra, metric, phi2, Fraction(d) ** 5)
+    assert new.tau0 == old.tau0
+    for field in ("tau1", "tau2", "tau3"):
+        assert getattr(new, field) == pull_back(getattr(old, field), a), field
     assert any(getattr(new, field) != pull_back(getattr(old, field), transpose(a))
                for field in ("tau1", "tau3"))

@@ -17,7 +17,7 @@ from splitg2.errors import ValidationError
 from splitg2.exterior import Form
 from splitg2.g2 import TorsionSet
 from splitg2.liealg import LieAlgebra
-from splitg2.report import Frozen, Record
+from splitg2.report import Record
 
 
 def torsions():
@@ -37,37 +37,42 @@ def config_fields(**changes) -> dict:
 def records():
     ms = catalog.scenario("Ms")
     return {
-        "RunConfig": (RunConfig(**config_fields()), "seed"),
-        "Record": (Record("a", "b", "pass", "1", "1"), "status"),
-        "TorsionSet": (torsions(), "tau0"),
-        "JacobiReport": (LieAlgebra(3, {(1, 2): {3: 1}}).jacobi_check(), "ok"),
-        "DistributionFact": (catalog.DISTRIBUTION_FACTS["D_l1"], "integrable"),
-        "Expected": (ms.expected, "tau0"),
-        "Scenario": (ms, "metric"),
+        "RunConfig": RunConfig(**config_fields()),
+        "Record": Record("a", "b", "pass", "1", "1"),
+        "TorsionSet": torsions(),
+        "JacobiReport": LieAlgebra(3, {(1, 2): {3: 1}}).jacobi_check(),
+        "DistributionFact": catalog.DISTRIBUTION_FACTS["D_l1"],
+        "Expected": ms.expected,
+        "Scenario": ms,
     }
 
 
 @pytest.mark.parametrize("name", sorted(records()))
 def test_fields_cannot_be_assigned(name):
-    record, field = records()[name]
-    before = getattr(record, field)
-    with pytest.raises(AttributeError):
-        setattr(record, field, None)
-    assert getattr(record, field) is before
+    # nor deleted, nor can an attribute be added
+    record = records()[name]
+    for field in (*record._fields, "extra"):
+        before = getattr(record, field, None)
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        assert getattr(record, field, None) is before, field
 
 
 def package_records():
-    """Every Frozen subclass that a splitg2 module defines."""
+    """Every namedtuple record class that a splitg2 module defines; a
+    subclass and the namedtuple it extends count once, as the subclass."""
     for info in pkgutil.iter_modules(splitg2.__path__):
         if info.name != "__main__":
             importlib.import_module(f"splitg2.{info.name}")
-    found, todo = [], [Frozen]
+    found, todo = set(), [tuple]
     while todo:
         for cls in todo.pop().__subclasses__():
             todo.append(cls)
-            if cls.__module__.startswith("splitg2."):
-                found.append(cls)
-    return found
+            if cls.__module__.startswith("splitg2.") and hasattr(cls, "_fields"):
+                found.add(cls)
+    return [cls for cls in found if not any(cls in sub.__mro__[1:] for sub in found)]
 
 
 def test_every_record_is_tested():
@@ -77,9 +82,15 @@ def test_every_record_is_tested():
 
 
 def test_records_declare_fields_not_constructors():
-    # Frozen binds the fields; only Record adds a check of its own
+    # the namedtuple binds the fields; only Record adds a check of its own,
+    # and only Scenario, whose __dict__ holds cached values, guards it
     for cls in package_records():
-        assert ("__init__" in vars(cls)) == (cls is Record), cls.__name__
+        generated = next(c for c in cls.__mro__ if "_make" in vars(c))
+        assert (cls.__new__ is not generated.__new__) == (cls is Record), cls.__name__
+        assert cls.__init__ is object.__init__, cls.__name__
+        for method in ("__setattr__", "__delattr__"):
+            assert ((getattr(cls, method) is not getattr(tuple, method))
+                    == (cls is textio.Scenario)), (cls.__name__, method)
 
 
 def test_fields_bind_by_position_and_keyword():
@@ -95,17 +106,24 @@ def test_fields_bind_by_position_and_keyword():
 
 @pytest.mark.parametrize("make,message", [
     (lambda: TorsionSet(1, 2, 3, 4, 5),
-     "TorsionSet() takes 4 fields, got 5 positional arguments"),
-    (lambda: RunConfig(*range(11)), "RunConfig() takes 10 fields, got 11"),
-    (lambda: RunConfig(**config_fields(sed=3)), "RunConfig() has no field 'sed'"),
-    (lambda: TorsionSet(1, 2, 3, 4, tau5=1), "TorsionSet() has no field 'tau5'"),
+     "TorsionSet.__new__() takes 5 positional arguments but 6 were given"),
+    (lambda: RunConfig(*range(11)),
+     "RunConfig.__new__() takes 11 positional arguments but 12 were given"),
+    (lambda: RunConfig(**config_fields(sed=3)),
+     "RunConfig.__new__() got an unexpected keyword argument 'sed'"),
+    (lambda: TorsionSet(1, 2, 3, 4, tau5=1),
+     "TorsionSet.__new__() got an unexpected keyword argument 'tau5'"),
     (lambda: RunConfig("Ml", **config_fields()),
-     "RunConfig() got field 'scenario' twice"),
-    (lambda: TorsionSet(1, 2, 3, 4, tau1=2), "TorsionSet() got field 'tau1' twice"),
-    (lambda: TorsionSet(1, 2), "TorsionSet() is missing field 'tau2'"),
+     "RunConfig.__new__() got multiple values for argument 'scenario'"),
+    (lambda: TorsionSet(1, 2, 3, 4, tau1=2),
+     "TorsionSet.__new__() got multiple values for argument 'tau1'"),
+    (lambda: TorsionSet(1, 2),
+     "TorsionSet.__new__() missing 2 required positional arguments: 'tau2' and "
+     "'tau3'"),
     (lambda: textio.Scenario("x", (), LieAlgebra(2, {}), None, verticals=(2,)),
-     "Scenario() is missing field 'horizontal'"),
-    (lambda: Record("a", "b", "pass", "1"), "Record() is missing field 'expected'"),
+     "Scenario.__new__() missing 5 required positional arguments: 'horizontal', "),
+    (lambda: Record("a", "b", "pass", "1"),
+     "Record.__new__() missing 1 required positional argument: 'expected'"),
 ], ids=["extra-positional", "extra-positional-all-defaulted", "unknown-keyword",
         "unknown-keyword-after-all-fields", "repeated-keyword",
         "repeated-keyword-after-all-fields", "missing", "missing-before-defaults",
@@ -131,6 +149,27 @@ def test_scenario_defect_is_computed_once():
     assert sc.defect is first
 
 
+@pytest.mark.parametrize("parsed", [False, True], ids=["builtin", "parsed"])
+def test_scenario_cached_values_refuse_assignment(parsed):
+    # cached_property writes the instance __dict__ directly; assignment
+    # and deletion through the scenario must not replace what every later
+    # request renders, nor add an attribute
+    sc = catalog.scenario("Ms")
+    if parsed:
+        sc = textio.parse_scenario(sc.text())
+    cached = {name: getattr(sc, name)
+              for name in ("defect", "unit_torsions", "checked_torsions")}
+    assert all(value is not None for value in cached.values())
+    for name in (*cached, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(sc, name, None)
+        with pytest.raises(AttributeError):
+            delattr(sc, name)
+    for name, value in cached.items():
+        assert getattr(sc, name) is value, name
+    assert not hasattr(sc, "extra")
+
+
 def test_torsion_rescale():
     t = torsions()
     s = t.rescale(Fraction(3, 2))
@@ -154,7 +193,7 @@ def test_records_compare_and_print_by_value():
 
 @pytest.mark.parametrize("name", sorted(records()))
 def test_records_copy_by_value(name):
-    record, _ = records()[name]
+    record = records()[name]
     clone = copy.copy(record)
     assert type(clone) is type(record)
     assert repr(clone) == repr(record)
