@@ -8,27 +8,15 @@ key of the product monomial.  Index maps are dicts from strictly
 increasing index tuples to coefficient objects supporting +, *, unary -
 and truth testing.
 
-`poly_mul` has two routes with the same result.  When the shorter
-operand has fewer than DENSE_MIN_TERMS terms it convolves the two maps
-term by term and never looks inside a key.  Otherwise it reads the keys:
-it takes the per-field exponent ranges of both maps and, when the
-product's exponent box packs into at most DENSE_MAX_BYTES bytes per term
-product of the convolution and DENSE_MAX_BOX bytes in all, multiplies
-by Kronecker substitution: each map becomes one int with a fixed-width
-slot per box cell, the two ints are multiplied once, and the slots of
-the product are read back (R. Fateman, "Can you save time in
-multiplying polynomials by encoding them as integers?", 2010; D.
-Harvey, "Faster polynomial multiplication via multipoint Kronecker
-substitution", J. Symb. Comp. 44, 2009).
+`poly_mul` convolves two maps term by term and never looks inside a key.
 
 `poly_gcd` is the heuristic gcd (B. Char, K. Geddes, G. Gonnet,
 "GCDHEU: heuristic polynomial GCD algorithm based on integer GCD
-computation", J. Symb. Comp. 7, 1989) on the same packing: both maps are
-evaluated at one large power of two, the integer gcd of the two images
-is read back as a candidate, and the candidate is kept only once it
-divides both maps exactly.
-
-The product and the gcd share one Kronecker codec: `_columns` reads the
+computation", J. Symb. Comp. 7, 1989) by Kronecker substitution: both
+maps are evaluated at one large power of two, each becoming one int with
+a fixed-width slot per cell of their exponent box, the integer gcd of
+the two images is read back as a candidate, and the candidate is kept
+only once it divides both maps exactly.  Its codec: `_columns` reads the
 exponent fields of keys, `_pack` writes a map into slots, `_slots` reads
 balanced slots back, and `_cell_keys` gives the key of each slot.  This
 module reads key fields only through `_columns` and builds keys only
@@ -45,19 +33,6 @@ from math import gcd, prod
 
 FIELD = 16  # bits per exponent field of a packed key
 _MASK = (1 << FIELD) - 1
-
-# `poly_mul` takes the dense route when the shorter operand has at least
-# DENSE_MIN_TERMS terms and the packed product takes at most
-# DENSE_MAX_BYTES bytes per term product of the convolution and at most
-# DENSE_MAX_BOX bytes in all.  CPython multiplies big ints by Karatsuba,
-# so the packed product's cost grows faster than its size: at 0.9 bytes
-# per product, seeded one-variable maps with 100-bit coefficients lose
-# to the convolution from a box of about 180 KB (8-bit ones already at
-# 56 KB), while the largest box the torsion solves pack takes 488 bytes
-# (`verify-paper` and the 110 slices p = k*a of height at most 9).
-DENSE_MIN_TERMS = 16
-DENSE_MAX_BYTES = 1
-DENSE_MAX_BOX = 1 << 16
 
 # `poly_gcd` evaluates at xi = 2^(8W) for a slot width of W bytes, first
 # with 2^(8W) > 2 max(|a|, |b|) + 2, above the GCDHEU bound
@@ -89,16 +64,12 @@ def term_gcd(terms):
 
 
 def poly_mul(a, b):
-    """Product of two integer term maps: the dense route for two large
-    operands in a small enough exponent box, else the convolution."""
+    """Product of two integer term maps, by term-by-term convolution with
+    the shorter map in the outer loop."""
     if not a or not b:
         return {}
     if len(a) > len(b):
         a, b = b, a
-    if len(a) >= DENSE_MIN_TERMS:
-        out = _dense_mul(a, b)
-        if out is not None:
-            return out
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
@@ -113,41 +84,6 @@ def poly_mul(a, b):
                 else:
                     del out[e]
     return out
-
-
-def _dense_mul(a, b):
-    """`poly_mul` by Kronecker substitution; None when the packed box
-    would take more than DENSE_MAX_BYTES bytes per term product or more
-    than DENSE_MAX_BOX bytes.
-
-    Field i of the product spans lo_i .. lo_i + D_i - 1, with lo_i the sum
-    of the operands' lowest exponents and D_i the sum of their exponent
-    ranges plus one.  Each operand is packed relative to its own lowest
-    exponents, so the product of the two ints holds the product's
-    coefficient of cell t in slot t, and a slot of W bytes holds
-    |coefficient| < min(len)·max|a|·max|b| < 2^(8W-2).
-    """
-    top = max(max(a), max(b)).bit_length()
-    shifts = range(0, top or 1, FIELD)
-    cols_a = _columns(a, shifts)
-    cols_b = _columns(b, shifts)
-    lows_a = [min(col) for col in cols_a]
-    lows_b = [min(col) for col in cols_b]
-    radix = [max(ca) - la + max(cb) - lb + 1
-             for ca, cb, la, lb in zip(cols_a, cols_b, lows_a, lows_b)]
-    bits = (
-        max(map(abs, a.values())).bit_length()
-        + max(map(abs, b.values())).bit_length()
-        + len(a).bit_length()
-    )
-    width = (bits + 9) // 8  # bits + 2, rounded up to whole bytes
-    box = prod(radix) * width
-    if box > DENSE_MAX_BOX or box > DENSE_MAX_BYTES * len(a) * len(b):
-        return None
-    base = sum((la + lb) << s for la, lb, s in zip(lows_a, lows_b, shifts))
-    product = (_pack(a, cols_a, lows_a, radix, width)
-               * _pack(b, cols_b, lows_b, radix, width))
-    return _slots(product, width, _cell_keys(base, shifts, radix))
 
 
 def _columns(m, shifts):
@@ -184,11 +120,11 @@ def _pack(m, cols, lows, radix, width):
     return v
 
 
-def _cell_keys(base, shifts, radix):
+def _cell_keys(shifts, radix):
     """The key of every cell of the mixed-radix box `radix` whose lowest
-    cell has key `base`, in cell order: the only place this module builds
+    cell has key 0, in cell order: the only place this module builds
     keys."""
-    keys = [base]
+    keys = [0]
     for s, d in zip(shifts, radix):
         if d > 1:
             keys = [k + (e << s) for e in range(d) for k in keys]
@@ -253,7 +189,7 @@ def _gcd_at(a, b, cols_a, cols_b, shifts, radix, width):
     monomial factors.  Its leading coefficient is the top balanced digit
     of a positive integer, so it is positive already."""
     zeros = [0] * len(radix)
-    keys = _cell_keys(0, shifts, radix)
+    keys = _cell_keys(shifts, radix)
     img_a = _pack(a, cols_a, zeros, radix, width)
     img_b = _pack(b, cols_b, zeros, radix, width)
     g = _slots(gcd(img_a, img_b), width, keys)

@@ -50,10 +50,9 @@ integer addition.  The top bit of each field is a guard that is clear in
 every stored key, so a sum of two valid keys never carries into a
 neighbouring field; a product that sets a guard bit raises
 ValidationError instead of wrapping.  The field width is defined once,
-in `kernels`, because its Kronecker codec (the dense route of
-`kernels.poly_mul` and `kernels.poly_gcd`) reads key fields, only
-through `kernels._columns`, and builds keys, only through
-`kernels._cell_keys`.  Apart from that, only this module packs or
+in `kernels`, because the Kronecker codec of `kernels.poly_gcd` reads
+key fields, only through `kernels._columns`, and builds keys, only
+through `kernels._cell_keys`.  Apart from that, only this module packs or
 unpacks keys, and the public methods take and return exponent tuples.
 """
 

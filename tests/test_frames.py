@@ -6,7 +6,9 @@ verticals 8..10 stay, and A is a seeded unimodular integer matrix.  The
 structure constants go through `liealg.change_basis`; phi, g and the
 torsions pull back by A, e^j = sum_i A_ij e'^i.  det A = 1 keeps the
 volume form e^{1...7}, so tau0 is unchanged and tau1, tau2 and tau3 are
-the pullbacks of the old ones.  No result is compared as pinned bytes.
+the pullbacks of the old ones.  The re-framed algebra keeps its Jacobi
+and fibration verdicts and the dimensions of its invariant spaces, which
+hold the pulled-back g and phi.  No result is compared as pinned bytes.
 
 The volume law: scaling row 1 of A by d gives det A = d, and then
 e^{1...7} = d e'^{1...7}.  The pulled-back metric A g A^T is no longer
@@ -23,6 +25,7 @@ import pytest
 from splitg2 import catalog, scalars
 from splitg2.exterior import Form, SymTensor2
 from splitg2.g2 import Metric7, compatibility_defect, torsion_solve
+from splitg2.invariants import invariant_form3, invariant_sym2
 from splitg2.liealg import BasisChange, change_basis
 
 DIM = 7
@@ -83,6 +86,9 @@ CASES = [
     ("Ms", {"q": Fraction(3)}, 23),
 ]
 
+# (invariant S^2 m*, invariant Lambda^3 m*) dimensions of each quotient
+DIMENSIONS = {"Ml": (7, 10), "Ms": (4, 5)}
+
 
 @pytest.mark.parametrize("name, point, seed", CASES)
 def test_torsions_are_frame_independent(name, point, seed):
@@ -125,3 +131,23 @@ def test_torsions_follow_the_volume_law(name, point, seed, d):
         assert getattr(new, field) == pull_back(getattr(old, field), a), field
     assert any(getattr(new, field) != pull_back(getattr(old, field), transpose(a))
                for field in ("tau1", "tau3"))
+
+
+@pytest.mark.parametrize("name, point, seed", CASES)
+def test_verdicts_and_invariant_spaces_are_frame_independent(name, point, seed):
+    """The re-framed algebra passes Jacobi and fibration, its invariant
+    spaces keep their dimensions, and they hold the pulled-back metric and
+    phi; phi pulled back by the transpose is not invariant."""
+    sc = catalog.scenario(name)
+    a = unimodular(seed)
+    phi = sc.phi_family.map_coefficients(lambda c: scalars.specialize(c, point))
+    algebra, metric, phi2 = reframe(sc, a, phi)
+    assert algebra.jacobi_check().ok
+    assert algebra.horizontal_integrability(DIM)
+    sym = invariant_sym2(algebra, sc.verticals, DIM)
+    tri = invariant_form3(algebra, sc.verticals, DIM)
+    assert (sym.dimension, tri.dimension) == DIMENSIONS[name]
+    assert sym.contains(metric.tensor.extend(algebra.dim))
+    assert tri.contains(phi2.extend(algebra.dim))
+    # the control: pulled back by the transpose, phi is not invariant
+    assert not tri.contains(pull_back(phi, transpose(a)).extend(algebra.dim))

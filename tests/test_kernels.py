@@ -178,12 +178,12 @@ def test_poly_axpy_cancellation():
     assert kernels.poly_axpy(1, a, 1, {}) == a
 
 
-# -- the dense route of poly_mul ------------------------------------------------
+# -- poly_mul against a reference convolution -----------------------------------
 
 
 def convolution(a, b):
-    """Term-by-term convolution of two packed maps: the reference result
-    for both routes of `poly_mul`."""
+    """Term-by-term convolution of two packed maps, written apart from
+    `poly_mul`: the reference result."""
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
@@ -213,32 +213,20 @@ def seeded_map(rng, width, nterms, bits):
     return out
 
 
-def test_dense_route_matches_the_convolution(rng, monkeypatch):
-    n = kernels.DENSE_MIN_TERMS
+def test_poly_mul_matches_the_convolution(rng):
     pairs = []
     for width in range(1, 9):
         for bits in (3, 65, 193):
-            for sizes in ((n - 1, n + 5), (n, n), (n + 1, 3 * n), (3 * n, 2 * n)):
+            for sizes in ((15, 21), (16, 16), (17, 48), (48, 32)):
                 a = seeded_map(rng, width, sizes[0], bits)
                 b = seeded_map(rng, width, sizes[1], bits)
                 pairs.append((a, b, convolution(a, b)))
-    for a, b, want in pairs:  # each route as dispatched
+    for a, b, want in pairs:
         assert kernels.poly_mul(a, b) == want
         assert kernels.poly_mul(b, a) == want
-    # the box bounds are a speed choice: lift them so every pair goes dense
-    monkeypatch.setattr(kernels, "DENSE_MAX_BYTES", 1 << 30)
-    monkeypatch.setattr(kernels, "DENSE_MAX_BOX", 1 << 40)
-    for a, b, want in pairs:
-        short, long = sorted((a, b), key=len)
-        got = kernels._dense_mul(short, long)
-        assert got == want
-        assert list(got) == sorted(got)  # cell order is key order
 
 
-def test_dense_route_on_small_and_degenerate_operands(rng, monkeypatch):
-    # every nonempty pair takes the dense route
-    monkeypatch.setattr(kernels, "DENSE_MIN_TERMS", 1)
-    monkeypatch.setattr(kernels, "DENSE_MAX_BYTES", 1 << 30)
+def test_poly_mul_on_small_and_degenerate_operands(rng):
     big = seeded_map(rng, 3, 40, 200)
     cases = [({0: 5}, {0: -3}), ({0: 1}, big), (big, {0: -(1 << 300)}),
              ({_pack((2, 0, 7), 3): -1}, {_pack((0, 5, 1), 3): 1 << 70}),
@@ -248,44 +236,6 @@ def test_dense_route_on_small_and_degenerate_operands(rng, monkeypatch):
         assert kernels.poly_mul(a, b) == convolution(a, b)
     assert kernels.poly_mul({}, big) == kernels.poly_mul(big, {}) == {}
     assert kernels.poly_mul({}, {}) == {}
-
-
-def test_small_operands_keep_the_convolution(rng, monkeypatch):
-    calls = []
-    dense_mul = kernels._dense_mul
-    monkeypatch.setattr(kernels, "_dense_mul",
-                        lambda a, b: calls.append(len(a)) or dense_mul(a, b))
-    n = kernels.DENSE_MIN_TERMS
-    a = seeded_map(rng, 2, n - 1, 8)
-    b = seeded_map(rng, 2, 4 * n, 8)
-    assert len(a) < n
-    assert kernels.poly_mul(a, b) == convolution(a, b)
-    assert calls == []
-    c = {_pack((0, i), 2): i + 1 for i in range(n)}
-    assert kernels.poly_mul(c, c) == convolution(c, c)
-    assert calls == [n]
-
-
-def test_large_boxes_keep_the_convolution(rng, monkeypatch):
-    # 1000 x 1000 terms of 100 bits spread over 18,000 exponents: about one
-    # packed byte per term product, but a box near 1 MB, where the big-int
-    # product of the dense route costs more than the convolution
-    def spread(n, span):
-        return {e: rng.choice((-1, 1)) * ((1 << 99) | rng.getrandbits(99))
-                for e in rng.sample(range(span), n)}
-
-    dense_mul = kernels._dense_mul
-    calls = []
-    monkeypatch.setattr(kernels, "_dense_mul",
-                        lambda a, b: calls.append(len(a)) or dense_mul(a, b))
-    a, b = spread(1000, 18_000), spread(1000, 18_000)
-    box = (max(a) - min(a) + max(b) - min(b) + 1) * 27  # 27-byte slots
-    assert kernels.DENSE_MAX_BOX < box <= kernels.DENSE_MAX_BYTES * 1000 * 1000
-    assert dense_mul(a, b) is None
-    # at the same density a box under the cap takes the dense route
-    c, d = spread(100, 180), spread(100, 180)
-    assert kernels.poly_mul(c, d) == convolution(c, d)
-    assert calls == [100]
 
 
 # -- the heuristic gcd ----------------------------------------------------------

@@ -843,17 +843,24 @@ def test_constant_powers_are_bounded():
         scalars.parse_scalar("a * ((2^64)^64)^64", A)
 
 
-def test_polynomial_products_are_bounded_before_expansion(monkeypatch):
-    letters = tuple("abcdefgh")
-    factor = "(1+a+b+c+d+e+f+g+h)"
+def counted_products(monkeypatch):
+    """Patch `kernels.poly_mul` to record len(a) * len(b) of each product
+    it makes; returns the list of records."""
     products = []
+    real = kernels.poly_mul
 
     def count(a, b):
         products.append(len(a) * len(b))
         return real(a, b)
 
-    real = kernels.poly_mul
     monkeypatch.setattr(kernels, "poly_mul", count)
+    return products
+
+
+def test_polynomial_products_are_bounded_before_expansion(monkeypatch):
+    letters = tuple("abcdefgh")
+    factor = "(1+a+b+c+d+e+f+g+h)"
+    products = counted_products(monkeypatch)
     # eight factors have 12,870 terms; the ninth would pass 16,384
     assert len(scalars.parse_scalar("*".join([factor] * 8), letters).num.terms) == 12870
     eight = (len(products), sum(products))
@@ -890,25 +897,19 @@ def test_polynomial_products_are_bounded_before_expansion(monkeypatch):
         assert time.process_time() - start < 1.0, text
 
 
-def test_dense_product_past_the_guard_bit_raises(monkeypatch):
-    # 257 terms a^0..a^255 and a^16384: the box of the square has 32,769
-    # cells of 2 bytes, within one byte per term product, so the dense
-    # route runs; a^16384 * a^16384 sets the guard bit of the first field
-    calls = []
-    dense_mul = kernels._dense_mul
-    monkeypatch.setattr(kernels, "_dense_mul",
-                        lambda a, b: calls.append(1) or dense_mul(a, b))
+def test_dense_product_past_the_guard_bit_raises():
+    # a^0..a^255 squares to 511 terms; with a^16384 added, a^16384 * a^16384
+    # sets the guard bit of the first field
     alphabet = ("a", "q")
     exps = {(i, 0): 1 for i in range(256)}
     x = Polynomial.from_terms(alphabet, exps)
-    assert len((x * x).terms) == 511 and calls == [1]
+    assert len((x * x).terms) == 511
     y = Polynomial.from_terms(alphabet, {**exps, (1 << 14, 0): 1})
     with pytest.raises(ValidationError, match="exceeds the limit"):
         y * y
-    assert calls == [1, 1]
 
 
-def test_polynomial_powers_are_bounded_before_expansion():
+def test_polynomial_powers_are_bounded_before_expansion(monkeypatch):
     apq = ("a", "p", "q")
     assert len(scalars.parse_scalar("((1+a+p+q)^8)^4", apq).num.terms) == 6545
     assert len(scalars.parse_scalar("((1+a+p)^20)^3", apq).num.terms) == 1891
@@ -916,13 +917,20 @@ def test_polynomial_powers_are_bounded_before_expansion():
     assert scalars.parse_scalar("(p - p)^0", apq) == 1
     # a quotient bounds its numerator and its denominator
     assert len(scalars.parse_scalar("((1+a)/(2+q))^32", apq).den.terms) == 33
-    for text in ("((1+a+p+q)^16)^4", "1/((1+a+p+q)^16)^4",
-                 "((1+a+p+q)^16/(1+a))^4", "((1+a)/(2+(1+a+p+q)^4))^16",
-                 "((1+a)^64)^64"):
+    products = counted_products(monkeypatch)
+    # the work up to the rejection, (poly_mul calls, term products): the
+    # power past the limit is never expanded
+    for text, work in (("((1+a+p+q)^16)^4", (4, 28566)),
+                       ("1/((1+a+p+q)^16)^4", (4, 28566)),
+                       ("((1+a+p+q)^16/(1+a))^4", (4, 28566)),
+                       ("((1+a)/(2+(1+a+p+q)^4))^16", (2, 116)),
+                       ("((1+a)^64)^64", (6, 1497))):
+        products.clear()
         start = time.process_time()
         with pytest.raises(ParseError, match="power exceeds the limit of 16384 terms"):
             scalars.parse_scalar(text, apq)
         assert time.process_time() - start < 1.0
+        assert (len(products), sum(products)) == work, text
 
 
 # -- lowest terms ------------------------------------------------------------
