@@ -312,13 +312,16 @@ def restrict_form(form: Form, alphabet: tuple,
     on the slice; a denominator that vanishes there raises PoleAtPoint
     naming it.  Denominators are unreduced, so a vanishing one may hold
     a factor that the numerator cancels: the restriction is then
-    undecided, not proof of a pole.
+    undecided, not proof of a pole.  The texts of one form are parsed as
+    one batch (`scalars.parse_scalar`), so a substituted group that recurs
+    across them is built once.
     """
     rest = tuple(p for p in alphabet if p not in substitutions)
+    memo = {}
 
     def on_slice(x):
         return scalars.parse_scalar(substitute_parameters(str(x), substitutions),
-                                    rest)
+                                    rest, memo)
 
     def restrict(x):
         if not isinstance(x, scalars.RationalFunction):

@@ -214,11 +214,13 @@ def _sample_point(rng: random.Random, sc: textio.Scenario) -> dict:
 
 
 def _expected_torsions(sc: textio.Scenario) -> TorsionSet:
-    """Golden torsions parsed from the catalog."""
-    exp = sc.expected
-    return TorsionSet(sc.scalar(exp.tau0), sc.form_from_table(1, exp.tau1),
-                      sc.form_from_table(2, exp.tau2),
-                      sc.form_from_table(3, exp.tau3))
+    """Golden torsions parsed from the catalog, as one parse batch: the
+    closed forms repeat their factors across tau0 to tau3."""
+    exp, memo = sc.expected, {}
+    return TorsionSet(sc.scalar(exp.tau0, memo),
+                      sc.form_from_table(1, exp.tau1, memo),
+                      sc.form_from_table(2, exp.tau2, memo),
+                      sc.form_from_table(3, exp.tau3, memo))
 
 
 def _render(value) -> str:

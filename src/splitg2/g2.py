@@ -48,6 +48,7 @@ _SINGLES = tuple(range(1, _DIM + 1))
 _PAIRS = tuple(combinations(_SINGLES, 2))
 _TRIPLES = tuple(combinations(_SINGLES, 3))
 _SINGLE_KEYS = tuple((i,) for i in _SINGLES)
+_UNIT_TRIPLES = tuple(Form.monomial(_DIM, t) for t in _TRIPLES)  # e^t, t in _TRIPLES
 
 
 @cache
@@ -103,9 +104,10 @@ class Metric7:
     lcm of the denominators of g (`_scale`, `_int_rows`).  Everything
     derived from g is read off signed minors of D g, each expanded once
     (`_minor`): the determinant `det`, the inertia (`signature`) and the
-    Hodge-star columns (`_star_column`)."""
+    unit-scale Hodge stars of the unit monomials (`_unit_star`), each a
+    read-only form that `hodge_star` hands out at unit scale."""
 
-    __slots__ = ("tensor", "det", "_star_columns", "_scale", "_int_rows",
+    __slots__ = ("tensor", "det", "_unit_stars", "_scale", "_int_rows",
                  "_minors")
 
     def __init__(self, tensor: SymTensor2):
@@ -115,10 +117,10 @@ class Metric7:
             if not isinstance(v, (int, Fraction)):
                 raise ValidationError(f"metric entry {key} is not rational: {v!r}")
         self.tensor = tensor
-        self._star_columns = {}
+        self._unit_stars = {}
         self._minors = {}
         # the nonzero entries of D g by row, as (column bit, integer) in
-        # column order; frozen, because the minors and star columns
+        # column order; frozen, because the minors and unit stars
         # cached from them must not go stale
         self._scale = lcm(*(x.denominator for x in tensor.terms.values()))
         rows = [{} for _ in _SINGLES]
@@ -137,17 +139,17 @@ class Metric7:
         (`perfbench/layers.py` keys repeated calls on it)."""
         return tuple(tuple(row) for row in self.tensor.to_matrix())
 
-    def _star_column(self, key: tuple) -> dict:
-        """Unit-scale star of the monomial e^key, {complement key: coefficient},
-        keys in lexicographic order; built on first use.
+    def _unit_star(self, key: tuple) -> Form:
+        """Unit-scale star of the monomial e^key, its keys in lexicographic
+        order; built on first use and kept, one form per key.
 
         Expanding the defining identity of `hodge_star`, the coefficient
         at `out` is e^key ^ g(e_u1) ^ ... ^ g(e_uk) read at e^{1...7}, u
         running over `out`: only the covectors e^j with j in rest, the
         complement of key, survive, so it is sign(key, rest) times the
         minor det g[out, rest]."""
-        column = self._star_columns.get(key)
-        if column is None:
+        star = self._unit_stars.get(key)
+        if star is None:
             rest, sign = _complement(key)
             cols = _mask(rest)
             den = self._scale ** len(rest)
@@ -156,8 +158,8 @@ class Metric7:
                 m = self._minor(_mask(out), cols)
                 if m:
                     column[out] = Fraction(m if sign > 0 else -m, den)
-            self._star_columns[key] = column
-        return column
+            star = self._unit_stars[key] = Form.raw(_DIM, len(rest), column)
+        return star
 
     def _minor(self, rows: int, cols: int) -> int:
         """det(D g)[rows, cols], D = `_scale`, for index sets of one size
@@ -240,21 +242,26 @@ def hodge_star(metric: Metric7, lam: Form, vol_scale=_F1) -> Form:
         (star e^I)(e_u1, ..., e_u(7-p)) e^{1...7} = e^I ^ g(e_u1) ^ ... ^ g(e_u(7-p))
 
     whose right-hand side is sign(I, J) det g[u, J] e^{1...7}, J the
-    complement of I; `Metric7._star_column` reads each column off these
+    complement of I; `Metric7._unit_star` reads each star e^I off these
     minors and caches it per metric.  The star is linear,
     so star lam is the sum of lam_I * star e^I, divided by vol_scale; the
     contributions to each output coefficient go through `exterior.fold`,
     as those of `Form.wedge` do.  At unit scale, the case of every point
     request and of `verify-paper`, the sums are the result as they stand
-    and no coefficient is divided."""
+    and no coefficient is divided, and the star of a unit monomial e^I
+    (coefficient the rational 1) is the form cached on the metric itself."""
     c = Fraction(vol_scale)
     if c == 0:
         raise Degenerate("volume scale must be nonzero")
     if lam.dim != _DIM:
         raise DimensionMismatch(f"form must live on dimension {_DIM}")
+    if c == 1 and len(lam.terms) == 1:
+        (key, coeff), = lam.terms.items()
+        if type(coeff) is Fraction and coeff == 1:
+            return metric._unit_star(key)
     buckets = {}
     for key, coeff in lam.terms.items():
-        for out, v in metric._star_column(key).items():
+        for out, v in metric._unit_star(key).terms.items():
             buckets.setdefault(out, []).append(coeff * v)
     # lexicographic keys, the order in which downstream sums meet the terms
     out = fold({key: buckets[key] for key in sorted(buckets)})
@@ -456,9 +463,8 @@ def torsion_linear_system(
     # d phi = tau0 star phi + 3 tau1 ^ phi + star tau3: one row per 4-key
     scatter(_ROWS_DPHI, 0, star_phi)
     scatter_wedges(_ROWS_DPHI, 1, _SINGLE_KEYS, phi, 3)
-    for idx, t in enumerate(_TRIPLES):
-        scatter(_ROWS_DPHI, 29 + idx,
-                hodge_star(metric, Form.monomial(_DIM, t), vol_scale))
+    for idx, unit in enumerate(_UNIT_TRIPLES):
+        scatter(_ROWS_DPHI, 29 + idx, hodge_star(metric, unit, vol_scale))
     scatter(_ROWS_DPHI, width, d_phi)
 
     # d star phi = 4 tau1 ^ star phi + tau2 ^ phi: one row per 5-key

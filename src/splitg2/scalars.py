@@ -37,6 +37,16 @@ content of the (numerator) polynomial, and a sum inserts the constant
 term into the term map.  Each result has exactly the content, term map
 and denominator that the constant scalar would have given.
 
+`parse_scalar` builds each literal, each parenthesised group and each
+whole text once per memo, keyed by its tokens (hash-consing: Filliatre
+and Conchon, "Type-safe modular hash-consing", ML Workshop 2006).  A
+memo serves one text, or one batch of texts over one alphabet that its
+caller parses together (the golden strings of a scenario, one catalogue
+table, the coefficients of one restricted form), and is dropped with
+it, so no parsed value outlives its request.  A group is reused only
+where parsing it again would stay within MAX_NESTING, so the limits and
+the error messages are those of a fresh parse.
+
 Monomials are ordered lexicographically by exponent vector in the
 declared alphabet order.  Scalars from different alphabets never mix;
 combining them raises AlphabetMismatch.
@@ -969,9 +979,15 @@ _DIGITS = frozenset("0123456789")
 
 
 class _Tokens:
+    """The tokens of a text as (kind, value) pairs, their values alone
+    (`vals`, the memo keys of `_Parser`) and, for each '(' that has one,
+    the position of its matching ')' (`close`)."""
+
     def __init__(self, text: str):
         self.text = text
         self.items = []
+        self.close = {}
+        opened = []
         i = 0
         n = len(text)
         while i < n:
@@ -994,10 +1010,15 @@ class _Tokens:
                 i = j
                 continue
             if ch in "+-*/^()":
+                if ch == "(":
+                    opened.append(len(self.items))
+                elif ch == ")" and opened:
+                    self.close[opened.pop()] = len(self.items)
                 self.items.append((ch, ch))
                 i += 1
                 continue
             raise ParseError(f"unexpected character {ch!r} in {text!r}")
+        self.vals = [val for _, val in self.items]
         self.pos = 0
 
     def peek(self):
@@ -1009,7 +1030,7 @@ class _Tokens:
         return item
 
 
-def parse_scalar(text: str, alphabet: Iterable[str] = ()) -> Scalar:
+def parse_scalar(text: str, alphabet: Iterable[str] = (), memo=None) -> Scalar:
     """Parse an exact scalar expression.
 
     Grammar: integers, parameter names, + - * / ^, parentheses; ^ takes a
@@ -1031,8 +1052,19 @@ def parse_scalar(text: str, alphabet: Iterable[str] = ()) -> Scalar:
     kinds are canonical and a RationalFunction over 1 combines exactly
     like its numerator, so the numerator and denominator returned are the
     ones an evaluation entirely in RationalFunctions would give.
+
+    Scalars are immutable, so a parse builds each literal, each
+    parenthesised group and the whole text once: `memo` maps the token
+    of a literal to its value, and the tokens of a group or of a whole
+    text to its value and the nesting depth it reached below its start.
+    A group is reused only where parsing it again would stay within
+    MAX_NESTING, so every limit and every error message is the one a
+    fresh parse gives.  By default the memo serves this text alone; a
+    caller that parses a batch of texts over one alphabet passes one dict
+    to every call of the batch and drops it with the batch.
     """
-    return _Parser(text, _check_alphabet(alphabet)).parse()
+    return _Parser(text, _check_alphabet(alphabet),
+                   {} if memo is None else memo).parse()
 
 
 class _Parser:
@@ -1043,18 +1075,25 @@ class _Parser:
     literals would then wait for the cyclic collector, whose full passes
     land on whichever later request happens to trigger them."""
 
-    def __init__(self, text: str, alphabet: tuple):
+    def __init__(self, text: str, alphabet: tuple, memo: dict):
         self.text = text
         self.alphabet = alphabet
         self.toks = _Tokens(text)
-        self.literals: dict = {}  # scalars are immutable: build each literal once
+        self.memo = memo
         self.depth = 0
+        self.peak = 0  # the deepest nesting reached so far
 
     def parse(self) -> Scalar:
         alphabet = self.alphabet
-        value = self.expr()
-        if self.toks.peek() is not None:
-            raise ParseError(f"trailing input in {self.text!r}")
+        key = tuple(self.toks.vals)
+        hit = self.memo.get(key)
+        if hit is None:
+            value = self.expr()
+            if self.toks.peek() is not None:
+                raise ParseError(f"trailing input in {self.text!r}")
+            self.memo[key] = value, self.peak
+        else:
+            value = hit[0]
         if not alphabet:
             return value
         if isinstance(value, Fraction):
@@ -1067,8 +1106,31 @@ class _Parser:
         if self.depth == MAX_NESTING:
             raise ParseError(f"nesting exceeds the limit {MAX_NESTING}")
         self.depth += 1
+        self.peak = max(self.peak, self.depth)
         v = parse()
         self.depth -= 1
+        return v
+
+    def group(self):
+        """The value of the parenthesised group whose '(' was just taken:
+        reused from the memo when its tokens were parsed before and this
+        depth plus the depth they reached stays within MAX_NESTING."""
+        toks, depth = self.toks, self.depth
+        end = toks.close.get(toks.pos - 1)
+        key = None if end is None else tuple(toks.vals[toks.pos:end])
+        hit = self.memo.get(key)
+        if hit is not None and depth + 1 + hit[1] <= MAX_NESTING:
+            toks.pos = end + 1
+            self.peak = max(self.peak, depth + 1 + hit[1])
+            return hit[0]
+        outer, self.peak = self.peak, depth
+        v = self.nested(self.expr)
+        if toks.peek() != ")":
+            raise ParseError(f"missing ')' in {self.text!r}")
+        toks.take()
+        if key is not None:
+            self.memo[key] = v, self.peak - depth - 1
+        self.peak = max(outer, self.peak)
         return v
 
     def literal(self, kind, val):
@@ -1087,16 +1149,12 @@ class _Parser:
         toks = self.toks
         kind, val = toks.take() if toks.peek() is not None else (None, None)
         if kind == "int" or kind == "name":
-            v = self.literals.get(val)
+            v = self.memo.get(val)
             if v is None:
-                v = self.literals[val] = self.literal(kind, val)
+                v = self.memo[val] = self.literal(kind, val)
             return v
         if kind == "(":
-            v = self.nested(self.expr)
-            if toks.peek() != ")":
-                raise ParseError(f"missing ')' in {self.text!r}")
-            toks.take()
-            return v
+            return self.group()
         raise ParseError(f"unexpected token in {self.text!r}")
 
     def power(self):

@@ -135,13 +135,16 @@ class Scenario(namedtuple("Scenario", (
                           self.checked_torsions.rescale(vol), vol)
         return self.unit_torsions.rescale(vol)
 
-    def scalar(self, text: str):
-        """Parse a scalar over this scenario's alphabet."""
-        return scalars.parse_scalar(text, self.alphabet)
+    def scalar(self, text: str, memo=None):
+        """Parse a scalar over this scenario's alphabet, sharing `memo`
+        with the other texts of its batch (`scalars.parse_scalar`)."""
+        return scalars.parse_scalar(text, self.alphabet, memo)
 
-    def form_from_table(self, degree: int, table: Mapping) -> Form:
-        """Build a horizontal form with coefficients given as text."""
-        terms = {key: self.scalar(v) if isinstance(v, str) else v
+    def form_from_table(self, degree: int, table: Mapping, memo=None) -> Form:
+        """Build a horizontal form with coefficients given as text, parsed
+        as one batch: with `memo`, or with a memo of this table's own."""
+        memo = {} if memo is None else memo
+        terms = {key: self.scalar(v, memo) if isinstance(v, str) else v
                  for key, v in table.items()}
         return Form(self.horizontal, degree, terms)
 

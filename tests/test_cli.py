@@ -347,6 +347,41 @@ def test_torsion_requests_count_their_eliminations(capsys, monkeypatch):
             for c in ("1", "5/2")] == [(1, 1), (1, 1)]
 
 
+def test_a_point_request_counts_its_products_and_stars(capsys, monkeypatch):
+    """Work counted, not timed: a warm point request on Ml parses its 17
+    golden strings as one batch, whose repeated factors are each built
+    once, and makes the 35 unit 3-form stars of its assembly, the star of
+    phi and those of its check.  A second identical request repeats the
+    same work, so nothing parsed outlives its request."""
+    from splitg2 import g2, kernels
+
+    counts = {"poly_mul": 0, "term_products": 0, "hodge_star": 0}
+    real_mul, real_star = kernels.poly_mul, g2.hodge_star
+
+    def poly_mul(a, b):
+        counts["poly_mul"] += 1
+        counts["term_products"] += len(a) * len(b)
+        return real_mul(a, b)
+
+    def hodge_star(*args, **kwargs):
+        counts["hodge_star"] += 1
+        return real_star(*args, **kwargs)
+
+    argv = ("torsion", "--scenario", "Ml", "--set", "a=1", "--set", "p=2",
+            "--set", "q=3")
+    assert run(capsys, *argv)[0] == 0  # warm: the scenario is built
+    monkeypatch.setattr(kernels, "poly_mul", poly_mul)
+    monkeypatch.setattr(g2, "hodge_star", hodge_star)
+    seen = []
+    for _ in range(2):
+        counts.update(dict.fromkeys(counts, 0))
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        seen.append(dict(counts))
+    want = {"poly_mul": 71, "term_products": 197, "hodge_star": 39}
+    assert seen == [want, want]
+
+
 def test_torsion_requests_leave_the_unit_torsions_unchanged(capsys):
     """Every report shares the scenario's cached unit-scale torsions (tau1
     by identity): a text and a JSON request leave them as they were."""

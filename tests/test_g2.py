@@ -317,7 +317,7 @@ def test_star_matches_defining_identity_on_symbolic_forms(ml, ms, rng):
 
 
 def wedge_identity_columns(metric):
-    """Reference for `Metric7._star_column`: every unit-scale monomial star
+    """Reference for `Metric7._unit_star`: every unit-scale monomial star
     column from the defining identity of `hodge_star`,
     (star e^I)(e_u1, ..., e_uk) e^{1...7} = e^I ^ g(e_u1) ^ ... ^ g(e_uk),
     the wedge chains g(e_u1) ^ ... ^ g(e_uk) shared between all I.  Of a
@@ -360,10 +360,53 @@ def test_star_columns_match_the_wedge_identity(ml, ms):
         want = wedge_identity_columns(metric)
         assert len(want) == 128
         for key, column in want.items():
-            got = metric._star_column(key)
+            got = metric._unit_star(key).terms
             # same values in the same key order, all Fractions
             assert list(got.items()) == list(column.items()), key
             assert all(type(v) is Fraction for v in got.values())
+
+
+def test_unit_stars_are_cached_and_match_the_usual_path(ml, ms):
+    """The star of a unit monomial at unit scale is the form cached on the
+    metric; at unit scale and at 7/3 it equals half the star of 2 e^I,
+    which takes the usual path."""
+    metrics = [ml.metric, ms.metric] + seeded_dense_metrics(random.Random(12), 4)
+    one = scalars.RationalFunction.constant(ml.alphabet, 1)
+    for metric in metrics:
+        for k in range(1, 7):
+            for key in combinations(TOP, k):
+                unit = Form.monomial(7, key)
+                for c in (1, Fraction(7, 3)):
+                    got = hodge_star(metric, unit, c)
+                    twice = hodge_star(metric, Form.monomial(7, key, 2), c)
+                    want = twice * Fraction(1, 2)
+                    assert list(got.terms.items()) == list(want.terms.items()), key
+                    assert all(type(v) is Fraction for v in got.terms.values())
+                    assert str(got) == str(want)
+                    assert (got is metric._unit_stars[key]) == (c == 1)
+                # a quotient coefficient equal to 1 keeps its kind
+                symbolic = hodge_star(metric, Form.monomial(7, key, one))
+                assert symbolic == metric._unit_stars[key]
+                assert all(type(v) is scalars.RationalFunction
+                           for v in symbolic.terms.values())
+
+
+def test_a_cached_unit_star_is_read_only_and_kept_once_per_key(ml):
+    metric = Metric7(ml.metric.tensor)
+    scales = [Fraction(k, 3) for k in range(1, 11)]
+    for c in scales:
+        for k in range(8):
+            for key in combinations(TOP, k):
+                hodge_star(metric, Form.monomial(7, key), c)
+    assert set(metric._unit_stars) == {key for k in range(8)
+                                      for key in combinations(TOP, k)}
+    star = metric._unit_stars[(1, 2, 3)]
+    assert hodge_star(metric, Form.monomial(7, (1, 2, 3))) is star
+    with pytest.raises(TypeError):
+        star.terms[(4, 5, 6, 7)] = Fraction(5)
+    with pytest.raises(TypeError):
+        del star.terms[next(iter(star.terms))]
+    assert len(metric._unit_stars) == 128
 
 
 def test_star_is_linear(rng):

@@ -15,7 +15,7 @@ from math import gcd, lcm, prod
 
 import pytest
 
-from splitg2 import catalog, g2, kernels, scalars
+from splitg2 import catalog, cli, g2, kernels, scalars
 from splitg2.errors import AlphabetMismatch, ParseError, PoleAtPoint, ValidationError
 from splitg2.exterior import Form, fold
 from splitg2.scalars import Polynomial, RationalFunction
@@ -600,6 +600,66 @@ def test_parse_bounds_nesting():
             scalars.parse_scalar(text, A)
 
 
+def batch_parses():
+    """What each batch of catalogue strings parses to: the goldens of both
+    scenarios, Ml's phi_display table and Ml's tau1 on its coclosed
+    slice."""
+    ml = catalog.scenario("Ml")
+    out = {name: cli._expected_torsions(catalog.scenario(name))
+           for name in ("Ml", "Ms")}
+    out["phi_display"] = ml.form_from_table(3, ml.expected.phi_display)
+    out["coclosed-slice"] = catalog.restrict_form(
+        ml.unit_torsions.tau1, ml.alphabet, dict(ml.expected.coclosed_slice))
+    return out
+
+
+def test_batch_parses_agree_with_single_text_parses(monkeypatch):
+    batched = batch_parses()
+    # every call parses its text alone, ignoring the memo of its batch
+    real = scalars.parse_scalar
+    monkeypatch.setattr(scalars, "parse_scalar",
+                        lambda text, alphabet=(), memo=None: real(text, alphabet))
+    single = batch_parses()
+    assert batched.keys() == single.keys()
+
+    def parts(x):
+        return [x] if isinstance(x, Form) else list(x)
+
+    def shown(x):
+        if not isinstance(x, Form):
+            return type(x), str(x)
+        return [(key, type(c), str(c)) for key, c in x.terms.items()]
+
+    for name, got in batched.items():
+        for x, y in zip(parts(got), parts(single[name]), strict=True):
+            assert x == y and str(x) == str(y), name
+            assert shown(x) == shown(y), name
+
+
+def test_a_memo_reuses_a_group_only_within_the_nesting_limit():
+    n = scalars.MAX_NESTING
+    group = "(-(a + p))"  # reaches 3 levels below where it starts
+    memo = {}
+    scalars.parse_scalar(group + "*2", A, memo)
+    shallow = memo[tuple("-(a+p)")]
+    assert shallow[1] == 2
+    # wrapped n - 3 deep it reaches the limit exactly and is reused
+    at_limit = scalars.parse_scalar("(" * (n - 3) + group + ")" * (n - 3), A, memo)
+    assert at_limit.num is shallow[0]
+    assert scalars.equals(at_limit, poly("-a - p"))
+    # one level deeper a fresh parse passes the limit, and so does the batch
+    deeper = "(" * (n - 2) + group + ")" * (n - 2)
+    for batch in (memo, None):
+        with pytest.raises(ParseError) as err:
+            scalars.parse_scalar(deeper, A, batch)
+        assert str(err.value) == f"nesting exceeds the limit {n}"
+    # a unary sign nests like a parenthesis
+    with pytest.raises(ParseError, match=f"nesting exceeds the limit {n}"):
+        scalars.parse_scalar("-" * (n - 2) + group, A, memo)
+    assert scalars.equals(scalars.parse_scalar("-" * (n - 3) + group, A, memo),
+                          poly("a + p") * (-1) ** (n - 2))
+
+
 def test_render_parse_round_trip():
     rng = random.Random(404)
     for _ in range(60):
@@ -1158,7 +1218,7 @@ def reference_star(metric, lam, c):
     """The Hodge star with every coefficient divided by the scale c."""
     buckets = {}
     for key, coeff in lam.terms.items():
-        for out, v in metric._star_column(key).items():
+        for out, v in metric._unit_star(key).terms.items():
             buckets.setdefault(out, []).append(coeff * v)
     out = fold({key: buckets[key] for key in sorted(buckets)})
     return Form.raw(7, 7 - lam.degree, {k: v / Fraction(c) for k, v in out.items()})

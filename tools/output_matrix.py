@@ -21,9 +21,9 @@ The list covers every subcommand: torsion solves of both builtin
 scenarios at a range of volume scales and at points, in text and JSON;
 verify-paper at several seeds and scales and with corrupted structure
 constants; invariants, growth and describe; torsion on scenario
-documents (the describe documents, an incompatible metric, seeded
-slices p = k*a of Ml and the slice p = -2*a, on which tau1 and tau2
-vanish, Ml documents with one bracket shifted by a rational or
+documents (the describe documents, also at points, an incompatible
+metric, seeded slices p = k*a of Ml and the slice p = -2*a, on which
+tau1 and tau2 vanish, Ml documents with one bracket shifted by a rational or
 symbolic amount, and after those the unshifted Ml document and a slice
 again); and five rejected command lines.  The documents are built here
 from the tree's own `describe` output.  Standard library only.
@@ -131,6 +131,13 @@ def commands() -> list:
         for scale in ("1", "2", "5/3"):
             for fmt in formats:
                 add(*_scaled(["torsion", "--input", "-"], scale, fmt),
+                    label=f"describe {name}", stdin=doc)
+    points = {"Ml": ("--set", "a=1", "--set", "p=2", "--set", "q=3"),
+              "Ms": ("--set", "q=2")}
+    for name, doc in docs.items():
+        for scale in ("1", "5/2"):
+            for fmt in formats:
+                add(*_scaled(["torsion", "--input", "-", *points[name]], scale, fmt),
                     label=f"describe {name}", stdin=doc)
     incompatible = docs["Ml"].replace("metric: 4 4 1\n", "metric: 4 4 2\n", 1)
     for scale in ("1", "2"):
